@@ -233,7 +233,7 @@ class GridRow:
     clicks: int
     convs: int
     cost_fen: float
-    score: float
+    score: int
 
 
 def tune(
@@ -266,7 +266,7 @@ def tune(
 
     campaign = campaign or CampaignSpec(advertiser_id=0, n_weight=0)
     data = replay.ReplayData.from_cases(train)
-    budget = replay.make_budget(train, budget_fraction)
+    budget = replay.make_budget(data, budget_fraction)
     avg_ctr = None
     if family == "lin":
         clicks = int(data.clicked.sum())
@@ -275,7 +275,7 @@ def tune(
         avg_ctr = clicks / len(train)
 
     rows: list[GridRow] = []
-    best: tuple[float, int] | None = None  # (score, parameter), ties -> smaller param
+    best: tuple[int, int] | None = None  # (score, parameter), ties -> smaller param
     best_strategy: Strategy | None = None
     for param in sorted(int(g) for g in grid):
         if family == "const":

@@ -164,10 +164,8 @@ def cmd_stats(args) -> int:
     label = str(args.advertiser) if args.advertiser is not None else "all"
     stats.write_summary_csv([(label, summary)], out / "summary.csv")
     stats.write_summary_markdown([(label, summary)], out / "summary.md")
-    for key in stats.FEATURE_KEYS:
-        for metric in stats.METRICS:
-            bd = stats.feature_breakdown(cases, key, metric)
-            stats.write_breakdown_csv(bd, out / f"breakdown_{key}_{metric}.csv")
+    for bd in stats.feature_breakdowns(cases):
+        stats.write_breakdown_csv(bd, out / f"breakdown_{bd.feature_key}_{bd.metric}.csv")
     print(f"stats: {summary.imps} imps, {summary.clicks} clicks; wrote {out}")
     return 0
 

@@ -4,6 +4,10 @@ Two encodings are produced: sparse binary one-hot vectors (for the linear
 CTR model) and dense frequency/CTR category encodings (for the boosted
 trees).  Index 0 of the one-hot space is reserved for the bias and never
 appears in a vector.
+
+:func:`field_values` is the one definition of a record's fields and of how
+each value is spelled; the vocabulary, the encodings, :func:`densify` and
+the per-feature breakdowns of :mod:`rtbsim.stats` all read it.
 """
 
 from __future__ import annotations
@@ -21,8 +25,8 @@ __all__ = [
     "CategoryEncodings",
     "SparseBatch",
     "EmptyTrainingSet",
-    "ManifestMismatch",
     "derive_fields",
+    "field_values",
     "classify_user_agent",
     "floor_price_bucket",
     "build_vocabulary",
@@ -62,14 +66,6 @@ _BROWSER_RULES = (
 
 FLOOR_BUCKETS = ("0", "[1,10]", "[11,50]", "[51,100]", "[101,+inf)")
 
-# Fields contributing one-hot features, in canonical order.  Identifier-like
-# and price/label columns are deliberately absent.
-VOCAB_FIELDS = (
-    "weekday", "hour", "os", "browser", "region", "city", "ad_exchange",
-    "domain", "slot_id", "slot_width", "slot_height", "slot_visibility",
-    "slot_format", "floor_bucket", "creative_id", "tag",
-)
-
 # Dense manifest for the tree model: (frequency, ctr) per categorical
 # field, one aggregate ctr over the case's tags, then raw continuous values.
 GBRT_CATEGORICAL_FIELDS = (
@@ -80,10 +76,6 @@ GBRT_CONTINUOUS_FIELDS = ("slot_width", "slot_height", "slot_floor_price", "hour
 
 
 class EmptyTrainingSet(ValueError):
-    pass
-
-
-class ManifestMismatch(ValueError):
     pass
 
 
@@ -135,8 +127,11 @@ def derive_fields(record: LogRecord) -> DerivedFields:
     )
 
 
-def _field_values(record: LogRecord) -> list[tuple[str, str]]:
-    """(field, value) pairs feeding the vocabulary, tags expanded."""
+def field_values(record: LogRecord) -> list[tuple[str, str]]:
+    """A record's (field, value) pairs in canonical order, one per tag.
+
+    Identifier-like and price/label columns are deliberately absent.
+    """
     d = derive_fields(record)
     pairs = [
         ("weekday", d.weekday),
@@ -201,7 +196,7 @@ def build_vocabulary(train: Iterable[AuctionCase]) -> Vocabulary:
     empty = True
     for case in train:
         empty = False
-        for key in _field_values(case.record):
+        for key in field_values(case.record):
             if key not in index:
                 index[key] = next_idx
                 next_idx += 1
@@ -217,7 +212,7 @@ def binarize(record: LogRecord, vocab: Vocabulary) -> np.ndarray:
     yields an empty vector.
     """
     found = {
-        idx for key in _field_values(record)
+        idx for key in field_values(record)
         if (idx := vocab.index.get(key)) is not None
     }
     return np.array(sorted(found), dtype=np.int32)
@@ -329,7 +324,7 @@ def build_encodings(
         total += 1
         is_click = 1 if case.clicked else 0
         total_clicks += is_click
-        for key in _field_values(case.record):
+        for key in field_values(case.record):
             counts[key] = counts.get(key, 0) + 1
             if is_click:
                 clicks[key] = clicks.get(key, 0) + 1
@@ -361,63 +356,36 @@ def feature_manifest() -> tuple[str, ...]:
 DEFAULT_MANIFEST = feature_manifest()
 
 
-def densify(
-    record: LogRecord,
-    encodings: CategoryEncodings,
-    manifest: tuple[str, ...] = DEFAULT_MANIFEST,
-) -> np.ndarray:
-    """Fixed-length dense vector in manifest order."""
-    if manifest != DEFAULT_MANIFEST:
-        unknown = set(manifest) - set(DEFAULT_MANIFEST)
-        if unknown:
-            raise ManifestMismatch(f"unknown manifest entries: {sorted(unknown)}")
-    d = derive_fields(record)
-    by_field = {
-        "weekday": d.weekday,
-        "os": d.os,
-        "browser": d.browser,
-        "region": str(record.region),
-        "city": str(record.city),
-        "ad_exchange": str(record.ad_exchange),
-        "domain": record.domain,
-        "slot_id": record.slot_id,
-        "slot_visibility": record.slot_visibility,
-        "slot_format": record.slot_format,
-        "creative_id": record.creative_id,
-    }
-    continuous = {
-        "slot_width": float(record.slot_width),
-        "slot_height": float(record.slot_height),
-        "slot_floor_price": float(record.slot_floor_price),
-        "hour": float(d.hour),
-    }
-    out = np.empty(len(manifest), dtype=np.float64)
-    for i, name in enumerate(manifest):
-        if name == "tag_ctr":
-            if record.user_tags:
-                ctrs = [encodings.lookup("tag", str(t))[1] for t in record.user_tags]
-                out[i] = sum(ctrs) / len(ctrs)
-            else:
-                out[i] = encodings.prior
-        elif name in continuous:
-            out[i] = continuous[name]
-        elif name.endswith("_freq"):
-            out[i] = float(encodings.lookup(name[:-5], by_field[name[:-5]])[0])
-        else:
-            out[i] = encodings.lookup(name[:-4], by_field[name[:-4]])[1]
+# Column of each categorical field's frequency; its CTR is the next column.
+_FREQ_COLUMN = {f: 2 * i for i, f in enumerate(GBRT_CATEGORICAL_FIELDS)}
+_TAG_CTR_COLUMN = 2 * len(GBRT_CATEGORICAL_FIELDS)
+
+
+def densify(record: LogRecord, encodings: CategoryEncodings) -> np.ndarray:
+    """Fixed-length dense vector in :data:`DEFAULT_MANIFEST` order."""
+    out = np.empty(len(DEFAULT_MANIFEST), dtype=np.float64)
+    tag_ctrs = []
+    for field, value in field_values(record):
+        col = _FREQ_COLUMN.get(field)
+        if col is not None:
+            out[col], out[col + 1] = encodings.lookup(field, value)
+        elif field == "tag":
+            tag_ctrs.append(encodings.lookup(field, value)[1])
+    out[_TAG_CTR_COLUMN] = sum(tag_ctrs) / len(tag_ctrs) if tag_ctrs else encodings.prior
+    out[_TAG_CTR_COLUMN + 1:] = (
+        record.slot_width, record.slot_height, record.slot_floor_price, record.timestamp.hour,
+    )
     return out
 
 
 def densify_cases(
-    cases: Sequence[AuctionCase],
-    encodings: CategoryEncodings,
-    manifest: tuple[str, ...] = DEFAULT_MANIFEST,
+    cases: Sequence[AuctionCase], encodings: CategoryEncodings,
 ) -> tuple[np.ndarray, np.ndarray]:
     """(matrix, labels) for a batch of cases."""
-    x = np.empty((len(cases), len(manifest)), dtype=np.float64)
+    x = np.empty((len(cases), len(DEFAULT_MANIFEST)), dtype=np.float64)
     y = np.empty(len(cases), dtype=np.float64)
     for i, case in enumerate(cases):
-        x[i] = densify(case.record, encodings, manifest)
+        x[i] = densify(case.record, encodings)
         y[i] = 1.0 if case.clicked else 0.0
     return x, y
 

@@ -112,7 +112,7 @@ class ReplayResult:
     clicks: int
     convs: int
     cost_milli: int
-    score: float
+    score: int
     bids_submitted: int
     exhausted_at: int | None
     unclicked_convs: int = 0  # conversions credited on cases with no click
@@ -128,32 +128,22 @@ def simulate(
     strategy: Strategy,
     budget: int,
     campaign: CampaignSpec | None = None,
-    ctr_model=None,
     pctr: np.ndarray | None = None,
     keep_trace: bool = False,
 ) -> ReplayResult:
     """Replay one strategy against the logged prices under a budget.
 
     ``cases`` is a time-sorted case sequence or a prebuilt
-    :class:`ReplayData`.  Strategies that price on pCTR need either a
-    ``pctr`` array aligned with the cases or a scorer object exposing
-    ``score_cases`` (only usable when raw cases are given).
+    :class:`ReplayData`.  Strategies that price on pCTR need a ``pctr``
+    array aligned with the cases; without one they raise
+    :class:`MissingCtrModel`.
     """
     campaign = campaign or CampaignSpec(advertiser_id=0, n_weight=0)
-    if isinstance(cases, ReplayData):
-        data = cases
-        raw_cases = None
-    else:
-        raw_cases = cases
-        data = ReplayData.from_cases(cases)
+    data = cases if isinstance(cases, ReplayData) else ReplayData.from_cases(cases)
     n = len(data)
 
     if needs_pctr(strategy) and pctr is None:
-        if ctr_model is None:
-            raise MissingCtrModel(f"{strategy.name} bidding requires a CTR model or pctr array")
-        if raw_cases is None:
-            raise MissingCtrModel("scoring from a model needs raw cases, not ReplayData")
-        pctr = ctr_model.score_cases(raw_cases)
+        raise MissingCtrModel(f"{strategy.name} bidding requires a pctr array")
 
     bids = bidding.bid_vector(strategy, n, pctr=pctr)
     win_u8, spent, exhausted = kernels.win_scan(bids, data.paying, data.floor, np.int64(budget))
@@ -173,7 +163,7 @@ def simulate(
         clicks=clicks,
         convs=convs,
         cost_milli=int(spent),
-        score=float(clicks + campaign.n_weight * convs),
+        score=clicks + campaign.n_weight * convs,
         bids_submitted=n if exhausted_at is None else exhausted_at,
         exhausted_at=exhausted_at,
         unclicked_convs=unclicked,
@@ -278,8 +268,8 @@ def run_experiment(
     tables: dict[tuple[str, Fraction], Table] = {}
     for frac in fractions:
         per_metric: dict[str, list[tuple[str, list]]] = {"clicks": [], "convs": [], "score": []}
-        season_sums: dict[int | None, dict[str, list[float]]] = {}
-        totals = {m: [0.0] * len(labels) for m in ("clicks", "convs", "score")}
+        season_sums: dict[int | None, dict[str, list[int]]] = {}
+        totals = {m: [0] * len(labels) for m in ("clicks", "convs", "score")}
         for run in runs:
             budget = make_budget(run.test, frac)
             values = {"clicks": [], "convs": [], "score": []}
@@ -291,7 +281,7 @@ def run_experiment(
                 values["score"].append(res.score)
             season = run.campaign.season
             if season not in season_sums:
-                season_sums[season] = {m: [0.0] * len(labels) for m in ("clicks", "convs", "score")}
+                season_sums[season] = {m: [0] * len(labels) for m in ("clicks", "convs", "score")}
             for m in ("clicks", "convs", "score"):
                 per_metric[m].append((str(run.campaign.advertiser_id), values[m]))
                 for j, v in enumerate(values[m]):
@@ -300,13 +290,9 @@ def run_experiment(
         for m in ("clicks", "convs", "score"):
             rows = list(per_metric[m])
             for s in sorted(k for k in season_sums if k is not None):
-                rows.append((f"S{s}", _as_ints(season_sums[s][m])))
-            rows.append(("Total", _as_ints(totals[m])))
+                rows.append((f"S{s}", season_sums[s][m]))
+            rows.append(("Total", totals[m]))
             tables[(m, frac)] = Table(
                 title=f"{m} at budget {frac}", columns=list(labels), rows=rows,
             )
     return ExperimentTables(tables)
-
-
-def _as_ints(values: list[float]) -> list:
-    return [int(v) if float(v).is_integer() else v for v in values]

@@ -3,6 +3,10 @@
 Money figures are fen throughout: cost = sum(paying) / 1000, CPM is cost
 per thousand impressions, eCPC is cost per click.  Ratios with an empty
 denominator come back absent (None), never NaN.
+
+Breakdowns group cases by the values :func:`rtbsim.features.field_values`
+gives, the one definition of a record's fields; every breakdown key names
+one of its fields, except ``slot_size``, which joins width and height.
 """
 
 from __future__ import annotations
@@ -11,7 +15,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .features import BROWSER_LABELS, OS_LABELS, WEEKDAYS, derive_fields
+from .features import BROWSER_LABELS, OS_LABELS, WEEKDAYS, field_values
 from .logdata import SLOT_FORMATS, SLOT_VISIBILITIES, AuctionCase
 
 __all__ = [
@@ -23,6 +27,7 @@ __all__ = [
     "UnknownFeatureKey",
     "campaign_summary",
     "feature_breakdown",
+    "feature_breakdowns",
     "write_breakdown_csv",
     "write_summary_csv",
     "write_summary_markdown",
@@ -93,30 +98,42 @@ class FeatureBreakdown:
     rows: list[BreakdownRow]
 
 
-def _group_labels(case: AuctionCase, key: str) -> list[str]:
-    rec = case.record
-    if key == "region":
-        return [str(rec.region)]
-    if key == "exchange":
-        return [str(rec.ad_exchange)]
-    if key == "slot_size":
-        return [f"{rec.slot_width}×{rec.slot_height}"]
-    if key == "visibility":
-        return [rec.slot_visibility]
-    if key == "format":
-        return [rec.slot_format]
-    if key == "user_tag":
-        return [str(t) for t in set(rec.user_tags)]
-    d = derive_fields(rec)
-    if key == "weekday":
-        return [d.weekday]
-    if key == "hour":
-        return [str(d.hour)]
-    if key == "os":
-        return [d.os]
-    if key == "browser":
-        return [d.browser]
-    raise UnknownFeatureKey(f"unknown feature key {key!r}")
+# Breakdown key -> the field_values field it groups by; _tally joins
+# slot_size from slot_width and slot_height.
+_KEY_FIELD = {
+    "weekday": "weekday", "hour": "hour", "os": "os", "browser": "browser",
+    "region": "region", "slot_size": "slot_size", "visibility": "slot_visibility",
+    "format": "slot_format", "exchange": "ad_exchange",
+}
+
+
+def _tally(cases: Sequence[AuctionCase], keys) -> dict[str, dict[str, list]]:
+    """key -> label -> [n, clicks, sum_price, sum_price_sq], in one pass.
+
+    A case counts once in each distinct tag group it carries.
+    """
+    acc: dict[str, dict[str, list]] = {key: {} for key in keys}
+    for case in cases:
+        fields: dict[str, str] = {}
+        tags: set[str] = set()
+        for field, value in field_values(case.record):
+            if field == "tag":
+                tags.add(value)
+            else:
+                fields[field] = value
+        fields["slot_size"] = f"{fields['slot_width']}×{fields['slot_height']}"
+        clicked = 1 if case.clicked else 0
+        price = case.paying_price
+        for key, groups in acc.items():
+            for label in tags if key == "user_tag" else (fields[_KEY_FIELD[key]],):
+                a = groups.get(label)
+                if a is None:
+                    a = groups[label] = [0, 0, 0, 0]
+                a[0] += 1
+                a[1] += clicked
+                a[2] += price
+                a[3] += price * price
+    return acc
 
 
 def _sort_key(key: str):
@@ -147,9 +164,9 @@ def feature_breakdown(cases: Sequence[AuctionCase], key: str, metric: str) -> Fe
 
     CTR uses the Bernoulli standard error sqrt(m(1-m)/n); market price uses
     the sample standard error; eCPC groups without a click are reported
-    absent.  A case with k tags contributes to k tag groups, and tag groups
-    are re-indexed 1..K by descending frequency (original id kept in
-    raw_label).
+    absent.  A case with k distinct tags contributes to k tag groups, and
+    tag groups are re-indexed 1..K by descending frequency (original id
+    kept in raw_label).
     """
     if key not in FEATURE_KEYS:
         raise UnknownFeatureKey(f"unknown feature key {key!r}")
@@ -157,19 +174,21 @@ def feature_breakdown(cases: Sequence[AuctionCase], key: str, metric: str) -> Fe
         raise ValueError(f"unknown metric {metric!r}")
     if not cases:
         raise ValueError("breakdown needs at least one case")
+    return _breakdown(key, metric, _tally(cases, (key,))[key])
 
-    acc: dict[str, list] = {}  # label -> [n, clicks, sum_price, sum_price_sq]
-    for case in cases:
-        price = case.paying_price
-        for label in _group_labels(case, key):
-            a = acc.setdefault(label, [0, 0, 0, 0])
-            a[0] += 1
-            a[1] += 1 if case.clicked else 0
-            a[2] += price
-            a[3] += price * price
 
+def feature_breakdowns(cases: Sequence[AuctionCase]) -> list[FeatureBreakdown]:
+    """Every (key, metric) breakdown, in FEATURE_KEYS x METRICS order, from
+    one pass over the cases; each equals :func:`feature_breakdown`'s."""
+    if not cases:
+        raise ValueError("breakdown needs at least one case")
+    acc = _tally(cases, FEATURE_KEYS)
+    return [_breakdown(key, metric, acc[key]) for key in FEATURE_KEYS for metric in METRICS]
+
+
+def _breakdown(key: str, metric: str, groups: dict[str, list]) -> FeatureBreakdown:
     rows: list[BreakdownRow] = []
-    for label, (n, clicks, s, s2) in acc.items():
+    for label, (n, clicks, s, s2) in groups.items():
         if metric == "ctr":
             mean = clicks / n
             se = math.sqrt(mean * (1.0 - mean) / n)

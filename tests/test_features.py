@@ -212,12 +212,33 @@ class TestDensify:
         for case in rng.sample(test, 1000):
             assert densify(case.record, enc).shape == (len(DEFAULT_MANIFEST),)
 
-    def test_manifest_mismatch(self, small_synth):
+    def test_columns_of_a_seen_record(self, small_synth):
         train, _, _ = small_synth
-        enc = build_encodings(train[:50])
-        from rtbsim.features import ManifestMismatch
-        with pytest.raises(ManifestMismatch):
-            densify(train[0].record, enc, manifest=("nonsense_feature",))
+        enc = build_encodings(train[:500])
+        rec = next(c.record for c in train[:500] if len(c.record.user_tags) > 1)
+        d = derive_fields(rec)
+        spelled = {
+            "weekday": d.weekday, "os": d.os, "browser": d.browser,
+            "region": str(rec.region), "city": str(rec.city),
+            "ad_exchange": str(rec.ad_exchange), "domain": rec.domain,
+            "slot_id": rec.slot_id, "slot_visibility": rec.slot_visibility,
+            "slot_format": rec.slot_format, "creative_id": rec.creative_id,
+        }
+        raw = {"slot_width": rec.slot_width, "slot_height": rec.slot_height,
+               "slot_floor_price": rec.slot_floor_price, "hour": rec.timestamp.hour}
+        tag_ctrs = [enc.lookup("tag", str(t))[1] for t in rec.user_tags]
+        vec = densify(rec, enc)
+        assert len(vec) == len(DEFAULT_MANIFEST)
+        for i, name in enumerate(DEFAULT_MANIFEST):
+            field, _, stat = name.rpartition("_")
+            if name == "tag_ctr":
+                assert vec[i] == pytest.approx(sum(tag_ctrs) / len(tag_ctrs))
+            elif name in raw:
+                assert vec[i] == raw[name]
+            else:
+                freq, ctr = enc.lookup(field, spelled[field])
+                assert freq > 0
+                assert vec[i] == (freq if stat == "freq" else ctr), name
 
 
 class TestEncodingSplit:

@@ -220,6 +220,18 @@ class TestRunExperiment:
         assert by_name["Total"] == [a + b for a, b in zip(by_name["1"], by_name["2"])]
         assert by_name["S2"] == by_name["1"] and by_name["S3"] == by_name["2"]
 
+    def test_score_cells_print_as_integers(self, small_synth):
+        _, test, _ = small_synth
+        half = len(test) // 2
+        entries = [StrategyEntry("Const", ConstBid(80)), StrategyEntry("Rand", RandBid(90, seed=1))]
+        run_a = CampaignRun(CampaignSpec(1, 2, season=2), ReplayData.from_cases(test[:half]), entries)
+        run_b = CampaignRun(CampaignSpec(2, 0, season=3), ReplayData.from_cases(test[half:]), entries)
+        table = run_experiment([run_a, run_b], [Fraction(1, 8)]).get("score", Fraction(1, 8))
+        for line in table.to_csv().splitlines()[1:]:
+            assert all("." not in cell for cell in line.split(",")[1:]), line
+        for line in table.to_markdown().splitlines()[4:]:
+            assert all("." not in cell for cell in line.strip("|").split("|")[1:]), line
+
     def test_callable_entries_resolved_per_fraction(self, small_synth):
         _, test, _ = small_synth
         seen = []

@@ -15,6 +15,7 @@ from rtbsim.stats import (
     UnknownFeatureKey,
     campaign_summary,
     feature_breakdown,
+    feature_breakdowns,
     write_breakdown_csv,
     write_summary_csv,
     write_summary_markdown,
@@ -145,6 +146,18 @@ class TestFeatureBreakdown:
         z = (row.mean - global_ctr) / row.se
         assert z > 3.0
 
+    def test_repeated_tag_counts_once(self):
+        cases = [make_case(user_tags=(5, 5, 7), bid_id="a")]
+        bd = feature_breakdown(cases, "user_tag", "ctr")
+        assert sorted((r.raw_label, r.n) for r in bd.rows) == [("5", 1), ("7", 1)]
+
+    def test_all_breakdowns_match_single_ones(self, small_synth):
+        train, _, _ = small_synth
+        got = feature_breakdowns(train)
+        want = [feature_breakdown(train, key, metric) for key in FEATURE_KEYS for metric in METRICS]
+        assert len(got) == 30
+        assert got == want
+
     def test_unknown_key(self):
         with pytest.raises(UnknownFeatureKey):
             feature_breakdown([make_case()], "shoe_size", "ctr")
@@ -154,6 +167,8 @@ class TestFeatureBreakdown:
     def test_empty_cases_rejected(self):
         with pytest.raises(ValueError):
             feature_breakdown([], "weekday", "ctr")
+        with pytest.raises(ValueError):
+            feature_breakdowns([])
 
 
 def SynthConfigFactory(seed: int, n: int, tag: int, log_odds: float) -> synthgen.SynthConfig:
