@@ -3,15 +3,18 @@
 Four families: a constant bid, a uniform random bid, bidding the campaign's
 historical max eCPC scaled by pCTR, and a linear-in-pCTR bid.  Bids are
 emitted in the same CPM milli-fen units as the logs; the eCPC family
-carries an explicit x1000 bridge from fen-per-click to those units.
+carries an explicit x1000 bridge from fen-per-click to those units.  Each
+pCTR strategy class holds its own bid formula (``raw_bid``), which
+:func:`compute_bid` and :func:`bid_vector` only round.  Strategy files are
+written and read from the dataclass fields.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Sequence
+from typing import Sequence, get_args, get_type_hints
 
 import numpy as np
 
@@ -30,7 +33,6 @@ __all__ = [
     "estimate_max_ecpc",
     "compute_bid",
     "bid_vector",
-    "needs_pctr",
     "tune",
     "DEFAULT_GRID",
     "GridRow",
@@ -131,6 +133,10 @@ class McpcBid(Strategy):
         if self.max_ecpc_fen < 0:
             raise ValueError("max_ecpc_fen must be >= 0")
 
+    def raw_bid(self, pctr):
+        """Unrounded bid for a pCTR float or array."""
+        return self.max_ecpc_fen * pctr * 1000.0
+
 
 @dataclass(frozen=True)
 class LinBid(Strategy):
@@ -151,9 +157,9 @@ class LinBid(Strategy):
     def parameter(self):
         return self.base_bid
 
-
-def needs_pctr(strategy: Strategy) -> bool:
-    return isinstance(strategy, (McpcBid, LinBid))
+    def raw_bid(self, pctr):
+        """Unrounded bid for a pCTR float or array."""
+        return self.base_bid * pctr / self.avg_ctr
 
 
 def estimate_max_ecpc(train: Sequence[AuctionCase]) -> float:
@@ -189,11 +195,7 @@ def compute_bid(
         raise MissingPctr(f"{strategy.name} bidding requires a pctr")
     if not 0.0 < pctr < 1.0:
         raise ValueError("pctr must be in (0, 1)")
-    if isinstance(strategy, McpcBid):
-        return _round_half_up(strategy.max_ecpc_fen * pctr * 1000.0)
-    if isinstance(strategy, LinBid):
-        return _round_half_up(strategy.base_bid * pctr / strategy.avg_ctr)
-    raise TypeError(f"unknown strategy {type(strategy).__name__}")
+    return _round_half_up(strategy.raw_bid(pctr))
 
 
 def bid_vector(
@@ -214,13 +216,7 @@ def bid_vector(
     p = np.asarray(pctr, dtype=np.float64)
     if p.shape != (n,):
         raise ValueError(f"pctr must have shape ({n},), got {p.shape}")
-    if isinstance(strategy, McpcBid):
-        raw = strategy.max_ecpc_fen * p * 1000.0
-    elif isinstance(strategy, LinBid):
-        raw = strategy.base_bid * p / strategy.avg_ctr
-    else:
-        raise TypeError(f"unknown strategy {type(strategy).__name__}")
-    return np.maximum(0, np.floor(raw + 0.5)).astype(np.int64)
+    return np.maximum(0, np.floor(strategy.raw_bid(p) + 0.5)).astype(np.int64)
 
 
 DEFAULT_GRID = (2, 5, 10, 20, 50, 100, 200, 300)
@@ -238,7 +234,7 @@ class GridRow:
 
 def tune(
     family: str,
-    train: Sequence[AuctionCase],
+    train,
     budget_fraction,
     grid: Sequence[int] = DEFAULT_GRID,
     campaign: CampaignSpec | None = None,
@@ -248,8 +244,11 @@ def tune(
 ) -> tuple[Strategy, list[GridRow]]:
     """Pick the grid point maximizing the KPI score on a training replay.
 
-    The budget is ``budget_fraction`` of the training total cost.  Ties go
-    to the smaller parameter.  Mcpc is non-parametric and not tunable.
+    ``train`` is a time-sorted case sequence or a prebuilt
+    :class:`replay.ReplayData`, so repeated tuning on one log can share
+    its columns.  The budget is ``budget_fraction`` of the training total
+    cost.  Ties go to the smaller parameter.  Mcpc is non-parametric and
+    not tunable.
     """
     from . import replay  # local import; replay also uses this module
 
@@ -265,14 +264,14 @@ def tune(
         raise MissingPctr("lin tuning requires pctr values for the training cases")
 
     campaign = campaign or CampaignSpec(advertiser_id=0, n_weight=0)
-    data = replay.ReplayData.from_cases(train)
+    data = replay.ReplayData.of(train)
     budget = replay.make_budget(data, budget_fraction)
     avg_ctr = None
     if family == "lin":
         clicks = int(data.clicked.sum())
         if clicks == 0:
             raise NoClicks("lin tuning needs at least one training click for avg_ctr")
-        avg_ctr = clicks / len(train)
+        avg_ctr = clicks / len(data)
 
     rows: list[GridRow] = []
     best: tuple[int, int] | None = None  # (score, parameter), ties -> smaller param
@@ -293,20 +292,26 @@ def tune(
     return best_strategy, rows
 
 
+_VARIANTS = {cls.name: cls for cls in (ConstBid, RandBid, McpcBid, LinBid)}
+
+
+def _field_types(cls) -> dict[str, type]:
+    """Field name -> the type its value is written as (``X | None`` -> X)."""
+    hints = get_type_hints(cls)
+    types = {}
+    for f in fields(cls):
+        args = [a for a in get_args(hints[f.name]) if a is not type(None)]
+        types[f.name] = args[0] if args else hints[f.name]
+    return types
+
+
 def save_strategy(strategy: Strategy, path) -> None:
+    """``variant=<name>``, then each non-None field in declaration order."""
     lines = [f"variant={strategy.name}"]
-    if isinstance(strategy, ConstBid):
-        lines.append(f"price={strategy.price}")
-    elif isinstance(strategy, RandBid):
-        lines += [f"upper={strategy.upper}", f"seed={strategy.seed}", f"lower={strategy.lower}"]
-    elif isinstance(strategy, McpcBid):
-        lines.append(f"max_ecpc_fen={float(strategy.max_ecpc_fen)!r}")
-        if strategy.model:
-            lines.append(f"model={strategy.model}")
-    elif isinstance(strategy, LinBid):
-        lines += [f"base_bid={strategy.base_bid}", f"avg_ctr={float(strategy.avg_ctr)!r}"]
-        if strategy.model:
-            lines.append(f"model={strategy.model}")
+    for name, kind in _field_types(type(strategy)).items():
+        value = getattr(strategy, name)
+        if value is not None:
+            lines.append(f"{name}={float(value)!r}" if kind is float else f"{name}={value}")
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -316,16 +321,10 @@ def load_strategy(path) -> Strategy:
         if line.strip():
             k, v = line.split("=", 1)
             kv[k] = v
-    variant = kv["variant"]
-    if variant == "const":
-        return ConstBid(int(kv["price"]))
-    if variant == "rand":
-        return RandBid(int(kv["upper"]), int(kv.get("seed", 0)), int(kv.get("lower", 0)))
-    if variant == "mcpc":
-        return McpcBid(float(kv["max_ecpc_fen"]), kv.get("model"))
-    if variant == "lin":
-        return LinBid(int(kv["base_bid"]), float(kv["avg_ctr"]), kv.get("model"))
-    raise ValueError(f"unknown strategy variant {variant!r}")
+    cls = _VARIANTS.get(kv["variant"])
+    if cls is None:
+        raise ValueError(f"unknown strategy variant {kv['variant']!r}")
+    return cls(**{name: kind(kv[name]) for name, kind in _field_types(cls).items() if name in kv})
 
 
 def write_grid_csv(rows: list[GridRow], path) -> None:

@@ -218,10 +218,6 @@ def cmd_train_ctr(args) -> int:
 # tune
 # ---------------------------------------------------------------------------
 
-def _parse_fraction(text: str) -> Fraction:
-    return Fraction(text)
-
-
 def _parse_grid(text: str | None):
     if not text:
         return bidding.DEFAULT_GRID
@@ -237,6 +233,7 @@ def _campaign_for(cases, kpi_n: int | None) -> bidding.CampaignSpec:
 
 
 def cmd_tune(args) -> int:
+    fraction = replay.budget_fraction(args.budget_fraction[0] if args.budget_fraction else "1/8")
     train, _ = _load_split(args)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -247,7 +244,6 @@ def cmd_tune(args) -> int:
             raise ValueError("lin tuning needs --models pointing at a train-ctr output dir")
         scorer = models.CtrScorer.load(args.models, args.model)
         pctr = scorer.score_cases(train)
-    fraction = _parse_fraction(args.budget_fraction[0] if args.budget_fraction else "1/8")
     strategy, rows = bidding.tune(
         args.strategy, train, fraction, _parse_grid(args.grid),
         campaign, pctr=pctr, seed=args.seed, model_label=args.model,
@@ -264,11 +260,9 @@ def cmd_tune(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_replay(args) -> int:
-    fractions = [_parse_fraction(f) for f in (args.budget_fraction or ["1/32", "1/8", "1/2"])]
-    for f in fractions:
-        if f <= 0 or f > 1:
-            raise replay.FractionOutOfRange(f"budget fraction must be in (0, 1], got {f}")
+    fractions = [replay.budget_fraction(f) for f in (args.budget_fraction or ["1/32", "1/8", "1/2"])]
     train, test = _load_split(args)
+    train_data = replay.ReplayData.from_cases(train)
     campaign = _campaign_for(test, args.kpi_n)
     grid = _parse_grid(args.grid)
     out = Path(args.out)
@@ -294,7 +288,7 @@ def cmd_replay(args) -> int:
     def tuned(family: str, kind: str | None):
         def factory(fraction: Fraction) -> bidding.Strategy:
             strategy, _ = bidding.tune(
-                family, train, fraction, grid, campaign,
+                family, train_data, fraction, grid, campaign,
                 pctr=pctr_train.get(kind), seed=args.seed, model_label=kind,
             )
             tuned_log.append(

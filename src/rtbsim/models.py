@@ -21,7 +21,7 @@ from .features import (
     SparseBatch,
     Vocabulary,
     binarize_cases,
-    densify,
+    densify_cases,
 )
 
 __all__ = [
@@ -350,8 +350,7 @@ class CtrScorer:
         if self.kind == "lr":
             batch = binarize_cases(cases, self.vocabulary)
             return predict(self.model, batch)
-        x = np.stack([densify(c.record, self.encodings) for c in cases])
-        return predict(self.model, x)
+        return predict(self.model, densify_cases(cases, self.encodings)[0])
 
     def save(self, directory) -> None:
         directory = Path(directory)

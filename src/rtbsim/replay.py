@@ -5,7 +5,9 @@ the budget is checked: once spend reaches it, every remaining bid is zero.
 Otherwise the strategy's bid wins iff it is strictly above both the logged
 paying price and the floor price; a win pays the logged price and credits
 the case's click/conversion flags.  The KPI score of a run is
-clicks + N * conversions with N the campaign's conversion weight.
+clicks + N * conversions with N the campaign's conversion weight.  Budgets
+are a fraction of a log's total cost, and :func:`budget_fraction` is the one
+rule for reading such a fraction: it must lie in (0, 1].
 """
 
 from __future__ import annotations
@@ -18,17 +20,17 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import bidding, kernels
-from .bidding import CampaignSpec, Strategy, needs_pctr
+from .bidding import CampaignSpec, Strategy
 from .logdata import AuctionCase
 
 __all__ = [
     "STANDARD_FRACTIONS",
     "FractionOutOfRange",
     "UnsortedInput",
-    "MissingCtrModel",
     "ReplayData",
     "ReplayTrace",
     "ReplayResult",
+    "budget_fraction",
     "make_budget",
     "simulate",
     "StrategyEntry",
@@ -46,10 +48,6 @@ class FractionOutOfRange(ValueError):
 
 
 class UnsortedInput(ValueError):
-    pass
-
-
-class MissingCtrModel(ValueError):
     pass
 
 
@@ -77,21 +75,32 @@ class ReplayData:
             converted=np.array([c.converted for c in cases], dtype=bool),
         )
 
+    @classmethod
+    def of(cls, cases) -> "ReplayData":
+        """``cases`` itself if it is a ReplayData, else its columns."""
+        return cases if isinstance(cases, cls) else cls.from_cases(cases)
+
     @property
     def total_cost_milli(self) -> int:
         return int(self.paying.sum())
 
 
-def make_budget(cases, fraction) -> int:
-    """floor(fraction * total logged cost), in milli-fen.
+def budget_fraction(value) -> Fraction:
+    """``value`` ("1/8", 0.5, a Fraction, ...) as a Fraction in (0, 1].
 
     Fractions above 1 are rejected: with more budget than the log's total
     cost the constraint is vacuous and the replay degenerates.
     """
-    frac = Fraction(fraction) if not isinstance(fraction, Fraction) else fraction
+    frac = Fraction(value)
     if frac <= 0 or frac > 1:
-        raise FractionOutOfRange(f"budget fraction must be in (0, 1], got {fraction}")
-    data = cases if isinstance(cases, ReplayData) else ReplayData.from_cases(cases)
+        raise FractionOutOfRange(f"budget fraction must be in (0, 1], got {value}")
+    return frac
+
+
+def make_budget(cases, fraction) -> int:
+    """floor(fraction * total logged cost), in milli-fen."""
+    frac = budget_fraction(fraction)
+    data = ReplayData.of(cases)
     if len(data) == 0:
         raise ValueError("cannot size a budget from zero cases")
     return int(frac * data.total_cost_milli)
@@ -136,15 +145,11 @@ def simulate(
     ``cases`` is a time-sorted case sequence or a prebuilt
     :class:`ReplayData`.  Strategies that price on pCTR need a ``pctr``
     array aligned with the cases; without one they raise
-    :class:`MissingCtrModel`.
+    :class:`bidding.MissingPctr`.
     """
     campaign = campaign or CampaignSpec(advertiser_id=0, n_weight=0)
-    data = cases if isinstance(cases, ReplayData) else ReplayData.from_cases(cases)
+    data = ReplayData.of(cases)
     n = len(data)
-
-    if needs_pctr(strategy) and pctr is None:
-        raise MissingCtrModel(f"{strategy.name} bidding requires a pctr array")
-
     bids = bidding.bid_vector(strategy, n, pctr=pctr)
     win_u8, spent, exhausted = kernels.win_scan(bids, data.paying, data.floor, np.int64(budget))
     win = win_u8.astype(bool)
@@ -259,7 +264,7 @@ def run_experiment(
     """
     if not runs:
         raise ValueError("no campaigns to run")
-    fractions = [Fraction(f) if not isinstance(f, Fraction) else f for f in fractions]
+    fractions = [budget_fraction(f) for f in fractions]
     labels = [e.label for e in runs[0].entries]
     for run in runs:
         if [e.label for e in run.entries] != labels:

@@ -20,7 +20,6 @@ from rtbsim.bidding import (
     compute_bid,
     estimate_max_ecpc,
     load_strategy,
-    needs_pctr,
     save_strategy,
     tune,
     write_grid_csv,
@@ -65,8 +64,6 @@ class TestComputeBid:
             compute_bid(McpcBid(50.0))
         with pytest.raises(MissingPctr):
             compute_bid(LinBid(10, avg_ctr=0.01))
-        assert needs_pctr(McpcBid(1.0)) and needs_pctr(LinBid(1, avg_ctr=0.5))
-        assert not needs_pctr(ConstBid(1)) and not needs_pctr(RandBid(5))
 
     def test_rand_reproducible_and_bounded(self):
         s = RandBid(upper=200, seed=9)
@@ -159,6 +156,15 @@ class TestTune:
         assert rows[0].score == rows[1].score
         assert best.parameter == 10
 
+    @pytest.mark.parametrize("family", ["const", "rand", "lin"])
+    def test_prebuilt_columns_match_case_list(self, family):
+        cases, pctr = _tune_fixture()
+        p = pctr if family == "lin" else None
+        kwargs = dict(campaign=CampaignSpec(1, 0), pctr=p, seed=4)
+        from_list = tune(family, cases, "1/8", (10, 50, 300), **kwargs)
+        from_data = tune(family, replay.ReplayData.from_cases(cases), "1/8", (10, 50, 300), **kwargs)
+        assert from_data == from_list
+
     def test_mcpc_not_tunable(self):
         with pytest.raises(ValueError):
             tune("mcpc", [make_case()], "1/8", DEFAULT_GRID, CampaignSpec(1, 0))
@@ -228,6 +234,23 @@ class TestStrategyFiles:
     def test_round_trip(self, tmp_path, strategy):
         save_strategy(strategy, tmp_path / "s.txt")
         assert load_strategy(tmp_path / "s.txt") == strategy
+
+    @pytest.mark.parametrize("strategy, text", [
+        (ConstBid(44), "variant=const\nprice=44\n"),
+        (RandBid(upper=90, seed=3, lower=5), "variant=rand\nupper=90\nseed=3\nlower=5\n"),
+        (McpcBid(50), "variant=mcpc\nmax_ecpc_fen=50.0\n"),
+        (McpcBid(86.55, model="lr"), "variant=mcpc\nmax_ecpc_fen=86.55\nmodel=lr\n"),
+        (LinBid(69, avg_ctr=0.0008, model="gbrt"),
+         "variant=lin\nbase_bid=69\navg_ctr=0.0008\nmodel=gbrt\n"),
+    ])
+    def test_file_text(self, tmp_path, strategy, text):
+        save_strategy(strategy, tmp_path / "s.txt")
+        assert (tmp_path / "s.txt").read_text(encoding="utf-8") == text
+
+    def test_unknown_variant(self, tmp_path):
+        (tmp_path / "s.txt").write_text("variant=kelly\nprice=3\n", encoding="utf-8")
+        with pytest.raises(ValueError, match="kelly"):
+            load_strategy(tmp_path / "s.txt")
 
     def test_grid_csv(self, tmp_path):
         cases, pctr = _tune_fixture()

@@ -4,6 +4,7 @@ import time
 
 import pytest
 
+from rtbsim import replay
 from rtbsim.cli import main
 
 
@@ -139,6 +140,20 @@ class TestTrainCtr:
         assert (out2 / "table_clicks_1_32.csv").read_bytes() == (out / "table_clicks_1_32.csv").read_bytes()
         assert (out2 / "table_score_1_8.csv").read_bytes() == (out / "table_score_1_8.csv").read_bytes()
 
+    def test_replay_builds_each_split_once(self, dataset, models_dir, tmp_path, monkeypatch):
+        from_cases = replay.ReplayData.from_cases
+        calls = []
+
+        def counted(cases):
+            calls.append(len(cases))
+            return from_cases(cases)
+
+        monkeypatch.setattr(replay.ReplayData, "from_cases", staticmethod(counted))
+        rc = main(["replay", "--input", str(dataset), "--models", str(models_dir),
+                   "--model", "both", "--grid", "10,50,100", "--out", str(tmp_path)])
+        assert rc == 0
+        assert calls == [6000, 2000]  # train columns for every tune call, then test
+
 
 class TestReplayErrors:
     def test_fraction_out_of_range(self, dataset, capsys):
@@ -147,6 +162,12 @@ class TestReplayErrors:
         assert rc != 0
         err = capsys.readouterr().err
         assert "error: FractionOutOfRange:" in err
+
+    def test_tune_fraction_checked_before_input(self, tmp_path, capsys):
+        rc = main(["tune", "--input", str(tmp_path / "nope"), "--strategy", "const",
+                   "--budget-fraction", "3/2", "--out", str(tmp_path / "o")])
+        assert rc == 1
+        assert "error: FractionOutOfRange:" in capsys.readouterr().err
 
     def test_lin_without_models(self, dataset, tmp_path, capsys):
         rc = main(["replay", "--input", str(dataset), "--strategy", "lin",

@@ -6,14 +6,14 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from rtbsim.bidding import CampaignSpec, ConstBid, LinBid, McpcBid, RandBid
+from rtbsim.bidding import CampaignSpec, ConstBid, LinBid, McpcBid, MissingPctr, RandBid
 from rtbsim.replay import (
     CampaignRun,
     FractionOutOfRange,
-    MissingCtrModel,
     ReplayData,
     StrategyEntry,
     UnsortedInput,
+    budget_fraction,
     make_budget,
     run_experiment,
     simulate,
@@ -53,6 +53,8 @@ class TestMakeBudget:
         cases = timed_cases([dict(paying=10)])
         with pytest.raises(FractionOutOfRange):
             make_budget(cases, fraction)
+        with pytest.raises(FractionOutOfRange):
+            budget_fraction(fraction)
 
 
 class TestSimulate:
@@ -105,7 +107,7 @@ class TestSimulate:
 
     def test_missing_ctr_model(self):
         cases = timed_cases([dict(paying=1)])
-        with pytest.raises(MissingCtrModel):
+        with pytest.raises(MissingPctr):
             simulate(cases, McpcBid(50.0), BIG, CampaignSpec(1, 0))
 
     def test_unclicked_conversion_reported(self):
