@@ -4,7 +4,9 @@
 Run:  python3 benchmarks/bench_kernels.py
 
 The two backends are bit-identical (see tests/test_kernels.py); this
-script only measures the speed gap that RTBSIM_NO_NUMBA trades away.
+script only measures the speed gap that RTBSIM_NO_NUMBA trades away.  A
+second table compares scoring a GBRT ensemble with one apply_forest call
+against one apply_tree call per tree.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ import time
 
 import numpy as np
 
-from rtbsim import kernels
+from rtbsim import kernels, models
 
 
 def timeit(fn, *args, repeats=5):
@@ -76,6 +78,45 @@ def bench_grow_tree(rows):
     rows.append(("apply_tree (n=1e5)", t_fast, t_slow))
 
 
+def bench_apply_forest(rows, vs_per_tree):
+    """A 50-tree GBRT ensemble on one row and on 1e5 rows: apply_forest's two
+    forms, and the dispatched apply_forest against one apply_tree call per
+    tree, the way GBRT predictions were made before the forest kernel."""
+    n, nfeat = 100_000, 15
+    rng = np.random.default_rng(3)
+    x = rng.normal(size=(n, nfeat))
+    y = (rng.random(5000) < 1.0 / (1.0 + np.exp(-x[:5000, :3].sum(axis=1)))).astype(np.float64)
+    model = models.train_gbrt(x[:5000], y, models.GbrtHyper(rounds=50))
+    f = model.forest
+    packed = (f.feature, f.threshold, f.left, f.right, f.value, f.roots, model.base,
+              model.hyper.shrinkage)
+
+    def per_tree(xs):
+        total = np.full(xs.shape[0], model.base)
+        for t in model.trees:
+            total += model.hyper.shrinkage * kernels.apply_tree(
+                xs, t.feature, t.threshold, t.left, t.right, t.value)
+        return total
+
+    for label, xs, repeats in (("n=1", x[:1], 200), ("n=1e5", x, 1)):
+        name = f"apply_forest ({len(model.trees)} trees, depth {f.depth}, {label})"
+        t_fast, o1 = timeit(kernels.apply_forest_loop, xs, *packed, repeats=repeats)
+        t_slow, o2 = timeit(kernels.apply_forest_numpy, xs, *packed, repeats=repeats)
+        assert np.array_equal(o1, o2)
+        rows.append((name, t_fast, t_slow))
+        t_tree, o3 = timeit(per_tree, xs, repeats=repeats)
+        t_forest, o4 = timeit(kernels.apply_forest, xs, *packed, repeats=repeats)
+        assert np.array_equal(o3, o4) and np.array_equal(o4, o1)
+        vs_per_tree.append((name, t_forest, t_tree))
+
+
+def print_table(title, head, rows):
+    width = max(len(r[0]) for r in rows)
+    print(f"\n{title:<{width}}  {head[0]:>10}  {head[1]:>10}  {'speedup':>8}")
+    for name, fast, slow in rows:
+        print(f"{name:<{width}}  {fast * 1e3:>8.3f}ms  {slow * 1e3:>8.3f}ms  {slow / fast:>7.1f}x")
+
+
 def main() -> None:
     backend = "numba" if kernels.HAVE_NUMBA else "python (numba unavailable)"
     print(f"loop backend: {backend}; fallback: numpy/python")
@@ -84,10 +125,11 @@ def main() -> None:
     bench_win_scan(rows)
     bench_sgd_epoch(rows)
     bench_grow_tree(rows)
-    width = max(len(r[0]) for r in rows)
-    print(f"\n{'kernel':<{width}}  {'loop':>10}  {'fallback':>10}  {'speedup':>8}")
-    for name, fast, slow in rows:
-        print(f"{name:<{width}}  {fast * 1e3:>8.1f}ms  {slow * 1e3:>8.1f}ms  {slow / fast:>7.1f}x")
+    vs_per_tree: list[tuple[str, float, float]] = []
+    bench_apply_forest(rows, vs_per_tree)
+    print_table("kernel", ("loop", "fallback"), rows)
+    active = "loop" if kernels.NUMBA_ENABLED else "fallback"
+    print_table(f"forest vs per tree ({active})", ("forest", "per tree"), vs_per_tree)
 
 
 if __name__ == "__main__":

@@ -324,7 +324,11 @@ def load_strategy(path) -> Strategy:
     cls = _VARIANTS.get(kv["variant"])
     if cls is None:
         raise ValueError(f"unknown strategy variant {kv['variant']!r}")
-    return cls(**{name: kind(kv[name]) for name, kind in _field_types(cls).items() if name in kv})
+    types = _field_types(cls)
+    unknown = [k for k in kv if k != "variant" and k not in types]
+    if unknown:
+        raise ValueError(f"{cls.name} strategy has no field {', '.join(map(repr, unknown))}")
+    return cls(**{name: kind(kv[name]) for name, kind in types.items() if name in kv})
 
 
 def write_grid_csv(rows: list[GridRow], path) -> None:

@@ -10,6 +10,14 @@ accumulate sequentially, matching the scalar loops).  The test suite
 asserts this equality, and ``benchmarks/bench_kernels.py`` compares their
 speed.
 
+The kernels: ``win_scan`` (budget-constrained auction replay),
+``sgd_epoch`` (one logistic-regression epoch), ``grow_tree`` and
+``apply_tree`` (one regression tree, used while boosting), and
+``apply_forest``, which scores a whole GBRT ensemble in one call.  It takes
+the trees packed once into flat node arrays with global child indices (see
+``models.PackedForest``, built when a ``GbrtModel`` is made), so scoring one
+impression is one kernel call however many trees there are.
+
 The backend flag changes performance only, never results, so it is safe to
 flip between runs of the same experiment.
 """
@@ -344,6 +352,70 @@ def apply_tree_numpy(x, feat, thr, left, right, value):
 apply_tree = apply_tree_loop if NUMBA_ENABLED else apply_tree_numpy
 
 
+# ---------------------------------------------------------------------------
+# Forest scoring: every tree of a packed ensemble in one call.
+# ---------------------------------------------------------------------------
+
+def _apply_forest_py(x, feat, thr, left, right, value, roots, base, shrinkage):
+    # The trees' node arrays are concatenated with global child indices;
+    # roots[t] is the first node of tree t.  Leaves are added in tree order,
+    # base first, exactly as a per-tree accumulation would add them.
+    n = x.shape[0]
+    out = np.empty(n, dtype=np.float64)
+    for i in range(n):
+        s = base
+        for t in range(roots.shape[0]):
+            nd = roots[t]
+            while left[nd] >= 0:
+                if x[i, feat[nd]] <= thr[nd]:
+                    nd = left[nd]
+                else:
+                    nd = right[nd]
+            s += shrinkage * value[nd]
+        out[i] = s
+    return out
+
+
+apply_forest_loop = _njit(_apply_forest_py)
+
+# (tree, row) pairs walked per block; bounds the working set of a large batch.
+FOREST_BLOCK = 16384
+
+
+def _forest_block(x, feat, thr, left, right, value, roots, base, shrinkage):
+    n, d = x.shape
+    t = roots.shape[0]
+    flat = x.reshape(-1)
+    nd = np.repeat(roots, n)  # tree-major: pair t*n + i is tree t on row i
+    offset = np.tile(np.arange(n) * d, t)
+    live = np.flatnonzero(left[nd] >= 0)  # only internal nodes gather a column
+    while live.size:
+        at = nd[live]
+        go_left = flat.take(offset[live] + feat[at]) <= thr[at]
+        nxt = np.where(go_left, left[at], right[at])
+        nd[live] = nxt
+        live = live[left[nxt] >= 0]
+    terms = np.empty((t + 1, n), dtype=np.float64)
+    terms[0] = base
+    np.multiply(shrinkage, value[nd].reshape(t, n), out=terms[1:])
+    # cumsum adds down the tree axis in order, unlike the pairwise np.sum.
+    return np.cumsum(terms, axis=0)[-1]
+
+
+def apply_forest_numpy(x, feat, thr, left, right, value, roots, base, shrinkage):
+    """Walks all (tree, row) pairs in lockstep, one step per tree level."""
+    n = x.shape[0]
+    step = max(1, FOREST_BLOCK // max(1, roots.shape[0]))
+    out = np.empty(n, dtype=np.float64)
+    for lo in range(0, n, step):
+        out[lo:lo + step] = _forest_block(x[lo:lo + step], feat, thr, left, right,
+                                          value, roots, base, shrinkage)
+    return out
+
+
+apply_forest = apply_forest_loop if NUMBA_ENABLED else apply_forest_numpy
+
+
 def warmup() -> None:
     """Trigger JIT compilation of every kernel on tiny inputs."""
     bids = np.array([5, 5], dtype=np.int64)
@@ -361,3 +433,4 @@ def warmup() -> None:
     r = np.array([0.0, 0.0, 1.0, 1.0])
     tree = grow_tree(x, sids, r, 1, 2)
     apply_tree(x, *tree)
+    apply_forest(x, *tree, np.zeros(1, dtype=np.int64), 0.0, 1.0)

@@ -29,6 +29,7 @@ __all__ = [
     "LrModel",
     "GbrtHyper",
     "Tree",
+    "PackedForest",
     "GbrtModel",
     "EvalReport",
     "CtrScorer",
@@ -207,12 +208,61 @@ class Tree:
         )
 
 
+@dataclass(frozen=True, eq=False)
+class PackedForest:
+    """An ensemble's trees in one set of flat node arrays.
+
+    Tree t's nodes start at ``roots[t]``, and child indices are global, so
+    :func:`kernels.apply_forest` scores every tree in one call.  ``depth`` is
+    the deepest level of any tree (0 if every tree is a single leaf) and
+    ``max_feature`` the largest feature slot that any split reads (-1 if
+    none).
+    """
+
+    feature: np.ndarray
+    threshold: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+    value: np.ndarray
+    roots: np.ndarray
+    depth: int
+    max_feature: int
+
+    @classmethod
+    def of(cls, trees: list[Tree]) -> "PackedForest":
+        sizes = np.array([len(t.feature) for t in trees], dtype=np.int64)
+        roots = np.cumsum(sizes) - sizes
+
+        def cat(arrays, dtype):
+            return np.concatenate([np.empty(0, dtype), *arrays], dtype=dtype)
+
+        feature = cat([t.feature for t in trees], np.int64)
+        left = cat([np.where(t.left >= 0, t.left + r, -1) for t, r in zip(trees, roots)], np.int64)
+        right = cat([np.where(t.right >= 0, t.right + r, -1) for t, r in zip(trees, roots)], np.int64)
+        depth = 0
+        level = roots[left[roots] >= 0]  # the internal nodes of one level
+        while level.size:
+            depth += 1
+            below = np.concatenate((left[level], right[level]))
+            level = below[left[below] >= 0]
+        return cls(feature, cat([t.threshold for t in trees], np.float64), left, right,
+                   cat([t.value for t in trees], np.float64), roots, depth,
+                   int(feature.max(initial=-1)))
+
+
 @dataclass
 class GbrtModel:
+    """``forest`` packs ``trees`` once, when the model is made; the tree
+    list is not meant to change afterwards."""
+
     base: float
     trees: list[Tree]
     hyper: GbrtHyper
     train_mse: list[float] = field(default_factory=list)  # after each round
+    forest: PackedForest = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self.forest = PackedForest.of(self.trees)
 
 
 def train_gbrt(x: np.ndarray, y: np.ndarray, hyper: GbrtHyper | None = None) -> GbrtModel:
@@ -237,15 +287,11 @@ def train_gbrt(x: np.ndarray, y: np.ndarray, hyper: GbrtHyper | None = None) -> 
     mse: list[float] = []
     for _ in range(hyper.rounds):
         resid = y - pred
-        tree = Tree(*kernels.grow_tree(x, sorted_ids, resid, hyper.min_leaf, hyper.max_depth))
-        trees.append(tree)
-        pred = pred + hyper.shrinkage * _apply(tree, x)
+        tree = kernels.grow_tree(x, sorted_ids, resid, hyper.min_leaf, hyper.max_depth)
+        trees.append(Tree(*tree))
+        pred = pred + hyper.shrinkage * kernels.apply_tree(x, *tree)
         mse.append(float(np.mean((y - pred) ** 2)))
     return GbrtModel(base, trees, hyper, mse)
-
-
-def _apply(tree: Tree, x: np.ndarray) -> np.ndarray:
-    return kernels.apply_tree(x, tree.feature, tree.threshold, tree.left, tree.right, tree.value)
 
 
 # ---------------------------------------------------------------------------
@@ -272,11 +318,11 @@ def predict(model, features):
         arr = np.asarray(features, dtype=np.float64)
         single = arr.ndim == 1
         mat = np.ascontiguousarray(arr.reshape(1, -1) if single else arr)
-        if model.trees and mat.shape[1] <= int(max(t.feature.max(initial=-1) for t in model.trees)):
+        f = model.forest
+        if mat.shape[1] <= f.max_feature:
             raise DimensionMismatch("dense vector shorter than tree feature slots")
-        total = np.full(mat.shape[0], model.base)
-        for tree in model.trees:
-            total += model.hyper.shrinkage * _apply(tree, mat)
+        total = kernels.apply_forest(mat, f.feature, f.threshold, f.left, f.right, f.value,
+                                     f.roots, float(model.base), float(model.hyper.shrinkage))
         out = np.clip(total, GBRT_CLAMP, 1.0 - GBRT_CLAMP)
         return float(out[0]) if single else out
     raise TypeError(f"unsupported model type {type(model).__name__}")
@@ -298,14 +344,9 @@ def auc(scores, labels) -> float:
         raise SingleClassInput("auc needs at least one positive and one negative label")
     order = np.argsort(scores, kind="mergesort")
     s = scores[order]
-    ranks = np.empty(len(s), dtype=np.float64)
-    i = 0
-    while i < len(s):
-        j = i
-        while j + 1 < len(s) and s[j + 1] == s[i]:
-            j += 1
-        ranks[i:j + 1] = 0.5 * (i + j) + 1.0  # average of 1-based ranks i+1..j+1
-        i = j + 1
+    first = np.flatnonzero(np.concatenate(([True], s[1:] != s[:-1])))  # each run of ties
+    last = np.append(first[1:], len(s)) - 1
+    ranks = np.repeat(0.5 * (first + last) + 1.0, last - first + 1)  # mean 1-based rank
     pos_rank_sum = ranks[np.asarray(labels)[order] == 1].sum()
     return float((pos_rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
 

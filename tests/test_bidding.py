@@ -252,6 +252,12 @@ class TestStrategyFiles:
         with pytest.raises(ValueError, match="kelly"):
             load_strategy(tmp_path / "s.txt")
 
+    def test_unknown_key_rejected(self, tmp_path):
+        # a misspelt key must not load the field's default (seed=0) silently
+        (tmp_path / "s.txt").write_text("variant=rand\nupper=5\nseeed=3\n", encoding="utf-8")
+        with pytest.raises(ValueError, match="seeed"):
+            load_strategy(tmp_path / "s.txt")
+
     def test_grid_csv(self, tmp_path):
         cases, pctr = _tune_fixture()
         _, rows = tune("lin", cases, "1/8", (10, 50), CampaignSpec(1, 0), pctr=pctr)

@@ -11,7 +11,7 @@ import sys
 import numpy as np
 import pytest
 
-from rtbsim import kernels
+from rtbsim import kernels, models
 
 
 def random_auction_arrays(rng, n):
@@ -111,12 +111,101 @@ class TestGrowTree:
             assert leaf_counts.min() >= min_leaf
 
 
+class TestApplyForest:
+    """The packed-forest kernel against its twin and the per-tree sum."""
+
+    @staticmethod
+    def _leaf(v):
+        return models.Tree(np.array([-1]), np.array([0.0]), np.array([-1]),
+                           np.array([-1]), np.array([v]))
+
+    def _random_forest(self, rng, x, n_trees):
+        trees = []
+        sorted_ids = np.argsort(x, axis=0, kind="stable").T.copy()
+        for _ in range(n_trees):
+            if rng.random() < 0.25:
+                trees.append(self._leaf(float(rng.normal())))
+                continue
+            resid = rng.normal(size=x.shape[0])
+            depth = int(rng.integers(1, 6))
+            trees.append(models.Tree(*kernels.grow_tree_numpy(x, sorted_ids, resid, 2, depth)))
+        return trees
+
+    @staticmethod
+    def _per_tree_sum(x, trees, base, shrinkage):
+        total = np.full(x.shape[0], base)
+        for t in trees:
+            total += shrinkage * kernels.apply_tree_numpy(x, t.feature, t.threshold,
+                                                          t.left, t.right, t.value)
+        return total
+
+    @staticmethod
+    def _both(x, forest, base, shrinkage):
+        args = (x, forest.feature, forest.threshold, forest.left, forest.right,
+                forest.value, forest.roots, base, shrinkage)
+        return kernels.apply_forest_loop(*args), kernels.apply_forest_numpy(*args)
+
+    def test_backends_agree_on_random_forests(self):
+        rng = np.random.default_rng(8)
+        for _ in range(15):
+            nfeat = int(rng.integers(1, 6))
+            x = rng.normal(size=(int(rng.integers(20, 200)), nfeat))
+            trees = self._random_forest(rng, x, int(rng.integers(1, 12)))
+            forest = models.PackedForest.of(trees)
+            base, shrinkage = float(rng.random()), float(rng.random())
+            xq = rng.normal(size=(int(rng.integers(1, 60)), nfeat))
+            for rows in (xq, xq[:1]):
+                loop, vec = self._both(rows, forest, base, shrinkage)
+                assert np.array_equal(loop, vec)
+                assert np.array_equal(vec, self._per_tree_sum(rows, trees, base, shrinkage))
+
+    def test_root_only_forest_reads_no_column(self):
+        # depth 0: no split reads x, so an input without columns is fine
+        trees = [self._leaf(0.5), self._leaf(-0.25), self._leaf(0.125)]
+        forest = models.PackedForest.of(trees)
+        assert forest.depth == 0 and forest.max_feature == -1
+        x = np.empty((3, 0))
+        loop, vec = self._both(x, forest, 0.1, 0.3)
+        assert np.array_equal(loop, vec)
+        assert np.array_equal(vec, np.full(3, ((0.1 + 0.3 * 0.5) + 0.3 * -0.25) + 0.3 * 0.125))
+
+    def test_no_trees_is_base(self):
+        forest = models.PackedForest.of([])
+        assert forest.roots.shape == (0,) and forest.depth == 0
+        loop, vec = self._both(np.zeros((2, 3)), forest, 0.2, 0.5)
+        assert np.array_equal(loop, [0.2, 0.2]) and np.array_equal(vec, [0.2, 0.2])
+
+    def test_blocks_of_a_large_batch_agree(self, monkeypatch):
+        rng = np.random.default_rng(9)
+        x = rng.normal(size=(300, 4))
+        trees = self._random_forest(rng, x, 10)
+        forest = models.PackedForest.of(trees)
+        whole = self._both(x, forest, 0.3, 0.05)[1]
+        monkeypatch.setattr(kernels, "FOREST_BLOCK", 70)  # 7 rows per block
+        assert np.array_equal(self._both(x, forest, 0.3, 0.05)[1], whole)
+
+    def test_depth_is_the_deepest_tree(self):
+        rng = np.random.default_rng(10)
+        x = rng.normal(size=(200, 3))
+        trees = self._random_forest(rng, x, 8)
+
+        def depth(t, nd=0):
+            if t.left[nd] < 0:
+                return 0
+            return 1 + max(depth(t, int(t.left[nd])), depth(t, int(t.right[nd])))
+
+        forest = models.PackedForest.of(trees)
+        assert forest.depth == max(depth(t) for t in trees)
+        assert forest.max_feature == max(int(t.feature.max()) for t in trees)
+
+
 def test_env_flag_selects_numpy_backend():
     code = (
         "from rtbsim import kernels\n"
         "assert kernels.NUMBA_ENABLED is False\n"
         "assert kernels.win_scan is kernels.win_scan_numpy\n"
         "assert kernels.grow_tree is kernels.grow_tree_numpy\n"
+        "assert kernels.apply_forest is kernels.apply_forest_numpy\n"
         "print('fallback ok')\n"
     )
     env = dict(os.environ, RTBSIM_NO_NUMBA="1")

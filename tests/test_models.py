@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from rtbsim import models
+from rtbsim import kernels, models
 from rtbsim.features import SparseBatch, binarize_cases, build_encodings, build_vocabulary, densify_cases, encoding_split
 from rtbsim.models import (
     CtrScorer,
@@ -185,7 +185,8 @@ class TestPredict:
 
     def test_gbrt_no_trees_is_base(self):
         model = GbrtModel(0.001, [], GbrtHyper())
-        assert predict(model, np.zeros(4)) == pytest.approx(0.001)
+        assert predict(model, np.zeros(4)) == 0.001
+        assert np.array_equal(predict(model, np.zeros((3, 4))), np.full(3, 0.001))
 
     def test_lr_closed_form(self):
         w = np.zeros(3)
@@ -199,12 +200,44 @@ class TestPredict:
         lo = predict(model, np.array([2]))
         assert 0.0 < lo < hi < 1.0
         gb = GbrtModel(5.0, [], GbrtHyper())  # base outside [0,1] gets clamped
-        assert 0.0 < predict(gb, np.zeros(2)) < 1.0
+        assert predict(gb, np.zeros(2)) == 1.0 - models.GBRT_CLAMP
 
     def test_lr_dimension_mismatch(self):
         model = LrModel(np.zeros(3), LrHyper())
         with pytest.raises(DimensionMismatch):
             predict(model, np.array([7]))
+
+
+class TestPredictGbrt:
+    @pytest.fixture(scope="class")
+    def fitted(self, small_synth):
+        train, test, _ = small_synth
+        enc = build_encodings(encoding_split(train))
+        x, y = densify_cases(train, enc)
+        model = train_gbrt(x, y, GbrtHyper(rounds=12, max_depth=4))
+        return model, densify_cases(test[:300], enc)[0]
+
+    def test_vector_equals_batch_row_and_per_tree_sum(self, fitted):
+        model, xt = fitted
+        total = np.full(len(xt), model.base)
+        for t in model.trees:
+            total += model.hyper.shrinkage * kernels.apply_tree(
+                xt, t.feature, t.threshold, t.left, t.right, t.value)
+        reference = np.clip(total, models.GBRT_CLAMP, 1.0 - models.GBRT_CLAMP)
+        batch = predict(model, xt)
+        assert np.array_equal(batch, reference)
+        singles = [predict(model, row) for row in xt]
+        assert all(isinstance(p, float) for p in singles)
+        assert np.array_equal(singles, batch)
+
+    def test_short_vector_is_dimension_mismatch(self, fitted):
+        model, xt = fitted
+        short = xt[0, :model.forest.max_feature]
+        with pytest.raises(DimensionMismatch):
+            predict(model, short)
+        with pytest.raises(DimensionMismatch):
+            predict(model, xt[:, :model.forest.max_feature])
+        predict(model, xt[0, :model.forest.max_feature + 1])  # the highest slot read is present
 
 
 class TestMetrics:
@@ -233,6 +266,30 @@ class TestMetrics:
             if labels.min() == labels.max():
                 labels[0] = 1 - labels[0]
             assert auc(scores, labels) == pytest.approx(pairwise_auc(scores, labels), abs=1e-12)
+
+    def test_auc_heavy_ties_match_pairwise_and_loop_ranks(self):
+        rng = np.random.default_rng(14)
+        for _ in range(20):
+            n = int(rng.integers(2, 400))
+            scores = rng.choice([0.0, 0.25, 0.5, 1.0], size=n, p=[0.7, 0.1, 0.1, 0.1])
+            labels = rng.integers(0, 2, size=n)
+            labels[0], labels[-1] = 0, 1
+            got = auc(scores, labels)
+            assert got == pytest.approx(pairwise_auc(scores, labels), abs=1e-12)
+            # average ranks run by run, as a scalar loop assigns them
+            order = np.argsort(scores, kind="mergesort")
+            s = scores[order]
+            ranks = np.empty(n)
+            i = 0
+            while i < n:
+                j = i
+                while j + 1 < n and s[j + 1] == s[i]:
+                    j += 1
+                ranks[i:j + 1] = 0.5 * (i + j) + 1.0
+                i = j + 1
+            n_pos = int(labels.sum())
+            expect = (ranks[labels[order] == 1].sum() - n_pos * (n_pos + 1) / 2.0) / (n_pos * (n - n_pos))
+            assert got == expect
 
     def test_auc_invariant_under_monotone_transform(self):
         rng = np.random.default_rng(13)
@@ -272,8 +329,11 @@ class TestSerialization:
         assert loaded.base == model.base and loaded.hyper == model.hyper
         # preorder listing renumbers nodes; the trees must stay equivalent
         assert [len(t.feature) for t in loaded.trees] == [len(t.feature) for t in model.trees]
+        assert (loaded.forest.depth, loaded.forest.max_feature) == \
+            (model.forest.depth, model.forest.max_feature)
         xt, _ = densify_cases(test[:200], enc)
         assert np.array_equal(predict(loaded, xt), predict(model, xt))
+        assert [predict(loaded, r) for r in xt[:50]] == [predict(model, r) for r in xt[:50]]
 
     def test_scorer_round_trip(self, tmp_path, small_synth):
         train, test, _ = small_synth
