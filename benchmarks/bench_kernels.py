@@ -6,7 +6,9 @@ Run:  python3 benchmarks/bench_kernels.py
 The two backends are bit-identical (see tests/test_kernels.py); this
 script only measures the speed gap that RTBSIM_NO_NUMBA trades away.  A
 second table compares scoring a GBRT ensemble with one apply_forest call
-against one apply_tree call per tree.
+against one apply_tree call per tree.  Without numba the loop forms run as
+plain Python, minutes at these sizes, so they are only checked against the
+fallbacks on a slice and their times print as n/a.
 """
 
 from __future__ import annotations
@@ -16,6 +18,10 @@ import time
 import numpy as np
 
 from rtbsim import kernels, models
+
+
+TIME_LOOPS = kernels.HAVE_NUMBA
+SMALL = 500  # rows on which an untimed loop form is checked
 
 
 def timeit(fn, *args, repeats=5):
@@ -28,35 +34,61 @@ def timeit(fn, *args, repeats=5):
     return best, out
 
 
+def compare(rows, name, loop_fn, fallback_fn, args, n, same, repeats=5):
+    """Time ``fallback_fn(*args(n))``, and ``loop_fn`` on the same input when
+    numba compiles it, and assert that the two forms agree.  ``args(m)``
+    builds fresh arguments for the first m rows.  Returns the fallback's
+    output on all n rows."""
+    t_slow, out_slow = timeit(fallback_fn, *args(n), repeats=repeats)
+    if TIME_LOOPS:
+        t_fast, out_fast = timeit(loop_fn, *args(n), repeats=repeats)
+        assert same(out_fast, out_slow), name
+    else:
+        t_fast = None
+        assert same(loop_fn(*args(SMALL)), fallback_fn(*args(SMALL))), name
+    rows.append((name, t_fast, t_slow))
+    return out_slow
+
+
+def same_arrays(a, b):
+    return all(np.array_equal(x, y) for x, y in zip(a, b))
+
+
 def bench_win_scan(rows):
     n = 1_000_000
     rng = np.random.default_rng(0)
     bids = rng.integers(0, 200, size=n).astype(np.int64)
     paying = rng.integers(0, 150, size=n).astype(np.int64)
     floor = rng.integers(0, 60, size=n).astype(np.int64)
-    budget = np.int64(paying.sum() // 8)
-    t_fast, out_fast = timeit(kernels.win_scan_loop, bids, paying, floor, budget)
-    t_slow, out_slow = timeit(kernels.win_scan_numpy, bids, paying, floor, budget)
-    assert np.array_equal(out_fast[0], out_slow[0]) and out_fast[1:] == out_slow[1:]
-    rows.append(("win_scan (n=1e6)", t_fast, t_slow))
+
+    def args(m):
+        return bids[:m], paying[:m], floor[:m], np.int64(paying[:m].sum() // 8)
+
+    compare(rows, "win_scan (n=1e6)", kernels.win_scan_loop, kernels.win_scan_numpy,
+            args, n, lambda a, b: np.array_equal(a[0], b[0]) and a[1:] == b[1:])
 
 
 def bench_sgd_epoch(rows):
     n, dim, active = 200_000, 200, 16
     rng = np.random.default_rng(1)
     indices = rng.integers(1, dim, size=n * active).astype(np.int32)
-    indptr = np.arange(0, n * active + 1, active, dtype=np.int64)
     labels = (rng.random(n) < 0.01).astype(np.float64)
     order = rng.permutation(n).astype(np.int64)
 
-    v1 = np.zeros(dim - 1)
-    t_fast, out_fast = timeit(kernels.sgd_epoch_loop, indptr, indices, labels, v1,
-                              order, 0.0, 1.0, 0, 0.05, 1e-6, repeats=1)
-    v2 = np.zeros(dim - 1)
-    t_slow, out_slow = timeit(kernels.sgd_epoch_python, indptr, indices, labels, v2,
-                              order, 0.0, 1.0, 0, 0.05, 1e-6, repeats=1)
-    assert out_fast == out_slow and np.array_equal(v1, v2)
-    rows.append(("sgd_epoch (n=2e5, 16 active)", t_fast, t_slow))
+    def args(m):
+        indptr = np.arange(0, m * active + 1, active, dtype=np.int64)
+        return indptr, indices[:m * active], labels[:m], order[order < m]
+
+    def epoch(fn):
+        # The epoch updates v in place; return it with the scalars it yields.
+        def run(indptr, indices, labels, order):
+            v = np.zeros(dim - 1)
+            return fn(indptr, indices, labels, v, order, 0.0, 1.0, 0, 0.05, 1e-6), v
+        return run
+
+    compare(rows, "sgd_epoch (n=2e5, 16 active)", epoch(kernels.sgd_epoch_loop),
+            epoch(kernels.sgd_epoch_python), args, n,
+            lambda a, b: a[0] == b[0] and np.array_equal(a[1], b[1]), repeats=1)
 
 
 def bench_grow_tree(rows):
@@ -64,18 +96,14 @@ def bench_grow_tree(rows):
     rng = np.random.default_rng(2)
     x = rng.normal(size=(n, nfeat))
     resid = rng.normal(size=n)
-    sorted_ids = np.argsort(x, axis=0, kind="stable").T.copy()
-    t_fast, out_fast = timeit(kernels.grow_tree_loop, x, sorted_ids, resid, 20, 5, repeats=3)
-    t_slow, out_slow = timeit(kernels.grow_tree_numpy, x, sorted_ids, resid, 20, 5, repeats=1)
-    for a, b in zip(out_fast, out_slow):
-        assert np.array_equal(a, b)
-    rows.append(("grow_tree (n=1e5, 15 feat, depth 5)", t_fast, t_slow))
 
-    tree = out_fast
-    t_fast, o1 = timeit(kernels.apply_tree_loop, x, *tree)
-    t_slow, o2 = timeit(kernels.apply_tree_numpy, x, *tree)
-    assert np.array_equal(o1, o2)
-    rows.append(("apply_tree (n=1e5)", t_fast, t_slow))
+    def args(m):
+        return x[:m], np.argsort(x[:m], axis=0, kind="stable").T.copy(), resid[:m], 20, 5
+
+    tree = compare(rows, "grow_tree (n=1e5, 15 feat, depth 5)", kernels.grow_tree_loop,
+                   kernels.grow_tree_numpy, args, n, same_arrays, repeats=1)
+    compare(rows, "apply_tree (n=1e5)", kernels.apply_tree_loop, kernels.apply_tree_numpy,
+            lambda m: (x[:m], *tree), n, np.array_equal)
 
 
 def bench_apply_forest(rows, vs_per_tree):
@@ -98,15 +126,14 @@ def bench_apply_forest(rows, vs_per_tree):
                 xs, t.feature, t.threshold, t.left, t.right, t.value)
         return total
 
-    for label, xs, repeats in (("n=1", x[:1], 200), ("n=1e5", x, 1)):
+    for label, rows_in, repeats in (("n=1", 1, 200), ("n=1e5", n, 1)):
         name = f"apply_forest ({len(model.trees)} trees, depth {f.depth}, {label})"
-        t_fast, o1 = timeit(kernels.apply_forest_loop, xs, *packed, repeats=repeats)
-        t_slow, o2 = timeit(kernels.apply_forest_numpy, xs, *packed, repeats=repeats)
-        assert np.array_equal(o1, o2)
-        rows.append((name, t_fast, t_slow))
+        o2 = compare(rows, name, kernels.apply_forest_loop, kernels.apply_forest_numpy,
+                     lambda m: (x[:m], *packed), rows_in, np.array_equal, repeats=repeats)
+        xs = x[:rows_in]
         t_tree, o3 = timeit(per_tree, xs, repeats=repeats)
         t_forest, o4 = timeit(kernels.apply_forest, xs, *packed, repeats=repeats)
-        assert np.array_equal(o3, o4) and np.array_equal(o4, o1)
+        assert np.array_equal(o3, o4) and np.array_equal(o4, o2)
         vs_per_tree.append((name, t_forest, t_tree))
 
 
@@ -114,7 +141,10 @@ def print_table(title, head, rows):
     width = max(len(r[0]) for r in rows)
     print(f"\n{title:<{width}}  {head[0]:>10}  {head[1]:>10}  {'speedup':>8}")
     for name, fast, slow in rows:
-        print(f"{name:<{width}}  {fast * 1e3:>8.3f}ms  {slow * 1e3:>8.3f}ms  {slow / fast:>7.1f}x")
+        if fast is None:
+            print(f"{name:<{width}}  {'n/a':>10}  {slow * 1e3:>8.3f}ms  {'n/a':>8}")
+        else:
+            print(f"{name:<{width}}  {fast * 1e3:>8.3f}ms  {slow * 1e3:>8.3f}ms  {slow / fast:>7.1f}x")
 
 
 def main() -> None:

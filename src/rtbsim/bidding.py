@@ -5,19 +5,21 @@ historical max eCPC scaled by pCTR, and a linear-in-pCTR bid.  Bids are
 emitted in the same CPM milli-fen units as the logs; the eCPC family
 carries an explicit x1000 bridge from fen-per-click to those units.  Each
 pCTR strategy class holds its own bid formula (``raw_bid``), which
-:func:`compute_bid` and :func:`bid_vector` only round.  Strategy files are
-written and read from the dataclass fields.
+:func:`compute_bid` and :func:`bid_vector` only round, after one pCTR
+validity check.  Strategy files are a ``variant=`` line followed by the
+dataclass fields in :mod:`kvfile` form.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence, get_args, get_type_hints
+from typing import Sequence
 
 import numpy as np
 
+from . import kvfile
 from .logdata import AuctionCase
 
 __all__ = [
@@ -171,6 +173,12 @@ def estimate_max_ecpc(train: Sequence[AuctionCase]) -> float:
     return cost_fen / clicks
 
 
+def _check_pctr(low, high) -> None:
+    """The least and greatest pCTR of a call must lie in (0, 1); NaN fails."""
+    if not (0.0 < low and high < 1.0):
+        raise ValueError(f"pctr must be in (0, 1), got {float(high if 0.0 < low else low)!r}")
+
+
 def _round_half_up(x: float) -> int:
     return max(0, int(math.floor(x + 0.5)))
 
@@ -193,8 +201,7 @@ def compute_bid(
         return int(rng.integers(strategy.lower, strategy.upper + 1))
     if pctr is None:
         raise MissingPctr(f"{strategy.name} bidding requires a pctr")
-    if not 0.0 < pctr < 1.0:
-        raise ValueError("pctr must be in (0, 1)")
+    _check_pctr(pctr, pctr)
     return _round_half_up(strategy.raw_bid(pctr))
 
 
@@ -216,6 +223,8 @@ def bid_vector(
     p = np.asarray(pctr, dtype=np.float64)
     if p.shape != (n,):
         raise ValueError(f"pctr must have shape ({n},), got {p.shape}")
+    if n:
+        _check_pctr(p.min(), p.max())  # NaN propagates through min and max
     return np.maximum(0, np.floor(strategy.raw_bid(p) + 0.5)).astype(np.int64)
 
 
@@ -295,40 +304,19 @@ def tune(
 _VARIANTS = {cls.name: cls for cls in (ConstBid, RandBid, McpcBid, LinBid)}
 
 
-def _field_types(cls) -> dict[str, type]:
-    """Field name -> the type its value is written as (``X | None`` -> X)."""
-    hints = get_type_hints(cls)
-    types = {}
-    for f in fields(cls):
-        args = [a for a in get_args(hints[f.name]) if a is not type(None)]
-        types[f.name] = args[0] if args else hints[f.name]
-    return types
-
-
 def save_strategy(strategy: Strategy, path) -> None:
-    """``variant=<name>``, then each non-None field in declaration order."""
-    lines = [f"variant={strategy.name}"]
-    for name, kind in _field_types(type(strategy)).items():
-        value = getattr(strategy, name)
-        if value is not None:
-            lines.append(f"{name}={float(value)!r}" if kind is float else f"{name}={value}")
+    """``variant=<name>``, then the strategy's fields (:func:`kvfile.dump`)."""
+    lines = [f"variant={strategy.name}", *kvfile.dump(strategy)]
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def load_strategy(path) -> Strategy:
-    kv = {}
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
-        if line.strip():
-            k, v = line.split("=", 1)
-            kv[k] = v
-    cls = _VARIANTS.get(kv["variant"])
-    if cls is None:
-        raise ValueError(f"unknown strategy variant {kv['variant']!r}")
-    types = _field_types(cls)
-    unknown = [k for k in kv if k != "variant" and k not in types]
-    if unknown:
-        raise ValueError(f"{cls.name} strategy has no field {', '.join(map(repr, unknown))}")
-    return cls(**{name: kind(kv[name]) for name, kind in types.items() if name in kv})
+    head, *pairs = [ln for ln in Path(path).read_text(encoding="utf-8").splitlines()
+                    if ln.strip()] or [""]
+    cls = _VARIANTS.get(head.removeprefix("variant="))
+    if cls is None or not head.startswith("variant="):
+        raise ValueError(f"expected variant=<{'|'.join(_VARIANTS)}> first, found {head!r}")
+    return kvfile.load(cls, pairs)
 
 
 def write_grid_csv(rows: list[GridRow], path) -> None:

@@ -11,14 +11,14 @@ goes to stderr and the exit code is nonzero.
 from __future__ import annotations
 
 import argparse
-import math
 import sys
+from dataclasses import astuple, dataclass, replace
 from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 
-from . import bidding, features, models, replay, stats, synthgen
+from . import bidding, features, kvfile, models, replay, stats, synthgen
 from .logdata import EVENT_LOG, AuctionCase, join_events, load_log, schema_by_name
 
 __all__ = ["main"]
@@ -67,65 +67,26 @@ def load_cases(
 # synth
 # ---------------------------------------------------------------------------
 
-_SYNTH_INT_KEYS = (
-    "seed", "n_train", "n_test", "n_regions", "n_cities", "n_exchanges",
-    "n_slot_sizes", "n_tags", "tags_per_case", "max_price", "max_floor",
-    "advertiser_id",
-)
-_SYNTH_FLOAT_KEYS = (
-    "base_ctr", "weight_scale", "floor_rate", "conversion_given_click",
-    "price_click_correlation",
-)
+@dataclass
+class MarketPrice:
+    """``SynthConfig.market_price_params`` as two config keys."""
 
-
-def _read_config_file(path) -> dict:
-    kv: dict[str, str] = {}
-    for raw in Path(path).read_text(encoding="utf-8").splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        key, value = line.split("=", 1)
-        kv[key.strip()] = value.strip()
-    return kv
+    market_mu: float
+    market_sigma: float
 
 
 def _build_synth_config(args) -> synthgen.SynthConfig:
-    kv = _read_config_file(args.config) if args.config else {}
-    params: dict = {}
-    for key in _SYNTH_INT_KEYS:
-        if key in kv:
-            params[key] = int(kv[key])
-    for key in _SYNTH_FLOAT_KEYS:
-        if key in kv:
-            params[key] = float(kv[key])
-    if "start_time" in kv:
-        params["start_time"] = kv["start_time"]
-    mu = float(kv["market_mu"]) if "market_mu" in kv else math.log(70.0)
-    sigma = float(kv["market_sigma"]) if "market_sigma" in kv else 0.4
-    params["market_price_params"] = (mu, sigma)
+    text = Path(args.config).read_text(encoding="utf-8") if args.config else ""
+    lines = [ln for raw in text.splitlines() if (ln := raw.split("#", 1)[0].strip())]
+    market = [ln for ln in lines if ln.startswith("market_")]
+    params = kvfile.parse(synthgen.SynthConfig, [ln for ln in lines if ln not in market])
+    params["market_price_params"] = astuple(replace(
+        MarketPrice(*synthgen.SynthConfig.market_price_params), **kvfile.parse(MarketPrice, market)))
     # Flags override the config file.
-    if args.seed is not None:
-        params["seed"] = args.seed
-    if args.n_train is not None:
-        params["n_train"] = args.n_train
-    if args.n_test is not None:
-        params["n_test"] = args.n_test
-    if args.base_ctr is not None:
-        params["base_ctr"] = args.base_ctr
-    if args.advertiser is not None:
-        params["advertiser_id"] = args.advertiser
+    flags = {"seed": args.seed, "n_train": args.n_train, "n_test": args.n_test,
+             "base_ctr": args.base_ctr, "advertiser_id": args.advertiser}
+    params.update((key, value) for key, value in flags.items() if value is not None)
     return synthgen.SynthConfig(**params)
-
-
-def _echo_config(config: synthgen.SynthConfig, path: Path) -> None:
-    lines = []
-    for key in _SYNTH_INT_KEYS:
-        lines.append(f"{key}={getattr(config, key)}")
-    for key in _SYNTH_FLOAT_KEYS:
-        lines.append(f"{key}={getattr(config, key)!r}")
-    mu, sigma = config.market_price_params
-    lines += [f"market_mu={mu!r}", f"market_sigma={sigma!r}", f"start_time={config.start_time}"]
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def _write_truth(cases, p, path: Path) -> None:
@@ -143,7 +104,8 @@ def cmd_synth(args) -> int:
     synthgen.write_dataset(test, out / "test")
     _write_truth(train, truth.train_p, out / "truth_train.csv")
     _write_truth(test, truth.test_p, out / "truth_test.csv")
-    _echo_config(config, out / "synth_config.txt")
+    echo = kvfile.dump(config) + kvfile.dump(MarketPrice(*config.market_price_params))
+    (out / "synth_config.txt").write_text("\n".join(echo) + "\n", encoding="utf-8")
     print(f"synth: wrote {len(train)} train / {len(test)} test cases to {out} "
           f"(realized train CTR {truth.realized_base_ctr:.5f})")
     return 0

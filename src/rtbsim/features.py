@@ -17,6 +17,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from . import kvfile
 from .logdata import AuctionCase, LogRecord
 
 __all__ = [
@@ -179,9 +180,7 @@ class Vocabulary:
     def load(cls, path) -> "Vocabulary":
         index: dict[tuple[str, str], int] = {}
         with open(path, encoding="utf-8") as f:
-            header = f.readline().strip()
-            if header != "#rtbsim-vocab v1":
-                raise ValueError(f"unsupported vocabulary file header {header!r}")
+            kvfile.check_header(f, "#rtbsim-vocab v1")
             f.readline()  # dimension line, re-derived from entries
             for line in f:
                 idx, field, value = line.rstrip("\n").split("\t", 2)
@@ -288,9 +287,7 @@ class CategoryEncodings:
     @classmethod
     def load(cls, path) -> "CategoryEncodings":
         with open(path, encoding="utf-8") as f:
-            header = f.readline().strip()
-            if header != "#rtbsim-encodings v1":
-                raise ValueError(f"unsupported encodings file header {header!r}")
+            kvfile.check_header(f, "#rtbsim-encodings v1")
             meta = f.readline().rstrip("\n").split("\t")
             prior, alpha, beta = float(meta[1]), float(meta[3]), float(meta[5])
             freq: dict[tuple[str, str], int] = {}

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import kernels
+from . import kernels, kvfile
 from .features import (
     CategoryEncodings,
     SparseBatch,
@@ -366,8 +366,7 @@ class EvalReport:
     n: int
 
     def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as f:
-            f.write(f"auc={self.auc!r}\nrmse={self.rmse!r}\nn={self.n}\n")
+        Path(path).write_text("\n".join(kvfile.dump(self)) + "\n", encoding="utf-8")
 
 
 def evaluate(scores, labels) -> EvalReport:
@@ -416,11 +415,10 @@ class CtrScorer:
 
 
 def save_lr(model: LrModel, path) -> None:
-    h = model.hyper
     with open(path, "w", encoding="utf-8") as f:
         f.write("#rtbsim-lr v1\n")
         f.write(f"dimension\t{model.dimension}\n")
-        f.write(f"hyper\tlearning_rate={h.learning_rate!r}\tl2={h.l2!r}\tepochs={h.epochs}\tseed={h.seed}\n")
+        f.write("\t".join(["hyper", *kvfile.dump(model.hyper)]) + "\n")
         for i in np.flatnonzero(model.weights):
             f.write(f"{i}\t{float(model.weights[i])!r}\n")
         if model.weights[0] == 0.0:
@@ -429,12 +427,9 @@ def save_lr(model: LrModel, path) -> None:
 
 def load_lr(path) -> LrModel:
     with open(path, encoding="utf-8") as f:
-        if f.readline().strip() != "#rtbsim-lr v1":
-            raise ValueError("unsupported LR model file")
+        kvfile.check_header(f, "#rtbsim-lr v1")
         dim = int(f.readline().split("\t")[1])
-        hyper_parts = f.readline().rstrip("\n").split("\t")[1:]
-        kv = dict(p.split("=", 1) for p in hyper_parts)
-        hyper = LrHyper(float(kv["learning_rate"]), float(kv["l2"]), int(kv["epochs"]), int(kv["seed"]))
+        hyper = kvfile.load(LrHyper, f.readline().rstrip("\n").split("\t")[1:])
         w = np.zeros(dim, dtype=np.float64)
         for line in f:
             idx, wv = line.split("\t")
@@ -465,11 +460,10 @@ def _read_tree_preorder(lines: list[str], pos: int, nodes: list) -> tuple[int, i
 
 
 def save_gbrt(model: GbrtModel, path) -> None:
-    h = model.hyper
     with open(path, "w", encoding="utf-8") as f:
         f.write("#rtbsim-gbrt v1\n")
         f.write(f"base\t{model.base!r}\n")
-        f.write(f"hyper\trounds={h.rounds}\tshrinkage={h.shrinkage!r}\tmax_depth={h.max_depth}\tmin_leaf={h.min_leaf}\n")
+        f.write("\t".join(["hyper", *kvfile.dump(model.hyper)]) + "\n")
         for tree in model.trees:
             f.write(f"tree\t{len(tree.feature)}\n")
             _write_tree_preorder(f, tree, 0)
@@ -477,12 +471,9 @@ def save_gbrt(model: GbrtModel, path) -> None:
 
 def load_gbrt(path) -> GbrtModel:
     with open(path, encoding="utf-8") as f:
-        if f.readline().strip() != "#rtbsim-gbrt v1":
-            raise ValueError("unsupported GBRT model file")
+        kvfile.check_header(f, "#rtbsim-gbrt v1")
         base = float(f.readline().split("\t")[1])
-        hyper_parts = f.readline().rstrip("\n").split("\t")[1:]
-        kv = dict(p.split("=", 1) for p in hyper_parts)
-        hyper = GbrtHyper(int(kv["rounds"]), float(kv["shrinkage"]), int(kv["max_depth"]), int(kv["min_leaf"]))
+        hyper = kvfile.load(GbrtHyper, f.readline().rstrip("\n").split("\t")[1:])
         lines = [ln.rstrip("\n") for ln in f]
     trees: list[Tree] = []
     pos = 0

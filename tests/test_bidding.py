@@ -1,11 +1,12 @@
 from __future__ import annotations
 
+import re
 from datetime import datetime, timedelta
 
 import numpy as np
 import pytest
 
-from rtbsim import replay
+from rtbsim import kvfile, replay
 from rtbsim.bidding import (
     DEFAULT_GRID,
     CampaignSpec,
@@ -16,6 +17,7 @@ from rtbsim.bidding import (
     MissingPctr,
     NoClicks,
     RandBid,
+    Strategy,
     bid_vector,
     compute_bid,
     estimate_max_ecpc,
@@ -24,6 +26,7 @@ from rtbsim.bidding import (
     tune,
     write_grid_csv,
 )
+from rtbsim.models import EvalReport, GbrtHyper, LrHyper
 
 from conftest import make_case
 
@@ -104,6 +107,15 @@ class TestBidVector:
                 compute_bid(s, pctr=float(pctr[i]), rng=stream) for i in range(n)
             ]
             assert vec.tolist() == scalars
+
+    @pytest.mark.parametrize("bad", [float("nan"), 0.0, 1.0, 1.5])
+    @pytest.mark.parametrize("strategy", [McpcBid(90.5), LinBid(60, avg_ctr=0.05)])
+    def test_both_paths_reject_pctr_outside_unit_interval(self, strategy, bad):
+        with pytest.raises(ValueError, match=rf"pctr must be in \(0, 1\), got {bad!r}") as scalar:
+            compute_bid(strategy, pctr=bad)
+        with pytest.raises(ValueError) as vector:
+            bid_vector(strategy, 3, pctr=np.array([0.01, bad, 0.5]))
+        assert str(vector.value) == str(scalar.value)
 
 
 def _tune_fixture():
@@ -224,16 +236,45 @@ class TestScalingInvariance:
         assert r1.clicks == r2.clicks and r1.wins == r2.wins
 
 
+def _seeded_records():
+    """Each dataclass written in kvfile form, with floats of any exponent."""
+    rng = np.random.default_rng(17)
+
+    def num():
+        return float(rng.random() * 10.0 ** rng.integers(-300, 300))
+
+    def count():
+        return int(rng.integers(0, 10 ** 9))
+
+    return [
+        ConstBid(count()),
+        RandBid(upper=count(), seed=count()),
+        McpcBid(num(), model="lr"),
+        McpcBid(num()),
+        LinBid(count(), avg_ctr=float(rng.random()) or 1.0, model="gbrt"),
+        LrHyper(num(), num(), count(), count()),
+        GbrtHyper(count(), num(), count(), count()),
+        EvalReport(float(rng.random()), num(), count()),
+    ]
+
+
+_SEEDED = _seeded_records()
+
+
 class TestStrategyFiles:
-    @pytest.mark.parametrize("strategy", [
+    @pytest.mark.parametrize("record", [
         ConstBid(44),
         RandBid(upper=90, seed=3, lower=5),
         McpcBid(86.55, model="lr"),
         LinBid(69, avg_ctr=0.0008, model="gbrt"),
-    ])
-    def test_round_trip(self, tmp_path, strategy):
-        save_strategy(strategy, tmp_path / "s.txt")
-        assert load_strategy(tmp_path / "s.txt") == strategy
+        *_SEEDED,
+    ], ids=[f"strategy{i}" for i in range(4)] + [f"seeded-{type(r).__name__}" for r in _SEEDED])
+    def test_round_trip(self, tmp_path, record):
+        loaded = kvfile.load(type(record), kvfile.dump(record))
+        assert loaded == record and repr(loaded) == repr(record)  # floats bit-equal
+        if isinstance(record, Strategy):
+            save_strategy(record, tmp_path / "s.txt")
+            assert load_strategy(tmp_path / "s.txt") == record
 
     @pytest.mark.parametrize("strategy, text", [
         (ConstBid(44), "variant=const\nprice=44\n"),
@@ -256,6 +297,19 @@ class TestStrategyFiles:
         # a misspelt key must not load the field's default (seed=0) silently
         (tmp_path / "s.txt").write_text("variant=rand\nupper=5\nseeed=3\n", encoding="utf-8")
         with pytest.raises(ValueError, match="seeed"):
+            load_strategy(tmp_path / "s.txt")
+
+    @pytest.mark.parametrize("text, named", [
+        ("price=44\n", "variant="),  # no variant line
+        ("", "variant="),
+        ("variant=lin\navg_ctr=0.01\n", "base_bid"),  # a field without a default
+        ("variant=rand\nupper=5\n", "seed"),  # a field dump always writes
+        ("variant=const\nprice\n", "'price'"),  # no '='
+        ("variant=const\nprice=4.5\n", "price='4.5'"),  # not an int
+    ])
+    def test_bad_file_named(self, tmp_path, text, named):
+        (tmp_path / "s.txt").write_text(text, encoding="utf-8")
+        with pytest.raises(ValueError, match=re.escape(named)):
             load_strategy(tmp_path / "s.txt")
 
     def test_grid_csv(self, tmp_path):

@@ -39,6 +39,32 @@ class TestSynth:
         echoed = (tmp_path / "d" / "synth_config.txt").read_text()
         assert "seed=4" in echoed and "n_train=500" in echoed
 
+    def test_echoed_config_reproduces_dataset(self, dataset, tmp_path):
+        rc = main(["synth", "--out", str(tmp_path), "--config", str(dataset / "synth_config.txt")])
+        assert rc == 0
+        files = sorted(p.relative_to(dataset) for p in dataset.rglob("*") if p.is_file())
+        assert files == sorted(p.relative_to(tmp_path) for p in tmp_path.rglob("*") if p.is_file())
+        for rel in files:
+            assert (tmp_path / rel).read_bytes() == (dataset / rel).read_bytes(), rel
+
+    @pytest.mark.parametrize("line, named", [
+        ("n_trian=50", "'n_trian'"),
+        ("n_train", "'n_train'"),
+        ("n_train=abc", "n_train='abc'"),
+        ("base_ctr=0.0.1", "base_ctr='0.0.1'"),
+        ("true_weights=1,2", "'true_weights'"),
+        ("market_price_params=4.2,0.4", "'market_price_params'"),
+        ("market_mu=high", "market_mu='high'"),
+    ])
+    def test_bad_config_line_named(self, tmp_path, capsys, line, named):
+        cfg = tmp_path / "synth.cfg"
+        cfg.write_text(f"n_test=10\n{line}\n", encoding="utf-8")
+        rc = main(["synth", "--out", str(tmp_path / "d"), "--config", str(cfg)])
+        assert rc == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ValueError: ") and named in err[0]
+        assert not (tmp_path / "d").exists()
+
     def test_degenerate_config_fails_cleanly(self, tmp_path, capsys):
         rc = main(["synth", "--out", str(tmp_path / "x"), "--base-ctr", "0"])
         assert rc == 1

@@ -6,7 +6,16 @@ import numpy as np
 import pytest
 
 from rtbsim import kernels, models
-from rtbsim.features import SparseBatch, binarize_cases, build_encodings, build_vocabulary, densify_cases, encoding_split
+from rtbsim.features import (
+    CategoryEncodings,
+    SparseBatch,
+    Vocabulary,
+    binarize_cases,
+    build_encodings,
+    build_vocabulary,
+    densify_cases,
+    encoding_split,
+)
 from rtbsim.models import (
     CtrScorer,
     DimensionMismatch,
@@ -343,6 +352,29 @@ class TestSerialization:
         scorer.save(tmp_path)
         loaded = CtrScorer.load(tmp_path, "lr")
         assert np.array_equal(loaded.score_cases(test[:100]), scorer.score_cases(test[:100]))
+
+    @pytest.mark.parametrize("load, header", [
+        (load_lr, "#rtbsim-lr v1"),
+        (load_gbrt, "#rtbsim-gbrt v1"),
+        (Vocabulary.load, "#rtbsim-vocab v1"),
+        (CategoryEncodings.load, "#rtbsim-encodings v1"),
+    ])
+    def test_wrong_header_named(self, tmp_path, load, header):
+        (tmp_path / "f.txt").write_text("#rtbsim-other v2\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=f"expected header '{header}', found '#rtbsim-other v2'"):
+            load(tmp_path / "f.txt")
+
+    @pytest.mark.parametrize("save, load, model, drop", [
+        (save_lr, load_lr, LrModel(np.array([0.5, -1.0]), LrHyper()), "seed"),
+        (save_gbrt, load_gbrt, GbrtModel(0.25, [], GbrtHyper()), "shrinkage"),
+    ])
+    def test_missing_hyper_key_named(self, tmp_path, save, load, model, drop):
+        save(model, tmp_path / "m.txt")
+        lines = (tmp_path / "m.txt").read_text(encoding="utf-8").split("\n")
+        lines[2] = "\t".join(p for p in lines[2].split("\t") if not p.startswith(drop + "="))
+        (tmp_path / "m.txt").write_text("\n".join(lines), encoding="utf-8")
+        with pytest.raises(ValueError, match=f"missing '{drop}'"):
+            load(tmp_path / "m.txt")
 
     def test_scores_csv(self, tmp_path):
         models.write_scores_csv(["a", "b"], [0.25, 0.5], tmp_path / "s.csv")

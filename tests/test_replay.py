@@ -110,6 +110,12 @@ class TestSimulate:
         with pytest.raises(MissingPctr):
             simulate(cases, McpcBid(50.0), BIG, CampaignSpec(1, 0))
 
+    def test_nan_pctr_rejected(self):
+        cases = timed_cases([dict(paying=1), dict(paying=1)])
+        with pytest.raises(ValueError, match="pctr must be in"):
+            simulate(cases, LinBid(10, avg_ctr=0.1), BIG, CampaignSpec(1, 0),
+                     pctr=np.array([0.1, np.nan]))
+
     def test_unclicked_conversion_reported(self):
         cases = timed_cases([dict(paying=1, clicked=False, converted=True)])
         res = simulate(cases, ConstBid(5), BIG, CampaignSpec(1, 1))
