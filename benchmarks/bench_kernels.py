@@ -17,7 +17,7 @@ import time
 
 import numpy as np
 
-from rtbsim import kernels, models
+from rtbsim import features, kernels, models, synthgen
 
 
 TIME_LOOPS = kernels.HAVE_NUMBA
@@ -92,6 +92,21 @@ def bench_sgd_epoch(rows):
 
 
 def bench_grow_tree(rows):
+    # The shape GBRT trains on in perfbench's paper_pipeline: a densified
+    # 3000-case campaign, whose 27 columns hold few distinct values each.
+    train, _, _ = synthgen.generate(synthgen.SynthConfig(seed=1, n_train=3000, n_test=10,
+                                                         base_ctr=0.1))
+    xd, yd = features.densify_cases(train, features.build_encodings(features.encoding_split(train)))
+    hyper = models.GbrtHyper()
+
+    def dense_args(m):
+        return (xd[:m], np.argsort(xd[:m], axis=0, kind="stable").T.copy(), yd[:m] - yd[:m].mean(),
+                hyper.min_leaf, hyper.max_depth)
+
+    compare(rows, f"grow_tree (densified n=3000, {xd.shape[1]} feat, depth 5)",
+            kernels.grow_tree_loop, kernels.grow_tree_numpy, dense_args, len(yd), same_arrays)
+
+    # Continuous columns: almost every position is a candidate threshold.
     n, nfeat = 100_000, 15
     rng = np.random.default_rng(2)
     x = rng.normal(size=(n, nfeat))
@@ -100,7 +115,7 @@ def bench_grow_tree(rows):
     def args(m):
         return x[:m], np.argsort(x[:m], axis=0, kind="stable").T.copy(), resid[:m], 20, 5
 
-    tree = compare(rows, "grow_tree (n=1e5, 15 feat, depth 5)", kernels.grow_tree_loop,
+    tree = compare(rows, "grow_tree (continuous n=1e5, 15 feat, depth 5)", kernels.grow_tree_loop,
                    kernels.grow_tree_numpy, args, n, same_arrays, repeats=1)
     compare(rows, "apply_tree (n=1e5)", kernels.apply_tree_loop, kernels.apply_tree_numpy,
             lambda m: (x[:m], *tree), n, np.array_equal)

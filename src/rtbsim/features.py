@@ -181,7 +181,7 @@ class Vocabulary:
         index: dict[tuple[str, str], int] = {}
         with open(path, encoding="utf-8") as f:
             kvfile.check_header(f, "#rtbsim-vocab v1")
-            f.readline()  # dimension line, re-derived from entries
+            kvfile.read_labeled(f, "dimension")  # re-derived from entries
             for line in f:
                 idx, field, value = line.rstrip("\n").split("\t", 2)
                 index[(field, value)] = int(idx)
@@ -288,8 +288,7 @@ class CategoryEncodings:
     def load(cls, path) -> "CategoryEncodings":
         with open(path, encoding="utf-8") as f:
             kvfile.check_header(f, "#rtbsim-encodings v1")
-            meta = f.readline().rstrip("\n").split("\t")
-            prior, alpha, beta = float(meta[1]), float(meta[3]), float(meta[5])
+            prior, alpha, beta = map(float, kvfile.read_labeled(f, "prior", "alpha", "beta"))
             freq: dict[tuple[str, str], int] = {}
             ctr: dict[tuple[str, str], float] = {}
             for line in f:

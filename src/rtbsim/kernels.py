@@ -18,6 +18,17 @@ the trees packed once into flat node arrays with global child indices (see
 ``models.PackedForest``, built when a ``GbrtModel`` is made), so scoring one
 impression is one kernel call however many trees there are.
 
+``grow_tree``'s numpy form searches splits one frontier node at a time,
+over every feature at once.  Each node keeps its rows as an ``(nfeat,
+n_node)`` block of row ids in each feature's presorted order, with their
+values; a split partitions the parent's block stably, so the children's
+rows stay presorted.  The search is one gather of the residuals, one
+``cumsum`` along each feature's rows, and scores only at the positions
+where the value changes with ``min_leaf`` rows on each side; the first
+maximum in (feature, position) order is the loop's tie-break.  ``cumsum``
+adds the rows in the loop's order, so the scores, and the trees, are the
+loop form's bit for bit.
+
 The backend flag changes performance only, never results, so it is safe to
 flip between runs of the same experiment.
 """
@@ -243,8 +254,45 @@ def _grow_tree_py(x, sorted_ids, resid, min_leaf, max_depth):
 grow_tree_loop = _njit(_grow_tree_py)
 
 
+def _best_split(ids, vals, resid, total, min_leaf):
+    # ids/vals: one node's rows in each feature's presorted order and their
+    # values, shape (nfeat, m).  Candidate (f, k): row k is the last on the
+    # left, the value changes after it, and both sides keep min_leaf rows.
+    m = ids.shape[1]
+    lo, hi = min_leaf - 1, m - min_leaf
+    change = np.zeros(ids.shape, dtype=bool)
+    np.not_equal(vals[:, lo + 1:hi + 1], vals[:, lo:hi], out=change[:, lo:hi])
+    at = np.flatnonzero(change)  # f * m + k, in (feature, position) order
+    if at.size == 0:
+        return -np.inf, -1, 0.0
+    cum = resid.take(ids)
+    np.cumsum(cum, axis=1, out=cum)
+    sl = cum.take(at)
+    nl = at % m + 1.0
+    sr = total - sl
+    sc = sl * sl / nl + sr * sr / (m - nl)
+    j = int(np.argmax(sc))  # first maximum: lowest feature, then lowest threshold
+    f, k = divmod(int(at[j]), m)
+    return sc[j], f, 0.5 * (vals[f, k] + vals[f, k + 1])
+
+
 def grow_tree_numpy(x, sorted_ids, resid, min_leaf, max_depth):
-    """Vectorized twin of the loop kernel (same splits, bit for bit)."""
+    """Vectorized twin of the loop kernel (same splits, bit for bit).
+
+    Each frontier node keeps its rows as an ``(nfeat, n_node)`` block of row
+    ids in every feature's presorted order, with the matching values; the
+    root block is ``sorted_ids``.  One split search scores every feature of
+    the node at once: one gather of the residuals, one ``cumsum`` along the
+    rows, and scores only at the positions where a feature's value changes
+    with ``min_leaf`` rows on each side.  ``np.cumsum`` adds each row in
+    sequence, as the loop's running sum does, so the candidate scores are
+    the same floats, and the first maximum in (feature, position) order is
+    the loop's tie-break: lowest feature, then lowest threshold.  A split
+    partitions the parent's blocks stably by the rows' go-left mask (every
+    feature's row holds the same row ids, so each keeps the same count), and
+    the children's rows stay presorted.  Node counts and sums come from
+    ``np.bincount`` over the rows' nodes, in row order, as in the loop.
+    """
     n, nfeat = x.shape
     max_nodes = 2 ** (max_depth + 1) - 1
     feat = np.full(max_nodes, -1, dtype=np.int64)
@@ -254,60 +302,37 @@ def grow_tree_numpy(x, sorted_ids, resid, min_leaf, max_depth):
     value = np.zeros(max_nodes, dtype=np.float64)
 
     node_of = np.zeros(n, dtype=np.int64)
+    go_left = np.zeros(n, dtype=bool)
+    blocks = {0: (sorted_ids, np.take_along_axis(x.T, sorted_ids, axis=1))}
     n_nodes = 1
     level_lo = 0
     level_hi = 1
     for depth in range(max_depth + 1):
         cnt = np.bincount(node_of, minlength=max_nodes)
         ssum = np.bincount(node_of, weights=resid, minlength=max_nodes)
-        best_score = np.full(max_nodes, -np.inf)
-        best_feat = np.full(max_nodes, -1, dtype=np.int64)
-        best_thr = np.zeros(max_nodes)
-
-        if depth < max_depth:
-            for f in range(nfeat):
-                ids = sorted_ids[f]
-                nds = node_of[ids]
-                for nd in range(level_lo, level_hi):
-                    n_nd = cnt[nd]
-                    if n_nd < 2 * min_leaf:
-                        continue
-                    sub = ids[nds == nd]
-                    vals = x[sub, f]
-                    cum = np.cumsum(resid[sub])
-                    total = ssum[nd]
-                    nl = np.arange(1, n_nd)
-                    valid = (vals[1:] != vals[:-1]) & (nl >= min_leaf) & (n_nd - nl >= min_leaf)
-                    if not valid.any():
-                        continue
-                    sl = cum[:-1]
-                    sr = total - sl
-                    sc = sl * sl / nl + sr * sr / (n_nd - nl)
-                    sc = np.where(valid, sc, -np.inf)
-                    k = int(np.argmax(sc))
-                    if sc[k] > best_score[nd]:
-                        best_score[nd] = sc[k]
-                        best_feat[nd] = f
-                        best_thr[nd] = 0.5 * (vals[k] + vals[k + 1])
-
         any_split = False
         for nd in range(level_lo, level_hi):
-            parent_sc = ssum[nd] * ssum[nd] / cnt[nd]
-            if best_feat[nd] >= 0 and best_score[nd] > parent_sc:
-                feat[nd] = best_feat[nd]
-                thr[nd] = best_thr[nd]
-                left[nd] = n_nodes
-                right[nd] = n_nodes + 1
-                n_nodes += 2
-                any_split = True
-            else:
-                left[nd] = -1
+            score = -np.inf
+            if depth < max_depth and cnt[nd] >= 2 * min_leaf:
+                ids, vals = blocks.pop(nd)
+                score, f, t = _best_split(ids, vals, resid, ssum[nd], min_leaf)
+            if not score > ssum[nd] * ssum[nd] / cnt[nd]:
                 value[nd] = ssum[nd] / cnt[nd]
-        if any_split:
-            frontier = (node_of >= level_lo) & (node_of < level_hi) & (left[node_of] >= 0)
-            go_left = x[np.arange(n), feat[node_of]] <= thr[node_of]
-            node_of = np.where(frontier & go_left, left[node_of],
-                               np.where(frontier, right[node_of], node_of))
+                continue
+            feat[nd] = f
+            thr[nd] = t
+            left[nd] = n_nodes
+            right[nd] = n_nodes + 1
+            n_nodes += 2
+            any_split = True
+            go = vals[f] <= t
+            node_of[ids[f]] = np.where(go, left[nd], right[nd])
+            if depth + 1 < max_depth:
+                go_left[ids[f]] = go
+                mask = go_left.take(ids)
+                for child, side in ((left[nd], mask), (right[nd], ~mask)):
+                    at = np.flatnonzero(side)
+                    blocks[child] = (ids.take(at).reshape(nfeat, -1), vals.take(at).reshape(nfeat, -1))
         level_lo = level_hi
         level_hi = n_nodes
         if not any_split:

@@ -1,13 +1,14 @@
 """The ``name=value`` form of a dataclass's ``int``, ``float`` and ``str``
 fields (``| None`` allowed, ``init=False`` left out) for every file that
-records one, and the version header check.  Bad input fails by name."""
+records one, the version header check and the labelled lines after it.
+Bad input fails by name."""
 
 from __future__ import annotations
 
 from dataclasses import fields
 from typing import Iterable, get_type_hints
 
-__all__ = ["dump", "parse", "load", "check_header"]
+__all__ = ["dump", "parse", "load", "check_header", "read_labeled"]
 
 _KINDS = {hint: kind for kind in (int, float, str) for hint in (kind, kind | None)}
 
@@ -27,15 +28,19 @@ def dump(obj) -> list[str]:
 
 
 def parse(cls, pairs: Iterable[str]) -> dict:
-    """The typed values of ``name=value`` pairs for fields of ``cls``."""
-    kinds, values, errors = _kinds(cls), {}, []
+    """The typed values of ``name=value`` pairs for fields of ``cls``, each
+    field set at most once."""
+    kinds, values, errors, seen = _kinds(cls), {}, [], set()
     for pair in pairs:
         name, eq, text = (part.strip() for part in pair.partition("="))
         if not eq:
             errors.append(f"line {pair!r} is not name=value")
         elif name not in kinds:
             errors.append(f"{cls.__name__} has no scalar field {name!r}")
+        elif name in seen:
+            errors.append(f"{name!r} is set more than once")
         else:
+            seen.add(name)
             try:
                 values[name] = kinds[name](text)
             except ValueError:
@@ -59,3 +64,13 @@ def check_header(f, header: str) -> None:
     """Read the first line of the open file ``f``, which must be ``header``."""
     if (found := f.readline().strip()) != header:
         raise ValueError(f"expected header {header!r}, found {found!r}")
+
+
+def read_labeled(f, *labels: str) -> list[str]:
+    """The values of the next line of the open file ``f``, which must read
+    ``label1<TAB>value1<TAB>label2<TAB>value2...`` with these labels."""
+    found = f.readline().rstrip("\n")
+    parts = found.split("\t")
+    if parts[::2] != list(labels) or len(parts) != 2 * len(labels):
+        raise ValueError(f"expected a {' '.join(labels)!r} line, found {found!r}")
+    return parts[1::2]

@@ -428,7 +428,7 @@ def save_lr(model: LrModel, path) -> None:
 def load_lr(path) -> LrModel:
     with open(path, encoding="utf-8") as f:
         kvfile.check_header(f, "#rtbsim-lr v1")
-        dim = int(f.readline().split("\t")[1])
+        dim = int(kvfile.read_labeled(f, "dimension")[0])
         hyper = kvfile.load(LrHyper, f.readline().rstrip("\n").split("\t")[1:])
         w = np.zeros(dim, dtype=np.float64)
         for line in f:
@@ -472,7 +472,7 @@ def save_gbrt(model: GbrtModel, path) -> None:
 def load_gbrt(path) -> GbrtModel:
     with open(path, encoding="utf-8") as f:
         kvfile.check_header(f, "#rtbsim-gbrt v1")
-        base = float(f.readline().split("\t")[1])
+        base = float(kvfile.read_labeled(f, "base")[0])
         hyper = kvfile.load(GbrtHyper, f.readline().rstrip("\n").split("\t")[1:])
         lines = [ln.rstrip("\n") for ln in f]
     trees: list[Tree] = []

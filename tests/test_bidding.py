@@ -306,6 +306,7 @@ class TestStrategyFiles:
         ("variant=rand\nupper=5\n", "seed"),  # a field dump always writes
         ("variant=const\nprice\n", "'price'"),  # no '='
         ("variant=const\nprice=4.5\n", "price='4.5'"),  # not an int
+        ("variant=const\nprice=4\nprice=5\n", "'price' is set more than once"),
     ])
     def test_bad_file_named(self, tmp_path, text, named):
         (tmp_path / "s.txt").write_text(text, encoding="utf-8")

@@ -55,6 +55,7 @@ class TestSynth:
         ("true_weights=1,2", "'true_weights'"),
         ("market_price_params=4.2,0.4", "'market_price_params'"),
         ("market_mu=high", "market_mu='high'"),
+        ("seed=1\nseed=2", "'seed' is set more than once"),
     ])
     def test_bad_config_line_named(self, tmp_path, capsys, line, named):
         cfg = tmp_path / "synth.cfg"

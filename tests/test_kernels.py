@@ -87,6 +87,66 @@ class TestGrowTree:
             for a, b in zip(t1, t2):
                 assert np.array_equal(a, b)
 
+    @staticmethod
+    def _same(x, resid, min_leaf, max_depth):
+        """Both forms grow the same tree bit for bit; returns it."""
+        x = np.asarray(x, dtype=np.float64).reshape(len(resid), -1)
+        resid = np.asarray(resid, dtype=np.float64)
+        sorted_ids = np.argsort(x, axis=0, kind="stable").T.copy()
+        t1 = kernels.grow_tree_loop(x, sorted_ids, resid, min_leaf, max_depth)
+        t2 = kernels.grow_tree_numpy(x, sorted_ids, resid, min_leaf, max_depth)
+        for a, b in zip(t1, t2):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+        return t2
+
+    @pytest.mark.parametrize("min_leaf", [1, 2, 5])
+    def test_rows_exactly_twice_min_leaf(self, min_leaf):
+        # One candidate position: k = min_leaf - 1, the middle of the node.
+        n = 2 * min_leaf
+        feat, thr, *_ = self._same(np.arange(n), np.r_[np.zeros(min_leaf), np.ones(min_leaf)],
+                                   min_leaf, 3)
+        assert feat[0] == 0 and thr[0] == min_leaf - 0.5
+
+    def test_value_changes_only_outside_leaf_bounds(self):
+        # n = 20, min_leaf = 5: values that change after 4 and after 16 rows
+        # leave 4 rows on one side, so no split is legal; after 5 and after
+        # 15 rows both splits are legal.
+        resid = np.r_[np.ones(10), -np.ones(10)]
+        outside = np.r_[np.zeros(4), np.ones(12), 2 * np.ones(4)]
+        assert len(self._same(outside, resid, 5, 3)[0]) == 1
+        edges = np.r_[np.zeros(5), np.ones(10), 2 * np.ones(5)]
+        feat, thr, *_ = self._same(np.c_[outside, edges], resid, 5, 3)
+        assert feat[0] == 1 and thr[0] in (0.5, 1.5)
+
+    def test_constant_columns(self):
+        rng = np.random.default_rng(11)
+        resid = rng.normal(size=60)
+        x = np.c_[np.full(60, 3.0), rng.integers(0, 4, 60), np.zeros(60)]
+        feat = self._same(x, resid, 2, 4)[0]
+        assert set(feat[feat >= 0]) == {1}
+        tree = self._same(np.full((60, 3), 7.0), resid, 2, 4)
+        assert len(tree[0]) == 1 and tree[4][0] == pytest.approx(resid.mean())
+
+    def test_duplicated_column_lowest_feature_wins(self):
+        rng = np.random.default_rng(12)
+        col = rng.integers(0, 5, 80).astype(np.float64)
+        x = np.c_[np.zeros(80), col, col, col]
+        feat = self._same(x, col + rng.normal(size=80) * 0.1, 3, 4)[0]
+        assert feat[0] == 1 and set(feat[feat >= 0]) <= {1}
+
+    @pytest.mark.parametrize("max_depth", [0, 1])
+    def test_shallow_trees(self, max_depth):
+        rng = np.random.default_rng(13)
+        x = rng.integers(0, 6, size=(50, 3))
+        left = self._same(x, rng.normal(size=50), 2, max_depth)[2]
+        assert len(left) == 2 * max_depth + 1
+
+    @pytest.mark.parametrize("discrete", [False, True])
+    def test_min_leaf_one(self, discrete):
+        rng = np.random.default_rng(14)
+        x = rng.integers(0, 3, size=(40, 4)) if discrete else rng.normal(size=(40, 4))
+        self._same(x, rng.normal(size=40), 1, 6)
+
     def test_apply_backends_agree(self):
         rng = np.random.default_rng(6)
         x, sorted_ids, resid = self._random_problem(rng, 300, 4)

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from rtbsim import kernels, models
+from rtbsim import kernels, models, synthgen
 from rtbsim.features import (
     CategoryEncodings,
     SparseBatch,
@@ -185,6 +185,20 @@ class TestTrainGbrt:
         m1 = train_gbrt(x, y, GbrtHyper(rounds=5, min_leaf=5))
         m2 = train_gbrt(x, y, GbrtHyper(rounds=5, min_leaf=5))
         assert m1.trees == m2.trees and m1.train_mse == m2.train_mse
+
+    def test_kernel_forms_grow_equal_ensembles(self, monkeypatch):
+        train, _, _ = synthgen.generate(synthgen.SynthConfig(seed=5, n_train=400, n_test=10,
+                                                             base_ctr=0.1))
+        x, y = densify_cases(train, build_encodings(encoding_split(train)))
+        hyper = GbrtHyper(rounds=5, min_leaf=5)
+        fits = []
+        for form in ("loop", "numpy"):
+            monkeypatch.setattr(kernels, "grow_tree", getattr(kernels, f"grow_tree_{form}"))
+            monkeypatch.setattr(kernels, "apply_tree", getattr(kernels, f"apply_tree_{form}"))
+            fits.append(train_gbrt(x, y, hyper))
+        loop, numpy_ = fits
+        assert any(len(t.feature) > 1 for t in loop.trees)
+        assert loop.trees == numpy_.trees and loop.train_mse == numpy_.train_mse
 
 
 class TestPredict:
@@ -375,6 +389,29 @@ class TestSerialization:
         (tmp_path / "m.txt").write_text("\n".join(lines), encoding="utf-8")
         with pytest.raises(ValueError, match=f"missing '{drop}'"):
             load(tmp_path / "m.txt")
+
+    @pytest.mark.parametrize("save, load, model, key", [
+        (save_lr, load_lr, LrModel(np.array([0.5, -1.0]), LrHyper()), "seed"),
+        (save_gbrt, load_gbrt, GbrtModel(0.25, [], GbrtHyper()), "rounds"),
+    ])
+    def test_repeated_hyper_key_named(self, tmp_path, save, load, model, key):
+        save(model, tmp_path / "m.txt")
+        lines = (tmp_path / "m.txt").read_text(encoding="utf-8").split("\n")
+        lines[2] += f"\t{key}=7"
+        (tmp_path / "m.txt").write_text("\n".join(lines), encoding="utf-8")
+        with pytest.raises(ValueError, match=f"'{key}' is set more than once"):
+            load(tmp_path / "m.txt")
+
+    @pytest.mark.parametrize("load, header, labels", [
+        (load_lr, "#rtbsim-lr v1", "dimension"),
+        (load_gbrt, "#rtbsim-gbrt v1", "base"),
+        (Vocabulary.load, "#rtbsim-vocab v1", "dimension"),
+        (CategoryEncodings.load, "#rtbsim-encodings v1", "prior alpha beta"),
+    ])
+    def test_file_cut_after_header_named(self, tmp_path, load, header, labels):
+        (tmp_path / "f.txt").write_text(header + "\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=f"expected a '{labels}' line, found ''"):
+            load(tmp_path / "f.txt")
 
     def test_scores_csv(self, tmp_path):
         models.write_scores_csv(["a", "b"], [0.25, 0.5], tmp_path / "s.csv")
