@@ -6,7 +6,8 @@ Run:  python3 benchmarks/bench_kernels.py
 The two backends are bit-identical (see tests/test_kernels.py); this
 script only measures the speed gap that RTBSIM_NO_NUMBA trades away.  A
 second table compares scoring a GBRT ensemble with one apply_forest call
-against one apply_tree call per tree.  Without numba the loop forms run as
+against one apply_tree call per tree, and a third scoring one row with
+apply_forest_row against apply_forest.  Without numba the loop forms run as
 plain Python, minutes at these sizes, so they are only checked against the
 fallbacks on a slice and their times print as n/a.
 """
@@ -116,15 +117,17 @@ def bench_grow_tree(rows):
         return x[:m], np.argsort(x[:m], axis=0, kind="stable").T.copy(), resid[:m], 20, 5
 
     tree = compare(rows, "grow_tree (continuous n=1e5, 15 feat, depth 5)", kernels.grow_tree_loop,
-                   kernels.grow_tree_numpy, args, n, same_arrays, repeats=1)
+                   kernels.grow_tree_numpy, args, n, same_arrays, repeats=3)
     compare(rows, "apply_tree (n=1e5)", kernels.apply_tree_loop, kernels.apply_tree_numpy,
             lambda m: (x[:m], *tree), n, np.array_equal)
 
 
-def bench_apply_forest(rows, vs_per_tree):
+def bench_apply_forest(rows, vs_per_tree, one_row):
     """A 50-tree GBRT ensemble on one row and on 1e5 rows: apply_forest's two
     forms, and the dispatched apply_forest against one apply_tree call per
-    tree, the way GBRT predictions were made before the forest kernel."""
+    tree, the way GBRT predictions were made before the forest kernel.  Then
+    one impression as ``models.predict`` scores it, the dispatched row walk
+    over the nodes packed once, against apply_forest on a one-row batch."""
     n, nfeat = 100_000, 15
     rng = np.random.default_rng(3)
     x = rng.normal(size=(n, nfeat))
@@ -151,6 +154,15 @@ def bench_apply_forest(rows, vs_per_tree):
         assert np.array_equal(o3, o4) and np.array_equal(o4, o2)
         vs_per_tree.append((name, t_forest, t_tree))
 
+    def walk(row):
+        return kernels.apply_forest_row(kernels.row_operand(row), *f.nodes, model.base,
+                                        model.hyper.shrinkage)
+
+    assert [walk(row) for row in x[:1000]] == kernels.apply_forest(x[:1000], *packed).tolist()
+    t_walk, _ = timeit(walk, x[0], repeats=200)
+    t_batch, _ = timeit(kernels.apply_forest, x[:1], *packed, repeats=200)
+    one_row.append((f"{len(model.trees)} trees, depth {f.depth}, one row", t_walk, t_batch))
+
 
 def print_table(title, head, rows):
     width = max(len(r[0]) for r in rows)
@@ -171,10 +183,12 @@ def main() -> None:
     bench_sgd_epoch(rows)
     bench_grow_tree(rows)
     vs_per_tree: list[tuple[str, float, float]] = []
-    bench_apply_forest(rows, vs_per_tree)
+    one_row: list[tuple[str, float, float]] = []
+    bench_apply_forest(rows, vs_per_tree, one_row)
     print_table("kernel", ("loop", "fallback"), rows)
     active = "loop" if kernels.NUMBA_ENABLED else "fallback"
     print_table(f"forest vs per tree ({active})", ("forest", "per tree"), vs_per_tree)
+    print_table(f"row walk ({active})", ("row walk", "forest"), one_row)
 
 
 if __name__ == "__main__":

@@ -13,6 +13,7 @@ the per-feature breakdowns of :mod:`rtbsim.stats` all read it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -76,12 +77,22 @@ GBRT_CATEGORICAL_FIELDS = (
 GBRT_CONTINUOUS_FIELDS = ("slot_width", "slot_height", "slot_floor_price", "hour")
 
 
+# Distinct user-agent strings whose labels are kept: a log holds few (10 in
+# a 2000-record synthetic split), and the bound caps memory on one that
+# holds many.
+USER_AGENT_MEMO = 4096
+
+
 class EmptyTrainingSet(ValueError):
     pass
 
 
+@lru_cache(maxsize=USER_AGENT_MEMO)
 def classify_user_agent(user_agent: str) -> tuple[str, str]:
-    """(os, browser) labels from ordered substring matching; unknown -> other."""
+    """(os, browser) labels from ordered substring matching; unknown -> other.
+
+    Memoized per distinct string, the last ``USER_AGENT_MEMO`` of them.
+    """
     ua = user_agent.lower()
     os_label = "other"
     for label, needles in _OS_RULES:

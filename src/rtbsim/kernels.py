@@ -1,9 +1,10 @@
 """Hot numeric kernels with two interchangeable backends.
 
 Every kernel here exists twice: a loop form compiled with numba's ``@njit``
-and a pure-numpy form.  The loop form is the default; setting the
+and a pure-numpy form (plain Python where numpy does not pay, as for the
+SGD epoch and one forest row).  The loop form is the default; setting the
 environment variable ``RTBSIM_NO_NUMBA=1`` (or running without numba
-installed) selects the numpy form.  The two backends are bit-identical for
+installed) selects the other form.  The two backends are bit-identical for
 every kernel: integer arithmetic is exact, and the float accumulations are
 arranged so both sides add in the same order (``np.cumsum``/``np.bincount``
 accumulate sequentially, matching the scalar loops).  The test suite
@@ -12,11 +13,17 @@ speed.
 
 The kernels: ``win_scan`` (budget-constrained auction replay),
 ``sgd_epoch`` (one logistic-regression epoch), ``grow_tree`` and
-``apply_tree`` (one regression tree, used while boosting), and
-``apply_forest``, which scores a whole GBRT ensemble in one call.  It takes
+``apply_tree`` (one regression tree, used while boosting), ``apply_forest``,
+which scores a whole GBRT ensemble on a batch in one call, and
+``apply_forest_row``, which scores one impression.  Both forest kernels take
 the trees packed once into flat node arrays with global child indices (see
-``models.PackedForest``, built when a ``GbrtModel`` is made), so scoring one
-impression is one kernel call however many trees there are.
+``models.PackedForest``, built when a ``GbrtModel`` is made).  On one row
+numpy's per-call overhead costs more than the walk, so ``apply_forest_row``
+has no numpy form: its one loop body is compiled over the arrays under numba
+and runs as plain Python over list copies of them otherwise
+(``row_operand`` gives the form, and ``PackedForest`` keeps its nodes in
+it).  It adds the leaves in ``apply_forest``'s order, so a row's score
+equals its batch row bit for bit.
 
 ``grow_tree``'s numpy form searches splits one frontier node at a time,
 over every feature at once.  Each node keeps its rows as an ``(nfeat,
@@ -441,6 +448,34 @@ def apply_forest_numpy(x, feat, thr, left, right, value, roots, base, shrinkage)
 apply_forest = apply_forest_loop if NUMBA_ENABLED else apply_forest_numpy
 
 
+def _apply_forest_row_py(x, feat, thr, left, right, value, roots, base, shrinkage):
+    # One row through every tree, base first and then each leaf times
+    # shrinkage in tree order: the float operations apply_forest makes for
+    # that row, so the same result bit for bit.
+    s = base
+    for r in roots:
+        nd = r
+        while left[nd] >= 0:
+            if x[feat[nd]] <= thr[nd]:
+                nd = left[nd]
+            else:
+                nd = right[nd]
+        s += shrinkage * value[nd]
+    return s
+
+
+apply_forest_row_loop = _njit(_apply_forest_row_py)
+apply_forest_row_python = _apply_forest_row_py
+apply_forest_row = apply_forest_row_loop if NUMBA_ENABLED else apply_forest_row_python
+
+
+def row_operand(a: np.ndarray):
+    """``a`` in the form that ``apply_forest_row`` walks: the array itself
+    for the compiled walk, a list for plain Python, whose items the
+    interpreter reads and compares several times faster than numpy's."""
+    return a if NUMBA_ENABLED else a.tolist()
+
+
 def warmup() -> None:
     """Trigger JIT compilation of every kernel on tiny inputs."""
     bids = np.array([5, 5], dtype=np.int64)
@@ -458,4 +493,6 @@ def warmup() -> None:
     r = np.array([0.0, 0.0, 1.0, 1.0])
     tree = grow_tree(x, sids, r, 1, 2)
     apply_tree(x, *tree)
-    apply_forest(x, *tree, np.zeros(1, dtype=np.int64), 0.0, 1.0)
+    roots = np.zeros(1, dtype=np.int64)
+    apply_forest(x, *tree, roots, 0.0, 1.0)
+    apply_forest_row(*map(row_operand, (x[0], *tree, roots)), 0.0, 1.0)

@@ -8,7 +8,7 @@ from __future__ import annotations
 from dataclasses import fields
 from typing import Iterable, get_type_hints
 
-__all__ = ["dump", "parse", "load", "check_header", "read_labeled"]
+__all__ = ["dump", "parse", "load", "check_header", "read_labeled", "read_fields"]
 
 _KINDS = {hint: kind for kind in (int, float, str) for hint in (kind, kind | None)}
 
@@ -74,3 +74,13 @@ def read_labeled(f, *labels: str) -> list[str]:
     if parts[::2] != list(labels) or len(parts) != 2 * len(labels):
         raise ValueError(f"expected a {' '.join(labels)!r} line, found {found!r}")
     return parts[1::2]
+
+
+def read_fields(f, label: str, cls):
+    """``cls`` from the next line of the open file ``f``, which must read
+    ``label<TAB>name=value<TAB>name=value...`` (see :func:`load`)."""
+    found = f.readline().rstrip("\n")
+    parts = found.split("\t")
+    if parts[0] != label:
+        raise ValueError(f"expected a {label!r} line, found {found!r}")
+    return load(cls, parts[1:])

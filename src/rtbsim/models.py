@@ -216,7 +216,9 @@ class PackedForest:
     :func:`kernels.apply_forest` scores every tree in one call.  ``depth`` is
     the deepest level of any tree (0 if every tree is a single leaf) and
     ``max_feature`` the largest feature slot that any split reads (-1 if
-    none).
+    none).  ``nodes`` holds feature, threshold, left, right, value and roots
+    again in the form :func:`kernels.apply_forest_row` walks one row over,
+    made once here: plain-list copies without numba, the arrays with it.
     """
 
     feature: np.ndarray
@@ -227,6 +229,7 @@ class PackedForest:
     roots: np.ndarray
     depth: int
     max_feature: int
+    nodes: tuple = field(repr=False)
 
     @classmethod
     def of(cls, trees: list[Tree]) -> "PackedForest":
@@ -245,9 +248,11 @@ class PackedForest:
             depth += 1
             below = np.concatenate((left[level], right[level]))
             level = below[left[below] >= 0]
-        return cls(feature, cat([t.threshold for t in trees], np.float64), left, right,
-                   cat([t.value for t in trees], np.float64), roots, depth,
-                   int(feature.max(initial=-1)))
+        threshold = cat([t.threshold for t in trees], np.float64)
+        value = cat([t.value for t in trees], np.float64)
+        nodes = tuple(map(kernels.row_operand, (feature, threshold, left, right, value, roots)))
+        return cls(feature, threshold, left, right, value, roots, depth,
+                   int(feature.max(initial=-1)), nodes)
 
 
 @dataclass
@@ -303,28 +308,42 @@ def predict(model, features):
 
     LR takes a sparse index vector or a :class:`SparseBatch`; GBRT takes a
     dense vector or matrix.  Scalar in, scalar out; batch in, array out.
+    A vector's score equals its row of the batch's, bit for bit.
     """
     if isinstance(model, LrModel):
         if isinstance(features, SparseBatch):
             p = _sigmoid(_margins(model, features))
             return np.clip(p, LR_CLAMP, 1.0 - LR_CLAMP)
-        idx = np.asarray(features, dtype=np.int64)
-        if idx.size and idx.max() >= model.dimension:
-            raise DimensionMismatch(f"feature index {idx.max()} out of range")
-        m = model.weights[0] + model.weights[idx].sum()
-        p = float(_sigmoid(np.array([m]))[0])
-        return float(np.clip(p, LR_CLAMP, 1.0 - LR_CLAMP))
+        try:
+            terms = model.weights.take(np.asarray(features, dtype=np.int64)).tolist()
+        except IndexError as e:
+            raise DimensionMismatch(f"feature {e}") from None
+        # The batch's float operations on one row, as plain Python: the
+        # weights added in sequence from 0.0 (bincount's order; builtin sum
+        # compensates from Python 3.12 on), then the bias, then _sigmoid's
+        # branch with np.exp, whose last bit math.exp does not always match.
+        m = 0.0
+        for w in terms:
+            m += w
+        m += float(model.weights[0])
+        if m >= 0.0:
+            p = 1.0 / (1.0 + float(np.exp(-m)))
+        else:
+            em = float(np.exp(m))
+            p = em / (1.0 + em)
+        return min(max(p, LR_CLAMP), 1.0 - LR_CLAMP)
     if isinstance(model, GbrtModel):
         arr = np.asarray(features, dtype=np.float64)
-        single = arr.ndim == 1
-        mat = np.ascontiguousarray(arr.reshape(1, -1) if single else arr)
         f = model.forest
-        if mat.shape[1] <= f.max_feature:
+        if arr.shape[-1] <= f.max_feature:
             raise DimensionMismatch("dense vector shorter than tree feature slots")
-        total = kernels.apply_forest(mat, f.feature, f.threshold, f.left, f.right, f.value,
-                                     f.roots, float(model.base), float(model.hyper.shrinkage))
-        out = np.clip(total, GBRT_CLAMP, 1.0 - GBRT_CLAMP)
-        return float(out[0]) if single else out
+        base, shrinkage = float(model.base), float(model.hyper.shrinkage)
+        if arr.ndim == 1:
+            s = kernels.apply_forest_row(kernels.row_operand(arr), *f.nodes, base, shrinkage)
+            return min(max(s, GBRT_CLAMP), 1.0 - GBRT_CLAMP)
+        total = kernels.apply_forest(np.ascontiguousarray(arr), f.feature, f.threshold, f.left,
+                                     f.right, f.value, f.roots, base, shrinkage)
+        return np.clip(total, GBRT_CLAMP, 1.0 - GBRT_CLAMP)
     raise TypeError(f"unsupported model type {type(model).__name__}")
 
 
@@ -429,7 +448,7 @@ def load_lr(path) -> LrModel:
     with open(path, encoding="utf-8") as f:
         kvfile.check_header(f, "#rtbsim-lr v1")
         dim = int(kvfile.read_labeled(f, "dimension")[0])
-        hyper = kvfile.load(LrHyper, f.readline().rstrip("\n").split("\t")[1:])
+        hyper = kvfile.read_fields(f, "hyper", LrHyper)
         w = np.zeros(dim, dtype=np.float64)
         for line in f:
             idx, wv = line.split("\t")
@@ -473,7 +492,7 @@ def load_gbrt(path) -> GbrtModel:
     with open(path, encoding="utf-8") as f:
         kvfile.check_header(f, "#rtbsim-gbrt v1")
         base = float(kvfile.read_labeled(f, "base")[0])
-        hyper = kvfile.load(GbrtHyper, f.readline().rstrip("\n").split("\t")[1:])
+        hyper = kvfile.read_fields(f, "hyper", GbrtHyper)
         lines = [ln.rstrip("\n") for ln in f]
     trees: list[Tree] = []
     pos = 0

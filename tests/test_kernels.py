@@ -235,6 +235,26 @@ class TestApplyForest:
         loop, vec = self._both(np.zeros((2, 3)), forest, 0.2, 0.5)
         assert np.array_equal(loop, [0.2, 0.2]) and np.array_equal(vec, [0.2, 0.2])
 
+    def test_row_walk_equals_batch_forms(self):
+        rng = np.random.default_rng(11)
+        nfeat = 4
+        x = rng.normal(size=(150, nfeat))
+        forests = [[], [self._leaf(0.5), self._leaf(-0.25)]]
+        forests += [self._random_forest(rng, x, int(rng.integers(1, 12))) for _ in range(12)]
+        for trees in forests:
+            forest = models.PackedForest.of(trees)
+            base, shrinkage = float(rng.random()), float(rng.random())
+            # exactly the slots that the splits read: max_feature + 1 of them
+            xq = rng.normal(size=(25, forest.max_feature + 1))
+            loop, vec = self._both(xq, forest, base, shrinkage)
+            nodes = (forest.feature, forest.threshold, forest.left, forest.right,
+                     forest.value, forest.roots)
+            for i, row in enumerate(xq):
+                compiled = kernels.apply_forest_row_loop(row, *nodes, base, shrinkage)
+                plain = kernels.apply_forest_row_python(
+                    row.tolist(), *(a.tolist() for a in nodes), base, shrinkage)
+                assert compiled == plain == loop[i] == vec[i]
+
     def test_blocks_of_a_large_batch_agree(self, monkeypatch):
         rng = np.random.default_rng(9)
         x = rng.normal(size=(300, 4))
@@ -266,6 +286,9 @@ def test_env_flag_selects_numpy_backend():
         "assert kernels.win_scan is kernels.win_scan_numpy\n"
         "assert kernels.grow_tree is kernels.grow_tree_numpy\n"
         "assert kernels.apply_forest is kernels.apply_forest_numpy\n"
+        "assert kernels.apply_forest_row is kernels.apply_forest_row_python\n"
+        "from rtbsim import models\n"
+        "assert all(type(a) is list for a in models.PackedForest.of([]).nodes)\n"
         "print('fallback ok')\n"
     )
     env = dict(os.environ, RTBSIM_NO_NUMBA="1")

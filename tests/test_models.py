@@ -10,6 +10,7 @@ from rtbsim.features import (
     CategoryEncodings,
     SparseBatch,
     Vocabulary,
+    binarize,
     binarize_cases,
     build_encodings,
     build_vocabulary,
@@ -231,6 +232,18 @@ class TestPredict:
             predict(model, np.array([7]))
 
 
+class TestPredictLr:
+    def test_vector_equals_batch_row(self, small_synth):
+        train, test, _ = small_synth
+        vocab = build_vocabulary(train)
+        model = train_lr(binarize_cases(train, vocab), LrHyper(learning_rate=0.05, epochs=5))
+        batch = predict(model, binarize_cases(test, vocab))
+        singles = [predict(model, binarize(c.record, vocab)) for c in test]
+        assert all(isinstance(p, float) for p in singles)
+        assert np.array_equal(singles, batch)
+        assert predict(model, []) == predict(model, batch_of([[]], [0.0], model.dimension))[0]
+
+
 class TestPredictGbrt:
     @pytest.fixture(scope="class")
     def fitted(self, small_synth):
@@ -400,6 +413,18 @@ class TestSerialization:
         lines[2] += f"\t{key}=7"
         (tmp_path / "m.txt").write_text("\n".join(lines), encoding="utf-8")
         with pytest.raises(ValueError, match=f"'{key}' is set more than once"):
+            load(tmp_path / "m.txt")
+
+    @pytest.mark.parametrize("save, load, model", [
+        (save_lr, load_lr, LrModel(np.array([0.5, -1.0]), LrHyper())),
+        (save_gbrt, load_gbrt, GbrtModel(0.25, [], GbrtHyper())),
+    ])
+    def test_wrong_hyper_label_named(self, tmp_path, save, load, model):
+        save(model, tmp_path / "m.txt")
+        lines = (tmp_path / "m.txt").read_text(encoding="utf-8").split("\n")
+        lines[2] = lines[2].replace("hyper\t", "weights\t", 1)
+        (tmp_path / "m.txt").write_text("\n".join(lines), encoding="utf-8")
+        with pytest.raises(ValueError, match=r"expected a 'hyper' line, found 'weights\\t"):
             load(tmp_path / "m.txt")
 
     @pytest.mark.parametrize("load, header, labels", [
