@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from collections import Counter
 from dataclasses import astuple, dataclass, replace
 from fractions import Fraction
 from pathlib import Path
@@ -37,6 +38,23 @@ def _find_logs(directory: Path, stems: tuple[str, ...]) -> list[Path]:
     raise FileNotFoundError(f"no {stems[0]} log found under {directory}")
 
 
+def _tally(names) -> str:
+    return ", ".join(f"{k} {n}" for k, n in sorted(Counter(names).items()))
+
+
+def _warn_input_issues(directory: Path, skipped: list, issues: list) -> None:
+    """One stderr line counting the skipped lines by error class and the join
+    anomalies by kind; nothing when both are empty."""
+    parts = []
+    if skipped:
+        parts.append(f"skipped {len(skipped)} unparseable lines "
+                     f"({_tally(type(e).__name__ for e in skipped)})")
+    if issues:
+        parts.append(f"{len(issues)} join issues ({_tally(i.kind for i in issues)})")
+    if parts:
+        print(f"warning: {directory}: {'; '.join(parts)}", file=sys.stderr)
+
+
 def load_cases(
     directory,
     schema=EVENT_LOG,
@@ -55,9 +73,9 @@ def load_cases(
     imps = read_all(("imp",))
     clks = read_all(("clk",))
     cnvs = read_all(("cnv", "conv"))
-    if sink:
-        print(f"warning: skipped {len(sink)} unparseable lines", file=sys.stderr)
-    cases = join_events(imps, clks, cnvs)
+    issues: list = []
+    cases = join_events(imps, clks, cnvs, issues)
+    _warn_input_issues(directory, sink, issues)
     if advertiser is not None:
         cases = [c for c in cases if c.record.advertiser_id == advertiser]
     return cases

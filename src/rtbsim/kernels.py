@@ -1,10 +1,10 @@
 """Hot numeric kernels with two interchangeable backends.
 
 Every kernel here exists twice: a loop form compiled with numba's ``@njit``
-and a pure-numpy form (plain Python where numpy does not pay, as for the
-SGD epoch and one forest row).  The loop form is the default; setting the
-environment variable ``RTBSIM_NO_NUMBA=1`` (or running without numba
-installed) selects the other form.  The two backends are bit-identical for
+and a pure-numpy form (plain Python over lists where numpy does not pay, as
+for the SGD epoch and one forest row).  The loop form is the default;
+setting the environment variable ``RTBSIM_NO_NUMBA=1`` (or running without
+numba installed) selects the other form.  The two backends are bit-identical for
 every kernel: integer arithmetic is exact, and the float accumulations are
 arranged so both sides add in the same order (``np.cumsum``/``np.bincount``
 accumulate sequentially, matching the scalar loops).  The test suite
@@ -17,13 +17,20 @@ The kernels: ``win_scan`` (budget-constrained auction replay),
 which scores a whole GBRT ensemble on a batch in one call, and
 ``apply_forest_row``, which scores one impression.  Both forest kernels take
 the trees packed once into flat node arrays with global child indices (see
-``models.PackedForest``, built when a ``GbrtModel`` is made).  On one row
-numpy's per-call overhead costs more than the walk, so ``apply_forest_row``
-has no numpy form: its one loop body is compiled over the arrays under numba
-and runs as plain Python over list copies of them otherwise
-(``row_operand`` gives the form, and ``PackedForest`` keeps its nodes in
-it).  It adds the leaves in ``apply_forest``'s order, so a row's score
-equals its batch row bit for bit.
+``models.PackedForest``, built when a ``GbrtModel`` is made).
+
+Two kernels have no numpy form: ``sgd_epoch``, whose updates each depend
+on the last, and ``apply_forest_row``, for which numpy's per-call overhead
+on one row costs more than the walk.  Each has one loop body that numba
+compiles over the arrays and that otherwise runs as plain Python over list
+copies of them, whose items the interpreter reads several times faster
+than numpy's scalars.  ``sgd_epoch_python`` makes the copies with
+``tolist()`` on every call and writes the weights back in place (one epoch
+over 3000 rows of 18 indices then takes about 7 ms, against about 40 ms
+for the same body over the arrays); ``apply_forest_row`` is handed copies
+that ``PackedForest`` makes once (``row_operand`` gives the form).  Both
+forms make the same float operations in the same order, so the SGD weights
+are the same bit for bit, and a row's forest score equals its batch row.
 
 ``grow_tree``'s numpy form searches splits one frontier node at a time,
 over every feature at once.  Each node keeps its rows as an ``(nfeat,
@@ -34,7 +41,10 @@ rows stay presorted.  The search is one gather of the residuals, one
 where the value changes with ``min_leaf`` rows on each side; the first
 maximum in (feature, position) order is the loop's tie-break.  ``cumsum``
 adds the rows in the loop's order, so the scores, and the trees, are the
-loop form's bit for bit.
+loop form's bit for bit.  The root's block (``sorted_ids`` and
+``sorted_vals``) is the same for every tree of a model, so ``train_gbrt``
+gathers it once and passes it to both forms; the loop form reads each
+feature's values in sorted order from it too.
 
 The backend flag changes performance only, never results, so it is safe to
 flip between runs of the same experiment.
@@ -126,15 +136,17 @@ win_scan = win_scan_loop if NUMBA_ENABLED else win_scan_numpy
 def _sgd_epoch_py(indptr, indices, labels, v, order, w0, s, t0, lr0, lam):
     # Weights are kept in scaled form w[1:] = s * v so the L2 shrink
     # (a proximal step, w /= 1 + lr*lam) costs O(1) per example.  Feature
-    # index 0 is the unregularized bias, stored separately in w0.
+    # index 0 is the unregularized bias, stored separately in w0.  The
+    # operands are read only by len, iteration, slices and indexing, so the
+    # body runs over arrays (compiled) and over lists (plain Python) alike.
     t = t0
-    for k in range(order.shape[0]):
-        i = order[k]
+    for i in order:
         t += 1
         lr = lr0 / math.sqrt(t)
         m = w0
-        for j in range(indptr[i], indptr[i + 1]):
-            m += s * v[indices[j] - 1]
+        row = indices[indptr[i]:indptr[i + 1]]
+        for c in row:
+            m += s * v[c - 1]
         if m >= 0.0:
             p = 1.0 / (1.0 + math.exp(-m))
         else:
@@ -143,18 +155,29 @@ def _sgd_epoch_py(indptr, indices, labels, v, order, w0, s, t0, lr0, lam):
         g = p - labels[i]
         w0 -= lr * g
         gu = lr * g / s
-        for j in range(indptr[i], indptr[i + 1]):
-            v[indices[j] - 1] -= gu
+        for c in row:
+            v[c - 1] -= gu
         s /= 1.0 + lr * lam
         if s < 1e-130:
-            for q in range(v.shape[0]):
+            for q in range(len(v)):
                 v[q] *= s
             s = 1.0
     return w0, s, t
 
 
 sgd_epoch_loop = _njit(_sgd_epoch_py)
-sgd_epoch_python = _sgd_epoch_py
+
+
+def sgd_epoch_python(indptr, indices, labels, v, order, w0, s, t0, lr0, lam):
+    """The loop body as plain Python over list copies of the operands; ``v``
+    is updated in place, and the result is the compiled form's bit for bit."""
+    vl = v.tolist()
+    out = _sgd_epoch_py(indptr.tolist(), indices.tolist(), labels.tolist(), vl,
+                        order.tolist(), w0, s, t0, lr0, lam)
+    v[:] = vl
+    return out
+
+
 sgd_epoch = sgd_epoch_loop if NUMBA_ENABLED else sgd_epoch_python
 
 
@@ -162,10 +185,11 @@ sgd_epoch = sgd_epoch_loop if NUMBA_ENABLED else sgd_epoch_python
 # Regression tree growth: exact greedy splits on presorted columns.
 # ---------------------------------------------------------------------------
 
-def _grow_tree_py(x, sorted_ids, resid, min_leaf, max_depth):
+def _grow_tree_py(x, sorted_ids, sorted_vals, resid, min_leaf, max_depth):
     # Level-wise growth.  One pass over each presorted column per level
     # evaluates every candidate split of every frontier node; candidate
     # thresholds are midpoints between consecutive distinct values.
+    # sorted_vals[f, k] is x[sorted_ids[f, k], f], gathered once per model.
     n, nfeat = x.shape
     max_nodes = 2 ** (max_depth + 1) - 1
     feat = np.full(max_nodes, -1, dtype=np.int64)
@@ -213,7 +237,7 @@ def _grow_tree_py(x, sorted_ids, resid, min_leaf, max_depth):
                         continue
                     if cnt[nd] < 2 * min_leaf:
                         continue
-                    xv = x[i, f]
+                    xv = sorted_vals[f, k]
                     if started[nd] == 1 and xv != prev_val[nd]:
                         nl = run_cnt[nd]
                         nr = cnt[nd] - nl
@@ -283,18 +307,20 @@ def _best_split(ids, vals, resid, total, min_leaf):
     return sc[j], f, 0.5 * (vals[f, k] + vals[f, k + 1])
 
 
-def grow_tree_numpy(x, sorted_ids, resid, min_leaf, max_depth):
+def grow_tree_numpy(x, sorted_ids, sorted_vals, resid, min_leaf, max_depth):
     """Vectorized twin of the loop kernel (same splits, bit for bit).
 
     Each frontier node keeps its rows as an ``(nfeat, n_node)`` block of row
     ids in every feature's presorted order, with the matching values; the
-    root block is ``sorted_ids``.  One split search scores every feature of
-    the node at once: one gather of the residuals, one ``cumsum`` along the
-    rows, and scores only at the positions where a feature's value changes
-    with ``min_leaf`` rows on each side.  ``np.cumsum`` adds each row in
-    sequence, as the loop's running sum does, so the candidate scores are
-    the same floats, and the first maximum in (feature, position) order is
-    the loop's tie-break: lowest feature, then lowest threshold.  A split
+    root block is ``sorted_ids`` and ``sorted_vals``, which the caller
+    gathers once for all the trees it grows on ``x``.  One split search
+    scores every feature of the node at once: one gather of the residuals,
+    one ``cumsum`` along the rows, and scores only at the positions where a
+    feature's value changes with ``min_leaf`` rows on each side.
+    ``np.cumsum`` adds each row in sequence, as the loop's running sum does,
+    so the candidate scores are the same floats, and the first maximum in
+    (feature, position) order is the loop's tie-break: lowest feature, then
+    lowest threshold.  A split
     partitions the parent's blocks stably by the rows' go-left mask (every
     feature's row holds the same row ids, so each keeps the same count), and
     the children's rows stay presorted.  Node counts and sums come from
@@ -310,7 +336,7 @@ def grow_tree_numpy(x, sorted_ids, resid, min_leaf, max_depth):
 
     node_of = np.zeros(n, dtype=np.int64)
     go_left = np.zeros(n, dtype=bool)
-    blocks = {0: (sorted_ids, np.take_along_axis(x.T, sorted_ids, axis=1))}
+    blocks = {0: (sorted_ids, sorted_vals)}
     n_nodes = 1
     level_lo = 0
     level_hi = 1
@@ -491,7 +517,7 @@ def warmup() -> None:
     x = np.array([[0.0], [1.0], [2.0], [3.0]])
     sids = np.argsort(x, axis=0, kind="stable").T.copy()
     r = np.array([0.0, 0.0, 1.0, 1.0])
-    tree = grow_tree(x, sids, r, 1, 2)
+    tree = grow_tree(x, sids, np.take_along_axis(x.T, sids, axis=1), r, 1, 2)
     apply_tree(x, *tree)
     roots = np.zeros(1, dtype=np.int64)
     apply_forest(x, *tree, roots, 0.0, 1.0)

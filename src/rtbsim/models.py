@@ -106,6 +106,19 @@ class LrModel:
         return len(self.weights)
 
 
+def _check_indices(batch: SparseBatch) -> None:
+    """Every feature index of a batch lies in [1, dimension): index 0 is the
+    bias, which no row lists, and numpy would read a negative index, or the
+    SGD kernel update one, from the end of the weights."""
+    idx = batch.indices
+    if idx.size and (idx.min() < 1 or idx.max() >= batch.dimension):
+        at = int(np.flatnonzero((idx < 1) | (idx >= batch.dimension))[0])
+        row = int(np.searchsorted(batch.indptr, at, side="right")) - 1
+        raise DimensionMismatch(
+            f"row {row}: feature index {int(idx[at])} outside [1, {batch.dimension})"
+        )
+
+
 def train_lr(batch: SparseBatch, hyper: LrHyper | None = None) -> LrModel:
     """SGD over cross-entropy with an L2 penalty on the non-bias weights.
 
@@ -116,6 +129,7 @@ def train_lr(batch: SparseBatch, hyper: LrHyper | None = None) -> LrModel:
     """
     hyper = hyper or LrHyper()
     _check_labels(batch.labels)
+    _check_indices(batch)
     rng = np.random.Generator(np.random.PCG64(hyper.seed))
     n = len(batch)
     v = np.zeros(batch.dimension - 1, dtype=np.float64)
@@ -141,6 +155,7 @@ def _margins(model: LrModel, batch: SparseBatch) -> np.ndarray:
         raise DimensionMismatch(
             f"batch dimension {batch.dimension} != model dimension {model.dimension}"
         )
+    _check_indices(batch)
     n = len(batch)
     row_ids = np.repeat(np.arange(n), np.diff(batch.indptr))
     m = np.bincount(row_ids, weights=model.weights[batch.indices], minlength=n)
@@ -286,13 +301,15 @@ def train_gbrt(x: np.ndarray, y: np.ndarray, hyper: GbrtHyper | None = None) -> 
     if len(y) < hyper.min_leaf:
         raise InsufficientData(f"need at least min_leaf={hyper.min_leaf} examples, got {len(y)}")
     sorted_ids = np.argsort(x, axis=0, kind="stable").T.copy()
+    sorted_vals = np.take_along_axis(x.T, sorted_ids, axis=1)  # the same for every round
     base = float(np.mean(y))
     pred = np.full(len(y), base)
     trees: list[Tree] = []
     mse: list[float] = []
     for _ in range(hyper.rounds):
         resid = y - pred
-        tree = kernels.grow_tree(x, sorted_ids, resid, hyper.min_leaf, hyper.max_depth)
+        tree = kernels.grow_tree(x, sorted_ids, sorted_vals, resid, hyper.min_leaf,
+                                 hyper.max_depth)
         trees.append(Tree(*tree))
         pred = pred + hyper.shrinkage * kernels.apply_tree(x, *tree)
         mse.append(float(np.mean((y - pred) ** 2)))

@@ -119,6 +119,31 @@ class TestStats:
         assert main(["stats", "--input", str(src), "--out", str(out_b)]) == 0
         assert (out_a / "summary.csv").read_bytes() == (out_b / "summary.csv").read_bytes()
 
+    def test_join_issues_and_bad_lines_warned_once(self, dataset, tmp_path, capsys):
+        # A duplicated impression, a click on an unknown bid_id and a line
+        # with too few columns: each is dropped, so every output file equals
+        # the clean split's, and one stderr line counts them by kind.
+        src = dataset / "train"
+        noisy = tmp_path / "noisy"
+        noisy.mkdir()
+        imps = (src / "imp.txt").read_text().splitlines(keepends=True)
+        clks = (src / "clk.txt").read_text().splitlines(keepends=True)
+        orphan = "orphan0000000001" + clks[0][clks[0].index("\t"):]
+        (noisy / "imp.txt").write_text("".join(imps + [imps[0], "not\ta\tlog\tline\n"]))
+        (noisy / "clk.txt").write_text("".join(clks + [orphan]))
+        (noisy / "cnv.txt").write_bytes((src / "cnv.txt").read_bytes())
+        assert main(["stats", "--input", str(src), "--out", str(tmp_path / "clean")]) == 0
+        assert capsys.readouterr().err == ""
+        assert main(["stats", "--input", str(noisy), "--out", str(tmp_path / "noisy_out")]) == 0
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"warning: {noisy}: skipped 1 unparseable lines (ColumnCountMismatch 1); "
+                       "2 join issues (duplicate_impression 1, orphan_click 1)"]
+        clean = sorted(p.name for p in (tmp_path / "clean").iterdir())
+        assert clean == sorted(p.name for p in (tmp_path / "noisy_out").iterdir())
+        for name in clean:
+            assert (tmp_path / "noisy_out" / name).read_bytes() == \
+                (tmp_path / "clean" / name).read_bytes(), name
+
 
 @pytest.fixture(scope="module")
 def models_dir(dataset, tmp_path_factory):

@@ -4,6 +4,7 @@ must never change experiment outputs."""
 
 from __future__ import annotations
 
+import math
 import os
 import subprocess
 import sys
@@ -12,6 +13,16 @@ import numpy as np
 import pytest
 
 from rtbsim import kernels, models
+from rtbsim.bidding import RandBid, compute_bid
+
+from conftest import make_case
+from oracles import reference_simulate
+
+
+def presort(x):
+    """The row ids of each column in ascending order, and their values."""
+    sorted_ids = np.argsort(x, axis=0, kind="stable").T.copy()
+    return sorted_ids, np.take_along_axis(x.T, sorted_ids, axis=1)
 
 
 def random_auction_arrays(rng, n):
@@ -31,6 +42,30 @@ class TestWinScan:
             w2, s2, e2 = kernels.win_scan_numpy(bids, paying, floor, np.int64(budget))
             assert np.array_equal(w1, w2)
             assert s1 == s2 and e1 == e2
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_forms_match_reference_simulate(self, seed):
+        # Random cases replayed by the straight-line oracle: both forms win
+        # the same cases (wins and clicks) and spend the same, from a zero
+        # budget to one above the total paying price.
+        rng = np.random.default_rng(200 + seed)
+        n = int(rng.integers(1, 150))
+        paying = rng.integers(0, 150, size=n).astype(np.int64)
+        floor = rng.integers(0, 60, size=n).astype(np.int64)
+        clicked = rng.random(n) < 0.3
+        cases = [make_case(paying=int(p), floor=int(f), clicked=bool(c))
+                 for p, f, c in zip(paying, floor, clicked)]
+        strategy = RandBid(upper=200, seed=seed)
+        stream = strategy.stream()
+        bids = np.array([compute_bid(strategy, rng=stream) for _ in cases], dtype=np.int64)
+        total = int(paying.sum())
+        for budget in (0, 1, int(rng.integers(0, total + 1)), total, total + 1, 10 * total + 7):
+            wins, clicks, _, spent = reference_simulate(cases, strategy, budget)
+            for scan in (kernels.win_scan_loop, kernels.win_scan_numpy):
+                win, got_spent, _ = scan(bids, paying, floor, np.int64(budget))
+                won = win.astype(bool)
+                assert (int(won.sum()), int((won & clicked).sum()), int(got_spent)) == \
+                    (wins, clicks, spent), (scan.__name__, budget)
 
     def test_many_seeds(self):
         rng = np.random.default_rng(0)
@@ -62,6 +97,40 @@ class TestSgdEpoch:
             assert out1 == out2
             assert np.array_equal(v1, v2)
 
+    @pytest.mark.parametrize("lam", [0.0, 1e-6, 1e-2, 1e6])
+    def test_list_form_matches_array_body_over_epochs(self, lam):
+        # The list form against the one loop body run over the arrays, with
+        # (w0, s, t) carried from each epoch into the next, as train_lr does.
+        rng = np.random.default_rng(6)
+        n, dim, lr0 = 300, 20, 0.1
+        rows = [np.sort(rng.choice(np.arange(1, dim), size=int(rng.integers(0, 7)), replace=False))
+                for _ in range(n)]
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        indptr[1:] = np.cumsum([len(r) for r in rows])
+        indices = np.concatenate(rows).astype(np.int32)
+        labels = rng.integers(0, 2, size=n).astype(np.float64)
+        assert (np.diff(indptr) == 0).any()  # empty rows touch only the bias
+        forms = {"array": kernels._sgd_epoch_py, "list": kernels.sgd_epoch_python}
+        if kernels.HAVE_NUMBA:
+            forms["compiled"] = kernels.sgd_epoch_loop
+        v = {name: np.zeros(dim - 1) for name in forms}
+        state = {name: (0.0, 1.0, 0) for name in forms}
+        for _ in range(4):
+            order = rng.permutation(n).astype(np.int64)
+            for name, epoch in forms.items():
+                state[name] = epoch(indptr, indices, labels, v[name], order, *state[name],
+                                    lr0, lam)
+            for name in forms:
+                assert state[name] == state["array"] and np.array_equal(v[name], v["array"])
+        assert state["array"][2] == 4 * n and np.isfinite(v["list"]).all()
+        if lam == 1e6:
+            # The same shrinks without the rescale branch fall below 1e-130
+            # (to 0.0), so a scale still at or above it was reset on the way.
+            plain = 1.0
+            for t in range(1, 4 * n + 1):
+                plain /= 1.0 + lr0 / math.sqrt(t) * lam
+            assert plain < 1e-130 <= state["list"][1]
+
 
 class TestGrowTree:
     def _random_problem(self, rng, n, nfeat, discrete=False):
@@ -70,8 +139,7 @@ class TestGrowTree:
         else:
             x = rng.normal(size=(n, nfeat))
         resid = rng.normal(size=n)
-        sorted_ids = np.argsort(x, axis=0, kind="stable").T.copy()
-        return x, sorted_ids, resid
+        return x, presort(x), resid
 
     @pytest.mark.parametrize("discrete", [False, True])
     def test_backends_agree(self, discrete):
@@ -79,11 +147,11 @@ class TestGrowTree:
         for _ in range(20):
             n = int(rng.integers(10, 400))
             nfeat = int(rng.integers(1, 6))
-            x, sorted_ids, resid = self._random_problem(rng, n, nfeat, discrete)
+            x, presorted, resid = self._random_problem(rng, n, nfeat, discrete)
             min_leaf = int(rng.integers(1, 5))
             depth = int(rng.integers(1, 5))
-            t1 = kernels.grow_tree_loop(x, sorted_ids, resid, min_leaf, depth)
-            t2 = kernels.grow_tree_numpy(x, sorted_ids, resid, min_leaf, depth)
+            t1 = kernels.grow_tree_loop(x, *presorted, resid, min_leaf, depth)
+            t2 = kernels.grow_tree_numpy(x, *presorted, resid, min_leaf, depth)
             for a, b in zip(t1, t2):
                 assert np.array_equal(a, b)
 
@@ -92,9 +160,9 @@ class TestGrowTree:
         """Both forms grow the same tree bit for bit; returns it."""
         x = np.asarray(x, dtype=np.float64).reshape(len(resid), -1)
         resid = np.asarray(resid, dtype=np.float64)
-        sorted_ids = np.argsort(x, axis=0, kind="stable").T.copy()
-        t1 = kernels.grow_tree_loop(x, sorted_ids, resid, min_leaf, max_depth)
-        t2 = kernels.grow_tree_numpy(x, sorted_ids, resid, min_leaf, max_depth)
+        presorted = presort(x)
+        t1 = kernels.grow_tree_loop(x, *presorted, resid, min_leaf, max_depth)
+        t2 = kernels.grow_tree_numpy(x, *presorted, resid, min_leaf, max_depth)
         for a, b in zip(t1, t2):
             assert a.dtype == b.dtype and np.array_equal(a, b)
         return t2
@@ -149,17 +217,17 @@ class TestGrowTree:
 
     def test_apply_backends_agree(self):
         rng = np.random.default_rng(6)
-        x, sorted_ids, resid = self._random_problem(rng, 300, 4)
-        tree = kernels.grow_tree_loop(x, sorted_ids, resid, 2, 4)
+        x, presorted, resid = self._random_problem(rng, 300, 4)
+        tree = kernels.grow_tree_loop(x, *presorted, resid, 2, 4)
         out1 = kernels.apply_tree_loop(x, *tree)
         out2 = kernels.apply_tree_numpy(x, *tree)
         assert np.array_equal(out1, out2)
 
     def test_min_leaf_respected(self):
         rng = np.random.default_rng(7)
-        x, sorted_ids, resid = self._random_problem(rng, 100, 3)
+        x, presorted, resid = self._random_problem(rng, 100, 3)
         for min_leaf in (1, 10, 30):
-            feat, thr, left, right, value = kernels.grow_tree(x, sorted_ids, resid, min_leaf, 5)
+            feat, thr, left, right, value = kernels.grow_tree(x, *presorted, resid, min_leaf, 5)
             counts = np.zeros(len(feat), dtype=int)
             node = np.zeros(100, dtype=int)
             for i in range(100):
@@ -181,14 +249,14 @@ class TestApplyForest:
 
     def _random_forest(self, rng, x, n_trees):
         trees = []
-        sorted_ids = np.argsort(x, axis=0, kind="stable").T.copy()
+        presorted = presort(x)
         for _ in range(n_trees):
             if rng.random() < 0.25:
                 trees.append(self._leaf(float(rng.normal())))
                 continue
             resid = rng.normal(size=x.shape[0])
             depth = int(rng.integers(1, 6))
-            trees.append(models.Tree(*kernels.grow_tree_numpy(x, sorted_ids, resid, 2, depth)))
+            trees.append(models.Tree(*kernels.grow_tree_numpy(x, *presorted, resid, 2, depth)))
         return trees
 
     @staticmethod
@@ -284,6 +352,7 @@ def test_env_flag_selects_numpy_backend():
         "from rtbsim import kernels\n"
         "assert kernels.NUMBA_ENABLED is False\n"
         "assert kernels.win_scan is kernels.win_scan_numpy\n"
+        "assert kernels.sgd_epoch is kernels.sgd_epoch_python\n"
         "assert kernels.grow_tree is kernels.grow_tree_numpy\n"
         "assert kernels.apply_forest is kernels.apply_forest_numpy\n"
         "assert kernels.apply_forest_row is kernels.apply_forest_row_python\n"

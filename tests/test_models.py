@@ -232,6 +232,35 @@ class TestPredict:
             predict(model, np.array([7]))
 
 
+class TestLrIndexRule:
+    """A batch's feature indices lie in [1, dimension): 0 is the bias and a
+    negative index would count from the end of the weights."""
+
+    @pytest.mark.parametrize("bad", [0, -1, 3, 50])
+    def test_train_lr_names_the_index(self, bad):
+        batch = batch_of([[1], [1, bad], [2]], [0.0, 1.0, 1.0], dim=3)
+        with pytest.raises(DimensionMismatch, match=rf"row 1: feature index {bad} outside \[1, 3\)"):
+            train_lr(batch, LrHyper(epochs=2))
+
+    def test_first_bad_index_is_named(self):
+        batch = batch_of([[1], [2, -1], [0]], [0.0, 1.0, 1.0], dim=3)
+        with pytest.raises(DimensionMismatch, match="row 1: feature index -1"):
+            train_lr(batch)
+
+    @pytest.mark.parametrize("bad", [0, -1, 3])
+    def test_batch_scoring_paths_reject(self, bad):
+        model = LrModel(np.array([0.0, 0.0, 3.0]), LrHyper())
+        batch = batch_of([[1, 2], [bad]], [0.0, 1.0], dim=3)
+        for score in (predict, lr_loss, lr_gradient):
+            with pytest.raises(DimensionMismatch, match=f"row 1: feature index {bad}"):
+                score(model, batch)
+
+    def test_valid_edges_and_empty_rows_pass(self):
+        batch = batch_of([[], [1, 2], [2], []], [0.0, 1.0, 1.0, 0.0], dim=3)
+        model = train_lr(batch, LrHyper(epochs=3))
+        assert predict(model, batch).shape == (4,)
+
+
 class TestPredictLr:
     def test_vector_equals_batch_row(self, small_synth):
         train, test, _ = small_synth
@@ -326,6 +355,21 @@ class TestMetrics:
             n_pos = int(labels.sum())
             expect = (ranks[labels[order] == 1].sum() - n_pos * (n_pos + 1) / 2.0) / (n_pos * (n - n_pos))
             assert got == expect
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_auc_matches_pairwise_on_tied_and_unbalanced_scores(self, seed):
+        # Few distinct scores, some one ULP apart (distinct, not tied), in
+        # random order, from balanced down to a single positive or negative.
+        rng = np.random.default_rng(300 + seed)
+        levels = np.array([0.0, 0.1, np.nextafter(0.1, 1.0), 0.5, 1.0])
+        for n_pos in (1, 2, int(rng.integers(3, 100)), 150):
+            n = 151
+            scores = rng.choice(levels[:int(rng.integers(1, 6))], size=n)
+            labels = np.zeros(n, dtype=np.int64)
+            labels[rng.permutation(n)[:n_pos]] = 1
+            expect = pairwise_auc(scores.tolist(), labels.tolist())
+            assert auc(scores, labels) == pytest.approx(expect, abs=1e-12)
+            assert auc(scores.tolist(), labels.astype(bool).tolist()) == auc(scores, labels)
 
     def test_auc_invariant_under_monotone_transform(self):
         rng = np.random.default_rng(13)
