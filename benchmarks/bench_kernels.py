@@ -151,7 +151,7 @@ def bench_apply_forest(rows, vs_per_tree, one_row):
         return total
 
     for label, rows_in, repeats in (("n=1", 1, 200), ("n=1e5", n, 1)):
-        name = f"apply_forest ({len(model.trees)} trees, depth {f.depth}, {label})"
+        name = f"apply_forest ({len(model.trees)} trees, depth {model.hyper.max_depth}, {label})"
         o2 = compare(rows, name, kernels.apply_forest_loop, kernels.apply_forest_numpy,
                      lambda m: (x[:m], *packed), rows_in, np.array_equal, repeats=repeats)
         xs = x[:rows_in]
@@ -167,7 +167,7 @@ def bench_apply_forest(rows, vs_per_tree, one_row):
     assert [walk(row) for row in x[:1000]] == kernels.apply_forest(x[:1000], *packed).tolist()
     t_walk, _ = timeit(walk, x[0], repeats=200)
     t_batch, _ = timeit(kernels.apply_forest, x[:1], *packed, repeats=200)
-    one_row.append((f"{len(model.trees)} trees, depth {f.depth}, one row", t_walk, t_batch))
+    one_row.append((f"{len(model.trees)} trees, depth {model.hyper.max_depth}, one row", t_walk, t_batch))
 
 
 def print_table(title, head, rows):

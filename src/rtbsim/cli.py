@@ -13,14 +13,13 @@ from __future__ import annotations
 import argparse
 import sys
 from collections import Counter
-from dataclasses import astuple, dataclass, replace
 from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 
 from . import bidding, features, kvfile, models, replay, stats, synthgen
-from .logdata import EVENT_LOG, AuctionCase, join_events, load_log, schema_by_name
+from .logdata import EVENT_LOG, AuctionCase, join_events, load_log
 
 __all__ = ["main"]
 
@@ -55,19 +54,15 @@ def _warn_input_issues(directory: Path, skipped: list, issues: list) -> None:
         print(f"warning: {directory}: {'; '.join(parts)}", file=sys.stderr)
 
 
-def load_cases(
-    directory,
-    schema=EVENT_LOG,
-    strict: bool = False,
-    advertiser: int | None = None,
-) -> list[AuctionCase]:
+def load_cases(directory, strict: bool = False, advertiser: int | None = None) -> list[AuctionCase]:
+    """The joined cases of the event logs (imp, clk, cnv) under ``directory``."""
     directory = Path(directory)
     sink: list = []
 
     def read_all(stems: tuple[str, ...]):
         records = []
         for path in _find_logs(directory, stems):
-            records.extend(load_log(path, schema, strict, sink))
+            records.extend(load_log(path, EVENT_LOG, strict, sink))
         return records
 
     imps = read_all(("imp",))
@@ -85,21 +80,10 @@ def load_cases(
 # synth
 # ---------------------------------------------------------------------------
 
-@dataclass
-class MarketPrice:
-    """``SynthConfig.market_price_params`` as two config keys."""
-
-    market_mu: float
-    market_sigma: float
-
-
 def _build_synth_config(args) -> synthgen.SynthConfig:
     text = Path(args.config).read_text(encoding="utf-8") if args.config else ""
     lines = [ln for raw in text.splitlines() if (ln := raw.split("#", 1)[0].strip())]
-    market = [ln for ln in lines if ln.startswith("market_")]
-    params = kvfile.parse(synthgen.SynthConfig, [ln for ln in lines if ln not in market])
-    params["market_price_params"] = astuple(replace(
-        MarketPrice(*synthgen.SynthConfig.market_price_params), **kvfile.parse(MarketPrice, market)))
+    params = kvfile.parse(synthgen.SynthConfig, lines)
     # Flags override the config file.
     flags = {"seed": args.seed, "n_train": args.n_train, "n_test": args.n_test,
              "base_ctr": args.base_ctr, "advertiser_id": args.advertiser}
@@ -122,8 +106,7 @@ def cmd_synth(args) -> int:
     synthgen.write_dataset(test, out / "test")
     _write_truth(train, truth.train_p, out / "truth_train.csv")
     _write_truth(test, truth.test_p, out / "truth_test.csv")
-    echo = kvfile.dump(config) + kvfile.dump(MarketPrice(*config.market_price_params))
-    (out / "synth_config.txt").write_text("\n".join(echo) + "\n", encoding="utf-8")
+    (out / "synth_config.txt").write_text("\n".join(kvfile.dump(config)) + "\n", encoding="utf-8")
     print(f"synth: wrote {len(train)} train / {len(test)} test cases to {out} "
           f"(realized train CTR {truth.realized_base_ctr:.5f})")
     return 0
@@ -134,8 +117,7 @@ def cmd_synth(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_stats(args) -> int:
-    schema = schema_by_name(args.schema)
-    cases = load_cases(args.input, schema, args.strict, args.advertiser)
+    cases = load_cases(args.input, args.strict, args.advertiser)
     if not cases:
         raise ValueError("no cases after loading/filtering")
     out = Path(args.out)
@@ -156,9 +138,8 @@ def cmd_stats(args) -> int:
 
 def _load_split(args) -> tuple[list[AuctionCase], list[AuctionCase]]:
     root = Path(args.input)
-    schema = schema_by_name(args.schema)
-    train = load_cases(root / "train", schema, args.strict, args.advertiser)
-    test = load_cases(root / "test", schema, args.strict, args.advertiser)
+    train = load_cases(root / "train", args.strict, args.advertiser)
+    test = load_cases(root / "test", args.strict, args.advertiser)
     if not train or not test:
         raise ValueError("train and test splits must both be nonempty")
     return train, test
@@ -309,7 +290,6 @@ def cmd_replay(args) -> int:
 
 def _add_common_io(p: argparse.ArgumentParser) -> None:
     p.add_argument("--input", required=True, help="dataset directory")
-    p.add_argument("--schema", choices=("event", "bid"), default="event")
     p.add_argument("--advertiser", type=int, default=None, help="filter to one advertiser id")
     p.add_argument("--strict", action="store_true", help="fail on the first unparseable line")
     p.add_argument("--out", required=True, help="output directory")

@@ -140,7 +140,8 @@ def derive_fields(record: LogRecord) -> DerivedFields:
 
 
 def field_values(record: LogRecord) -> list[tuple[str, str]]:
-    """A record's (field, value) pairs in canonical order, one per tag.
+    """A record's (field, value) pairs in canonical order, then one per
+    distinct tag, in the order the record first lists it.
 
     Identifier-like and price/label columns are deliberately absent.
     """
@@ -162,7 +163,7 @@ def field_values(record: LogRecord) -> list[tuple[str, str]]:
         ("floor_bucket", d.floor_bucket),
         ("creative_id", record.creative_id),
     ]
-    for tag in record.user_tags:
+    for tag in dict.fromkeys(record.user_tags):
         pairs.append(("tag", str(tag)))
     return pairs
 

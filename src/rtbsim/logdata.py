@@ -1,9 +1,15 @@
 """Bid/impression/click/conversion log schema, parsing, and event joining.
 
 The on-disk format is tab-separated text, one record per line, UTF-8,
-optionally gzipped.  Event logs (impressions, clicks, conversions) carry 24
-columns; bid logs omit the three event-only columns (log type, paying
-price, key page URL) and keep the relative order of the rest, giving 21.
+optionally gzipped or bzip2ed.  Event logs (impressions, clicks,
+conversions) carry 24 columns; bid logs omit the three event-only columns
+(log type, paying price, key page URL) and keep the relative order of the
+rest, giving 21.
+
+:data:`COLUMN_KINDS` (each column, in line order, with its kind) and
+:data:`TEXT_FORMS` (each kind's parse and write functions) are the one
+definition of the line: :func:`parse_record` and :func:`serialize_record`
+are loops over them.
 
 All price columns are integers under the CPM convention: the logged value
 is the price of one thousand impressions expressed in Chinese fen, so the
@@ -18,6 +24,7 @@ import gzip
 import io
 from dataclasses import dataclass, replace
 from datetime import datetime
+from operator import attrgetter
 from typing import Iterable, Iterator
 
 __all__ = [
@@ -26,6 +33,8 @@ __all__ = [
     "LogRecord",
     "AuctionCase",
     "LogSchema",
+    "COLUMN_KINDS",
+    "TEXT_FORMS",
     "EVENT_LOG",
     "BID_LOG",
     "LogParseError",
@@ -38,7 +47,6 @@ __all__ = [
     "serialize_record",
     "load_log",
     "join_events",
-    "schema_by_name",
 ]
 
 NULL_SENTINELS = {"", "null"}
@@ -50,27 +58,14 @@ MoneyMilli = int
 
 
 class LogType(enum.Enum):
-    """Row type of an event log.  Bid rows carry no type code."""
+    """Row type of an event log; the value is its code in the log."""
 
-    BID = "bid"
-    IMPRESSION = "impression"
-    CLICK = "click"
-    CONVERSION = "conversion"
-
-    @property
-    def code(self) -> int | None:
-        return _TYPE_TO_CODE.get(self)
-
-    @classmethod
-    def from_code(cls, code: int) -> "LogType":
-        try:
-            return _CODE_TO_TYPE[code]
-        except KeyError:
-            raise ValueError(f"unknown log type code {code!r}") from None
+    IMPRESSION = 1
+    CLICK = 2
+    CONVERSION = 3
 
 
-_TYPE_TO_CODE = {LogType.IMPRESSION: 1, LogType.CLICK: 2, LogType.CONVERSION: 3}
-_CODE_TO_TYPE = {v: k for k, v in _TYPE_TO_CODE.items()}
+_LOG_TYPES = {t.value: t for t in LogType}
 
 
 class LogParseError(ValueError):
@@ -102,51 +97,90 @@ class TimestampFormatError(FieldParseError):
 
 
 class SchemaMismatch(ValueError):
-    """Record carries event-only fields a bid-log schema must drop."""
+    """Record sets an event-only field that a bid-log line has no column for."""
 
 
-# Column order of the full event-log line.  Bid logs drop the entries
-# marked event-only below.
-EVENT_COLUMNS = (
-    "bid_id",
-    "timestamp",
-    "log_type",
-    "ipinyou_id",
-    "user_agent",
-    "ip",
-    "region",
-    "city",
-    "ad_exchange",
-    "domain",
-    "url",
-    "anonymous_url_id",
-    "slot_id",
-    "slot_width",
-    "slot_height",
-    "slot_visibility",
-    "slot_format",
-    "slot_floor_price",
-    "creative_id",
-    "bid_price",
-    "paying_price",
-    "key_page_url",
-    "advertiser_id",
-    "user_tags",
-)
+def _parse_timestamp(raw: str) -> datetime:
+    if len(raw) != TIMESTAMP_DIGITS or not raw.isdigit():
+        raise TimestampFormatError(raw)
+    try:
+        return datetime(
+            int(raw[0:4]), int(raw[4:6]), int(raw[6:8]),
+            int(raw[8:10]), int(raw[10:12]), int(raw[12:14]),
+            int(raw[14:17]) * 1000,
+        )
+    except ValueError:
+        raise TimestampFormatError(raw) from None
+
+
+def format_timestamp(ts: datetime) -> str:
+    return (
+        f"{ts.year:04d}{ts.month:02d}{ts.day:02d}"
+        f"{ts.hour:02d}{ts.minute:02d}{ts.second:02d}"
+        f"{ts.microsecond // 1000:03d}"
+    )
+
+
+def _parse_price(raw: str) -> MoneyMilli:
+    price = int(raw)
+    if price < 0:
+        raise ValueError(f"negative price {price}")
+    return price
+
+
+# Column kind -> (parse, write).  A parse raises ValueError or KeyError on
+# text that is not of its kind.  "Null" (any case) and the empty string
+# are an absent optional text and an empty tag list.  serialize_record
+# writes an absent value (None) as "Null" without calling a write.  Text
+# is kept as written: str.__str__ returns its argument, and is a cheaper
+# call than str.
+TEXT_FORMS = {
+    "text": (str.__str__, str),
+    "timestamp": (_parse_timestamp, format_timestamp),
+    "log type": (lambda raw: _LOG_TYPES[int(raw)], lambda t: str(t.value)),
+    "integer": (int, str),
+    "price": (_parse_price, str),
+    "optional text": (lambda raw: None if raw.lower() in NULL_SENTINELS else raw, str),
+    "tag list": (
+        lambda raw: () if raw.lower() in NULL_SENTINELS else tuple(map(int, raw.split(","))),
+        lambda tags: ",".join(map(str, tags)) if tags else "null",
+    ),
+}
+
+# Every column of the event-log line, in line order (also LogRecord's field
+# order), with its kind in TEXT_FORMS.
+COLUMN_KINDS = {
+    "bid_id": "text",
+    "timestamp": "timestamp",
+    "log_type": "log type",
+    "ipinyou_id": "text",
+    "user_agent": "text",
+    "ip": "text",
+    "region": "integer",
+    "city": "integer",
+    "ad_exchange": "integer",
+    "domain": "text",
+    "url": "text",
+    "anonymous_url_id": "optional text",
+    "slot_id": "text",
+    "slot_width": "integer",
+    "slot_height": "integer",
+    "slot_visibility": "text",
+    "slot_format": "text",
+    "slot_floor_price": "price",
+    "creative_id": "text",
+    "bid_price": "price",
+    "paying_price": "price",
+    "key_page_url": "optional text",
+    "advertiser_id": "integer",
+    "user_tags": "tag list",
+}
+
+EVENT_COLUMNS = tuple(COLUMN_KINDS)
 
 EVENT_ONLY_COLUMNS = ("log_type", "paying_price", "key_page_url")
 
 BID_COLUMNS = tuple(c for c in EVENT_COLUMNS if c not in EVENT_ONLY_COLUMNS)
-
-_INT_COLUMNS = {
-    "region",
-    "city",
-    "ad_exchange",
-    "slot_width",
-    "slot_height",
-    "advertiser_id",
-}
-_MONEY_COLUMNS = {"slot_floor_price", "bid_price", "paying_price"}
 
 SLOT_VISIBILITIES = (
     "FirstView", "SecondView", "ThirdView", "FourthView", "FifthView",
@@ -155,28 +189,25 @@ SLOT_VISIBILITIES = (
 SLOT_FORMATS = ("Fixed", "Pop", "Background", "Float", "Na")
 
 
-@dataclass(frozen=True)
 class LogSchema:
-    """A column ordering: ``event`` (24 columns) or ``bid`` (21 columns)."""
+    """A line of some of the event-log columns, in their order: the 24 of
+    :data:`EVENT_LOG` or the 21 of :data:`BID_LOG`.
 
-    variant: str
-    columns: tuple[str, ...]
+    Each column's parse and write functions are looked up once, here;
+    ``absent`` holds the :class:`LogRecord` positions of the columns the
+    line leaves out.
+    """
 
-    @property
-    def column_count(self) -> int:
-        return len(self.columns)
+    def __init__(self, columns: tuple[str, ...]):
+        self.columns = columns
+        self.column_count = len(columns)
+        self.parsers, self.writers = zip(*(TEXT_FORMS[COLUMN_KINDS[c]] for c in columns))
+        self.values = attrgetter(*columns)
+        self.absent = tuple(i for i, c in enumerate(EVENT_COLUMNS) if c not in columns)
 
 
-EVENT_LOG = LogSchema("event", EVENT_COLUMNS)
-BID_LOG = LogSchema("bid", BID_COLUMNS)
-
-
-def schema_by_name(name: str) -> LogSchema:
-    if name == "event":
-        return EVENT_LOG
-    if name == "bid":
-        return BID_LOG
-    raise ValueError(f"unknown schema {name!r} (expected 'event' or 'bid')")
+EVENT_LOG = LogSchema(EVENT_COLUMNS)
+BID_LOG = LogSchema(BID_COLUMNS)
 
 
 @dataclass(frozen=True, slots=True)
@@ -235,119 +266,56 @@ class AuctionCase:
         return self.record.slot_floor_price
 
 
-def _is_null(raw: str) -> bool:
-    return raw.lower() in NULL_SENTINELS
-
-
-def _parse_timestamp(raw: str, line_no: int | None) -> datetime:
-    if len(raw) != TIMESTAMP_DIGITS or not raw.isdigit():
-        raise TimestampFormatError(raw, line_no)
-    try:
-        return datetime(
-            int(raw[0:4]), int(raw[4:6]), int(raw[6:8]),
-            int(raw[8:10]), int(raw[10:12]), int(raw[12:14]),
-            int(raw[14:17]) * 1000,
-        )
-    except ValueError:
-        raise TimestampFormatError(raw, line_no) from None
-
-
-def format_timestamp(ts: datetime) -> str:
-    return (
-        f"{ts.year:04d}{ts.month:02d}{ts.day:02d}"
-        f"{ts.hour:02d}{ts.minute:02d}{ts.second:02d}"
-        f"{ts.microsecond // 1000:03d}"
-    )
-
-
-def _parse_tags(raw: str) -> tuple[int, ...]:
-    if _is_null(raw):
-        return ()
-    try:
-        return tuple(int(t) for t in raw.split(","))
-    except ValueError:
-        raise ValueError(f"bad tag list {raw!r}") from None
-
-
 def parse_record(line: str, schema: LogSchema, line_no: int | None = None) -> LogRecord:
     """Parse one tab-separated line into a record.
 
-    ``"Null"`` (any case) and the empty string map to absent optionals.
-    Any malformed numeric field or wrong column count raises instead of
-    producing a partial record.
+    A wrong column count or a column whose text is not of its kind raises
+    instead of producing a partial record.  Columns the schema leaves out
+    are absent (None) in the record.
     """
     parts = line.split("\t")
     if len(parts) != schema.column_count:
         raise ColumnCountMismatch(schema.column_count, len(parts), line_no)
-
-    values: dict[str, object] = {
-        "log_type": None,
-        "paying_price": None,
-        "key_page_url": None,
-    }
-    for col_idx, (name, raw) in enumerate(zip(schema.columns, parts), start=1):
-        if name == "timestamp":
-            values[name] = _parse_timestamp(raw, line_no)
-        elif name == "log_type":
-            try:
-                values[name] = LogType.from_code(int(raw))
-            except ValueError as exc:
-                raise FieldParseError(col_idx, str(exc), line_no) from None
-        elif name in _INT_COLUMNS:
-            try:
-                values[name] = int(raw)
-            except ValueError:
-                raise FieldParseError(col_idx, f"expected integer, got {raw!r}", line_no) from None
-        elif name in _MONEY_COLUMNS:
-            try:
-                price = int(raw)
-            except ValueError:
-                raise FieldParseError(col_idx, f"expected integer price, got {raw!r}", line_no) from None
-            if price < 0:
-                raise FieldParseError(col_idx, f"negative price {price}", line_no)
-            values[name] = price
-        elif name == "user_tags":
-            try:
-                values[name] = _parse_tags(raw)
-            except ValueError as exc:
-                raise FieldParseError(col_idx, str(exc), line_no) from None
-        elif name in ("anonymous_url_id", "key_page_url"):
-            values[name] = None if _is_null(raw) else raw
-        else:
-            values[name] = raw
-    return LogRecord(**values)  # type: ignore[arg-type]
+    try:
+        values = [parse(raw) for parse, raw in zip(schema.parsers, parts)]
+    except (ValueError, KeyError):
+        raise _field_error(schema, parts, line_no) from None
+    for i in schema.absent:
+        values.insert(i, None)
+    return LogRecord(*values)
 
 
-def serialize_record(record: LogRecord, schema: LogSchema, strict: bool = False) -> str:
+def _field_error(schema: LogSchema, parts: list[str], line_no: int | None) -> FieldParseError:
+    """The error of the first column whose text does not parse."""
+    for column, (name, parse, raw) in enumerate(zip(schema.columns, schema.parsers, parts), 1):
+        try:
+            parse(raw)
+        except (ValueError, KeyError):
+            break
+    kind = COLUMN_KINDS[name]
+    if kind == "timestamp":
+        return TimestampFormatError(raw, line_no)
+    return FieldParseError(column, f"bad {kind} {raw!r}", line_no)
+
+
+def serialize_record(record: LogRecord, schema: LogSchema) -> str:
     """Render a record back to its tab-separated line form.
 
     Bit-exact inverse of :func:`parse_record` on canonically-written lines.
-    With a bid schema, event-only fields are dropped; ``strict=True`` turns
-    that drop into a :class:`SchemaMismatch` error.
+    A record that sets a field the schema leaves out raises
+    :class:`SchemaMismatch`.
     """
-    if schema.variant == "bid" and strict:
-        present = [
-            c for c in EVENT_ONLY_COLUMNS
-            if getattr(record, c) is not None
-        ]
-        if present:
-            raise SchemaMismatch(
-                f"bid schema drops event-only fields set on record: {', '.join(present)}"
-            )
-    parts = []
-    for name in schema.columns:
-        value = getattr(record, name)
-        if name == "timestamp":
-            parts.append(format_timestamp(value))
-        elif name == "log_type":
-            parts.append("Null" if value is None else str(value.code))
-        elif name == "user_tags":
-            parts.append(",".join(str(t) for t in value) if value else "null")
-        elif value is None:
-            parts.append("Null")
-        else:
-            parts.append(str(value))
-    return "\t".join(parts)
+    dropped = [EVENT_COLUMNS[i] for i in schema.absent
+               if getattr(record, EVENT_COLUMNS[i]) is not None]
+    if dropped:
+        raise SchemaMismatch(
+            f"a {schema.column_count}-column line has no column for the record's "
+            f"{', '.join(dropped)}"
+        )
+    return "\t".join([
+        "Null" if value is None else write(value)
+        for write, value in zip(schema.writers, schema.values(record))
+    ])
 
 
 def _open_maybe_gzip(path) -> io.TextIOBase:

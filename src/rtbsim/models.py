@@ -228,9 +228,8 @@ class PackedForest:
     """An ensemble's trees in one set of flat node arrays.
 
     Tree t's nodes start at ``roots[t]``, and child indices are global, so
-    :func:`kernels.apply_forest` scores every tree in one call.  ``depth`` is
-    the deepest level of any tree (0 if every tree is a single leaf) and
-    ``max_feature`` the largest feature slot that any split reads (-1 if
+    :func:`kernels.apply_forest` scores every tree in one call.
+    ``max_feature`` is the largest feature slot that any split reads (-1 if
     none).  ``nodes`` holds feature, threshold, left, right, value and roots
     again in the form :func:`kernels.apply_forest_row` walks one row over,
     made once here: plain-list copies without numba, the arrays with it.
@@ -242,7 +241,6 @@ class PackedForest:
     right: np.ndarray
     value: np.ndarray
     roots: np.ndarray
-    depth: int
     max_feature: int
     nodes: tuple = field(repr=False)
 
@@ -257,16 +255,10 @@ class PackedForest:
         feature = cat([t.feature for t in trees], np.int64)
         left = cat([np.where(t.left >= 0, t.left + r, -1) for t, r in zip(trees, roots)], np.int64)
         right = cat([np.where(t.right >= 0, t.right + r, -1) for t, r in zip(trees, roots)], np.int64)
-        depth = 0
-        level = roots[left[roots] >= 0]  # the internal nodes of one level
-        while level.size:
-            depth += 1
-            below = np.concatenate((left[level], right[level]))
-            level = below[left[below] >= 0]
         threshold = cat([t.threshold for t in trees], np.float64)
         value = cat([t.value for t in trees], np.float64)
         nodes = tuple(map(kernels.row_operand, (feature, threshold, left, right, value, roots)))
-        return cls(feature, threshold, left, right, value, roots, depth,
+        return cls(feature, threshold, left, right, value, roots,
                    int(feature.max(initial=-1)), nodes)
 
 

@@ -110,15 +110,16 @@ _KEY_FIELD = {
 def _tally(cases: Sequence[AuctionCase], keys) -> dict[str, dict[str, list]]:
     """key -> label -> [n, clicks, sum_price, sum_price_sq], in one pass.
 
-    A case counts once in each distinct tag group it carries.
+    A case counts once in each tag group it carries: field_values gives
+    each distinct tag once.
     """
     acc: dict[str, dict[str, list]] = {key: {} for key in keys}
     for case in cases:
         fields: dict[str, str] = {}
-        tags: set[str] = set()
+        tags: list[str] = []
         for field, value in field_values(case.record):
             if field == "tag":
-                tags.add(value)
+                tags.append(value)
             else:
                 fields[field] = value
         fields["slot_size"] = f"{fields['slot_width']}×{fields['slot_height']}"
@@ -136,27 +137,22 @@ def _tally(cases: Sequence[AuctionCase], keys) -> dict[str, dict[str, list]]:
     return acc
 
 
+# Breakdown key -> the rank of each label it knows; labels it does not
+# know sort after those, by label.  Tag rows are ranked by _breakdown.
+_LABEL_ORDER = {
+    key: {label: i for i, label in enumerate(labels)}
+    for key, labels in (("weekday", WEEKDAYS), ("os", OS_LABELS), ("browser", BROWSER_LABELS),
+                        ("visibility", SLOT_VISIBILITIES), ("format", SLOT_FORMATS))
+}
+
+
 def _sort_key(key: str):
-    if key in ("hour", "region", "exchange", "user_tag"):
-        return lambda label: int(label)
-    if key == "weekday":
-        order = {w: i for i, w in enumerate(WEEKDAYS)}
-        return lambda label: order.get(label, len(order))
-    if key == "os":
-        order = {w: i for i, w in enumerate(OS_LABELS)}
-        return lambda label: order.get(label, len(order))
-    if key == "browser":
-        order = {w: i for i, w in enumerate(BROWSER_LABELS)}
-        return lambda label: order.get(label, len(order))
-    if key == "visibility":
-        order = {w: i for i, w in enumerate(SLOT_VISIBILITIES)}
-        return lambda label: (order.get(label, len(order)), label)
-    if key == "format":
-        order = {w: i for i, w in enumerate(SLOT_FORMATS)}
-        return lambda label: (order.get(label, len(order)), label)
+    if key in ("hour", "region", "exchange"):
+        return int
     if key == "slot_size":
         return lambda label: tuple(int(p) for p in label.split("×"))
-    return lambda label: label
+    order = _LABEL_ORDER[key]
+    return lambda label: (order.get(label, len(order)), label)
 
 
 def feature_breakdown(cases: Sequence[AuctionCase], key: str, metric: str) -> FeatureBreakdown:

@@ -82,9 +82,6 @@ class SynthConfig:
     base_ctr: float = 0.01
     weight_scale: float = 0.6
 
-    # (location, scale) of the log-normal market price, truncated to
-    # [1, max_price] and rounded to integer milli-fen.
-    market_price_params: tuple[float, float] = (math.log(70.0), 0.4)
     max_price: int = 300
     floor_rate: float = 0.25
     max_floor: int = 40
@@ -95,6 +92,12 @@ class SynthConfig:
 
     advertiser_id: int = 9001
     start_time: str = "20130606000000000"
+
+    # Location and scale of the log-normal market price, truncated to
+    # [1, max_price] and rounded to integer milli-fen.  Declared last, so
+    # synth_config.txt lists them last.
+    market_mu: float = math.log(70.0)
+    market_sigma: float = 0.4
 
     def __post_init__(self):
         if self.n_train < 1 or self.n_test < 1:
@@ -112,8 +115,8 @@ class SynthConfig:
                 raise ValueError(f"{name} must be in [0, 1]")
         if not 0.0 < self.base_ctr < 1.0:
             raise ValueError("base_ctr must be in (0, 1)")
-        if self.market_price_params[1] <= 0:
-            raise ValueError("market price scale must be > 0")
+        if self.market_sigma <= 0:
+            raise ValueError("market_sigma must be > 0")
         if self.max_price < 1:
             raise ValueError("max_price must be >= 1")
         if self.true_weights is not None:
@@ -124,7 +127,7 @@ class SynthConfig:
                     f"(bias + regions + cities + exchanges + slot sizes + tags), got {w.shape}"
                 )
             object.__setattr__(self, "true_weights", w)
-        _parse_timestamp(self.start_time, None)  # validates the format
+        _parse_timestamp(self.start_time)  # validates the format
 
     @property
     def weight_dim(self) -> int:
@@ -223,13 +226,12 @@ def _sample_block(
         z += tag_weights[tag_cols[:, k]]
     p = _stable_sigmoid(z)
 
-    mu, sigma = config.market_price_params
+    loc = config.market_mu
     if config.price_click_correlation != 0.0:
         zs = (z - z.mean()) / max(z.std(), 1e-12)
-        loc = mu + config.price_click_correlation * zs
-    else:
-        loc = mu
-    paying = np.clip(np.rint(rng.lognormal(loc, sigma, size=n)), 1, config.max_price).astype(np.int64)
+        loc = loc + config.price_click_correlation * zs
+    paying = np.clip(np.rint(rng.lognormal(loc, config.market_sigma, size=n)),
+                     1, config.max_price).astype(np.int64)
 
     floor_mask = rng.random(n) < config.floor_rate
     floor_draw = rng.integers(1, config.max_floor + 1, size=n)
@@ -281,7 +283,7 @@ def _sample_block(
 def generate(config: SynthConfig) -> tuple[list[AuctionCase], list[AuctionCase], GroundTruth]:
     """Sample (train, test, ground truth) deterministically from the config."""
     weights = _resolve_weights(config)
-    start = _parse_timestamp(config.start_time, None)
+    start = _parse_timestamp(config.start_time)
     train, train_p, train_end = _sample_block(config, weights, config.n_train, 0, start)
     test, test_p, _ = _sample_block(config, weights, config.n_test, 1, train_end + timedelta(seconds=60))
 

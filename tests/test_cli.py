@@ -1,11 +1,14 @@
 from __future__ import annotations
 
+import re
+import shlex
 import time
+from pathlib import Path
 
 import pytest
 
 from rtbsim import replay
-from rtbsim.cli import main
+from rtbsim.cli import build_parser, main
 
 
 @pytest.fixture(scope="module")
@@ -245,3 +248,23 @@ def test_full_pipeline_completes_quickly(tmp_path):
     elapsed = time.perf_counter() - t0
     assert (tmp_path / "replay" / "table_score_1_2.csv").exists()
     assert elapsed < 120.0, f"pipeline took {elapsed:.1f}s"
+
+
+def test_readme_walkthrough_commands_parse():
+    """Every ``rtbsim ...`` command in README's code blocks parses, so a
+    removed or renamed flag cannot stay in the docs."""
+    text = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    commands = re.findall(r"^rtbsim (.*)$", text.replace("\\\n", " "), flags=re.M)
+    assert len(commands) >= 6
+    parser = build_parser()
+    for command in commands:
+        args = parser.parse_args(shlex.split(command))
+        assert callable(args.func), command
+
+
+def test_schema_flag_is_a_usage_error(capsys):
+    # commands read event logs only; the bid-log schema has no flag
+    with pytest.raises(SystemExit) as exit_:
+        build_parser().parse_args(["stats", "--input", "d", "--out", "o", "--schema", "event"])
+    assert exit_.value.code == 2
+    assert "--schema" in capsys.readouterr().err

@@ -22,6 +22,7 @@ from rtbsim.features import (
     feature_manifest,
     floor_price_bucket,
 )
+from rtbsim.stats import feature_breakdown
 
 from conftest import make_case, make_record
 
@@ -256,3 +257,29 @@ class TestEncodingSplit:
         assert a == b
         assert a != c
         assert len(a) == len(train) // 2
+
+
+def test_repeated_tag_counts_once_in_every_consumer():
+    """A record that lists tag 5 twice reads, in binarize, the breakdowns,
+    the encodings and densify, as one that lists it once."""
+    tags = [(5, 5, 7), (7,), (5, 9, 9, 5), (9,), (5, 7), (5, 5)]
+    clicks = [True, False, True, False, False, True]
+
+    def cases(dedup):
+        return [make_case(bid_id=f"c{i}", clicked=c, paying=10 + i,
+                          user_tags=tuple(dict.fromkeys(t)) if dedup else t)
+                for i, (t, c) in enumerate(zip(tags, clicks))]
+
+    repeated, once = cases(False), cases(True)
+    vocab = build_vocabulary(once)
+    assert build_vocabulary(repeated) == vocab
+    for r, o in zip(repeated, once):
+        assert np.array_equal(binarize(r.record, vocab), binarize(o.record, vocab))
+    for metric in ("ctr", "market_price", "ecpc"):
+        assert (feature_breakdown(repeated, "user_tag", metric).rows
+                == feature_breakdown(once, "user_tag", metric).rows)
+    enc = build_encodings(once)
+    enc_repeated = build_encodings(repeated)
+    assert (enc_repeated.ctr, enc_repeated.freq) == (enc.ctr, enc.freq)
+    for r, o in zip(repeated, once):
+        assert np.array_equal(densify(r.record, enc), densify(o.record, enc))

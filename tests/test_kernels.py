@@ -288,10 +288,10 @@ class TestApplyForest:
                 assert np.array_equal(vec, self._per_tree_sum(rows, trees, base, shrinkage))
 
     def test_root_only_forest_reads_no_column(self):
-        # depth 0: no split reads x, so an input without columns is fine
+        # no split reads x, so an input without columns is fine
         trees = [self._leaf(0.5), self._leaf(-0.25), self._leaf(0.125)]
         forest = models.PackedForest.of(trees)
-        assert forest.depth == 0 and forest.max_feature == -1
+        assert forest.max_feature == -1
         x = np.empty((3, 0))
         loop, vec = self._both(x, forest, 0.1, 0.3)
         assert np.array_equal(loop, vec)
@@ -299,7 +299,7 @@ class TestApplyForest:
 
     def test_no_trees_is_base(self):
         forest = models.PackedForest.of([])
-        assert forest.roots.shape == (0,) and forest.depth == 0
+        assert forest.roots.shape == (0,) and forest.max_feature == -1
         loop, vec = self._both(np.zeros((2, 3)), forest, 0.2, 0.5)
         assert np.array_equal(loop, [0.2, 0.2]) and np.array_equal(vec, [0.2, 0.2])
 
@@ -332,18 +332,11 @@ class TestApplyForest:
         monkeypatch.setattr(kernels, "FOREST_BLOCK", 70)  # 7 rows per block
         assert np.array_equal(self._both(x, forest, 0.3, 0.05)[1], whole)
 
-    def test_depth_is_the_deepest_tree(self):
+    def test_max_feature_is_the_largest_split_slot(self):
         rng = np.random.default_rng(10)
         x = rng.normal(size=(200, 3))
         trees = self._random_forest(rng, x, 8)
-
-        def depth(t, nd=0):
-            if t.left[nd] < 0:
-                return 0
-            return 1 + max(depth(t, int(t.left[nd])), depth(t, int(t.right[nd])))
-
         forest = models.PackedForest.of(trees)
-        assert forest.depth == max(depth(t) for t in trees)
         assert forest.max_feature == max(int(t.feature.max()) for t in trees)
 
 

@@ -2,13 +2,16 @@ from __future__ import annotations
 
 import gzip
 import random
+from dataclasses import replace
 from datetime import datetime
+from itertools import product
 
 import pytest
 
 from rtbsim.logdata import (
     BID_LOG,
     EVENT_LOG,
+    EVENT_ONLY_COLUMNS,
     AuctionCase,
     ColumnCountMismatch,
     FieldParseError,
@@ -22,6 +25,20 @@ from rtbsim.logdata import (
 )
 
 from conftest import make_record
+
+# (column, text that is not of its kind, error): one or two per column kind
+MALFORMED = [
+    ("timestamp", "2013021800120363", TimestampFormatError),
+    ("timestamp", "20131318001203638", TimestampFormatError),
+    ("log_type", "9", FieldParseError),
+    ("log_type", "click", FieldParseError),
+    ("region", "fifteen", FieldParseError),
+    ("slot_width", "1.5", FieldParseError),
+    ("bid_price", "-3", FieldParseError),
+    ("paying_price", "12a", FieldParseError),
+    ("user_tags", "1,,2", FieldParseError),
+    ("user_tags", "a", FieldParseError),
+]
 
 # A full event-log line in the documented 24-column order, with the
 # well-known example values (timestamp, region 15, city 16, exchange 2,
@@ -133,36 +150,44 @@ class TestSerializeRecord:
         assert line.split("\t")[23] == "null"
         assert parse_record(line, EVENT_LOG).user_tags == ()
 
-    def test_bid_schema_drops_event_fields(self):
-        rec = make_record()
+    def test_bid_schema_rejects_event_fields(self):
+        for field in EVENT_ONLY_COLUMNS:
+            rec = make_record(**{f: None for f in EVENT_ONLY_COLUMNS if f != field})
+            with pytest.raises(SchemaMismatch, match=field):
+                serialize_record(rec, BID_LOG)
+
+    def test_bid_schema_round_trips_without_event_fields(self):
+        rec = make_record(**dict.fromkeys(EVENT_ONLY_COLUMNS))
         line = serialize_record(rec, BID_LOG)
         assert len(line.split("\t")) == 21
-        with pytest.raises(SchemaMismatch):
-            serialize_record(rec, BID_LOG, strict=True)
-
-    def test_bid_schema_strict_ok_without_event_fields(self):
-        rec = make_record(log_type=None, paying_price=None, key_page_url=None)
-        line = serialize_record(rec, BID_LOG, strict=True)
         assert parse_record(line, BID_LOG) == rec
 
     def test_random_records_round_trip_both_schemas(self):
-        rng = random.Random(9)
-        for _ in range(200):
+        # every log type, with and without each absent optional, empty tags
+        # and zero prices, each with seeded values in the other columns
+        rng = random.Random(17)
+        for i, (log_type, anon, key_page, tagged, zero) in enumerate(product(
+                list(LogType) * 4, (False, True), (False, True), (False, True), (False, True))):
             rec = make_record(
-                region=rng.randrange(100),
-                city=rng.randrange(400),
-                slot_floor_price=rng.randrange(100),
-                bid_price=rng.randrange(1, 1000),
-                paying_price=rng.randrange(500),
-                user_tags=tuple(sorted(rng.sample(range(1, 99), rng.randrange(4)))),
-                anonymous_url_id=None if rng.random() < 0.5 else f"anon{rng.randrange(10)}",
+                bid_id=f"b{i}",
+                timestamp=datetime(2013, rng.randrange(1, 13), rng.randrange(1, 29),
+                                   rng.randrange(24), rng.randrange(60), rng.randrange(60),
+                                   rng.randrange(1000) * 1000),
+                log_type=log_type,
+                region=rng.randrange(400),
+                slot_floor_price=0 if zero else rng.randrange(1, 300),
+                bid_price=0 if zero else rng.randrange(1, 1000),
+                paying_price=0 if zero else rng.randrange(1, 300),
+                anonymous_url_id=f"anon{i}" if anon else None,
+                key_page_url=f"kp{i}" if key_page else None,
+                user_tags=tuple(rng.randrange(1, 20) for _ in range(rng.randrange(1, 4)))
+                if tagged else (),
             )
-            assert parse_record(serialize_record(rec, EVENT_LOG), EVENT_LOG) == rec
-            bid_rec = make_record(
-                log_type=None, paying_price=None, key_page_url=None,
-                slot_floor_price=rec.slot_floor_price, user_tags=rec.user_tags,
-            )
-            assert parse_record(serialize_record(bid_rec, BID_LOG), BID_LOG) == bid_rec
+            bid_rec = replace(rec, **dict.fromkeys(EVENT_ONLY_COLUMNS))
+            for schema, r in ((EVENT_LOG, rec), (BID_LOG, bid_rec)):
+                line = serialize_record(r, schema)
+                assert parse_record(line, schema) == r
+                assert serialize_record(parse_record(line, schema), schema) == line
 
 
 class TestLoadLog:
@@ -197,6 +222,27 @@ class TestLoadLog:
         with pytest.raises(ColumnCountMismatch) as err:
             list(load_log(p, EVENT_LOG))
         assert err.value.line_no == 2
+
+    @pytest.mark.parametrize("schema, column, bad, error", [
+        pytest.param(schema, column, bad, error, id=f"{name}-{column}-{bad}")
+        for name, schema in (("event", EVENT_LOG), ("bid", BID_LOG))
+        for column, bad, error in MALFORMED if column in schema.columns
+    ])
+    def test_malformed_value_named_in_strict_mode(self, tmp_path, schema, column, bad, error):
+        rec = make_record()
+        if schema is BID_LOG:
+            rec = replace(rec, **dict.fromkeys(EVENT_ONLY_COLUMNS))
+        good = serialize_record(rec, schema)
+        parts = good.split("\t")
+        parts[schema.columns.index(column)] = bad
+        p = tmp_path / "imp.txt"
+        self._write(p, [good, good, "\t".join(parts)])
+        with pytest.raises(error) as err:
+            list(load_log(p, schema))
+        assert type(err.value) is error
+        assert err.value.column == schema.columns.index(column) + 1
+        assert err.value.line_no == 3
+        assert repr(bad) in str(err.value)
 
     def test_gzip_detected_by_magic_bytes(self, tmp_path):
         line = serialize_record(make_record(), EVENT_LOG)

@@ -409,8 +409,7 @@ class TestSerialization:
         assert loaded.base == model.base and loaded.hyper == model.hyper
         # preorder listing renumbers nodes; the trees must stay equivalent
         assert [len(t.feature) for t in loaded.trees] == [len(t.feature) for t in model.trees]
-        assert (loaded.forest.depth, loaded.forest.max_feature) == \
-            (model.forest.depth, model.forest.max_feature)
+        assert loaded.forest.max_feature == model.forest.max_feature
         xt, _ = densify_cases(test[:200], enc)
         assert np.array_equal(predict(loaded, xt), predict(model, xt))
         assert [predict(loaded, r) for r in xt[:50]] == [predict(model, r) for r in xt[:50]]

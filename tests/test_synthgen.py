@@ -28,7 +28,7 @@ def test_flat_model_realized_ctr_in_band(flat_big):
 def test_market_price_median_near_target(flat_big):
     config, (train, _, _) = flat_big
     median = float(np.median([c.paying_price for c in train]))
-    target = math.exp(config.market_price_params[0])  # 70
+    target = math.exp(config.market_mu)  # 70
     assert abs(median - target) <= 0.10 * target
 
 
@@ -110,7 +110,7 @@ def test_degenerate_config_rejected():
     dict(n_test=0),
     dict(base_ctr=1.5),
     dict(floor_rate=-0.1),
-    dict(market_price_params=(4.0, 0.0)),
+    dict(market_sigma=0.0),
     dict(tags_per_case=99),
 ])
 def test_invalid_config_fields(kwargs):
