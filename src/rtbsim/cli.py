@@ -152,7 +152,7 @@ def _fit_scorer(kind: str, train, args) -> models.CtrScorer:
         hyper = models.LrHyper(args.learning_rate, args.l2, args.epochs, args.seed)
         model = models.train_lr(batch, hyper)
         return models.CtrScorer("lr", model, vocabulary=vocab)
-    subset = features.encoding_split(train, args.encoding_split, args.seed)
+    subset = features.encoding_split(train)
     enc = features.build_encodings(subset)
     x, y = features.densify_cases(train, enc)
     hyper = models.GbrtHyper(args.rounds, args.shrinkage, args.depth, args.min_leaf)
@@ -221,7 +221,8 @@ def cmd_tune(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_replay(args) -> int:
-    fractions = [replay.budget_fraction(f) for f in (args.budget_fraction or ["1/32", "1/8", "1/2"])]
+    fractions = [replay.budget_fraction(f)
+                 for f in args.budget_fraction or replay.STANDARD_FRACTIONS]
     train, test = _load_split(args)
     train_data = replay.ReplayData.from_cases(train)
     campaign = _campaign_for(test, args.kpi_n)
@@ -326,7 +327,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--depth", type=int, default=5)
     p.add_argument("--shrinkage", type=float, default=0.05)
     p.add_argument("--min-leaf", type=int, default=20)
-    p.add_argument("--encoding-split", choices=("time", "random"), default="time")
     p.set_defaults(func=cmd_train_ctr)
 
     p = sub.add_parser("tune", help="grid-search one bidding strategy on training data")

@@ -398,21 +398,7 @@ def densify_cases(
     return x, y
 
 
-def encoding_split(
-    cases: Sequence[AuctionCase],
-    mode: str = "time",
-    seed: int = 0,
-) -> list[AuctionCase]:
-    """Half of the training cases reserved for fitting encodings.
-
-    ``time`` takes the first half in time order, keeping the encoded period
-    disjoint from the fitted one; ``random`` takes a seeded random half.
-    """
-    half = max(1, len(cases) // 2)
-    if mode == "time":
-        return list(cases[:half])
-    if mode == "random":
-        rng = np.random.Generator(np.random.PCG64(seed))
-        picked = rng.permutation(len(cases))[:half]
-        return [cases[i] for i in sorted(picked)]
-    raise ValueError(f"unknown encoding split mode {mode!r}")
+def encoding_split(cases: Sequence[AuctionCase]) -> list[AuctionCase]:
+    """The first half of the training cases in time order, reserved for
+    fitting encodings, so the encoded period is disjoint from the fitted one."""
+    return list(cases[:max(1, len(cases) // 2)])

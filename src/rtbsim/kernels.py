@@ -12,12 +12,13 @@ asserts this equality, and ``benchmarks/bench_kernels.py`` compares their
 speed.
 
 The kernels: ``win_scan`` (budget-constrained auction replay),
-``sgd_epoch`` (one logistic-regression epoch), ``grow_tree`` and
-``apply_tree`` (one regression tree, used while boosting), ``apply_forest``,
-which scores a whole GBRT ensemble on a batch in one call, and
-``apply_forest_row``, which scores one impression.  Both forest kernels take
-the trees packed once into flat node arrays with global child indices (see
-``models.PackedForest``, built when a ``GbrtModel`` is made).
+``sgd_epoch`` (one logistic-regression epoch), ``grow_tree`` (one
+regression tree), ``apply_forest``, which scores a whole GBRT ensemble on a
+batch in one call, and ``apply_forest_row``, which scores one impression.
+Both forest kernels take the trees packed into flat node arrays with global
+child indices (see ``models.PackedForest``).  ``apply_tree``, which boosting
+calls on each new tree, is no kernel of its own: it is ``apply_forest`` over
+that one tree.
 
 Two kernels have no numpy form: ``sgd_epoch``, whose updates each depend
 on the last, and ``apply_forest_row``, for which numpy's per-call overhead
@@ -376,40 +377,6 @@ def grow_tree_numpy(x, sorted_ids, sorted_vals, resid, min_leaf, max_depth):
 grow_tree = grow_tree_loop if NUMBA_ENABLED else grow_tree_numpy
 
 
-def _apply_tree_py(x, feat, thr, left, right, value):
-    n = x.shape[0]
-    out = np.empty(n, dtype=np.float64)
-    for i in range(n):
-        nd = 0
-        while left[nd] >= 0:
-            if x[i, feat[nd]] <= thr[nd]:
-                nd = left[nd]
-            else:
-                nd = right[nd]
-        out[i] = value[nd]
-    return out
-
-
-apply_tree_loop = _njit(_apply_tree_py)
-
-
-def apply_tree_numpy(x, feat, thr, left, right, value):
-    n = x.shape[0]
-    nd = np.zeros(n, dtype=np.int64)
-    rows = np.arange(n)
-    while True:
-        internal = left[nd] >= 0
-        if not internal.any():
-            break
-        xv = x[rows, feat[nd]]
-        go_left = xv <= thr[nd]
-        nd = np.where(internal & go_left, left[nd], np.where(internal, right[nd], nd))
-    return value[nd]
-
-
-apply_tree = apply_tree_loop if NUMBA_ENABLED else apply_tree_numpy
-
-
 # ---------------------------------------------------------------------------
 # Forest scoring: every tree of a packed ensemble in one call.
 # ---------------------------------------------------------------------------
@@ -473,6 +440,16 @@ def apply_forest_numpy(x, feat, thr, left, right, value, roots, base, shrinkage)
 
 apply_forest = apply_forest_loop if NUMBA_ENABLED else apply_forest_numpy
 
+_ONE_ROOT = np.zeros(1, dtype=np.int64)
+
+
+def apply_tree(x, feat, thr, left, right, value):
+    """Each row's leaf value in one tree, as ``grow_tree`` returns it: the
+    forest walk over that tree alone, with base 0.0 and shrinkage 1.0, whose
+    sum ``0.0 + 1.0 * leaf`` is the leaf itself.  It is a name of its own
+    because perfbench's tracer times boosting's tree walks under it."""
+    return apply_forest(x, feat, thr, left, right, value, _ONE_ROOT, 0.0, 1.0)
+
 
 def _apply_forest_row_py(x, feat, thr, left, right, value, roots, base, shrinkage):
     # One row through every tree, base first and then each leaf times
@@ -519,6 +496,4 @@ def warmup() -> None:
     r = np.array([0.0, 0.0, 1.0, 1.0])
     tree = grow_tree(x, sids, np.take_along_axis(x.T, sids, axis=1), r, 1, 2)
     apply_tree(x, *tree)
-    roots = np.zeros(1, dtype=np.int64)
-    apply_forest(x, *tree, roots, 0.0, 1.0)
-    apply_forest_row(*map(row_operand, (x[0], *tree, roots)), 0.0, 1.0)
+    apply_forest_row(*map(row_operand, (x[0], *tree, _ONE_ROOT)), 0.0, 1.0)

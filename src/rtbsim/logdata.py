@@ -42,6 +42,7 @@ __all__ = [
     "FieldParseError",
     "TimestampFormatError",
     "SchemaMismatch",
+    "MissingValue",
     "JoinIssue",
     "parse_record",
     "serialize_record",
@@ -100,6 +101,10 @@ class SchemaMismatch(ValueError):
     """Record sets an event-only field that a bid-log line has no column for."""
 
 
+class MissingValue(ValueError):
+    """Record leaves a column absent (None) that is not optional text."""
+
+
 def _parse_timestamp(raw: str) -> datetime:
     if len(raw) != TIMESTAMP_DIGITS or not raw.isdigit():
         raise TimestampFormatError(raw)
@@ -130,8 +135,8 @@ def _parse_price(raw: str) -> MoneyMilli:
 
 # Column kind -> (parse, write).  A parse raises ValueError or KeyError on
 # text that is not of its kind.  "Null" (any case) and the empty string
-# are an absent optional text and an empty tag list.  serialize_record
-# writes an absent value (None) as "Null" without calling a write.  Text
+# are an absent optional text and an empty tag list, and an absent
+# optional text (None) is written as "Null"; no other kind may be absent.  Text
 # is kept as written: str.__str__ returns its argument, and is a cheaper
 # call than str.
 TEXT_FORMS = {
@@ -140,7 +145,10 @@ TEXT_FORMS = {
     "log type": (lambda raw: _LOG_TYPES[int(raw)], lambda t: str(t.value)),
     "integer": (int, str),
     "price": (_parse_price, str),
-    "optional text": (lambda raw: None if raw.lower() in NULL_SENTINELS else raw, str),
+    "optional text": (
+        lambda raw: None if raw.lower() in NULL_SENTINELS else raw,
+        lambda text: "Null" if text is None else str(text),
+    ),
     "tag list": (
         lambda raw: () if raw.lower() in NULL_SENTINELS else tuple(map(int, raw.split(","))),
         lambda tags: ",".join(map(str, tags)) if tags else "null",
@@ -195,7 +203,8 @@ class LogSchema:
 
     Each column's parse and write functions are looked up once, here;
     ``absent`` holds the :class:`LogRecord` positions of the columns the
-    line leaves out.
+    line leaves out, and ``required`` reads the values of the line's columns
+    that must not be None.
     """
 
     def __init__(self, columns: tuple[str, ...]):
@@ -204,6 +213,7 @@ class LogSchema:
         self.parsers, self.writers = zip(*(TEXT_FORMS[COLUMN_KINDS[c]] for c in columns))
         self.values = attrgetter(*columns)
         self.absent = tuple(i for i, c in enumerate(EVENT_COLUMNS) if c not in columns)
+        self.required = attrgetter(*(c for c in columns if COLUMN_KINDS[c] != "optional text"))
 
 
 EVENT_LOG = LogSchema(EVENT_COLUMNS)
@@ -303,7 +313,8 @@ def serialize_record(record: LogRecord, schema: LogSchema) -> str:
 
     Bit-exact inverse of :func:`parse_record` on canonically-written lines.
     A record that sets a field the schema leaves out raises
-    :class:`SchemaMismatch`.
+    :class:`SchemaMismatch`, and one that leaves a column absent that is not
+    optional text raises :class:`MissingValue`.
     """
     dropped = [EVENT_COLUMNS[i] for i in schema.absent
                if getattr(record, EVENT_COLUMNS[i]) is not None]
@@ -312,10 +323,13 @@ def serialize_record(record: LogRecord, schema: LogSchema) -> str:
             f"a {schema.column_count}-column line has no column for the record's "
             f"{', '.join(dropped)}"
         )
-    return "\t".join([
-        "Null" if value is None else write(value)
-        for write, value in zip(schema.writers, schema.values(record))
-    ])
+    values = schema.values(record)
+    if None in schema.required(record):
+        column = next(i for i, (name, value) in enumerate(zip(schema.columns, values), 1)
+                      if value is None and COLUMN_KINDS[name] != "optional text")
+        raise MissingValue(f"column {column}: the record has no {schema.columns[column - 1]}, "
+                           f"and only optional text may be absent")
+    return "\t".join([write(value) for write, value in zip(schema.writers, values)])
 
 
 def _open_maybe_gzip(path) -> io.TextIOBase:

@@ -28,7 +28,6 @@ __all__ = [
     "LrHyper",
     "LrModel",
     "GbrtHyper",
-    "Tree",
     "PackedForest",
     "GbrtModel",
     "EvalReport",
@@ -206,33 +205,17 @@ class GbrtHyper:
     min_leaf: int = 20
 
 
-@dataclass
-class Tree:
-    """Flat node arrays; left < 0 marks a leaf whose output is value."""
-
-    feature: np.ndarray
-    threshold: np.ndarray
-    left: np.ndarray
-    right: np.ndarray
-    value: np.ndarray
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Tree) and all(
-            np.array_equal(getattr(self, f), getattr(other, f))
-            for f in ("feature", "threshold", "left", "right", "value")
-        )
-
-
 @dataclass(frozen=True, eq=False)
 class PackedForest:
     """An ensemble's trees in one set of flat node arrays.
 
-    Tree t's nodes start at ``roots[t]``, and child indices are global, so
-    :func:`kernels.apply_forest` scores every tree in one call.
-    ``max_feature`` is the largest feature slot that any split reads (-1 if
-    none).  ``nodes`` holds feature, threshold, left, right, value and roots
-    again in the form :func:`kernels.apply_forest_row` walks one row over,
-    made once here: plain-list copies without numba, the arrays with it.
+    Tree t's nodes start at ``roots[t]`` and end where the next tree's
+    start; child indices are global, and ``left < 0`` marks a leaf whose
+    output is ``value``, so :func:`kernels.apply_forest` scores every tree
+    in one call.  ``max_feature`` is the largest feature slot that any split
+    reads (-1 if none).  ``nodes`` holds the six arrays again in the form
+    :func:`kernels.apply_forest_row` walks one row over, made once here:
+    plain-list copies without numba, the arrays with it.
     """
 
     feature: np.ndarray
@@ -241,40 +224,43 @@ class PackedForest:
     right: np.ndarray
     value: np.ndarray
     roots: np.ndarray
-    max_feature: int
-    nodes: tuple = field(repr=False)
+    max_feature: int = field(init=False)
+    nodes: tuple = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "max_feature", int(self.feature.max(initial=-1)))
+        object.__setattr__(self, "nodes", tuple(map(kernels.row_operand, self._arrays())))
+
+    def _arrays(self) -> tuple:
+        return self.feature, self.threshold, self.left, self.right, self.value, self.roots
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, PackedForest) and all(
+            np.array_equal(a, b) for a, b in zip(self._arrays(), other._arrays()))
 
     @classmethod
-    def of(cls, trees: list[Tree]) -> "PackedForest":
-        sizes = np.array([len(t.feature) for t in trees], dtype=np.int64)
+    def of(cls, trees) -> "PackedForest":
+        """Packs the ``(feature, threshold, left, right, value)`` tuples that
+        :func:`kernels.grow_tree` returns, whose child indices are local to
+        each tree."""
+        sizes = np.array([len(t[0]) for t in trees], dtype=np.int64)
         roots = np.cumsum(sizes) - sizes
 
-        def cat(arrays, dtype):
-            return np.concatenate([np.empty(0, dtype), *arrays], dtype=dtype)
+        def cat(column, dtype, children=False):
+            parts = [np.where(t[column] >= 0, t[column] + r, -1) if children else t[column]
+                     for t, r in zip(trees, roots)]
+            return np.concatenate([np.empty(0, dtype), *parts], dtype=dtype)
 
-        feature = cat([t.feature for t in trees], np.int64)
-        left = cat([np.where(t.left >= 0, t.left + r, -1) for t, r in zip(trees, roots)], np.int64)
-        right = cat([np.where(t.right >= 0, t.right + r, -1) for t, r in zip(trees, roots)], np.int64)
-        threshold = cat([t.threshold for t in trees], np.float64)
-        value = cat([t.value for t in trees], np.float64)
-        nodes = tuple(map(kernels.row_operand, (feature, threshold, left, right, value, roots)))
-        return cls(feature, threshold, left, right, value, roots,
-                   int(feature.max(initial=-1)), nodes)
+        return cls(cat(0, np.int64), cat(1, np.float64), cat(2, np.int64, True),
+                   cat(3, np.int64, True), cat(4, np.float64), roots)
 
 
 @dataclass
 class GbrtModel:
-    """``forest`` packs ``trees`` once, when the model is made; the tree
-    list is not meant to change afterwards."""
-
     base: float
-    trees: list[Tree]
+    forest: PackedForest
     hyper: GbrtHyper
     train_mse: list[float] = field(default_factory=list)  # after each round
-    forest: PackedForest = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        self.forest = PackedForest.of(self.trees)
 
 
 def train_gbrt(x: np.ndarray, y: np.ndarray, hyper: GbrtHyper | None = None) -> GbrtModel:
@@ -296,16 +282,16 @@ def train_gbrt(x: np.ndarray, y: np.ndarray, hyper: GbrtHyper | None = None) -> 
     sorted_vals = np.take_along_axis(x.T, sorted_ids, axis=1)  # the same for every round
     base = float(np.mean(y))
     pred = np.full(len(y), base)
-    trees: list[Tree] = []
+    trees = []
     mse: list[float] = []
     for _ in range(hyper.rounds):
         resid = y - pred
         tree = kernels.grow_tree(x, sorted_ids, sorted_vals, resid, hyper.min_leaf,
                                  hyper.max_depth)
-        trees.append(Tree(*tree))
+        trees.append(tree)
         pred = pred + hyper.shrinkage * kernels.apply_tree(x, *tree)
         mse.append(float(np.mean((y - pred) ** 2)))
-    return GbrtModel(base, trees, hyper, mse)
+    return GbrtModel(base, PackedForest.of(trees), hyper, mse)
 
 
 # ---------------------------------------------------------------------------
@@ -442,6 +428,9 @@ class CtrScorer:
         raise ValueError(f"unknown model kind {kind!r}")
 
 
+_BODY_LINE = 4  # a model file's first line after its header, first and hyper lines
+
+
 def save_lr(model: LrModel, path) -> None:
     with open(path, "w", encoding="utf-8") as f:
         f.write("#rtbsim-lr v1\n")
@@ -459,42 +448,70 @@ def load_lr(path) -> LrModel:
         dim = int(kvfile.read_labeled(f, "dimension")[0])
         hyper = kvfile.read_fields(f, "hyper", LrHyper)
         w = np.zeros(dim, dtype=np.float64)
-        for line in f:
-            idx, wv = line.split("\t")
-            w[int(idx)] = float(wv)
+        for line_no, line in enumerate(f, _BODY_LINE):
+            text = line.rstrip("\n")
+            idx, _, weight = text.partition("\t")
+            try:
+                i, wv = int(idx), float(weight)
+            except ValueError:
+                i = -1  # fails the range check below
+            if not 0 <= i < dim:
+                raise ValueError(f"line {line_no}: expected '<index in [0, {dim})>\\t<weight>', "
+                                 f"found {text!r}")
+            w[i] = wv
     return LrModel(w, hyper)
 
 
-def _write_tree_preorder(f, tree: Tree, node: int) -> None:
-    if tree.left[node] < 0:
-        f.write(f"leaf\t{float(tree.value[node])!r}\n")
+def _write_tree_preorder(f, forest: PackedForest, node: int) -> None:
+    if forest.left[node] < 0:
+        f.write(f"leaf\t{float(forest.value[node])!r}\n")
     else:
-        f.write(f"split\t{tree.feature[node]}\t{float(tree.threshold[node])!r}\n")
-        _write_tree_preorder(f, tree, int(tree.left[node]))
-        _write_tree_preorder(f, tree, int(tree.right[node]))
+        f.write(f"split\t{forest.feature[node]}\t{float(forest.threshold[node])!r}\n")
+        _write_tree_preorder(f, forest, int(forest.left[node]))
+        _write_tree_preorder(f, forest, int(forest.right[node]))
 
 
-def _read_tree_preorder(lines: list[str], pos: int, nodes: list) -> tuple[int, int]:
-    parts = lines[pos].split("\t")
+def _read_node(line: str, line_no: int) -> tuple[int, float, float]:
+    """(feature, threshold, value) of a node line; feature -1 is a leaf."""
+    parts = line.split("\t")
+    try:
+        if parts[0] == "leaf" and len(parts) == 2:
+            return -1, 0.0, float(parts[1])
+        if parts[0] == "split" and len(parts) == 3 and int(parts[1]) >= 0:
+            return int(parts[1]), float(parts[2]), 0.0
+    except ValueError:
+        pass
+    raise ValueError(f"line {line_no}: expected 'leaf\\t<value>' or "
+                     f"'split\\t<feature >= 0>\\t<threshold>', found {line!r}")
+
+
+def _read_tree_preorder(lines: list[str], pos: int, nodes: list) -> int:
+    """Appends the subtree listed from ``lines[pos]`` on to ``nodes``, each
+    node numbered by its place in that list, and returns the position after
+    the subtree."""
+    if pos == len(lines):
+        raise ValueError("the file ends inside the tree")
+    feature, threshold, value = _read_node(lines[pos], pos + _BODY_LINE)
     my_id = len(nodes)
-    nodes.append(None)
-    if parts[0] == "leaf":
-        nodes[my_id] = (-1, 0.0, -1, -1, float(parts[1]))
-        return my_id, pos + 1
-    left_id, pos = _read_tree_preorder(lines, pos + 1, nodes)
-    right_id, pos = _read_tree_preorder(lines, pos, nodes)
-    nodes[my_id] = (int(parts[1]), float(parts[2]), left_id, right_id, 0.0)
-    return my_id, pos
+    nodes.append((-1, 0.0, -1, -1, value))
+    if feature < 0:
+        return pos + 1
+    pos = _read_tree_preorder(lines, pos + 1, nodes)
+    right = len(nodes)
+    pos = _read_tree_preorder(lines, pos, nodes)
+    nodes[my_id] = (feature, threshold, my_id + 1, right, 0.0)
+    return pos
 
 
 def save_gbrt(model: GbrtModel, path) -> None:
+    forest = model.forest
     with open(path, "w", encoding="utf-8") as f:
         f.write("#rtbsim-gbrt v1\n")
         f.write(f"base\t{model.base!r}\n")
         f.write("\t".join(["hyper", *kvfile.dump(model.hyper)]) + "\n")
-        for tree in model.trees:
-            f.write(f"tree\t{len(tree.feature)}\n")
-            _write_tree_preorder(f, tree, 0)
+        for root, size in zip(forest.roots, np.diff(forest.roots, append=len(forest.feature))):
+            f.write(f"tree\t{size}\n")
+            _write_tree_preorder(f, forest, int(root))
 
 
 def load_gbrt(path) -> GbrtModel:
@@ -503,22 +520,27 @@ def load_gbrt(path) -> GbrtModel:
         base = float(kvfile.read_labeled(f, "base")[0])
         hyper = kvfile.read_fields(f, "hyper", GbrtHyper)
         lines = [ln.rstrip("\n") for ln in f]
-    trees: list[Tree] = []
+    nodes: list[tuple] = []
+    roots: list[int] = []
     pos = 0
     while pos < len(lines):
-        if not lines[pos].startswith("tree\t"):
-            raise ValueError(f"expected a tree header, got {lines[pos]!r}")
-        pos += 1
-        nodes: list = []
-        _, pos = _read_tree_preorder(lines, pos, nodes)
-        trees.append(Tree(
-            feature=np.array([n[0] for n in nodes], dtype=np.int64),
-            threshold=np.array([n[1] for n in nodes], dtype=np.float64),
-            left=np.array([n[2] for n in nodes], dtype=np.int64),
-            right=np.array([n[3] for n in nodes], dtype=np.int64),
-            value=np.array([n[4] for n in nodes], dtype=np.float64),
-        ))
-    return GbrtModel(base, trees, hyper)
+        t = len(roots)
+        head, _, size = lines[pos].partition("\t")
+        if head != "tree" or not size.isdigit():
+            raise ValueError(f"tree {t}: line {pos + _BODY_LINE}: expected 'tree\\t<nodes>', "
+                             f"found {lines[pos]!r}")
+        roots.append(len(nodes))
+        try:
+            pos = _read_tree_preorder(lines, pos + 1, nodes)
+        except ValueError as e:
+            raise ValueError(f"tree {t}: {e}") from None
+        if len(nodes) - roots[t] != int(size):
+            raise ValueError(f"tree {t}: its header says {size} nodes, "
+                             f"but it lists {len(nodes) - roots[t]}")
+    columns = zip(*nodes) if nodes else [()] * 5
+    arrays = [np.array(c, dtype=d) for c, d in
+              zip(columns, (np.int64, np.float64, np.int64, np.int64, np.float64))]
+    return GbrtModel(base, PackedForest(*arrays, np.array(roots, dtype=np.int64)), hyper)
 
 
 def write_scores_csv(bid_ids, scores, path) -> None:

@@ -78,3 +78,16 @@ def finite_difference_gradient(weights, l2, indptr, indices, labels, coords, h=1
             - reference_lr_loss(wm, l2, indptr, indices, labels)
         ) / (2.0 * h)
     return grad
+
+
+def reference_tree_leaves(rows, feature, threshold, left, right, value, root=0):
+    """Each row's leaf value in the tree at ``root``, walked one node at a
+    time: a row goes left when its split column is <= the threshold, and a
+    node with ``left < 0`` is a leaf."""
+    out = []
+    for row in rows:
+        nd = root
+        while left[nd] >= 0:
+            nd = left[nd] if row[feature[nd]] <= threshold[nd] else right[nd]
+        out.append(float(value[nd]))
+    return np.array(out, dtype=np.float64)

@@ -245,18 +245,9 @@ class TestDensify:
 class TestEncodingSplit:
     def test_time_split_is_first_half(self, small_synth):
         train, _, _ = small_synth
-        subset = encoding_split(train, "time")
+        subset = encoding_split(train)
         assert subset == list(train[: len(train) // 2])
         assert max(c.timestamp for c in subset) <= min(c.timestamp for c in train[len(train) // 2:])
-
-    def test_random_split_is_seeded(self, small_synth):
-        train, _, _ = small_synth
-        a = encoding_split(train, "random", seed=4)
-        b = encoding_split(train, "random", seed=4)
-        c = encoding_split(train, "random", seed=5)
-        assert a == b
-        assert a != c
-        assert len(a) == len(train) // 2
 
 
 def test_repeated_tag_counts_once_in_every_consumer():

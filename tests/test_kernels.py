@@ -16,7 +16,7 @@ from rtbsim import kernels, models
 from rtbsim.bidding import RandBid, compute_bid
 
 from conftest import make_case
-from oracles import reference_simulate
+from oracles import reference_simulate, reference_tree_leaves
 
 
 def presort(x):
@@ -215,13 +215,19 @@ class TestGrowTree:
         x = rng.integers(0, 3, size=(40, 4)) if discrete else rng.normal(size=(40, 4))
         self._same(x, rng.normal(size=40), 1, 6)
 
-    def test_apply_backends_agree(self):
+    def test_apply_backends_agree(self, monkeypatch):
+        # apply_tree is the forest walk over one tree: on both forms, each
+        # row's leaf, also for a tree that is only its root
         rng = np.random.default_rng(6)
         x, presorted, resid = self._random_problem(rng, 300, 4)
-        tree = kernels.grow_tree_loop(x, *presorted, resid, 2, 4)
-        out1 = kernels.apply_tree_loop(x, *tree)
-        out2 = kernels.apply_tree_numpy(x, *tree)
-        assert np.array_equal(out1, out2)
+        deep = kernels.grow_tree_loop(x, *presorted, resid, 2, 4)
+        root_only = kernels.grow_tree_loop(x, *presorted, resid, 200, 4)
+        assert len(deep[0]) > 1 and len(root_only[0]) == 1
+        for tree in (deep, root_only):
+            leaves = reference_tree_leaves(x, *tree)
+            for form in (kernels.apply_forest_loop, kernels.apply_forest_numpy):
+                monkeypatch.setattr(kernels, "apply_forest", form)
+                assert np.array_equal(kernels.apply_tree(x, *tree), leaves)
 
     def test_min_leaf_respected(self):
         rng = np.random.default_rng(7)
@@ -244,8 +250,7 @@ class TestApplyForest:
 
     @staticmethod
     def _leaf(v):
-        return models.Tree(np.array([-1]), np.array([0.0]), np.array([-1]),
-                           np.array([-1]), np.array([v]))
+        return np.array([-1]), np.array([0.0]), np.array([-1]), np.array([-1]), np.array([v])
 
     def _random_forest(self, rng, x, n_trees):
         trees = []
@@ -256,15 +261,14 @@ class TestApplyForest:
                 continue
             resid = rng.normal(size=x.shape[0])
             depth = int(rng.integers(1, 6))
-            trees.append(models.Tree(*kernels.grow_tree_numpy(x, *presorted, resid, 2, depth)))
+            trees.append(kernels.grow_tree_numpy(x, *presorted, resid, 2, depth))
         return trees
 
     @staticmethod
     def _per_tree_sum(x, trees, base, shrinkage):
         total = np.full(x.shape[0], base)
         for t in trees:
-            total += shrinkage * kernels.apply_tree_numpy(x, t.feature, t.threshold,
-                                                          t.left, t.right, t.value)
+            total += shrinkage * reference_tree_leaves(x, *t)
         return total
 
     @staticmethod
@@ -337,7 +341,7 @@ class TestApplyForest:
         x = rng.normal(size=(200, 3))
         trees = self._random_forest(rng, x, 8)
         forest = models.PackedForest.of(trees)
-        assert forest.max_feature == max(int(t.feature.max()) for t in trees)
+        assert forest.max_feature == max(int(t[0].max()) for t in trees)
 
 
 def test_env_flag_selects_numpy_backend():

@@ -16,6 +16,7 @@ from rtbsim.logdata import (
     ColumnCountMismatch,
     FieldParseError,
     LogType,
+    MissingValue,
     SchemaMismatch,
     TimestampFormatError,
     join_events,
@@ -155,6 +156,17 @@ class TestSerializeRecord:
             rec = make_record(**{f: None for f in EVENT_ONLY_COLUMNS if f != field})
             with pytest.raises(SchemaMismatch, match=field):
                 serialize_record(rec, BID_LOG)
+
+    @pytest.mark.parametrize("schema, field, column", [
+        (EVENT_LOG, "log_type", 3), (EVENT_LOG, "paying_price", 21), (EVENT_LOG, "user_tags", 24),
+        (EVENT_LOG, "bid_id", 1), (EVENT_LOG, "region", 7), (BID_LOG, "bid_price", 19),
+    ], ids=lambda v: getattr(v, "column_count", v))
+    def test_absent_value_outside_optional_text_named(self, schema, field, column):
+        # parse_record reads back no line that holds it, so none is written
+        absent = dict.fromkeys(EVENT_ONLY_COLUMNS) if schema is BID_LOG else {}
+        expected = f"column {column}: the record has no {field}, and only optional text may be absent"
+        with pytest.raises(MissingValue, match=f"^{expected}$"):
+            serialize_record(make_record(**absent, **{field: None}), schema)
 
     def test_bid_schema_round_trips_without_event_fields(self):
         rec = make_record(**dict.fromkeys(EVENT_ONLY_COLUMNS))

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from rtbsim.models import (
     LrHyper,
     LrModel,
     NonBinaryLabel,
+    PackedForest,
     SingleClassInput,
     auc,
     evaluate,
@@ -42,7 +44,12 @@ from rtbsim.models import (
     train_lr,
 )
 
-from oracles import finite_difference_gradient, pairwise_auc, reference_lr_loss
+from oracles import (
+    finite_difference_gradient,
+    pairwise_auc,
+    reference_lr_loss,
+    reference_tree_leaves,
+)
 
 
 def batch_of(rows, labels, dim) -> SparseBatch:
@@ -134,16 +141,16 @@ class TestTrainGbrt:
         y = np.ones(40)
         model = train_gbrt(x, y, GbrtHyper(rounds=5, min_leaf=1))
         assert model.base == 1.0
-        for tree in model.trees:
-            assert len(tree.feature) == 1 and tree.left[0] == -1
-            assert tree.value[0] == 0.0
+        forest = model.forest
+        assert np.array_equal(forest.roots, np.arange(5))  # five root-only trees
+        assert (forest.left == -1).all() and (forest.value == 0.0).all()
         assert model.train_mse == [0.0] * 5
 
     def test_step_function_exact_split(self):
         x = np.array([[1.0], [2.0], [3.0], [4.0], [5.0]])
         y = np.array([0.0, 0.0, 0.0, 1.0, 1.0])
         model = train_gbrt(x, y, GbrtHyper(rounds=1, shrinkage=1.0, max_depth=1, min_leaf=1))
-        tree = model.trees[0]
+        forest = model.forest
         # exhaustive check: every candidate midpoint scored by hand
         best = None
         for t in (1.5, 2.5, 3.5, 4.5):
@@ -152,7 +159,7 @@ class TestTrainGbrt:
             sse = ((left - left.mean()) ** 2).sum() + ((right - right.mean()) ** 2).sum()
             if best is None or sse < best[0]:
                 best = (sse, t)
-        assert tree.threshold[0] == best[1] == 3.5
+        assert forest.threshold[0] == best[1] == 3.5
         assert model.train_mse[-1] == pytest.approx(0.0, abs=1e-30)
 
     def test_mse_non_increasing(self, small_synth):
@@ -167,9 +174,9 @@ class TestTrainGbrt:
         x = rng.normal(size=(500, 3))
         y = (x[:, 0] + x[:, 1] * x[:, 2] > 0).astype(float)
         model = train_gbrt(x, y, GbrtHyper(rounds=3, max_depth=2, min_leaf=5))
-        for tree in model.trees:
-            # depth-2 tree has at most 7 nodes
-            assert len(tree.feature) <= 7
+        forest = model.forest
+        # depth-2 tree has at most 7 nodes
+        assert (np.diff(forest.roots, append=len(forest.feature)) <= 7).all()
 
     def test_insufficient_data(self):
         with pytest.raises(InsufficientData):
@@ -185,7 +192,7 @@ class TestTrainGbrt:
         y = (rng.random(300) < 0.3).astype(float)
         m1 = train_gbrt(x, y, GbrtHyper(rounds=5, min_leaf=5))
         m2 = train_gbrt(x, y, GbrtHyper(rounds=5, min_leaf=5))
-        assert m1.trees == m2.trees and m1.train_mse == m2.train_mse
+        assert m1.forest == m2.forest and m1.train_mse == m2.train_mse
 
     def test_kernel_forms_grow_equal_ensembles(self, monkeypatch):
         train, _, _ = synthgen.generate(synthgen.SynthConfig(seed=5, n_train=400, n_test=10,
@@ -195,11 +202,11 @@ class TestTrainGbrt:
         fits = []
         for form in ("loop", "numpy"):
             monkeypatch.setattr(kernels, "grow_tree", getattr(kernels, f"grow_tree_{form}"))
-            monkeypatch.setattr(kernels, "apply_tree", getattr(kernels, f"apply_tree_{form}"))
+            monkeypatch.setattr(kernels, "apply_forest", getattr(kernels, f"apply_forest_{form}"))
             fits.append(train_gbrt(x, y, hyper))
         loop, numpy_ = fits
-        assert any(len(t.feature) > 1 for t in loop.trees)
-        assert loop.trees == numpy_.trees and loop.train_mse == numpy_.train_mse
+        assert len(loop.forest.feature) > len(loop.forest.roots)  # some tree splits
+        assert loop.forest == numpy_.forest and loop.train_mse == numpy_.train_mse
 
 
 class TestPredict:
@@ -208,7 +215,7 @@ class TestPredict:
         assert predict(model, np.array([1, 2])) == 0.5
 
     def test_gbrt_no_trees_is_base(self):
-        model = GbrtModel(0.001, [], GbrtHyper())
+        model = GbrtModel(0.001, PackedForest.of([]), GbrtHyper())
         assert predict(model, np.zeros(4)) == 0.001
         assert np.array_equal(predict(model, np.zeros((3, 4))), np.full(3, 0.001))
 
@@ -223,7 +230,7 @@ class TestPredict:
         hi = predict(model, np.array([1]))
         lo = predict(model, np.array([2]))
         assert 0.0 < lo < hi < 1.0
-        gb = GbrtModel(5.0, [], GbrtHyper())  # base outside [0,1] gets clamped
+        gb = GbrtModel(5.0, PackedForest.of([]), GbrtHyper())  # base outside [0,1] gets clamped
         assert predict(gb, np.zeros(2)) == 1.0 - models.GBRT_CLAMP
 
     def test_lr_dimension_mismatch(self):
@@ -284,10 +291,11 @@ class TestPredictGbrt:
 
     def test_vector_equals_batch_row_and_per_tree_sum(self, fitted):
         model, xt = fitted
+        f = model.forest
         total = np.full(len(xt), model.base)
-        for t in model.trees:
-            total += model.hyper.shrinkage * kernels.apply_tree(
-                xt, t.feature, t.threshold, t.left, t.right, t.value)
+        for root in f.roots:
+            total += model.hyper.shrinkage * reference_tree_leaves(
+                xt, f.feature, f.threshold, f.left, f.right, f.value, root)
         reference = np.clip(total, models.GBRT_CLAMP, 1.0 - models.GBRT_CLAMP)
         batch = predict(model, xt)
         assert np.array_equal(batch, reference)
@@ -407,8 +415,11 @@ class TestSerialization:
         save_gbrt(model, tmp_path / "gb.txt")
         loaded = load_gbrt(tmp_path / "gb.txt")
         assert loaded.base == model.base and loaded.hyper == model.hyper
-        # preorder listing renumbers nodes; the trees must stay equivalent
-        assert [len(t.feature) for t in loaded.trees] == [len(t.feature) for t in model.trees]
+        # trained nodes are numbered in level order and loaded ones in
+        # preorder, so the node arrays differ; the file and scores may not
+        save_gbrt(loaded, tmp_path / "again.txt")
+        assert (tmp_path / "again.txt").read_bytes() == (tmp_path / "gb.txt").read_bytes()
+        assert np.array_equal(loaded.forest.roots, model.forest.roots)
         assert loaded.forest.max_feature == model.forest.max_feature
         xt, _ = densify_cases(test[:200], enc)
         assert np.array_equal(predict(loaded, xt), predict(model, xt))
@@ -436,7 +447,7 @@ class TestSerialization:
 
     @pytest.mark.parametrize("save, load, model, drop", [
         (save_lr, load_lr, LrModel(np.array([0.5, -1.0]), LrHyper()), "seed"),
-        (save_gbrt, load_gbrt, GbrtModel(0.25, [], GbrtHyper()), "shrinkage"),
+        (save_gbrt, load_gbrt, GbrtModel(0.25, PackedForest.of([]), GbrtHyper()), "shrinkage"),
     ])
     def test_missing_hyper_key_named(self, tmp_path, save, load, model, drop):
         save(model, tmp_path / "m.txt")
@@ -448,7 +459,7 @@ class TestSerialization:
 
     @pytest.mark.parametrize("save, load, model, key", [
         (save_lr, load_lr, LrModel(np.array([0.5, -1.0]), LrHyper()), "seed"),
-        (save_gbrt, load_gbrt, GbrtModel(0.25, [], GbrtHyper()), "rounds"),
+        (save_gbrt, load_gbrt, GbrtModel(0.25, PackedForest.of([]), GbrtHyper()), "rounds"),
     ])
     def test_repeated_hyper_key_named(self, tmp_path, save, load, model, key):
         save(model, tmp_path / "m.txt")
@@ -460,7 +471,7 @@ class TestSerialization:
 
     @pytest.mark.parametrize("save, load, model", [
         (save_lr, load_lr, LrModel(np.array([0.5, -1.0]), LrHyper())),
-        (save_gbrt, load_gbrt, GbrtModel(0.25, [], GbrtHyper())),
+        (save_gbrt, load_gbrt, GbrtModel(0.25, PackedForest.of([]), GbrtHyper())),
     ])
     def test_wrong_hyper_label_named(self, tmp_path, save, load, model):
         save(model, tmp_path / "m.txt")
@@ -480,6 +491,52 @@ class TestSerialization:
         (tmp_path / "f.txt").write_text(header + "\n", encoding="utf-8")
         with pytest.raises(ValueError, match=f"expected a '{labels}' line, found ''"):
             load(tmp_path / "f.txt")
+
+    LR_FILE_WEIGHTS = np.array([0.5, -1.0, 0.0, 2.0])  # lines 4-6 of its file
+
+    @pytest.mark.parametrize("line", ["-1\t0.25", "7\t0.25", "2 0.25"],
+                             ids=["negative index", "index past dimension", "no tab"])
+    def test_lr_bad_weight_line_named(self, tmp_path, line):
+        path = tmp_path / "lr.txt"
+        save_lr(LrModel(self.LR_FILE_WEIGHTS, LrHyper()), path)
+        with open(path, "a", encoding="utf-8") as f:
+            f.write(line + "\n")
+        expected = rf"line 7: expected '<index in \[0, 4\)>\\t<weight>', found {re.escape(repr(line))}"
+        with pytest.raises(ValueError, match=f"^{expected}$"):
+            load_lr(path)
+
+    @staticmethod
+    def _gbrt_lines(tmp_path) -> list[str]:
+        """A two-tree model file whose trees both split, as lines."""
+        x = np.arange(40, dtype=np.float64).reshape(-1, 1)
+        y = (x[:, 0] >= 20).astype(np.float64)
+        save_gbrt(train_gbrt(x, y, GbrtHyper(rounds=2, max_depth=2, min_leaf=2)), tmp_path / "gb.txt")
+        lines = (tmp_path / "gb.txt").read_text(encoding="utf-8").splitlines()
+        assert lines[3].startswith("tree\t") and lines[4].startswith("split\t0\t")
+        return lines
+
+    @staticmethod
+    def _load_gbrt_lines(tmp_path, lines):
+        (tmp_path / "bad.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
+        return load_gbrt(tmp_path / "bad.txt")
+
+    def test_gbrt_truncated_tree_named(self, tmp_path):
+        lines = self._gbrt_lines(tmp_path)
+        with pytest.raises(ValueError, match="^tree 1: the file ends inside the tree$"):
+            self._load_gbrt_lines(tmp_path, lines[:-1])
+
+    def test_gbrt_wrong_node_count_named(self, tmp_path):
+        lines = self._gbrt_lines(tmp_path)
+        n = int(lines[3].split("\t")[1])
+        lines[3] = f"tree\t{n + 2}"
+        with pytest.raises(ValueError, match=f"^tree 0: its header says {n + 2} nodes, but it lists {n}$"):
+            self._load_gbrt_lines(tmp_path, lines)
+
+    def test_gbrt_negative_split_feature_named(self, tmp_path):
+        lines = self._gbrt_lines(tmp_path)
+        lines[4] = lines[4].replace("split\t0\t", "split\t-2\t")
+        with pytest.raises(ValueError, match=r"^tree 0: line 5: expected .* found 'split\\t-2\\t"):
+            self._load_gbrt_lines(tmp_path, lines)
 
     def test_scores_csv(self, tmp_path):
         models.write_scores_csv(["a", "b"], [0.25, 0.5], tmp_path / "s.csv")
