@@ -194,8 +194,10 @@ def _campaign_for(cases, kpi_n: int | None) -> bidding.CampaignSpec:
 
 
 def cmd_tune(args) -> int:
-    fraction = replay.budget_fraction(args.budget_fraction[0] if args.budget_fraction else "1/8")
-    train, _ = _load_split(args)
+    fractions = [replay.budget_fraction(f) for f in args.budget_fraction or ["1/8"]]
+    train = load_cases(Path(args.input) / "train", args.strict, args.advertiser)
+    if not train:
+        raise ValueError("the train split must be nonempty")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     campaign = _campaign_for(train, args.kpi_n)
@@ -205,14 +207,17 @@ def cmd_tune(args) -> int:
             raise ValueError("lin tuning needs --models pointing at a train-ctr output dir")
         scorer = models.CtrScorer.load(args.models, args.model)
         pctr = scorer.score_cases(train)
-    strategy, rows = bidding.tune(
-        args.strategy, train, fraction, _parse_grid(args.grid),
-        campaign, pctr=pctr, seed=args.seed, model_label=args.model,
-    )
-    frac_tag = f"{fraction.numerator}_{fraction.denominator}"
-    bidding.save_strategy(strategy, out / f"strategy_{args.strategy}_{frac_tag}.txt")
-    bidding.write_grid_csv(rows, out / f"grid_{args.strategy}_{frac_tag}.csv")
-    print(f"tune[{args.strategy} @ {fraction}]: best parameter {strategy.parameter}")
+    train_data = replay.ReplayData.from_cases(train)
+    grid = _parse_grid(args.grid)
+    for fraction in fractions:
+        strategy, rows = bidding.tune(
+            args.strategy, train_data, fraction, grid,
+            campaign, pctr=pctr, seed=args.seed, model_label=args.model,
+        )
+        frac_tag = f"{fraction.numerator}_{fraction.denominator}"
+        bidding.save_strategy(strategy, out / f"strategy_{args.strategy}_{frac_tag}.txt")
+        bidding.write_grid_csv(rows, out / f"grid_{args.strategy}_{frac_tag}.csv")
+        print(f"tune[{args.strategy} @ {fraction}]: best parameter {strategy.parameter}")
     return 0
 
 
@@ -333,7 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common_io(p)
     p.add_argument("--strategy", choices=("const", "rand", "lin"), required=True)
     p.add_argument("--budget-fraction", action="append", default=None, metavar="FRAC",
-                   help="e.g. 1/8 (first value used)")
+                   help="e.g. 1/8; repeat to tune each (default 1/8)")
     p.add_argument("--grid", default=None, help="comma-separated parameter grid")
     p.add_argument("--models", default=None, help="train-ctr output dir (for lin)")
     p.add_argument("--model", choices=("lr", "gbrt"), default="lr")

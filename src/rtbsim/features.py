@@ -190,13 +190,23 @@ class Vocabulary:
 
     @classmethod
     def load(cls, path) -> "Vocabulary":
+        """The saved map: line i + 2 must list index i, for i = 1 .. dimension-1,
+        and no (field, value) twice."""
         index: dict[tuple[str, str], int] = {}
         with open(path, encoding="utf-8") as f:
             kvfile.check_header(f, "#rtbsim-vocab v1")
-            kvfile.read_labeled(f, "dimension")  # re-derived from entries
-            for line in f:
-                idx, field, value = line.rstrip("\n").split("\t", 2)
-                index[(field, value)] = int(idx)
+            dim = int(kvfile.read_labeled(f, "dimension")[0])
+            for i, line in enumerate(f, 1):
+                text = line.rstrip("\n")
+                idx, _, key = text.partition("\t")
+                field, tab, value = key.partition("\t")
+                if idx != str(i) or not tab or i >= dim or (field, value) in index:
+                    raise ValueError(f"line {i + 2}: expected '{i}\\t<field>\\t<value>' below dimension "
+                                     f"{dim}, with a (field, value) not listed before, found {text!r}")
+                index[(field, value)] = i
+        if len(index) != dim - 1:
+            raise ValueError(f"line {len(index) + 3}: the file ends after index {len(index)}, "
+                             f"but dimension {dim} needs indices up to {dim - 1}")
         return cls(index)
 
 
@@ -259,8 +269,8 @@ def binarize_cases(cases: Sequence[AuctionCase], vocab: Vocabulary) -> SparseBat
     return SparseBatch.from_vectors(vectors, labels, vocab.dimension)
 
 
-# Pseudo-observation mass used when smoothing parameters are left implicit:
-# alpha + beta = 20 at the subset's global CTR.
+# Pseudo-observation mass of the CTR smoothing: alpha + beta = 20 at the
+# subset's global CTR.
 SMOOTHING_PSEUDO_COUNT = 20.0
 
 
@@ -298,29 +308,37 @@ class CategoryEncodings:
 
     @classmethod
     def load(cls, path) -> "CategoryEncodings":
+        """The saved encodings; a body line must read field, value, a count of
+        0 or more and a CTR in [0, 1], tab-separated, with no (field, value) twice."""
         with open(path, encoding="utf-8") as f:
             kvfile.check_header(f, "#rtbsim-encodings v1")
             prior, alpha, beta = map(float, kvfile.read_labeled(f, "prior", "alpha", "beta"))
             freq: dict[tuple[str, str], int] = {}
             ctr: dict[tuple[str, str], float] = {}
-            for line in f:
-                field, value, n, c = line.rstrip("\n").split("\t")
+            for line_no, line in enumerate(f, 3):
+                text = line.rstrip("\n")
+                parts = text.split("\t")
+                try:
+                    field, value, n, c = parts[0], parts[1], int(parts[2]), float(parts[3])
+                except (IndexError, ValueError):
+                    n = c = -1  # fails the check below
+                if len(parts) != 4 or n < 0 or not 0.0 <= c <= 1.0 or (field, value) in ctr:
+                    raise ValueError(f"line {line_no}: expected '<field>\\t<value>\\t<count >= 0>\\t"
+                                     f"<ctr in [0, 1]>' with a (field, value) not listed before, "
+                                     f"found {text!r}")
                 if field != "tag":
-                    freq[(field, value)] = int(n)
-                ctr[(field, value)] = float(c)
+                    freq[(field, value)] = n
+                ctr[(field, value)] = c
         return cls(freq, ctr, prior, alpha, beta)
 
 
-def build_encodings(
-    train_subset: Sequence[AuctionCase],
-    alpha: float | None = None,
-    beta: float | None = None,
-) -> CategoryEncodings:
+def build_encodings(train_subset: Sequence[AuctionCase]) -> CategoryEncodings:
     """Fit frequency/CTR encodings on a training subset.
 
-    With alpha/beta omitted, smoothing pulls toward the subset's global CTR
-    with 20 pseudo-observations; explicit (alpha, beta) are used verbatim,
-    so alpha = beta = 0 gives raw per-category CTRs.
+    Each category's CTR is smoothed toward the subset's global CTR p with
+    SMOOTHING_PSEUDO_COUNT (20) pseudo-observations: alpha = 20 p clicks
+    and beta = 20 (1 - p) non-clicks, so a category seen n times with k
+    clicks encodes (k + alpha) / (n + alpha + beta).
     """
     if not train_subset:
         raise EmptyTrainingSet("cannot fit encodings on zero cases")
@@ -337,15 +355,14 @@ def build_encodings(
             if is_click:
                 clicks[key] = clicks.get(key, 0) + 1
     prior = total_clicks / total
-    if alpha is None or beta is None:
-        alpha = SMOOTHING_PSEUDO_COUNT * prior
-        beta = SMOOTHING_PSEUDO_COUNT * (1.0 - prior)
+    alpha = SMOOTHING_PSEUDO_COUNT * prior
+    beta = SMOOTHING_PSEUDO_COUNT * (1.0 - prior)
     denom_add = alpha + beta
     freq: dict[tuple[str, str], int] = {}
     ctr: dict[tuple[str, str], float] = {}
     for key, n in counts.items():
         k = clicks.get(key, 0)
-        ctr[key] = (k + alpha) / (n + denom_add) if (n + denom_add) > 0 else prior
+        ctr[key] = (k + alpha) / (n + denom_add)
         if key[0] != "tag":
             freq[key] = n
     return CategoryEncodings(freq, ctr, prior, alpha, beta)

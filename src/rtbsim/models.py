@@ -448,6 +448,7 @@ def load_lr(path) -> LrModel:
         dim = int(kvfile.read_labeled(f, "dimension")[0])
         hyper = kvfile.read_fields(f, "hyper", LrHyper)
         w = np.zeros(dim, dtype=np.float64)
+        seen: set[int] = set()
         for line_no, line in enumerate(f, _BODY_LINE):
             text = line.rstrip("\n")
             idx, _, weight = text.partition("\t")
@@ -458,6 +459,9 @@ def load_lr(path) -> LrModel:
             if not 0 <= i < dim:
                 raise ValueError(f"line {line_no}: expected '<index in [0, {dim})>\\t<weight>', "
                                  f"found {text!r}")
+            if i in seen:
+                raise ValueError(f"line {line_no}: index {i} is listed twice")
+            seen.add(i)
             w[i] = wv
     return LrModel(w, hyper)
 
@@ -485,21 +489,27 @@ def _read_node(line: str, line_no: int) -> tuple[int, float, float]:
                      f"'split\\t<feature >= 0>\\t<threshold>', found {line!r}")
 
 
-def _read_tree_preorder(lines: list[str], pos: int, nodes: list) -> int:
-    """Appends the subtree listed from ``lines[pos]`` on to ``nodes``, each
-    node numbered by its place in that list, and returns the position after
-    the subtree."""
-    if pos == len(lines):
-        raise ValueError("the file ends inside the tree")
-    feature, threshold, value = _read_node(lines[pos], pos + _BODY_LINE)
-    my_id = len(nodes)
-    nodes.append((-1, 0.0, -1, -1, value))
-    if feature < 0:
-        return pos + 1
-    pos = _read_tree_preorder(lines, pos + 1, nodes)
-    right = len(nodes)
-    pos = _read_tree_preorder(lines, pos, nodes)
-    nodes[my_id] = (feature, threshold, my_id + 1, right, 0.0)
+def _read_tree_preorder(lines: list[str], pos: int, nodes: list, max_depth: int) -> int:
+    """Appends the tree listed from ``lines[pos]`` on to ``nodes``, each node
+    numbered by its place in that list, and returns the position after the
+    tree.  A split at depth ``max_depth`` or deeper fails: grow_tree makes
+    none."""
+    stack = [(0, -1)]  # nodes still to read: (depth, the split it is the right child of)
+    while stack:
+        if pos == len(lines):
+            raise ValueError("the file ends inside the tree")
+        depth, parent = stack.pop()
+        feature, threshold, value = _read_node(lines[pos], pos + _BODY_LINE)
+        my_id = len(nodes)
+        if parent >= 0:
+            nodes[parent][3] = my_id
+        if feature >= 0:
+            if depth >= max_depth:
+                raise ValueError(f"line {pos + _BODY_LINE}: a split at depth {depth}, "
+                                 f"but max_depth is {max_depth}")
+            stack += [(depth + 1, my_id), (depth + 1, -1)]
+        nodes.append([feature, threshold, my_id + 1 if feature >= 0 else -1, -1, value])
+        pos += 1
     return pos
 
 
@@ -520,7 +530,7 @@ def load_gbrt(path) -> GbrtModel:
         base = float(kvfile.read_labeled(f, "base")[0])
         hyper = kvfile.read_fields(f, "hyper", GbrtHyper)
         lines = [ln.rstrip("\n") for ln in f]
-    nodes: list[tuple] = []
+    nodes: list[list] = []
     roots: list[int] = []
     pos = 0
     while pos < len(lines):
@@ -531,7 +541,7 @@ def load_gbrt(path) -> GbrtModel:
                              f"found {lines[pos]!r}")
         roots.append(len(nodes))
         try:
-            pos = _read_tree_preorder(lines, pos + 1, nodes)
+            pos = _read_tree_preorder(lines, pos + 1, nodes, hyper.max_depth)
         except ValueError as e:
             raise ValueError(f"tree {t}: {e}") from None
         if len(nodes) - roots[t] != int(size):

@@ -37,7 +37,6 @@ __all__ = [
     "CampaignRun",
     "ExperimentTables",
     "run_experiment",
-    "write_trace",
 ]
 
 STANDARD_FRACTIONS = (Fraction(1, 32), Fraction(1, 8), Fraction(1, 2))
@@ -122,9 +121,7 @@ class ReplayResult:
     convs: int
     cost_milli: int
     score: int
-    bids_submitted: int
     exhausted_at: int | None
-    unclicked_convs: int = 0  # conversions credited on cases with no click
     trace: ReplayTrace | None = None
 
     @property
@@ -149,15 +146,13 @@ def simulate(
     """
     campaign = campaign or CampaignSpec(advertiser_id=0, n_weight=0)
     data = ReplayData.of(cases)
-    n = len(data)
-    bids = bidding.bid_vector(strategy, n, pctr=pctr)
+    bids = bidding.bid_vector(strategy, len(data), pctr=pctr)
     win_u8, spent, exhausted = kernels.win_scan(bids, data.paying, data.floor, np.int64(budget))
     win = win_u8.astype(bool)
 
     wins = int(win.sum())
     clicks = int((win & data.clicked).sum())
     convs = int((win & data.converted).sum())
-    unclicked = int((win & data.converted & ~data.clicked).sum())
     exhausted_at = None if exhausted < 0 else int(exhausted)
     trace = None
     if keep_trace:
@@ -169,18 +164,9 @@ def simulate(
         convs=convs,
         cost_milli=int(spent),
         score=clicks + campaign.n_weight * convs,
-        bids_submitted=n if exhausted_at is None else exhausted_at,
         exhausted_at=exhausted_at,
-        unclicked_convs=unclicked,
         trace=trace,
     )
-
-
-def write_trace(trace: ReplayTrace, path) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        f.write("case_index,bid,win,spent\n")
-        for i in range(len(trace.bids)):
-            f.write(f"{i},{trace.bids[i]},{int(trace.win[i])},{trace.spent_after[i]}\n")
 
 
 # ---------------------------------------------------------------------------
@@ -270,34 +256,27 @@ def run_experiment(
         if [e.label for e in run.entries] != labels:
             raise ValueError("all campaigns must share the same strategy labels")
 
+    seasons = sorted({run.campaign.season for run in runs} - {None})
     tables: dict[tuple[str, Fraction], Table] = {}
     for frac in fractions:
-        per_metric: dict[str, list[tuple[str, list]]] = {"clicks": [], "convs": [], "score": []}
-        season_sums: dict[int | None, dict[str, list[int]]] = {}
-        totals = {m: [0] * len(labels) for m in ("clicks", "convs", "score")}
+        # One ReplayResult per (campaign, entry), simulated in that order.
+        results = []
         for run in runs:
             budget = make_budget(run.test, frac)
-            values = {"clicks": [], "convs": [], "score": []}
-            for entry in run.entries:
-                strategy = entry.resolve(frac)
-                res = simulate(run.test, strategy, budget, run.campaign, pctr=entry.pctr)
-                values["clicks"].append(res.clicks)
-                values["convs"].append(res.convs)
-                values["score"].append(res.score)
-            season = run.campaign.season
-            if season not in season_sums:
-                season_sums[season] = {m: [0] * len(labels) for m in ("clicks", "convs", "score")}
-            for m in ("clicks", "convs", "score"):
-                per_metric[m].append((str(run.campaign.advertiser_id), values[m]))
-                for j, v in enumerate(values[m]):
-                    season_sums[season][m][j] += v
-                    totals[m][j] += v
+            results.append([simulate(run.test, entry.resolve(frac), budget, run.campaign,
+                                     pctr=entry.pctr) for entry in run.entries])
         for m in ("clicks", "convs", "score"):
-            rows = list(per_metric[m])
-            for s in sorted(k for k in season_sums if k is not None):
-                rows.append((f"S{s}", season_sums[s][m]))
-            rows.append(("Total", totals[m]))
+            grid = [[getattr(r, m) for r in row] for row in results]
+            rows = [(str(run.campaign.advertiser_id), values) for run, values in zip(runs, grid)]
+            for s in seasons:
+                rows.append((f"S{s}", _column_sums(
+                    values for run, values in zip(runs, grid) if run.campaign.season == s)))
+            rows.append(("Total", _column_sums(grid)))
             tables[(m, frac)] = Table(
                 title=f"{m} at budget {frac}", columns=list(labels), rows=rows,
             )
     return ExperimentTables(tables)
+
+
+def _column_sums(rows) -> list[int]:
+    return [sum(column) for column in zip(*rows)]

@@ -24,9 +24,7 @@ __all__ = [
     "BreakdownRow",
     "FEATURE_KEYS",
     "METRICS",
-    "UnknownFeatureKey",
     "campaign_summary",
-    "feature_breakdown",
     "feature_breakdowns",
     "write_breakdown_csv",
     "write_summary_csv",
@@ -38,10 +36,6 @@ FEATURE_KEYS = (
     "slot_size", "visibility", "format", "exchange", "user_tag",
 )
 METRICS = ("ctr", "market_price", "ecpc")
-
-
-class UnknownFeatureKey(ValueError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -107,13 +101,14 @@ _KEY_FIELD = {
 }
 
 
-def _tally(cases: Sequence[AuctionCase], keys) -> dict[str, dict[str, list]]:
-    """key -> label -> [n, clicks, sum_price, sum_price_sq], in one pass.
+def _tally(cases: Sequence[AuctionCase]) -> dict[str, dict[str, list]]:
+    """key -> label -> [n, clicks, sum_price, sum_price_sq] for every
+    FEATURE_KEYS key, in one pass.
 
     A case counts once in each tag group it carries: field_values gives
     each distinct tag once.
     """
-    acc: dict[str, dict[str, list]] = {key: {} for key in keys}
+    acc: dict[str, dict[str, list]] = {key: {} for key in FEATURE_KEYS}
     for case in cases:
         fields: dict[str, str] = {}
         tags: list[str] = []
@@ -155,8 +150,9 @@ def _sort_key(key: str):
     return lambda label: (order.get(label, len(order)), label)
 
 
-def feature_breakdown(cases: Sequence[AuctionCase], key: str, metric: str) -> FeatureBreakdown:
-    """Per-group (n, mean, standard error) of the chosen metric.
+def feature_breakdowns(cases: Sequence[AuctionCase]) -> list[FeatureBreakdown]:
+    """Every (key, metric) breakdown, in FEATURE_KEYS x METRICS order, from
+    one pass over the cases: per group, (n, mean, standard error).
 
     CTR uses the Bernoulli standard error sqrt(m(1-m)/n); market price uses
     the sample standard error; eCPC groups without a click are reported
@@ -164,21 +160,9 @@ def feature_breakdown(cases: Sequence[AuctionCase], key: str, metric: str) -> Fe
     tag groups are re-indexed 1..K by descending frequency (original id
     kept in raw_label).
     """
-    if key not in FEATURE_KEYS:
-        raise UnknownFeatureKey(f"unknown feature key {key!r}")
-    if metric not in METRICS:
-        raise ValueError(f"unknown metric {metric!r}")
     if not cases:
         raise ValueError("breakdown needs at least one case")
-    return _breakdown(key, metric, _tally(cases, (key,))[key])
-
-
-def feature_breakdowns(cases: Sequence[AuctionCase]) -> list[FeatureBreakdown]:
-    """Every (key, metric) breakdown, in FEATURE_KEYS x METRICS order, from
-    one pass over the cases; each equals :func:`feature_breakdown`'s."""
-    if not cases:
-        raise ValueError("breakdown needs at least one case")
-    acc = _tally(cases, FEATURE_KEYS)
+    acc = _tally(cases)
     return [_breakdown(key, metric, acc[key]) for key in FEATURE_KEYS for metric in METRICS]
 
 

@@ -6,6 +6,7 @@ import pytest
 
 from rtbsim import kernels, synthgen
 from rtbsim.logdata import AuctionCase, LogRecord, LogType
+from rtbsim.stats import feature_breakdowns
 
 
 @pytest.fixture(scope="session", autouse=True)
@@ -55,6 +56,12 @@ def make_case(paying=15, floor=0, clicked=False, converted=False, ts=None, bid_i
     overrides.setdefault("slot_floor_price", floor)
     overrides.setdefault("bid_price", max(1000, paying + 1))
     return AuctionCase(make_record(**overrides), clicked, converted)
+
+
+def breakdown(cases, key, metric):
+    """The (key, metric) breakdown among :func:`feature_breakdowns`."""
+    return next(bd for bd in feature_breakdowns(cases)
+                if (bd.feature_key, bd.metric) == (key, metric))
 
 
 @pytest.fixture(scope="session")

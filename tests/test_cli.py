@@ -2,12 +2,13 @@ from __future__ import annotations
 
 import re
 import shlex
+import shutil
 import time
 from pathlib import Path
 
 import pytest
 
-from rtbsim import replay
+from rtbsim import models, replay
 from rtbsim.cli import build_parser, main
 
 
@@ -208,6 +209,42 @@ class TestTrainCtr:
                    "--model", "both", "--grid", "10,50,100", "--out", str(tmp_path)])
         assert rc == 0
         assert calls == [6000, 2000]  # train columns for every tune call, then test
+
+
+class TestTune:
+    def test_reads_the_train_split_alone(self, dataset, tmp_path):
+        shutil.copytree(dataset / "train", tmp_path / "d" / "train")
+        argv = ["tune", "--strategy", "const", "--grid", "10,50,100"]
+        assert main(argv + ["--input", str(tmp_path / "d"), "--out", str(tmp_path / "alone")]) == 0
+        assert main(argv + ["--input", str(dataset), "--out", str(tmp_path / "both")]) == 0
+        for name in ("strategy_const_1_8.txt", "grid_const_1_8.csv"):  # 1/8 by default
+            assert (tmp_path / "alone" / name).read_bytes() == (tmp_path / "both" / name).read_bytes()
+
+    def test_each_fraction_tuned_from_one_scoring(self, dataset, models_dir, tmp_path, monkeypatch):
+        argv = ["tune", "--input", str(dataset), "--strategy", "lin", "--models", str(models_dir),
+                "--grid", "10,50,100,300"]
+        for frac in ("1/32", "1/8"):
+            assert main(argv + ["--budget-fraction", frac, "--out", str(tmp_path / frac[2:])]) == 0
+        from_cases, score_cases = replay.ReplayData.from_cases, models.CtrScorer.score_cases
+        calls = []
+
+        def columns(cases):
+            calls.append("columns")
+            return from_cases(cases)
+
+        def scores(scorer, cases):
+            calls.append("scores")
+            return score_cases(scorer, cases)
+
+        monkeypatch.setattr(replay.ReplayData, "from_cases", staticmethod(columns))
+        monkeypatch.setattr(models.CtrScorer, "score_cases", scores)
+        out = tmp_path / "both"
+        rc = main(argv + ["--budget-fraction", "1/32", "--budget-fraction", "1/8", "--out", str(out)])
+        assert rc == 0
+        assert calls == ["scores", "columns"]
+        for tag, single in (("1_32", "32"), ("1_8", "8")):
+            for name in (f"strategy_lin_{tag}.txt", f"grid_lin_{tag}.csv"):
+                assert (out / name).read_bytes() == (tmp_path / single / name).read_bytes()
 
 
 class TestReplayErrors:

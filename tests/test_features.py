@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import re
 from datetime import datetime
 
 import numpy as np
@@ -22,9 +23,7 @@ from rtbsim.features import (
     feature_manifest,
     floor_price_bucket,
 )
-from rtbsim.stats import feature_breakdown
-
-from conftest import make_case, make_record
+from conftest import breakdown, make_case, make_record
 
 MSIE_UA = "Mozilla/5.0 (compatible; MSIE 9.0; Windows NT 6.1; WOW64; Trident/5.0)"
 
@@ -61,6 +60,11 @@ class TestDerivedFields:
         assert d.os == "windows" and d.browser == "ie"
 
 
+def _bad_vocab_entry(line_no, index, dim, found):
+    return (f"line {line_no}: expected '{index}\\t<field>\\t<value>' below dimension {dim}, "
+            f"with a (field, value) not listed before, found {found}")
+
+
 class TestVocabulary:
     def test_dimension_by_construction(self):
         # Two cities and three distinct tags over otherwise constant
@@ -93,6 +97,27 @@ class TestVocabulary:
         vocab = build_vocabulary(train[:200])
         vocab.save(tmp_path / "vocab.txt")
         assert Vocabulary.load(tmp_path / "vocab.txt") == vocab
+
+    @pytest.mark.parametrize("edit, error", [
+        (lambda ls: ls.__setitem__(3, "garbage"), _bad_vocab_entry(4, 2, 20, "'garbage'")),
+        (lambda ls: ls.__delitem__(5), _bad_vocab_entry(6, 4, 20, "'5\\t")),
+        (lambda ls: ls.__delitem__(-1),
+         "line 21: the file ends after index 18, but dimension 20 needs indices up to 19"),
+        (lambda ls: ls.__setitem__(1, "dimension\t7"), _bad_vocab_entry(9, 7, 7, "'7\\t")),
+        (lambda ls: ls.__setitem__(4, "3\t" + ls[2].split("\t", 1)[1]),
+         _bad_vocab_entry(5, 3, 20, "'3\\tweekday\\tThu'")),
+    ], ids=["garbage line", "entry deleted", "last entry deleted", "dimension too small",
+            "pair repeated"])
+    def test_bad_body_named(self, tmp_path, edit, error):
+        cases = [make_case(bid_id="a", city=1, user_tags=(7,)),
+                 make_case(bid_id="b", city=2, user_tags=(8, 9))]
+        build_vocabulary(cases).save(tmp_path / "vocab.txt")
+        lines = (tmp_path / "vocab.txt").read_text(encoding="utf-8").splitlines()
+        assert lines[1] == "dimension\t20" and len(lines) == 21
+        edit(lines)
+        (tmp_path / "vocab.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(ValueError, match="^" + re.escape(error)):
+            Vocabulary.load(tmp_path / "vocab.txt")
 
 
 class TestBinarize:
@@ -143,17 +168,29 @@ class TestBinarize:
         assert batch.labels[:3].tolist() == [1.0 if c.clicked else 0.0 for c in train[:3]]
 
 
+def _bad_encodings_line(line_no, line):
+    """The whole error message, as a pattern."""
+    return "^" + re.escape(f"line {line_no}: expected '<field>\\t<value>\\t<count >= 0>\\t"
+                           f"<ctr in [0, 1]>' with a (field, value) not listed before, "
+                           f"found {line!r}") + "$"
+
+
 class TestEncodings:
-    def test_raw_ratio_with_zero_smoothing(self):
+    def test_frequency_and_smoothed_ratio(self):
         cases = [make_case(bid_id="a", city=9, clicked=True),
-                 make_case(bid_id="b", city=9, clicked=False)]
-        enc = build_encodings(cases, alpha=0.0, beta=0.0)
+                 make_case(bid_id="b", city=9, clicked=False),
+                 make_case(bid_id="c", city=4, clicked=False),
+                 make_case(bid_id="d", city=4, clicked=False)]
+        enc = build_encodings(cases)  # prior 0.25: alpha 5, beta 15
+        assert (enc.prior, enc.alpha, enc.beta) == (0.25, 5.0, 15.0)
         freq, ctr = enc.lookup("city", "9")
-        assert freq == 2 and ctr == pytest.approx(0.5)
+        assert freq == 2 and ctr == pytest.approx((1 + 5) / (2 + 20))
+        freq, ctr = enc.lookup("city", "4")
+        assert freq == 2 and ctr == pytest.approx(5 / (2 + 20))
 
     def test_unseen_value_gets_prior(self):
         cases = [make_case(bid_id="a", clicked=True), make_case(bid_id="b")]
-        enc = build_encodings(cases, alpha=0.0, beta=0.0)
+        enc = build_encodings(cases)
         freq, ctr = enc.lookup("city", "404")
         assert freq == 0 and ctr == pytest.approx(enc.prior) == pytest.approx(0.5)
 
@@ -165,7 +202,7 @@ class TestEncodings:
 
     def test_tags_have_no_frequency(self):
         cases = [make_case(bid_id="a", user_tags=(5,), clicked=True)]
-        enc = build_encodings(cases, alpha=0.0, beta=0.0)
+        enc = build_encodings(cases)
         assert ("tag", "5") not in enc.freq
         assert ("tag", "5") in enc.ctr
 
@@ -182,11 +219,33 @@ class TestEncodings:
         assert loaded.freq == enc.freq
         assert loaded.ctr == enc.ctr
 
+    @pytest.mark.parametrize("line", [
+        "city\t3\t12", "city\t3\t12\tx", "city\t3\t-1\t0.5", "city\t3\t12\t1.5",
+        "city\t3\t12\tnan", "city\t3\t12\t0.5\t0.5",
+    ], ids=["three columns", "ctr not a number", "negative count", "ctr above 1", "ctr nan",
+            "five columns"])
+    def test_bad_body_line_named(self, tmp_path, line):
+        path = tmp_path / "enc.txt"
+        build_encodings([make_case(bid_id="a", clicked=True), make_case(bid_id="b")]).save(path)
+        n = len(path.read_text(encoding="utf-8").splitlines()) + 1
+        with open(path, "a", encoding="utf-8") as f:
+            f.write(line + "\n")
+        with pytest.raises(ValueError, match=_bad_encodings_line(n, line)):
+            CategoryEncodings.load(path)
+
+    def test_repeated_key_named(self, tmp_path):
+        path = tmp_path / "enc.txt"
+        build_encodings([make_case(bid_id="a", clicked=True), make_case(bid_id="b")]).save(path)
+        lines = path.read_text(encoding="utf-8").splitlines()
+        path.write_text("\n".join(lines + [lines[2]]) + "\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=_bad_encodings_line(len(lines) + 1, lines[2])):
+            CategoryEncodings.load(path)
+
 
 class TestDensify:
     def test_unseen_record_gets_zero_freq_and_prior(self):
         cases = [make_case(bid_id="a", clicked=True), make_case(bid_id="b")]
-        enc = build_encodings(cases, alpha=0.0, beta=0.0)
+        enc = build_encodings(cases)
         alien = make_record(region=999, city=999, ad_exchange=999, domain="x",
                             slot_id="x", slot_visibility="x", slot_format="x",
                             creative_id="x", user_agent="weird bot", user_tags=(),
@@ -201,7 +260,7 @@ class TestDensify:
 
     def test_floor_price_passes_through_raw(self):
         cases = [make_case(bid_id="a", clicked=True)]
-        enc = build_encodings(cases, alpha=0.0, beta=0.0)
+        enc = build_encodings(cases)
         rec = make_record(slot_floor_price=21)
         vec = densify(rec, enc)
         assert vec[feature_manifest().index("slot_floor_price")] == 21.0
@@ -267,8 +326,8 @@ def test_repeated_tag_counts_once_in_every_consumer():
     for r, o in zip(repeated, once):
         assert np.array_equal(binarize(r.record, vocab), binarize(o.record, vocab))
     for metric in ("ctr", "market_price", "ecpc"):
-        assert (feature_breakdown(repeated, "user_tag", metric).rows
-                == feature_breakdown(once, "user_tag", metric).rows)
+        assert (breakdown(repeated, "user_tag", metric).rows
+                == breakdown(once, "user_tag", metric).rows)
     enc = build_encodings(once)
     enc_repeated = build_encodings(repeated)
     assert (enc_repeated.ctr, enc_repeated.freq) == (enc.ctr, enc.freq)

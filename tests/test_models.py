@@ -6,7 +6,7 @@ import re
 import numpy as np
 import pytest
 
-from rtbsim import kernels, models, synthgen
+from rtbsim import kernels, kvfile, models, synthgen
 from rtbsim.features import (
     CategoryEncodings,
     SparseBatch,
@@ -537,6 +537,36 @@ class TestSerialization:
         lines[4] = lines[4].replace("split\t0\t", "split\t-2\t")
         with pytest.raises(ValueError, match=r"^tree 0: line 5: expected .* found 'split\\t-2\\t"):
             self._load_gbrt_lines(tmp_path, lines)
+
+    def test_lr_repeated_index_named(self, tmp_path):
+        path = tmp_path / "lr.txt"
+        save_lr(LrModel(self.LR_FILE_WEIGHTS, LrHyper()), path)
+        with open(path, "a", encoding="utf-8") as f:
+            f.write("1\t0.7\n")
+        with pytest.raises(ValueError, match="^line 7: index 1 is listed twice$"):
+            load_lr(path)
+
+    @staticmethod
+    def _hand_gbrt_lines(max_depth, tree) -> list[str]:
+        hyper = "\t".join(["hyper", *kvfile.dump(GbrtHyper(rounds=1, shrinkage=1.0, max_depth=max_depth))])
+        return ["#rtbsim-gbrt v1", "base\t0.0", hyper, f"tree\t{len(tree)}", *tree]
+
+    def test_gbrt_deep_chain_reads_without_recursion(self, tmp_path):
+        # Split i sends x <= i + 0.5 to leaf i; the last right child is leaf 1200.
+        chain = [ln for i in range(1200) for ln in (f"split\t0\t{i + 0.5!r}", f"leaf\t{float(i)!r}")]
+        lines = self._hand_gbrt_lines(1200, chain + [f"leaf\t{1200.0!r}"])
+        model = self._load_gbrt_lines(tmp_path, lines)
+        f = model.forest
+        assert len(f.feature) == 2401 and f.roots.tolist() == [0]
+        rows = np.array([[0.0], [7.0], [1199.0], [5000.0]])
+        leaves = reference_tree_leaves(rows, f.feature, f.threshold, f.left, f.right, f.value)
+        assert leaves.tolist() == [0.0, 7.0, 1199.0, 1200.0]
+
+    def test_gbrt_split_at_max_depth_named(self, tmp_path):
+        tree = ["split\t0\t0.5", "split\t0\t0.25", "leaf\t1.0", "leaf\t2.0", "leaf\t3.0"]
+        assert len(self._load_gbrt_lines(tmp_path, self._hand_gbrt_lines(2, tree)).forest.feature) == 5
+        with pytest.raises(ValueError, match="^tree 0: line 6: a split at depth 1, but max_depth is 1$"):
+            self._load_gbrt_lines(tmp_path, self._hand_gbrt_lines(1, tree))
 
     def test_scores_csv(self, tmp_path):
         models.write_scores_csv(["a", "b"], [0.25, 0.5], tmp_path / "s.csv")
