@@ -3,12 +3,13 @@
 
 Run:  python3 benchmarks/bench_kernels.py
 
-The two backends are bit-identical (see tests/test_kernels.py); this
-script only measures the speed gap that RTBSIM_NO_NUMBA trades away.  A
-second table compares scoring one row with apply_forest_row against
-apply_forest on a one-row batch.  Without numba the loop forms run as
-plain Python, minutes at these sizes, so they are only checked against the
-fallbacks on a slice and their times print as n/a.
+The two backends are bit-identical (see tests/test_kernels.py); which one
+runs is whether numba is installed, and this script measures the speed gap
+between them.  A second table compares scoring one row with the installed
+backend's apply_forest_row against apply_forest on a one-row batch.
+Without numba the loop forms run as plain Python, minutes at these sizes,
+so they are only checked against the fallbacks on a slice and their times
+print as n/a.
 """
 
 from __future__ import annotations
@@ -86,15 +87,16 @@ def bench_sgd_epoch(rows):
         indptr = np.arange(0, m * active + 1, active, dtype=np.int64)
         return indptr, indices[:m * active], labels[:m], order[order < m]
 
-    def epoch(fn):
-        # The epoch updates v in place; return it with the scalars it yields.
+    def epoch(fn, operand):
+        # A one-epoch fit: the operands in the form fn reads, made as
+        # train_lr makes them, then the epoch, which updates v in place.
         def run(indptr, indices, labels, order):
-            v = np.zeros(dim - 1)
-            return fn(indptr, indices, labels, v, order, 0.0, 1.0, 0, 0.05, 1e-6), v
+            ops = [operand(a) for a in (indptr, indices, labels, np.zeros(dim - 1))]
+            return fn(*ops, order, 0.0, 1.0, 0, 0.05, 1e-6), np.asarray(ops[3])
         return run
 
-    compare(rows, "sgd_epoch (n=2e5, 16 active)", epoch(kernels.sgd_epoch_loop),
-            epoch(kernels.sgd_epoch_python), args, n,
+    compare(rows, "sgd_epoch (n=2e5, 16 active)", epoch(kernels.sgd_epoch_loop, np.asarray),
+            epoch(kernels.sgd_epoch_python, np.ndarray.tolist), args, n,
             lambda a, b: a[0] == b[0] and np.array_equal(a[1], b[1]), repeats=1)
 
 
@@ -176,7 +178,7 @@ def main() -> None:
     one_row: list[tuple[str, float, float]] = []
     bench_apply_forest(rows, one_row)
     print_table("kernel", ("loop", "fallback"), rows)
-    active = "loop" if kernels.NUMBA_ENABLED else "fallback"
+    active = "loop" if kernels.HAVE_NUMBA else "fallback"
     print_table(f"row walk ({active})", ("row walk", "forest"), one_row)
 
 

@@ -195,7 +195,7 @@ class Vocabulary:
         index: dict[tuple[str, str], int] = {}
         with open(path, encoding="utf-8") as f:
             kvfile.check_header(f, "#rtbsim-vocab v1")
-            dim = int(kvfile.read_labeled(f, "dimension")[0])
+            dim = kvfile.read_dimension(f)
             for i, line in enumerate(f, 1):
                 text = line.rstrip("\n")
                 idx, _, key = text.partition("\t")

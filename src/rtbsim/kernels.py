@@ -1,15 +1,14 @@
 """Hot numeric kernels with two interchangeable backends.
 
-Every kernel here exists twice: a loop form compiled with numba's ``@njit``
-and a pure-numpy form (plain Python over lists where numpy does not pay, as
-for the SGD epoch and one forest row).  The loop form is the default;
-setting the environment variable ``RTBSIM_NO_NUMBA=1`` (or running without
-numba installed) selects the other form.  The two backends are bit-identical for
-every kernel: integer arithmetic is exact, and the float accumulations are
-arranged so both sides add in the same order (``np.cumsum``/``np.bincount``
-accumulate sequentially, matching the scalar loops).  The test suite
-asserts this equality, and ``benchmarks/bench_kernels.py`` compares their
-speed.
+Every kernel here has a loop form, which numba's ``@njit`` compiles, and
+the backend is whether numba imports (``HAVE_NUMBA``): with it the loop
+forms run, without it the numpy forms (plain Python over lists where
+numpy does not pay, as for the SGD epoch and one forest row).  The two
+backends are bit-identical for every kernel: integer arithmetic is exact,
+and the float accumulations are arranged so both sides add in the same
+order (``np.cumsum``/``np.bincount`` accumulate sequentially, matching the
+scalar loops).  The test suite asserts this equality, and
+``benchmarks/bench_kernels.py`` compares their speed.
 
 The kernels: ``win_scan`` (budget-constrained auction replay),
 ``sgd_epoch`` (one logistic-regression epoch), ``grow_tree`` (one
@@ -25,40 +24,22 @@ on the last, and ``apply_forest_row``, for which numpy's per-call overhead
 on one row costs more than the walk.  Each has one loop body that numba
 compiles over the arrays and that otherwise runs as plain Python over list
 copies of them, whose items the interpreter reads several times faster
-than numpy's scalars.  ``sgd_epoch_python`` makes the copies with
-``tolist()`` on every call and writes the weights back in place (one epoch
-over 3000 rows of 18 indices then takes about 7 ms, against about 40 ms
-for the same body over the arrays); ``apply_forest_row`` is handed copies
-that ``PackedForest`` makes once (``row_operand`` gives the form).  Both
-forms make the same float operations in the same order, so the SGD weights
-are the same bit for bit, and a row's forest score equals its batch row.
+than numpy's scalars.  The callers make those copies once with
+``row_operand``: ``train_lr`` for the rows, labels and weights of a fit,
+which every epoch reads and updates in place, and ``PackedForest`` for a
+model's nodes.  Both forms make the same float operations in the same
+order, so the SGD weights are the same bit for bit, and a row's forest
+score equals its batch row.
 
 ``grow_tree``'s numpy form searches splits one frontier node at a time,
-over every feature at once.  Each node keeps its rows as an ``(nfeat,
-n_node)`` block of row ids in each feature's presorted order, with their
-values; a split partitions the parent's block stably, so the children's
-rows stay presorted.  The search is one gather of the residuals, one
-``cumsum`` along each feature's rows, and scores only at the positions
-where the value changes with ``min_leaf`` rows on each side; the first
-maximum in (feature, position) order is the loop's tie-break.  ``cumsum``
-adds the rows in the loop's order, so the scores, and the trees, are the
-loop form's bit for bit.  The root's block (``sorted_ids`` and
-``sorted_vals``) is the same for every tree of a model, so ``train_gbrt``
-gathers it once and passes it to both forms; the loop form reads each
-feature's values in sorted order from it too.
-
-The backend flag changes performance only, never results, so it is safe to
-flip between runs of the same experiment.
+over every feature at once (see ``grow_tree_numpy``).
 """
 
 from __future__ import annotations
 
 import math
-import os
 
 import numpy as np
-
-ENV_FLAG = "RTBSIM_NO_NUMBA"
 
 try:
     import numba
@@ -68,12 +49,8 @@ except ImportError:  # pragma: no cover - numba is a declared dependency
     numba = None
     HAVE_NUMBA = False
 
-
-def _flag_disabled() -> bool:
-    return os.environ.get(ENV_FLAG, "").strip().lower() in {"1", "true", "yes", "on"}
-
-
-NUMBA_ENABLED = HAVE_NUMBA and not _flag_disabled()
+# The same fact under a second name: perfbench/run.py records both.
+NUMBA_ENABLED = HAVE_NUMBA
 
 
 def _njit(fn):
@@ -127,7 +104,7 @@ def win_scan_numpy(bids, paying, floor, budget):
     return win, spent, exhausted
 
 
-win_scan = win_scan_loop if NUMBA_ENABLED else win_scan_numpy
+win_scan = win_scan_loop if HAVE_NUMBA else win_scan_numpy
 
 
 # ---------------------------------------------------------------------------
@@ -170,16 +147,12 @@ sgd_epoch_loop = _njit(_sgd_epoch_py)
 
 
 def sgd_epoch_python(indptr, indices, labels, v, order, w0, s, t0, lr0, lam):
-    """The loop body as plain Python over list copies of the operands; ``v``
-    is updated in place, and the result is the compiled form's bit for bit."""
-    vl = v.tolist()
-    out = _sgd_epoch_py(indptr.tolist(), indices.tolist(), labels.tolist(), vl,
-                        order.tolist(), w0, s, t0, lr0, lam)
-    v[:] = vl
-    return out
+    """The loop body as plain Python over the ``row_operand`` lists of one fit
+    and a list of this epoch's ``order``; ``v`` is updated in place."""
+    return _sgd_epoch_py(indptr, indices, labels, v, order.tolist(), w0, s, t0, lr0, lam)
 
 
-sgd_epoch = sgd_epoch_loop if NUMBA_ENABLED else sgd_epoch_python
+sgd_epoch = sgd_epoch_loop if HAVE_NUMBA else sgd_epoch_python
 
 
 # ---------------------------------------------------------------------------
@@ -374,7 +347,7 @@ def grow_tree_numpy(x, sorted_ids, sorted_vals, resid, min_leaf, max_depth):
     return feat[:n_nodes], thr[:n_nodes], left[:n_nodes], right[:n_nodes], value[:n_nodes]
 
 
-grow_tree = grow_tree_loop if NUMBA_ENABLED else grow_tree_numpy
+grow_tree = grow_tree_loop if HAVE_NUMBA else grow_tree_numpy
 
 
 # ---------------------------------------------------------------------------
@@ -438,7 +411,7 @@ def apply_forest_numpy(x, feat, thr, left, right, value, roots, base, shrinkage)
     return out
 
 
-apply_forest = apply_forest_loop if NUMBA_ENABLED else apply_forest_numpy
+apply_forest = apply_forest_loop if HAVE_NUMBA else apply_forest_numpy
 
 _ONE_ROOT = np.zeros(1, dtype=np.int64)
 
@@ -467,16 +440,14 @@ def _apply_forest_row_py(x, feat, thr, left, right, value, roots, base, shrinkag
     return s
 
 
-apply_forest_row_loop = _njit(_apply_forest_row_py)
-apply_forest_row_python = _apply_forest_row_py
-apply_forest_row = apply_forest_row_loop if NUMBA_ENABLED else apply_forest_row_python
+apply_forest_row = _njit(_apply_forest_row_py)
 
 
 def row_operand(a: np.ndarray):
-    """``a`` in the form that ``apply_forest_row`` walks: the array itself
-    for the compiled walk, a list for plain Python, whose items the
-    interpreter reads and compares several times faster than numpy's."""
-    return a if NUMBA_ENABLED else a.tolist()
+    """``a`` in the form that ``sgd_epoch`` and ``apply_forest_row`` read: the
+    array itself for the compiled body, a list for plain Python, whose items
+    the interpreter reads and writes several times faster than numpy's."""
+    return a if HAVE_NUMBA else a.tolist()
 
 
 def warmup() -> None:

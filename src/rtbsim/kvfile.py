@@ -8,7 +8,7 @@ from __future__ import annotations
 from dataclasses import fields
 from typing import Iterable, get_type_hints
 
-__all__ = ["dump", "parse", "load", "check_header", "read_labeled", "read_fields"]
+__all__ = ["dump", "parse", "load", "check_header", "read_labeled", "read_dimension", "read_fields"]
 
 _KINDS = {hint: kind for kind in (int, float, str) for hint in (kind, kind | None)}
 
@@ -74,6 +74,17 @@ def read_labeled(f, *labels: str) -> list[str]:
     if parts[::2] != list(labels) or len(parts) != 2 * len(labels):
         raise ValueError(f"expected a {' '.join(labels)!r} line, found {found!r}")
     return parts[1::2]
+
+
+def read_dimension(f) -> int:
+    """The ``dimension`` of a vocabulary or LR model file, from the next line
+    of the open file ``f``, its line 2: an integer of 1 or more, since index 0
+    is the bias."""
+    text = read_labeled(f, "dimension")[0]
+    if not (text.isdecimal() and int(text) >= 1):
+        line = f"dimension\t{text}"
+        raise ValueError(f"line 2: expected 'dimension\\t<integer >= 1>', found {line!r}")
+    return int(text)
 
 
 def read_fields(f, label: str, cls):

@@ -131,19 +131,20 @@ def train_lr(batch: SparseBatch, hyper: LrHyper | None = None) -> LrModel:
     _check_indices(batch)
     rng = np.random.Generator(np.random.PCG64(hyper.seed))
     n = len(batch)
-    v = np.zeros(batch.dimension - 1, dtype=np.float64)
+    # The kernel's operands, copied once for every epoch; v is updated in place.
+    indptr, indices, labels, v = map(kernels.row_operand, (
+        batch.indptr, batch.indices, batch.labels, np.zeros(batch.dimension - 1)))
     w0, s, t = 0.0, 1.0, 0
     for _ in range(hyper.epochs):
         order = rng.permutation(n).astype(np.int64)
         w0, s, t = kernels.sgd_epoch(
-            batch.indptr, batch.indices, batch.labels, v, order,
-            w0, s, t, hyper.learning_rate, hyper.l2,
+            indptr, indices, labels, v, order, w0, s, t, hyper.learning_rate, hyper.l2,
         )
         if not (math.isfinite(w0) and math.isfinite(s) and np.isfinite(v).all()):
             raise DivergenceDetected("non-finite weights during SGD")
     weights = np.empty(batch.dimension, dtype=np.float64)
     weights[0] = w0
-    weights[1:] = v * s
+    weights[1:] = np.asarray(v) * s
     if not np.isfinite(weights).all():
         raise DivergenceDetected("non-finite weights after training")
     return LrModel(weights, hyper)
@@ -445,7 +446,7 @@ def save_lr(model: LrModel, path) -> None:
 def load_lr(path) -> LrModel:
     with open(path, encoding="utf-8") as f:
         kvfile.check_header(f, "#rtbsim-lr v1")
-        dim = int(kvfile.read_labeled(f, "dimension")[0])
+        dim = kvfile.read_dimension(f)
         hyper = kvfile.read_fields(f, "hyper", LrHyper)
         w = np.zeros(dim, dtype=np.float64)
         seen: set[int] = set()
@@ -466,13 +467,15 @@ def load_lr(path) -> LrModel:
     return LrModel(w, hyper)
 
 
-def _write_tree_preorder(f, forest: PackedForest, node: int) -> None:
-    if forest.left[node] < 0:
-        f.write(f"leaf\t{float(forest.value[node])!r}\n")
-    else:
-        f.write(f"split\t{forest.feature[node]}\t{float(forest.threshold[node])!r}\n")
-        _write_tree_preorder(f, forest, int(forest.left[node]))
-        _write_tree_preorder(f, forest, int(forest.right[node]))
+def _write_tree_preorder(f, forest: PackedForest, root: int) -> None:
+    stack = [root]  # nodes still to write, the next on top
+    while stack:
+        node = stack.pop()
+        if forest.left[node] < 0:
+            f.write(f"leaf\t{float(forest.value[node])!r}\n")
+        else:
+            f.write(f"split\t{forest.feature[node]}\t{float(forest.threshold[node])!r}\n")
+            stack += [int(forest.right[node]), int(forest.left[node])]
 
 
 def _read_node(line: str, line_no: int) -> tuple[int, float, float]:

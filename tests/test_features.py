@@ -106,8 +106,11 @@ class TestVocabulary:
         (lambda ls: ls.__setitem__(1, "dimension\t7"), _bad_vocab_entry(9, 7, 7, "'7\\t")),
         (lambda ls: ls.__setitem__(4, "3\t" + ls[2].split("\t", 1)[1]),
          _bad_vocab_entry(5, 3, 20, "'3\\tweekday\\tThu'")),
+        *((lambda ls, d=d: ls.__setitem__(1, f"dimension\t{d}"),
+           f"line 2: expected 'dimension\\t<integer >= 1>', found 'dimension\\t{d}'")
+          for d in ("x", "-1", "0")),
     ], ids=["garbage line", "entry deleted", "last entry deleted", "dimension too small",
-            "pair repeated"])
+            "pair repeated", "dimension not a number", "dimension negative", "dimension zero"])
     def test_bad_body_named(self, tmp_path, edit, error):
         cases = [make_case(bid_id="a", city=1, user_tags=(7,)),
                  make_case(bid_id="b", city=2, user_tags=(8, 9))]

@@ -1,13 +1,10 @@
 """Backend equivalence: the njit loop kernels and the numpy fallbacks must
-produce bit-identical results, since the env flag that selects between them
-must never change experiment outputs."""
+produce bit-identical results, since whether numba is installed must never
+change experiment outputs."""
 
 from __future__ import annotations
 
 import math
-import os
-import subprocess
-import sys
 
 import numpy as np
 import pytest
@@ -78,6 +75,11 @@ class TestWinScan:
             assert np.array_equal(out1[0], out2[0]) and out1[1:] == out2[1:]
 
 
+def lists(*arrays):
+    """The plain-list copies that the numpy backend's kernels read."""
+    return [a.tolist() for a in arrays]
+
+
 class TestSgdEpoch:
     def test_jit_matches_python_source(self):
         rng = np.random.default_rng(5)
@@ -91,16 +93,19 @@ class TestSgdEpoch:
 
         for lam in (0.0, 1e-6, 1e-2, 1e6):
             v1 = np.zeros(dim - 1)
-            v2 = np.zeros(dim - 1)
+            v2 = [0.0] * (dim - 1)
             out1 = kernels.sgd_epoch_loop(indptr, indices, labels, v1, order, 0.0, 1.0, 0, 0.1, lam)
-            out2 = kernels.sgd_epoch_python(indptr, indices, labels, v2, order, 0.0, 1.0, 0, 0.1, lam)
+            out2 = kernels.sgd_epoch_python(*lists(indptr, indices, labels), v2, order,
+                                            0.0, 1.0, 0, 0.1, lam)
             assert out1 == out2
-            assert np.array_equal(v1, v2)
+            assert v1.tolist() == v2
 
     @pytest.mark.parametrize("lam", [0.0, 1e-6, 1e-2, 1e6])
     def test_list_form_matches_array_body_over_epochs(self, lam):
-        # The list form against the one loop body run over the arrays, with
-        # (w0, s, t) carried from each epoch into the next, as train_lr does.
+        # The one loop body over list copies made once, as train_lr makes
+        # them, against the same body over the arrays and the compiled
+        # kernel, with (w0, s, t) and the weights carried from each epoch
+        # into the next.
         rng = np.random.default_rng(6)
         n, dim, lr0 = 300, 20, 0.1
         rows = [np.sort(rng.choice(np.arange(1, dim), size=int(rng.integers(0, 7)), replace=False))
@@ -110,19 +115,21 @@ class TestSgdEpoch:
         indices = np.concatenate(rows).astype(np.int32)
         labels = rng.integers(0, 2, size=n).astype(np.float64)
         assert (np.diff(indptr) == 0).any()  # empty rows touch only the bias
+        operands = {"array": (indptr, indices, labels, np.zeros(dim - 1)),
+                    "list": (*lists(indptr, indices, labels), [0.0] * (dim - 1))}
         forms = {"array": kernels._sgd_epoch_py, "list": kernels.sgd_epoch_python}
         if kernels.HAVE_NUMBA:
             forms["compiled"] = kernels.sgd_epoch_loop
-        v = {name: np.zeros(dim - 1) for name in forms}
+            operands["compiled"] = (indptr, indices, labels, np.zeros(dim - 1))
         state = {name: (0.0, 1.0, 0) for name in forms}
         for _ in range(4):
             order = rng.permutation(n).astype(np.int64)
             for name, epoch in forms.items():
-                state[name] = epoch(indptr, indices, labels, v[name], order, *state[name],
-                                    lr0, lam)
+                state[name] = epoch(*operands[name], order, *state[name], lr0, lam)
             for name in forms:
-                assert state[name] == state["array"] and np.array_equal(v[name], v["array"])
-        assert state["array"][2] == 4 * n and np.isfinite(v["list"]).all()
+                assert state[name] == state["array"]
+                assert list(operands[name][3]) == operands["array"][3].tolist()
+        assert state["array"][2] == 4 * n and np.isfinite(operands["list"][3]).all()
         if lam == 1e6:
             # The same shrinks without the rescale branch fall below 1e-130
             # (to 0.0), so a scale still at or above it was reset on the way.
@@ -322,10 +329,10 @@ class TestApplyForest:
             nodes = (forest.feature, forest.threshold, forest.left, forest.right,
                      forest.value, forest.roots)
             for i, row in enumerate(xq):
-                compiled = kernels.apply_forest_row_loop(row, *nodes, base, shrinkage)
-                plain = kernels.apply_forest_row_python(
-                    row.tolist(), *(a.tolist() for a in nodes), base, shrinkage)
-                assert compiled == plain == loop[i] == vec[i]
+                plain = kernels._apply_forest_row_py(*lists(row, *nodes), base, shrinkage)
+                assert plain == loop[i] == vec[i]
+                if kernels.HAVE_NUMBA:
+                    assert kernels.apply_forest_row(row, *nodes, base, shrinkage) == plain
 
     def test_blocks_of_a_large_batch_agree(self, monkeypatch):
         rng = np.random.default_rng(9)
@@ -344,28 +351,15 @@ class TestApplyForest:
         assert forest.max_feature == max(int(t[0].max()) for t in trees)
 
 
-def test_env_flag_selects_numpy_backend():
-    code = (
-        "from rtbsim import kernels\n"
-        "assert kernels.NUMBA_ENABLED is False\n"
-        "assert kernels.win_scan is kernels.win_scan_numpy\n"
-        "assert kernels.sgd_epoch is kernels.sgd_epoch_python\n"
-        "assert kernels.grow_tree is kernels.grow_tree_numpy\n"
-        "assert kernels.apply_forest is kernels.apply_forest_numpy\n"
-        "assert kernels.apply_forest_row is kernels.apply_forest_row_python\n"
-        "from rtbsim import models\n"
-        "assert all(type(a) is list for a in models.PackedForest.of([]).nodes)\n"
-        "print('fallback ok')\n"
-    )
-    env = dict(os.environ, RTBSIM_NO_NUMBA="1")
-    out = subprocess.run([sys.executable, "-c", code], env=env,
-                         capture_output=True, text=True)
-    assert out.returncode == 0, out.stderr
-    assert "fallback ok" in out.stdout
-
-
-def test_default_backend_uses_numba_when_available():
-    if not kernels.HAVE_NUMBA or kernels._flag_disabled():
-        pytest.skip("numba unavailable or disabled in this environment")
-    assert kernels.NUMBA_ENABLED
-    assert kernels.win_scan is kernels.win_scan_loop
+def test_backend_is_whether_numba_imports():
+    # With numba the loop forms run over the arrays; without it the numpy
+    # forms, and the plain-Python bodies over list copies.
+    assert kernels.NUMBA_ENABLED == kernels.HAVE_NUMBA
+    loop = kernels.HAVE_NUMBA
+    assert kernels.win_scan is (kernels.win_scan_loop if loop else kernels.win_scan_numpy)
+    assert kernels.sgd_epoch is (kernels.sgd_epoch_loop if loop else kernels.sgd_epoch_python)
+    assert kernels.grow_tree is (kernels.grow_tree_loop if loop else kernels.grow_tree_numpy)
+    assert kernels.apply_forest is (kernels.apply_forest_loop if loop else kernels.apply_forest_numpy)
+    assert (kernels.apply_forest_row is kernels._apply_forest_row_py) == (not loop)
+    nodes = models.PackedForest.of([]).nodes
+    assert all(type(a) is (np.ndarray if loop else list) for a in nodes)

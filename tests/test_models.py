@@ -494,6 +494,18 @@ class TestSerialization:
 
     LR_FILE_WEIGHTS = np.array([0.5, -1.0, 0.0, 2.0])  # lines 4-6 of its file
 
+    @pytest.mark.parametrize("dimension", ["x", "-1", "0"])
+    def test_lr_bad_dimension_named(self, tmp_path, dimension):
+        # 0 would load a model without its bias weight
+        path = tmp_path / "lr.txt"
+        save_lr(LrModel(self.LR_FILE_WEIGHTS, LrHyper()), path)
+        lines = path.read_text(encoding="utf-8").split("\n")
+        lines[1] = f"dimension\t{dimension}"
+        path.write_text("\n".join(lines), encoding="utf-8")
+        expected = rf"line 2: expected 'dimension\\t<integer >= 1>', found 'dimension\\t{dimension}'"
+        with pytest.raises(ValueError, match=f"^{expected}$"):
+            load_lr(path)
+
     @pytest.mark.parametrize("line", ["-1\t0.25", "7\t0.25", "2 0.25"],
                              ids=["negative index", "index past dimension", "no tab"])
     def test_lr_bad_weight_line_named(self, tmp_path, line):
@@ -561,6 +573,9 @@ class TestSerialization:
         rows = np.array([[0.0], [7.0], [1199.0], [5000.0]])
         leaves = reference_tree_leaves(rows, f.feature, f.threshold, f.left, f.right, f.value)
         assert leaves.tolist() == [0.0, 7.0, 1199.0, 1200.0]
+        # and writes it back, byte for byte, without recursion either
+        save_gbrt(model, tmp_path / "again.txt")
+        assert (tmp_path / "again.txt").read_bytes() == (tmp_path / "bad.txt").read_bytes()
 
     def test_gbrt_split_at_max_depth_named(self, tmp_path):
         tree = ["split\t0\t0.5", "split\t0\t0.25", "leaf\t1.0", "leaf\t2.0", "leaf\t3.0"]
