@@ -324,14 +324,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train-ctr", help="train and evaluate a CTR model")
     _add_common_io(p)
     p.add_argument("--model", choices=("lr", "gbrt"), required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--epochs", type=int, default=5)
-    p.add_argument("--learning-rate", type=float, default=0.05)
-    p.add_argument("--l2", type=float, default=1e-6)
-    p.add_argument("--rounds", type=int, default=50)
-    p.add_argument("--depth", type=int, default=5)
-    p.add_argument("--shrinkage", type=float, default=0.05)
-    p.add_argument("--min-leaf", type=int, default=20)
+    p.add_argument("--seed", type=int, default=models.LrHyper.seed)
+    p.add_argument("--epochs", type=int, default=models.LrHyper.epochs)
+    p.add_argument("--learning-rate", type=float, default=models.LrHyper.learning_rate)
+    p.add_argument("--l2", type=float, default=models.LrHyper.l2)
+    p.add_argument("--rounds", type=int, default=models.GbrtHyper.rounds)
+    p.add_argument("--depth", type=int, default=models.GbrtHyper.max_depth)
+    p.add_argument("--shrinkage", type=float, default=models.GbrtHyper.shrinkage)
+    p.add_argument("--min-leaf", type=int, default=models.GbrtHyper.min_leaf)
     p.set_defaults(func=cmd_train_ctr)
 
     p = sub.add_parser("tune", help="grid-search one bidding strategy on training data")

@@ -227,7 +227,8 @@ def build_vocabulary(train: Iterable[AuctionCase]) -> Vocabulary:
 
 
 def binarize(record: LogRecord, vocab: Vocabulary) -> np.ndarray:
-    """Sorted active one-hot indices (bias excluded, implicit index 0).
+    """Sorted active one-hot indices (bias excluded, implicit index 0), as
+    the int64 that ``models.predict`` reads without a copy.
 
     Out-of-vocabulary values contribute nothing, so a fully unseen record
     yields an empty vector.
@@ -236,7 +237,7 @@ def binarize(record: LogRecord, vocab: Vocabulary) -> np.ndarray:
         idx for key in field_values(record)
         if (idx := vocab.index.get(key)) is not None
     }
-    return np.array(sorted(found), dtype=np.int32)
+    return np.array(sorted(found), dtype=np.int64)
 
 
 @dataclass
@@ -389,14 +390,17 @@ _TAG_CTR_COLUMN = 2 * len(GBRT_CATEGORICAL_FIELDS)
 def densify(record: LogRecord, encodings: CategoryEncodings) -> np.ndarray:
     """Fixed-length dense vector in :data:`DEFAULT_MANIFEST` order."""
     out = np.empty(len(DEFAULT_MANIFEST), dtype=np.float64)
-    tag_ctrs = []
+    # The tag CTRs added in sequence from 0.0: builtin sum compensates from
+    # Python 3.12 on, which would change the column, and so the model files.
+    tag_sum, n_tags = 0.0, 0
     for field, value in field_values(record):
         col = _FREQ_COLUMN.get(field)
         if col is not None:
             out[col], out[col + 1] = encodings.lookup(field, value)
         elif field == "tag":
-            tag_ctrs.append(encodings.lookup(field, value)[1])
-    out[_TAG_CTR_COLUMN] = sum(tag_ctrs) / len(tag_ctrs) if tag_ctrs else encodings.prior
+            tag_sum += encodings.lookup(field, value)[1]
+            n_tags += 1
+    out[_TAG_CTR_COLUMN] = tag_sum / n_tags if n_tags else encodings.prior
     out[_TAG_CTR_COLUMN + 1:] = (
         record.slot_width, record.slot_height, record.slot_floor_price, record.timestamp.hour,
     )

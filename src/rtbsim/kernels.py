@@ -15,9 +15,10 @@ The kernels: ``win_scan`` (budget-constrained auction replay),
 regression tree), ``apply_forest``, which scores a whole GBRT ensemble on a
 batch in one call, and ``apply_forest_row``, which scores one impression.
 Both forest kernels take the trees packed into flat node arrays with global
-child indices (see ``models.PackedForest``).  ``apply_tree``, which boosting
-calls on each new tree, is no kernel of its own: it is ``apply_forest`` over
-that one tree.
+child indices (see ``models.PackedForest``), and ``apply_forest``'s loop form
+is ``apply_forest_row`` on each row.  ``grow_tree`` also returns the leaf it
+put each row in, so boosting adds a new tree's leaves without walking the
+rows through it again; ``apply_tree`` is that gather, not a kernel.
 
 Two kernels have no numpy form: ``sgd_epoch``, whose updates each depend
 on the last, and ``apply_forest_row``, for which numpy's per-call overhead
@@ -253,7 +254,7 @@ def _grow_tree_py(x, sorted_ids, sorted_vals, resid, min_leaf, max_depth):
         level_hi = n_nodes
         if not any_split:
             break
-    return feat[:n_nodes], thr[:n_nodes], left[:n_nodes], right[:n_nodes], value[:n_nodes]
+    return feat[:n_nodes], thr[:n_nodes], left[:n_nodes], right[:n_nodes], value[:n_nodes], node_of
 
 
 grow_tree_loop = _njit(_grow_tree_py)
@@ -344,7 +345,7 @@ def grow_tree_numpy(x, sorted_ids, sorted_vals, resid, min_leaf, max_depth):
         level_hi = n_nodes
         if not any_split:
             break
-    return feat[:n_nodes], thr[:n_nodes], left[:n_nodes], right[:n_nodes], value[:n_nodes]
+    return feat[:n_nodes], thr[:n_nodes], left[:n_nodes], right[:n_nodes], value[:n_nodes], node_of
 
 
 grow_tree = grow_tree_loop if HAVE_NUMBA else grow_tree_numpy
@@ -354,23 +355,31 @@ grow_tree = grow_tree_loop if HAVE_NUMBA else grow_tree_numpy
 # Forest scoring: every tree of a packed ensemble in one call.
 # ---------------------------------------------------------------------------
 
+def _apply_forest_row_py(x, feat, thr, left, right, value, roots, base, shrinkage):
+    # One row through every tree, base first and then each leaf times
+    # shrinkage in tree order: the float operations apply_forest_numpy makes
+    # for that row, so the same result bit for bit.
+    s = base
+    for r in roots:
+        nd = r
+        while left[nd] >= 0:
+            if x[feat[nd]] <= thr[nd]:
+                nd = left[nd]
+            else:
+                nd = right[nd]
+        s += shrinkage * value[nd]
+    return s
+
+
+apply_forest_row = _njit(_apply_forest_row_py)
+
+
 def _apply_forest_py(x, feat, thr, left, right, value, roots, base, shrinkage):
-    # The trees' node arrays are concatenated with global child indices;
-    # roots[t] is the first node of tree t.  Leaves are added in tree order,
-    # base first, exactly as a per-tree accumulation would add them.
+    # The row walk on each row, so a batch row's score is its row's.
     n = x.shape[0]
     out = np.empty(n, dtype=np.float64)
     for i in range(n):
-        s = base
-        for t in range(roots.shape[0]):
-            nd = roots[t]
-            while left[nd] >= 0:
-                if x[i, feat[nd]] <= thr[nd]:
-                    nd = left[nd]
-                else:
-                    nd = right[nd]
-            s += shrinkage * value[nd]
-        out[i] = s
+        out[i] = apply_forest_row(x[i], feat, thr, left, right, value, roots, base, shrinkage)
     return out
 
 
@@ -413,34 +422,14 @@ def apply_forest_numpy(x, feat, thr, left, right, value, roots, base, shrinkage)
 
 apply_forest = apply_forest_loop if HAVE_NUMBA else apply_forest_numpy
 
-_ONE_ROOT = np.zeros(1, dtype=np.int64)
 
-
-def apply_tree(x, feat, thr, left, right, value):
-    """Each row's leaf value in one tree, as ``grow_tree`` returns it: the
-    forest walk over that tree alone, with base 0.0 and shrinkage 1.0, whose
-    sum ``0.0 + 1.0 * leaf`` is the leaf itself.  It is a name of its own
-    because perfbench's tracer times boosting's tree walks under it."""
-    return apply_forest(x, feat, thr, left, right, value, _ONE_ROOT, 0.0, 1.0)
-
-
-def _apply_forest_row_py(x, feat, thr, left, right, value, roots, base, shrinkage):
-    # One row through every tree, base first and then each leaf times
-    # shrinkage in tree order: the float operations apply_forest makes for
-    # that row, so the same result bit for bit.
-    s = base
-    for r in roots:
-        nd = r
-        while left[nd] >= 0:
-            if x[feat[nd]] <= thr[nd]:
-                nd = left[nd]
-            else:
-                nd = right[nd]
-        s += shrinkage * value[nd]
-    return s
-
-
-apply_forest_row = _njit(_apply_forest_row_py)
+def apply_tree(node_of, value):
+    """Each training row's leaf value: ``value`` gathered at the leaves that
+    ``grow_tree`` put the rows in.  It is a name of its own only because
+    perfbench's tracer times boosting's update under it (``spans.KERNELS``)
+    and counts rows from ``args[0].shape[0]``, so ``node_of`` stays the first
+    argument, an array.  It can go once rtbsim counts its own work."""
+    return value[node_of]
 
 
 def row_operand(a: np.ndarray):
@@ -465,6 +454,7 @@ def warmup() -> None:
     x = np.array([[0.0], [1.0], [2.0], [3.0]])
     sids = np.argsort(x, axis=0, kind="stable").T.copy()
     r = np.array([0.0, 0.0, 1.0, 1.0])
-    tree = grow_tree(x, sids, np.take_along_axis(x.T, sids, axis=1), r, 1, 2)
-    apply_tree(x, *tree)
-    apply_forest_row(*map(row_operand, (x[0], *tree, _ONE_ROOT)), 0.0, 1.0)
+    *tree, _ = grow_tree(x, sids, np.take_along_axis(x.T, sids, axis=1), r, 1, 2)
+    root = np.zeros(1, dtype=np.int64)
+    apply_forest(x, *tree, root, 0.0, 1.0)
+    apply_forest_row(*map(row_operand, (x[0], *tree, root)), 0.0, 1.0)

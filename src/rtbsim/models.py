@@ -89,9 +89,9 @@ def _check_labels(labels: np.ndarray) -> None:
 
 @dataclass
 class LrHyper:
-    learning_rate: float = 0.01  # decayed as lr / sqrt(t)
+    learning_rate: float = 0.05  # decayed as lr / sqrt(t)
     l2: float = 1e-6
-    epochs: int = 1
+    epochs: int = 5
     seed: int = 0
 
 
@@ -241,9 +241,9 @@ class PackedForest:
 
     @classmethod
     def of(cls, trees) -> "PackedForest":
-        """Packs the ``(feature, threshold, left, right, value)`` tuples that
-        :func:`kernels.grow_tree` returns, whose child indices are local to
-        each tree."""
+        """Packs ``(feature, threshold, left, right, value)`` trees, the first
+        five arrays that :func:`kernels.grow_tree` returns, whose child
+        indices are local to each tree."""
         sizes = np.array([len(t[0]) for t in trees], dtype=np.int64)
         roots = np.cumsum(sizes) - sizes
 
@@ -287,10 +287,10 @@ def train_gbrt(x: np.ndarray, y: np.ndarray, hyper: GbrtHyper | None = None) -> 
     mse: list[float] = []
     for _ in range(hyper.rounds):
         resid = y - pred
-        tree = kernels.grow_tree(x, sorted_ids, sorted_vals, resid, hyper.min_leaf,
-                                 hyper.max_depth)
+        *tree, node_of = kernels.grow_tree(x, sorted_ids, sorted_vals, resid, hyper.min_leaf,
+                                           hyper.max_depth)
         trees.append(tree)
-        pred = pred + hyper.shrinkage * kernels.apply_tree(x, *tree)
+        pred = pred + hyper.shrinkage * kernels.apply_tree(node_of, tree[4])
         mse.append(float(np.mean((y - pred) ** 2)))
     return GbrtModel(base, PackedForest.of(trees), hyper, mse)
 
@@ -304,16 +304,19 @@ def predict(model, features):
 
     LR takes a sparse index vector or a :class:`SparseBatch`; GBRT takes a
     dense vector or matrix.  Scalar in, scalar out; batch in, array out.
-    A vector's score equals its row of the batch's, bit for bit.
+    A vector's score equals its row of the batch's, bit for bit, and a
+    feature index outside [1, dimension) fails on both.
     """
     if isinstance(model, LrModel):
         if isinstance(features, SparseBatch):
             p = _sigmoid(_margins(model, features))
             return np.clip(p, LR_CLAMP, 1.0 - LR_CLAMP)
-        try:
-            terms = model.weights.take(np.asarray(features, dtype=np.int64)).tolist()
-        except IndexError as e:
-            raise DimensionMismatch(f"feature {e}") from None
+        idx = np.asarray(features, dtype=np.int64)
+        dim = len(model.weights)
+        for i in idx.tolist():  # the batch's index rule (_check_indices)
+            if not 0 < i < dim:
+                raise DimensionMismatch(f"feature index {i} outside [1, {dim})")
+        terms = model.weights.take(idx).tolist()
         # The batch's float operations on one row, as plain Python: the
         # weights added in sequence from 0.0 (bincount's order; builtin sum
         # compensates from Python 3.12 on), then the bias, then _sigmoid's

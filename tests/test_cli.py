@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import re
 import shlex
 import shutil
@@ -287,6 +288,31 @@ def test_full_pipeline_completes_quickly(tmp_path):
     assert elapsed < 120.0, f"pipeline took {elapsed:.1f}s"
 
 
+# Their floats go through exp or log, whose last bit can differ between
+# libm and numpy's SIMD builds.
+UNPINNED = {"data/synth_config.txt", "data/truth_train.csv", "data/truth_test.csv"}
+
+
+def test_gbrt_chain_output_bytes_pinned(tmp_path, monkeypatch):
+    """The GBRT chain writes the bytes listed in gbrt_chain_seed3.sha256 on
+    every Python version and kernel backend.  A change that alters them on
+    purpose records the new ``sha256sum`` lines and says so."""
+    monkeypatch.chdir(tmp_path)
+    for argv in (["synth", "--out", "data", "--seed", "3", "--n-train", "2000", "--n-test", "1000"],
+                 ["stats", "--input", "data/train", "--out", "stats"],
+                 ["train-ctr", "--input", "data", "--model", "gbrt", "--out", "models"],
+                 ["replay", "--input", "data", "--models", "models", "--model", "gbrt",
+                  "--out", "replay"]):
+        assert main(argv) == 0, argv
+    listing = (Path(__file__).parent / "gbrt_chain_seed3.sha256").read_text(encoding="utf-8")
+    pinned = {path: digest for digest, path in (ln.split("  ") for ln in listing.splitlines())}
+    written = {p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*") if p.is_file()}
+    assert written - UNPINNED == set(pinned)
+    changed = [path for path, digest in pinned.items()
+               if hashlib.sha256((tmp_path / path).read_bytes()).hexdigest() != digest]
+    assert changed == []
+
+
 def test_readme_walkthrough_commands_parse():
     """Every ``rtbsim ...`` command in README's code blocks parses, so a
     removed or renamed flag cannot stay in the docs."""
@@ -297,6 +323,13 @@ def test_readme_walkthrough_commands_parse():
     for command in commands:
         args = parser.parse_args(shlex.split(command))
         assert callable(args.func), command
+
+
+def test_train_ctr_flag_defaults_are_the_hyper_defaults():
+    args = build_parser().parse_args(["train-ctr", "--input", "d", "--out", "o", "--model", "lr"])
+    assert models.LrHyper(args.learning_rate, args.l2, args.epochs, args.seed) == models.LrHyper()
+    assert (models.GbrtHyper(args.rounds, args.shrinkage, args.depth, args.min_leaf)
+            == models.GbrtHyper())
 
 
 def test_schema_flag_is_a_usage_error(capsys):

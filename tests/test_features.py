@@ -261,6 +261,14 @@ class TestDensify:
             elif name == "tag_ctr":
                 assert vec[i] == pytest.approx(enc.prior)
 
+    def test_tag_ctrs_added_in_sequence(self):
+        # Python 3.12's compensated builtin sum gives 0.19999999999999998
+        enc = CategoryEncodings({}, {("tag", "1"): 0.1, ("tag", "2"): 0.2, ("tag", "3"): 0.3},
+                                0.5, 10.0, 10.0)
+        vec = densify(make_record(user_tags=(1, 2, 3)), enc)
+        assert vec[DEFAULT_MANIFEST.index("tag_ctr")] == ((0.0 + 0.1) + 0.2 + 0.3) / 3
+        assert vec[DEFAULT_MANIFEST.index("tag_ctr")] == 0.20000000000000004
+
     def test_floor_price_passes_through_raw(self):
         cases = [make_case(bid_id="a", clicked=True)]
         enc = build_encodings(cases)

@@ -222,25 +222,27 @@ class TestGrowTree:
         x = rng.integers(0, 3, size=(40, 4)) if discrete else rng.normal(size=(40, 4))
         self._same(x, rng.normal(size=40), 1, 6)
 
-    def test_apply_backends_agree(self, monkeypatch):
-        # apply_tree is the forest walk over one tree: on both forms, each
-        # row's leaf, also for a tree that is only its root
+    def test_node_of_is_each_rows_leaf(self):
+        # The leaves boosting adds: on both forms, each row's leaf, also for
+        # a tree that is only its root
         rng = np.random.default_rng(6)
         x, presorted, resid = self._random_problem(rng, 300, 4)
-        deep = kernels.grow_tree_loop(x, *presorted, resid, 2, 4)
-        root_only = kernels.grow_tree_loop(x, *presorted, resid, 200, 4)
-        assert len(deep[0]) > 1 and len(root_only[0]) == 1
-        for tree in (deep, root_only):
-            leaves = reference_tree_leaves(x, *tree)
-            for form in (kernels.apply_forest_loop, kernels.apply_forest_numpy):
-                monkeypatch.setattr(kernels, "apply_forest", form)
-                assert np.array_equal(kernels.apply_tree(x, *tree), leaves)
+        for min_leaf in (2, 200):  # a deep tree, then a root-only one
+            node_ofs = []
+            for form in (kernels.grow_tree_loop, kernels.grow_tree_numpy):
+                *tree, node_of = form(x, *presorted, resid, min_leaf, 4)
+                assert (len(tree[0]) > 1) == (min_leaf == 2)
+                leaves = reference_tree_leaves(x, *tree)
+                assert np.array_equal(kernels.apply_tree(node_of, tree[4]), leaves)
+                node_ofs.append(node_of)
+            assert np.array_equal(*node_ofs)
 
     def test_min_leaf_respected(self):
         rng = np.random.default_rng(7)
         x, presorted, resid = self._random_problem(rng, 100, 3)
         for min_leaf in (1, 10, 30):
-            feat, thr, left, right, value = kernels.grow_tree(x, *presorted, resid, min_leaf, 5)
+            feat, thr, left, right, value, node_of = kernels.grow_tree(x, *presorted, resid,
+                                                                       min_leaf, 5)
             counts = np.zeros(len(feat), dtype=int)
             node = np.zeros(100, dtype=int)
             for i in range(100):
@@ -248,8 +250,10 @@ class TestGrowTree:
                 while left[nd] >= 0:
                     nd = left[nd] if x[i, feat[nd]] <= thr[nd] else right[nd]
                 counts[nd] += 1
+                node[i] = nd
             leaf_counts = counts[left[:len(feat)] < 0]
             assert leaf_counts.min() >= min_leaf
+            assert np.array_equal(node, node_of)
 
 
 class TestApplyForest:
@@ -268,7 +272,7 @@ class TestApplyForest:
                 continue
             resid = rng.normal(size=x.shape[0])
             depth = int(rng.integers(1, 6))
-            trees.append(kernels.grow_tree_numpy(x, *presorted, resid, 2, depth))
+            trees.append(kernels.grow_tree_numpy(x, *presorted, resid, 2, depth)[:5])
         return trees
 
     @staticmethod

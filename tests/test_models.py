@@ -202,7 +202,6 @@ class TestTrainGbrt:
         fits = []
         for form in ("loop", "numpy"):
             monkeypatch.setattr(kernels, "grow_tree", getattr(kernels, f"grow_tree_{form}"))
-            monkeypatch.setattr(kernels, "apply_forest", getattr(kernels, f"apply_forest_{form}"))
             fits.append(train_gbrt(x, y, hyper))
         loop, numpy_ = fits
         assert len(loop.forest.feature) > len(loop.forest.roots)  # some tree splits
@@ -261,6 +260,13 @@ class TestLrIndexRule:
         for score in (predict, lr_loss, lr_gradient):
             with pytest.raises(DimensionMismatch, match=f"row 1: feature index {bad}"):
                 score(model, batch)
+
+    @pytest.mark.parametrize("bad", [0, -1, 3, 50])
+    def test_vector_scoring_rejects(self, bad):
+        # 0 would add the bias twice and -1 read the last weight
+        model = LrModel(np.array([0.0, 0.0, 3.0]), LrHyper())
+        with pytest.raises(DimensionMismatch, match=rf"^feature index {bad} outside \[1, 3\)$"):
+            predict(model, np.array([1, bad, 2]))
 
     def test_valid_edges_and_empty_rows_pass(self):
         batch = batch_of([[], [1, 2], [2], []], [0.0, 1.0, 1.0, 0.0], dim=3)
