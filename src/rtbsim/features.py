@@ -6,14 +6,20 @@ trees).  Index 0 of the one-hot space is reserved for the bias and never
 appears in a vector.
 
 :func:`field_values` is the one definition of a record's fields and of how
-each value is spelled; the vocabulary, the encodings, :func:`densify` and
-the per-feature breakdowns of :mod:`rtbsim.stats` all read it.
+each value is spelled, as a list of ``(field, value)`` pairs; the
+vocabulary, the encodings, :func:`densify` and the per-feature breakdowns
+of :mod:`rtbsim.stats` all read it.  The vocabulary and the encodings
+count its pairs with ``dict.fromkeys`` and ``Counter``, and
+:class:`CategoryEncodings` is one ``(field, value) -> (count, ctr)`` table.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -22,17 +28,18 @@ from . import kvfile
 from .logdata import AuctionCase, LogRecord
 
 __all__ = [
-    "DerivedFields",
     "Vocabulary",
     "CategoryEncodings",
     "SparseBatch",
     "EmptyTrainingSet",
+    "DimensionMismatch",
     "derive_fields",
     "field_values",
     "classify_user_agent",
     "floor_price_bucket",
     "build_vocabulary",
     "binarize",
+    "index_array",
     "binarize_cases",
     "build_encodings",
     "densify",
@@ -67,6 +74,7 @@ _BROWSER_RULES = (
 )
 
 FLOOR_BUCKETS = ("0", "[1,10]", "[11,50]", "[51,100]", "[101,+inf)")
+_FLOOR_BUCKET_TOPS = (0, 10, 50, 100)  # the highest price in each bounded bucket
 
 # Dense manifest for the tree model: (frequency, ctr) per categorical
 # field, one aggregate ctr over the case's tags, then raw continuous values.
@@ -87,6 +95,10 @@ class EmptyTrainingSet(ValueError):
     pass
 
 
+class DimensionMismatch(ValueError):
+    pass
+
+
 @lru_cache(maxsize=USER_AGENT_MEMO)
 def classify_user_agent(user_agent: str) -> tuple[str, str]:
     """(os, browser) labels from ordered substring matching; unknown -> other.
@@ -94,49 +106,22 @@ def classify_user_agent(user_agent: str) -> tuple[str, str]:
     Memoized per distinct string, the last ``USER_AGENT_MEMO`` of them.
     """
     ua = user_agent.lower()
-    os_label = "other"
-    for label, needles in _OS_RULES:
-        if any(nd in ua for nd in needles):
-            os_label = label
-            break
-    browser = "other"
-    for label, needles in _BROWSER_RULES:
-        if any(nd in ua for nd in needles):
-            browser = label
-            break
-    return os_label, browser
+    return _first_match(ua, _OS_RULES), _first_match(ua, _BROWSER_RULES)
+
+
+def _first_match(ua: str, rules) -> str:
+    return next((label for label, needles in rules if any(nd in ua for nd in needles)), "other")
 
 
 def floor_price_bucket(price: int) -> str:
-    if price <= 0:
-        return FLOOR_BUCKETS[0]
-    if price <= 10:
-        return FLOOR_BUCKETS[1]
-    if price <= 50:
-        return FLOOR_BUCKETS[2]
-    if price <= 100:
-        return FLOOR_BUCKETS[3]
-    return FLOOR_BUCKETS[4]
+    return FLOOR_BUCKETS[bisect_left(_FLOOR_BUCKET_TOPS, price)]
 
 
-@dataclass(frozen=True, slots=True)
-class DerivedFields:
-    weekday: str
-    hour: int
-    os: str
-    browser: str
-    floor_bucket: str
-
-
-def derive_fields(record: LogRecord) -> DerivedFields:
-    os_label, browser = classify_user_agent(record.user_agent)
-    return DerivedFields(
-        weekday=WEEKDAYS[record.timestamp.weekday()],
-        hour=record.timestamp.hour,
-        os=os_label,
-        browser=browser,
-        floor_bucket=floor_price_bucket(record.slot_floor_price),
-    )
+def derive_fields(record: LogRecord) -> tuple[str, int, str, str, str]:
+    """A record's ``(weekday, hour, os, browser, floor_bucket)``."""
+    ts = record.timestamp
+    return (WEEKDAYS[ts.weekday()], ts.hour, *classify_user_agent(record.user_agent),
+            floor_price_bucket(record.slot_floor_price))
 
 
 def field_values(record: LogRecord) -> list[tuple[str, str]]:
@@ -145,12 +130,12 @@ def field_values(record: LogRecord) -> list[tuple[str, str]]:
 
     Identifier-like and price/label columns are deliberately absent.
     """
-    d = derive_fields(record)
+    weekday, hour, os_label, browser, floor_bucket = derive_fields(record)
     pairs = [
-        ("weekday", d.weekday),
-        ("hour", str(d.hour)),
-        ("os", d.os),
-        ("browser", d.browser),
+        ("weekday", weekday),
+        ("hour", str(hour)),
+        ("os", os_label),
+        ("browser", browser),
         ("region", str(record.region)),
         ("city", str(record.city)),
         ("ad_exchange", str(record.ad_exchange)),
@@ -160,7 +145,7 @@ def field_values(record: LogRecord) -> list[tuple[str, str]]:
         ("slot_height", str(record.slot_height)),
         ("slot_visibility", record.slot_visibility),
         ("slot_format", record.slot_format),
-        ("floor_bucket", d.floor_bucket),
+        ("floor_bucket", floor_bucket),
         ("creative_id", record.creative_id),
     ]
     for tag in dict.fromkeys(record.user_tags):
@@ -212,18 +197,10 @@ class Vocabulary:
 
 def build_vocabulary(train: Iterable[AuctionCase]) -> Vocabulary:
     """First-seen value order over the canonical field order, one pass."""
-    index: dict[tuple[str, str], int] = {}
-    next_idx = 1
-    empty = True
-    for case in train:
-        empty = False
-        for key in field_values(case.record):
-            if key not in index:
-                index[key] = next_idx
-                next_idx += 1
-    if empty:
+    keys = dict.fromkeys(chain.from_iterable(field_values(c.record) for c in train))
+    if not keys:
         raise EmptyTrainingSet("cannot build a vocabulary from zero cases")
-    return Vocabulary(index)
+    return Vocabulary({key: i for i, key in enumerate(keys, 1)})
 
 
 def binarize(record: LogRecord, vocab: Vocabulary) -> np.ndarray:
@@ -233,11 +210,21 @@ def binarize(record: LogRecord, vocab: Vocabulary) -> np.ndarray:
     Out-of-vocabulary values contribute nothing, so a fully unseen record
     yields an empty vector.
     """
-    found = {
-        idx for key in field_values(record)
-        if (idx := vocab.index.get(key)) is not None
-    }
-    return np.array(sorted(found), dtype=np.int64)
+    found = map(vocab.index.get, field_values(record))  # indices start at 1, misses are None
+    return np.array(sorted(filter(None, found)), dtype=np.int64)
+
+
+def index_array(vector, row: int | None = None) -> np.ndarray:
+    """``vector`` as an integer array of one-hot indices.  A non-empty one
+    of another dtype (bool included) fails, naming its first value and
+    ``row``: numpy would truncate a float index without a word."""
+    arr = np.asarray(vector)
+    if arr.dtype.kind in "iu":
+        return arr
+    if arr.size:
+        at = "" if row is None else f"row {row}: "
+        raise DimensionMismatch(f"{at}feature index {arr.flat[0].item()!r} is not an integer")
+    return arr.astype(np.int64)
 
 
 @dataclass
@@ -254,13 +241,11 @@ class SparseBatch:
 
     @classmethod
     def from_vectors(cls, vectors: Sequence[np.ndarray], labels: Sequence[float], dimension: int) -> "SparseBatch":
+        vectors = [index_array(v, row) for row, v in enumerate(vectors)]
         lengths = np.fromiter((len(v) for v in vectors), dtype=np.int64, count=len(vectors))
         indptr = np.zeros(len(vectors) + 1, dtype=np.int64)
         np.cumsum(lengths, out=indptr[1:])
-        indices = (
-            np.concatenate(vectors).astype(np.int32)
-            if len(vectors) else np.empty(0, dtype=np.int32)
-        )
+        indices = np.concatenate([np.empty(0, np.int32), *vectors], dtype=np.int32)
         return cls(indptr, indices, np.asarray(labels, dtype=np.float64), dimension)
 
 
@@ -275,47 +260,38 @@ def binarize_cases(cases: Sequence[AuctionCase], vocab: Vocabulary) -> SparseBat
 SMOOTHING_PSEUDO_COUNT = 20.0
 
 
+@dataclass
 class CategoryEncodings:
-    """Per-(field, value) frequency and smoothed empirical CTR.
+    """One table, (field, value) -> (frequency, smoothed empirical CTR).
 
-    Tag values carry CTR only.  Unseen values fall back to (0, prior).
+    Tag values carry count 0: only their CTR is a feature.  Unseen values
+    fall back to (0, prior).
     """
 
-    def __init__(
-        self,
-        freq: dict[tuple[str, str], int],
-        ctr: dict[tuple[str, str], float],
-        prior: float,
-        alpha: float,
-        beta: float,
-    ):
-        self.freq = freq
-        self.ctr = ctr
-        self.prior = prior
-        self.alpha = alpha
-        self.beta = beta
+    table: dict[tuple[str, str], tuple[int, float]]
+    prior: float
+    alpha: float
+    beta: float
 
     def lookup(self, field: str, value: str) -> tuple[int, float]:
-        key = (field, value)
-        return self.freq.get(key, 0), self.ctr.get(key, self.prior)
+        return self.table.get((field, value), (0, self.prior))
 
     def save(self, path) -> None:
         with open(path, "w", encoding="utf-8") as f:
             f.write("#rtbsim-encodings v1\n")
             f.write(f"prior\t{self.prior!r}\talpha\t{self.alpha!r}\tbeta\t{self.beta!r}\n")
-            for (field, value) in sorted(self.ctr):
-                n = self.freq.get((field, value), 0)
-                f.write(f"{field}\t{value}\t{n}\t{self.ctr[(field, value)]!r}\n")
+            for (field, value), (n, ctr) in sorted(self.table.items()):
+                f.write(f"{field}\t{value}\t{n}\t{ctr!r}\n")
 
     @classmethod
     def load(cls, path) -> "CategoryEncodings":
         """The saved encodings; a body line must read field, value, a count of
-        0 or more and a CTR in [0, 1], tab-separated, with no (field, value) twice."""
+        0 or more (0 for a tag) and a CTR in [0, 1], tab-separated, with no
+        (field, value) twice."""
         with open(path, encoding="utf-8") as f:
             kvfile.check_header(f, "#rtbsim-encodings v1")
             prior, alpha, beta = map(float, kvfile.read_labeled(f, "prior", "alpha", "beta"))
-            freq: dict[tuple[str, str], int] = {}
-            ctr: dict[tuple[str, str], float] = {}
+            table: dict[tuple[str, str], tuple[int, float]] = {}
             for line_no, line in enumerate(f, 3):
                 text = line.rstrip("\n")
                 parts = text.split("\t")
@@ -323,14 +299,13 @@ class CategoryEncodings:
                     field, value, n, c = parts[0], parts[1], int(parts[2]), float(parts[3])
                 except (IndexError, ValueError):
                     n = c = -1  # fails the check below
-                if len(parts) != 4 or n < 0 or not 0.0 <= c <= 1.0 or (field, value) in ctr:
-                    raise ValueError(f"line {line_no}: expected '<field>\\t<value>\\t<count >= 0>\\t"
-                                     f"<ctr in [0, 1]>' with a (field, value) not listed before, "
-                                     f"found {text!r}")
-                if field != "tag":
-                    freq[(field, value)] = n
-                ctr[(field, value)] = c
-        return cls(freq, ctr, prior, alpha, beta)
+                if (len(parts) != 4 or n < 0 or (n and field == "tag") or not 0.0 <= c <= 1.0
+                        or (field, value) in table):
+                    raise ValueError(f"line {line_no}: expected '<field>\\t<value>\\t<count >= 0, "
+                                     f"0 for a tag>\\t<ctr in [0, 1]>' with a (field, value) not "
+                                     f"listed before, found {text!r}")
+                table[(field, value)] = (n, c)
+        return cls(table, prior, alpha, beta)
 
 
 def build_encodings(train_subset: Sequence[AuctionCase]) -> CategoryEncodings:
@@ -343,40 +318,25 @@ def build_encodings(train_subset: Sequence[AuctionCase]) -> CategoryEncodings:
     """
     if not train_subset:
         raise EmptyTrainingSet("cannot fit encodings on zero cases")
-    counts: dict[tuple[str, str], int] = {}
-    clicks: dict[tuple[str, str], int] = {}
-    total = 0
-    total_clicks = 0
+    counts: Counter[tuple[str, str]] = Counter()
+    clicks: Counter[tuple[str, str]] = Counter()
     for case in train_subset:
-        total += 1
-        is_click = 1 if case.clicked else 0
-        total_clicks += is_click
-        for key in field_values(case.record):
-            counts[key] = counts.get(key, 0) + 1
-            if is_click:
-                clicks[key] = clicks.get(key, 0) + 1
-    prior = total_clicks / total
+        pairs = field_values(case.record)
+        counts.update(pairs)
+        if case.clicked:
+            clicks.update(pairs)
+    prior = sum(1 for c in train_subset if c.clicked) / len(train_subset)
     alpha = SMOOTHING_PSEUDO_COUNT * prior
     beta = SMOOTHING_PSEUDO_COUNT * (1.0 - prior)
-    denom_add = alpha + beta
-    freq: dict[tuple[str, str], int] = {}
-    ctr: dict[tuple[str, str], float] = {}
-    for key, n in counts.items():
-        k = clicks.get(key, 0)
-        ctr[key] = (k + alpha) / (n + denom_add)
-        if key[0] != "tag":
-            freq[key] = n
-    return CategoryEncodings(freq, ctr, prior, alpha, beta)
+    denom = alpha + beta  # n + (alpha + beta): n + alpha + beta rounds differently
+    table = {key: (0 if key[0] == "tag" else n, (clicks[key] + alpha) / (n + denom))
+             for key, n in counts.items()}
+    return CategoryEncodings(table, prior, alpha, beta)
 
 
 def feature_manifest() -> tuple[str, ...]:
-    names: list[str] = []
-    for f in GBRT_CATEGORICAL_FIELDS:
-        names.append(f"{f}_freq")
-        names.append(f"{f}_ctr")
-    names.append("tag_ctr")
-    names.extend(GBRT_CONTINUOUS_FIELDS)
-    return tuple(names)
+    return (*(f"{f}_{stat}" for f in GBRT_CATEGORICAL_FIELDS for stat in ("freq", "ctr")),
+            "tag_ctr", *GBRT_CONTINUOUS_FIELDS)
 
 
 DEFAULT_MANIFEST = feature_manifest()

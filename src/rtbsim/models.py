@@ -18,10 +18,12 @@ import numpy as np
 from . import kernels, kvfile
 from .features import (
     CategoryEncodings,
+    DimensionMismatch,
     SparseBatch,
     Vocabulary,
     binarize_cases,
     densify_cases,
+    index_array,
 )
 
 __all__ = [
@@ -64,10 +66,6 @@ class InsufficientData(ValueError):
     pass
 
 
-class DimensionMismatch(ValueError):
-    pass
-
-
 class SingleClassInput(ValueError):
     pass
 
@@ -83,6 +81,29 @@ def _check_labels(labels: np.ndarray) -> None:
         raise NonBinaryLabel("labels must be 0 or 1")
 
 
+# Hyperparameter -> (its range in words, the test); the LR seed takes any
+# value that numpy's PCG64 does.
+_RANGES = {
+    "learning_rate": ("finite and > 0", lambda v: math.isfinite(v) and v > 0),
+    "l2": ("finite and >= 0", lambda v: math.isfinite(v) and v >= 0),
+    "epochs": (">= 1", lambda v: v >= 1),
+    "rounds": (">= 1", lambda v: v >= 1),
+    "shrinkage": ("finite and > 0", lambda v: math.isfinite(v) and v > 0),
+    "max_depth": (">= 0", lambda v: v >= 0),
+    "min_leaf": (">= 1", lambda v: v >= 1),
+}
+
+
+def _check_ranges(hyper) -> None:
+    """One ValueError naming each field of ``hyper`` outside its range, for
+    the flags of train-ctr and the ``hyper`` line of a model file alike."""
+    bad = [f"{name}={value!r} is not {_RANGES[name][0]}"
+           for name, value in vars(hyper).items()
+           if name in _RANGES and not _RANGES[name][1](value)]
+    if bad:
+        raise ValueError(f"{type(hyper).__name__}: {'; '.join(bad)}")
+
+
 # ---------------------------------------------------------------------------
 # Logistic regression
 # ---------------------------------------------------------------------------
@@ -93,6 +114,9 @@ class LrHyper:
     l2: float = 1e-6
     epochs: int = 5
     seed: int = 0
+
+    def __post_init__(self) -> None:
+        _check_ranges(self)
 
 
 @dataclass
@@ -205,6 +229,9 @@ class GbrtHyper:
     max_depth: int = 5
     min_leaf: int = 20
 
+    def __post_init__(self) -> None:
+        _check_ranges(self)
+
 
 @dataclass(frozen=True, eq=False)
 class PackedForest:
@@ -275,8 +302,6 @@ def train_gbrt(x: np.ndarray, y: np.ndarray, hyper: GbrtHyper | None = None) -> 
     x = np.ascontiguousarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     _check_labels(y)
-    if hyper.min_leaf < 1:
-        raise ValueError("min_leaf must be >= 1")
     if len(y) < hyper.min_leaf:
         raise InsufficientData(f"need at least min_leaf={hyper.min_leaf} examples, got {len(y)}")
     sorted_ids = np.argsort(x, axis=0, kind="stable").T.copy()
@@ -305,13 +330,13 @@ def predict(model, features):
     LR takes a sparse index vector or a :class:`SparseBatch`; GBRT takes a
     dense vector or matrix.  Scalar in, scalar out; batch in, array out.
     A vector's score equals its row of the batch's, bit for bit, and a
-    feature index outside [1, dimension) fails on both.
+    feature index outside [1, dimension), or not an integer, fails on both.
     """
     if isinstance(model, LrModel):
         if isinstance(features, SparseBatch):
             p = _sigmoid(_margins(model, features))
             return np.clip(p, LR_CLAMP, 1.0 - LR_CLAMP)
-        idx = np.asarray(features, dtype=np.int64)
+        idx = index_array(features)
         dim = len(model.weights)
         for i in idx.tolist():  # the batch's index rule (_check_indices)
             if not 0 < i < dim:

@@ -4,14 +4,16 @@ Money figures are fen throughout: cost = sum(paying) / 1000, CPM is cost
 per thousand impressions, eCPC is cost per click.  Ratios with an empty
 denominator come back absent (None), never NaN.
 
-Breakdowns group cases by the values :func:`rtbsim.features.field_values`
-gives, the one definition of a record's fields; every breakdown key names
-one of its fields, except ``slot_size``, which joins width and height.
+Breakdowns group cases by the ``(field, value)`` pairs that
+:func:`rtbsim.features.field_values` gives, the one definition of a
+record's fields, walked once per case: each breakdown key groups by one of
+its fields, except ``slot_size``, which joins the record's width and height.
 """
 
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -31,10 +33,14 @@ __all__ = [
     "write_summary_markdown",
 ]
 
-FEATURE_KEYS = (
-    "weekday", "hour", "os", "browser", "region",
-    "slot_size", "visibility", "format", "exchange", "user_tag",
-)
+# field_values field -> the breakdown key that groups by it, in breakdown
+# order; _tally adds the slot_size pair.
+_FIELD_KEY = {
+    "weekday": "weekday", "hour": "hour", "os": "os", "browser": "browser",
+    "region": "region", "slot_size": "slot_size", "slot_visibility": "visibility",
+    "slot_format": "format", "ad_exchange": "exchange", "tag": "user_tag",
+}
+FEATURE_KEYS = tuple(_FIELD_KEY.values())
 METRICS = ("ctr", "market_price", "ecpc")
 
 
@@ -68,8 +74,12 @@ class CampaignSummary:
 
 
 def campaign_summary(bid_count: int, cases: Sequence[AuctionCase]) -> CampaignSummary:
-    """Summary over joined cases; bid_count 0 means win ratio unknown."""
+    """Summary over joined cases; bid_count 0 means win ratio unknown, and
+    any other count must be at least the impressions won."""
     imps = len(cases)
+    if bid_count != 0 and bid_count < imps:
+        raise ValueError(f"bid count {bid_count} must be 0 (unknown) or at least the "
+                         f"{imps} impressions")
     clicks = sum(1 for c in cases if c.clicked)
     convs = sum(1 for c in cases if c.converted)
     cost_milli = sum(c.paying_price for c in cases)
@@ -92,15 +102,6 @@ class FeatureBreakdown:
     rows: list[BreakdownRow]
 
 
-# Breakdown key -> the field_values field it groups by; _tally joins
-# slot_size from slot_width and slot_height.
-_KEY_FIELD = {
-    "weekday": "weekday", "hour": "hour", "os": "os", "browser": "browser",
-    "region": "region", "slot_size": "slot_size", "visibility": "slot_visibility",
-    "format": "slot_format", "exchange": "ad_exchange",
-}
-
-
 def _tally(cases: Sequence[AuctionCase]) -> dict[str, dict[str, list]]:
     """key -> label -> [n, clicks, sum_price, sum_price_sq] for every
     FEATURE_KEYS key, in one pass.
@@ -108,23 +109,18 @@ def _tally(cases: Sequence[AuctionCase]) -> dict[str, dict[str, list]]:
     A case counts once in each tag group it carries: field_values gives
     each distinct tag once.
     """
-    acc: dict[str, dict[str, list]] = {key: {} for key in FEATURE_KEYS}
+    acc = {key: defaultdict(lambda: [0, 0, 0, 0]) for key in FEATURE_KEYS}
+    groups_of = {field: acc[key] for field, key in _FIELD_KEY.items()}
     for case in cases:
-        fields: dict[str, str] = {}
-        tags: list[str] = []
-        for field, value in field_values(case.record):
-            if field == "tag":
-                tags.append(value)
-            else:
-                fields[field] = value
-        fields["slot_size"] = f"{fields['slot_width']}×{fields['slot_height']}"
+        r = case.record
+        pairs = field_values(r)
+        pairs.append(("slot_size", f"{r.slot_width}×{r.slot_height}"))
         clicked = 1 if case.clicked else 0
         price = case.paying_price
-        for key, groups in acc.items():
-            for label in tags if key == "user_tag" else (fields[_KEY_FIELD[key]],):
-                a = groups.get(label)
-                if a is None:
-                    a = groups[label] = [0, 0, 0, 0]
+        for field, label in pairs:
+            groups = groups_of.get(field)
+            if groups is not None:
+                a = groups[label]
                 a[0] += 1
                 a[1] += clicked
                 a[2] += price

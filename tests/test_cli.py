@@ -269,6 +269,40 @@ class TestReplayErrors:
         assert "error: ValueError" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flags, named", [
+    (["--model", "gbrt", "--shrinkage", "nan"], "shrinkage=nan"),
+    (["--model", "gbrt", "--shrinkage", "-1"], "shrinkage=-1.0"),
+    (["--model", "gbrt", "--rounds", "-2"], "rounds=-2"),
+    (["--model", "gbrt", "--depth", "-1"], "max_depth=-1"),
+    (["--model", "gbrt", "--min-leaf", "0"], "min_leaf=0"),
+    (["--model", "lr", "--epochs", "-1"], "epochs=-1"),
+    (["--model", "lr", "--learning-rate", "-1"], "learning_rate=-1.0"),
+    (["--model", "lr", "--l2", "inf"], "l2=inf"),
+])
+def test_train_ctr_hyperparameter_out_of_range(dataset, tmp_path, capsys, flags, named):
+    rc = main(["train-ctr", "--input", str(dataset), "--out", str(tmp_path), *flags])
+    err = capsys.readouterr().err.splitlines()
+    assert rc == 1
+    assert len(err) == 1 and err[0].startswith("error: ValueError: ") and named in err[0]
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("bids", ["-5", "10", "5999"])
+def test_stats_bid_count_below_the_impressions(dataset, tmp_path, capsys, bids):
+    rc = main(["stats", "--input", str(dataset / "train"), "--out", str(tmp_path / "s"),
+               "--bid-count", bids])
+    assert rc == 1
+    assert capsys.readouterr().err == (f"error: ValueError: bid count {bids} must be 0 (unknown) "
+                                       "or at least the 6000 impressions\n")
+    assert not (tmp_path / "s" / "summary.csv").exists()
+
+
+def test_stats_bid_count_at_the_impressions(dataset, tmp_path):
+    assert main(["stats", "--input", str(dataset / "train"), "--out", str(tmp_path),
+                 "--bid-count", "6000"]) == 0
+    assert (tmp_path / "summary.csv").read_text().splitlines()[1].split(",")[6] == "1.0"
+
+
 def test_full_pipeline_completes_quickly(tmp_path):
     """synth -> stats -> train both models -> replay, at full desk scale."""
     t0 = time.perf_counter()
@@ -290,16 +324,19 @@ def test_full_pipeline_completes_quickly(tmp_path):
 
 # Their floats go through exp or log, whose last bit can differ between
 # libm and numpy's SIMD builds.
-UNPINNED = {"data/synth_config.txt", "data/truth_train.csv", "data/truth_test.csv"}
+UNPINNED = {"data/synth_config.txt", "data/truth_train.csv", "data/truth_test.csv",
+            "models/model_lr.txt", "models/eval_lr.txt", "models/scores_test_lr.csv"}
 
 
 def test_gbrt_chain_output_bytes_pinned(tmp_path, monkeypatch):
-    """The GBRT chain writes the bytes listed in gbrt_chain_seed3.sha256 on
-    every Python version and kernel backend.  A change that alters them on
-    purpose records the new ``sha256sum`` lines and says so."""
+    """The GBRT chain, and the LR vocabulary, write the bytes listed in
+    gbrt_chain_seed3.sha256 on every Python version and kernel backend.  A
+    change that alters them on purpose records the new ``sha256sum`` lines
+    and says so."""
     monkeypatch.chdir(tmp_path)
     for argv in (["synth", "--out", "data", "--seed", "3", "--n-train", "2000", "--n-test", "1000"],
                  ["stats", "--input", "data/train", "--out", "stats"],
+                 ["train-ctr", "--input", "data", "--model", "lr", "--out", "models"],
                  ["train-ctr", "--input", "data", "--model", "gbrt", "--out", "models"],
                  ["replay", "--input", "data", "--models", "models", "--model", "gbrt",
                   "--out", "replay"]):

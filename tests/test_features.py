@@ -55,9 +55,10 @@ class TestDerivedFields:
     def test_weekday_and_hour(self):
         # 2013-02-18 00:12 is a Monday.
         rec = make_record(timestamp=datetime(2013, 2, 18, 0, 12, 3, 638000), user_agent=MSIE_UA)
-        d = derive_fields(rec)
-        assert d.weekday == "Mon" and d.hour == 0
-        assert d.os == "windows" and d.browser == "ie"
+        weekday, hour, os_label, browser, floor_bucket = derive_fields(rec)
+        assert weekday == "Mon" and hour == 0
+        assert os_label == "windows" and browser == "ie"
+        assert floor_bucket == floor_price_bucket(rec.slot_floor_price)
 
 
 def _bad_vocab_entry(line_no, index, dim, found):
@@ -84,6 +85,12 @@ class TestVocabulary:
     def test_empty_training_set(self):
         with pytest.raises(EmptyTrainingSet):
             build_vocabulary([])
+        with pytest.raises(EmptyTrainingSet):
+            build_vocabulary(iter([]))
+
+    def test_any_iterable(self, small_synth):
+        train, _, _ = small_synth
+        assert build_vocabulary(iter(train)) == build_vocabulary(train)
 
     def test_excluded_fields_never_indexed(self, small_synth):
         train, _, _ = small_synth
@@ -173,9 +180,9 @@ class TestBinarize:
 
 def _bad_encodings_line(line_no, line):
     """The whole error message, as a pattern."""
-    return "^" + re.escape(f"line {line_no}: expected '<field>\\t<value>\\t<count >= 0>\\t"
-                           f"<ctr in [0, 1]>' with a (field, value) not listed before, "
-                           f"found {line!r}") + "$"
+    return "^" + re.escape(f"line {line_no}: expected '<field>\\t<value>\\t<count >= 0, "
+                           f"0 for a tag>\\t<ctr in [0, 1]>' with a (field, value) not "
+                           f"listed before, found {line!r}") + "$"
 
 
 class TestEncodings:
@@ -206,8 +213,8 @@ class TestEncodings:
     def test_tags_have_no_frequency(self):
         cases = [make_case(bid_id="a", user_tags=(5,), clicked=True)]
         enc = build_encodings(cases)
-        assert ("tag", "5") not in enc.freq
-        assert ("tag", "5") in enc.ctr
+        count, ctr = enc.table[("tag", "5")]
+        assert count == 0 and enc.lookup("tag", "5") == (0, ctr)
 
     def test_empty_subset_rejected(self):
         with pytest.raises(EmptyTrainingSet):
@@ -219,14 +226,13 @@ class TestEncodings:
         enc.save(tmp_path / "enc.txt")
         loaded = CategoryEncodings.load(tmp_path / "enc.txt")
         assert loaded.prior == enc.prior
-        assert loaded.freq == enc.freq
-        assert loaded.ctr == enc.ctr
+        assert loaded.table == enc.table
 
     @pytest.mark.parametrize("line", [
         "city\t3\t12", "city\t3\t12\tx", "city\t3\t-1\t0.5", "city\t3\t12\t1.5",
-        "city\t3\t12\tnan", "city\t3\t12\t0.5\t0.5",
+        "city\t3\t12\tnan", "city\t3\t12\t0.5\t0.5", "tag\t5\t3\t0.5",
     ], ids=["three columns", "ctr not a number", "negative count", "ctr above 1", "ctr nan",
-            "five columns"])
+            "five columns", "tag with a count"])
     def test_bad_body_line_named(self, tmp_path, line):
         path = tmp_path / "enc.txt"
         build_encodings([make_case(bid_id="a", clicked=True), make_case(bid_id="b")]).save(path)
@@ -263,8 +269,8 @@ class TestDensify:
 
     def test_tag_ctrs_added_in_sequence(self):
         # Python 3.12's compensated builtin sum gives 0.19999999999999998
-        enc = CategoryEncodings({}, {("tag", "1"): 0.1, ("tag", "2"): 0.2, ("tag", "3"): 0.3},
-                                0.5, 10.0, 10.0)
+        enc = CategoryEncodings({("tag", "1"): (0, 0.1), ("tag", "2"): (0, 0.2),
+                                 ("tag", "3"): (0, 0.3)}, 0.5, 10.0, 10.0)
         vec = densify(make_record(user_tags=(1, 2, 3)), enc)
         assert vec[DEFAULT_MANIFEST.index("tag_ctr")] == ((0.0 + 0.1) + 0.2 + 0.3) / 3
         assert vec[DEFAULT_MANIFEST.index("tag_ctr")] == 0.20000000000000004
@@ -287,9 +293,9 @@ class TestDensify:
         train, _, _ = small_synth
         enc = build_encodings(train[:500])
         rec = next(c.record for c in train[:500] if len(c.record.user_tags) > 1)
-        d = derive_fields(rec)
+        weekday, _, os_label, browser, _ = derive_fields(rec)
         spelled = {
-            "weekday": d.weekday, "os": d.os, "browser": d.browser,
+            "weekday": weekday, "os": os_label, "browser": browser,
             "region": str(rec.region), "city": str(rec.city),
             "ad_exchange": str(rec.ad_exchange), "domain": rec.domain,
             "slot_id": rec.slot_id, "slot_visibility": rec.slot_visibility,
@@ -341,6 +347,6 @@ def test_repeated_tag_counts_once_in_every_consumer():
                 == breakdown(once, "user_tag", metric).rows)
     enc = build_encodings(once)
     enc_repeated = build_encodings(repeated)
-    assert (enc_repeated.ctr, enc_repeated.freq) == (enc.ctr, enc.freq)
+    assert enc_repeated.table == enc.table
     for r, o in zip(repeated, once):
         assert np.array_equal(densify(r.record, enc), densify(o.record, enc))

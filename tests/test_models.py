@@ -268,10 +268,57 @@ class TestLrIndexRule:
         with pytest.raises(DimensionMismatch, match=rf"^feature index {bad} outside \[1, 3\)$"):
             predict(model, np.array([1, bad, 2]))
 
+    @pytest.mark.parametrize("bad, named", [
+        (np.array([1.7, 2.2]), "1.7"), ([1.0], "1.0"), (np.array([True]), "True"),
+    ])
+    def test_vector_indices_must_be_integers(self, bad, named):
+        # numpy would truncate 1.7 to 1 and score it as [1]
+        model = LrModel(np.array([0.0, 0.0, 3.0]), LrHyper())
+        with pytest.raises(DimensionMismatch, match=rf"^feature index {named} is not an integer$"):
+            predict(model, bad)
+
+    @pytest.mark.parametrize("bad, named", [
+        (np.array([1.7, 2.2]), "1.7"), (np.array([True]), "True"), ([2.0], "2.0"),
+    ])
+    def test_batch_indices_must_be_integers(self, bad, named):
+        with pytest.raises(DimensionMismatch, match=rf"^row 1: feature index {named} is not an integer$"):
+            SparseBatch.from_vectors([np.array([1]), bad], [0.0, 1.0], 3)
+
+    def test_empty_vector_scores_bias_only(self):
+        model = LrModel(np.array([0.5, 0.0, 3.0]), LrHyper())
+        assert predict(model, []) == predict(model, np.array([], dtype=np.int64))
+        assert predict(model, []) == 1.0 / (1.0 + math.exp(-0.5))
+        batch = SparseBatch.from_vectors([np.array([]), np.array([2])], [0.0, 1.0], 3)
+        assert batch.indices.tolist() == [2] and batch.indptr.tolist() == [0, 0, 1]
+
     def test_valid_edges_and_empty_rows_pass(self):
         batch = batch_of([[], [1, 2], [2], []], [0.0, 1.0, 1.0, 0.0], dim=3)
         model = train_lr(batch, LrHyper(epochs=3))
         assert predict(model, batch).shape == (4,)
+
+
+class TestHyperRanges:
+    @pytest.mark.parametrize("hyper, field, value", [
+        (LrHyper, "learning_rate", 0.0), (LrHyper, "learning_rate", -1.0),
+        (LrHyper, "learning_rate", math.inf), (LrHyper, "l2", -1e-9), (LrHyper, "l2", math.nan),
+        (LrHyper, "epochs", 0), (LrHyper, "epochs", -1), (GbrtHyper, "rounds", -2),
+        (GbrtHyper, "shrinkage", math.nan), (GbrtHyper, "shrinkage", -1.0),
+        (GbrtHyper, "max_depth", -1), (GbrtHyper, "min_leaf", 0),
+    ])
+    def test_out_of_range_named(self, hyper, field, value):
+        with pytest.raises(ValueError, match=rf"^{hyper.__name__}: {field}={value!r} is not "):
+            hyper(**{field: value})
+
+    def test_model_file_hyper_line_checked(self, tmp_path):
+        save_gbrt(GbrtModel(0.25, PackedForest.of([]), GbrtHyper()), tmp_path / "m.txt")
+        text = (tmp_path / "m.txt").read_text(encoding="utf-8")
+        (tmp_path / "m.txt").write_text(text.replace("max_depth=5", "max_depth=-1"), encoding="utf-8")
+        with pytest.raises(ValueError, match=r"GbrtHyper: max_depth=-1 is not >= 0"):
+            load_gbrt(tmp_path / "m.txt")
+
+    def test_edges_pass(self):
+        LrHyper(l2=0.0, epochs=1)
+        GbrtHyper(rounds=1, max_depth=0, min_leaf=1)
 
 
 class TestPredictLr:

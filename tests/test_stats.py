@@ -63,6 +63,15 @@ class TestCampaignSummary:
         random.Random(0).shuffle(shuffled)
         assert campaign_summary(10, shuffled) == s
 
+    @pytest.mark.parametrize("bids", [-5, 1, 2])
+    def test_bid_count_below_the_impressions(self, bids):
+        cases = [make_case(bid_id=str(i)) for i in range(3)]
+        with pytest.raises(ValueError, match=rf"^bid count {bids} must be 0 \(unknown\) or at "
+                                             rf"least the 3 impressions$"):
+            campaign_summary(bids, cases)
+        assert campaign_summary(0, cases).win_ratio is None
+        assert campaign_summary(3, cases).win_ratio == 1.0
+
 
 class TestFeatureBreakdown:
     def test_weekday_hand_case(self):
