@@ -5,8 +5,9 @@ Run:  python3 benchmarks/bench_kernels.py
 
 The two backends are bit-identical (see tests/test_kernels.py); which one
 runs is whether numba is installed, and this script measures the speed gap
-between them.  A second table compares scoring one row with the installed
-backend's apply_forest_row against apply_forest on a one-row batch.
+between them.  A second table compares models.predict on one GBRT vector,
+which scores it with the installed backend's one-row scorer, against
+models.predict on a one-row batch.
 Without numba the loop forms run as plain Python, minutes at these sizes,
 so they are only checked against the fallbacks on a slice and their times
 print as n/a.
@@ -129,9 +130,9 @@ def bench_grow_tree(rows):
 
 def bench_apply_forest(rows, one_row):
     """A 50-tree GBRT ensemble on one row and on 1e5 rows: apply_forest's two
-    forms.  Then one impression as ``models.predict`` scores it, the
-    dispatched row walk over the nodes packed once, against apply_forest on
-    a one-row batch."""
+    forms.  Then one impression as ``models.predict`` scores it, with the
+    one-row scorer that its first vector builds, against ``models.predict``
+    on a one-row batch."""
     n, nfeat = 100_000, 15
     rng = np.random.default_rng(3)
     x = rng.normal(size=(n, nfeat))
@@ -147,14 +148,13 @@ def bench_apply_forest(rows, one_row):
                 kernels.apply_forest_numpy, lambda m: (x[:m], *packed), rows_in, np.array_equal,
                 repeats=repeats)
 
-    def walk(row):
-        return kernels.apply_forest_row(kernels.row_operand(row), *f.nodes, model.base,
-                                        model.hyper.shrinkage)
-
-    assert [walk(row) for row in x[:1000]] == kernels.apply_forest(x[:1000], *packed).tolist()
-    t_walk, _ = timeit(walk, x[0], repeats=200)
-    t_batch, _ = timeit(kernels.apply_forest, x[:1], *packed, repeats=200)
-    one_row.append((f"{shape}, one row", t_walk, t_batch))
+    score = kernels.forest_row_scorer(*packed)
+    assert [score(row) for row in x[:1000]] == kernels.apply_forest(x[:1000], *packed).tolist()
+    vectors = [models.predict(model, row) for row in x[:1000]]  # the first builds the scorer
+    assert vectors == models.predict(model, x[:1000]).tolist()
+    t_vector, _ = timeit(models.predict, model, x[0], repeats=200)
+    t_batch, _ = timeit(models.predict, model, x[:1], repeats=200)
+    one_row.append((f"{shape}, one row", t_vector, t_batch))
 
 
 def print_table(title, head, rows):
@@ -178,8 +178,7 @@ def main() -> None:
     one_row: list[tuple[str, float, float]] = []
     bench_apply_forest(rows, one_row)
     print_table("kernel", ("loop", "fallback"), rows)
-    active = "loop" if kernels.HAVE_NUMBA else "fallback"
-    print_table(f"row walk ({active})", ("row walk", "forest"), one_row)
+    print_table("models.predict", ("vector", "batch"), one_row)
 
 
 if __name__ == "__main__":

@@ -120,9 +120,9 @@ def cmd_stats(args) -> int:
     cases = load_cases(args.input, args.strict, args.advertiser)
     if not cases:
         raise ValueError("no cases after loading/filtering")
+    summary = stats.campaign_summary(args.bid_count, cases)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    summary = stats.campaign_summary(args.bid_count, cases)
     label = str(args.advertiser) if args.advertiser is not None else "all"
     stats.write_summary_csv([(label, summary)], out / "summary.csv")
     stats.write_summary_markdown([(label, summary)], out / "summary.md")
@@ -145,27 +145,28 @@ def _load_split(args) -> tuple[list[AuctionCase], list[AuctionCase]]:
     return train, test
 
 
-def _fit_scorer(kind: str, train, args) -> models.CtrScorer:
-    if kind == "lr":
+def _hyper(args) -> models.LrHyper | models.GbrtHyper:
+    if args.model == "lr":
+        return models.LrHyper(args.learning_rate, args.l2, args.epochs, args.seed)
+    return models.GbrtHyper(args.rounds, args.shrinkage, args.depth, args.min_leaf)
+
+
+def _fit_scorer(hyper, train) -> models.CtrScorer:
+    if isinstance(hyper, models.LrHyper):
         vocab = features.build_vocabulary(train)
-        batch = features.binarize_cases(train, vocab)
-        hyper = models.LrHyper(args.learning_rate, args.l2, args.epochs, args.seed)
-        model = models.train_lr(batch, hyper)
+        model = models.train_lr(features.binarize_cases(train, vocab), hyper)
         return models.CtrScorer("lr", model, vocabulary=vocab)
-    subset = features.encoding_split(train)
-    enc = features.build_encodings(subset)
+    enc = features.build_encodings(features.encoding_split(train))
     x, y = features.densify_cases(train, enc)
-    hyper = models.GbrtHyper(args.rounds, args.shrinkage, args.depth, args.min_leaf)
-    model = models.train_gbrt(x, y, hyper)
-    return models.CtrScorer("gbrt", model, encodings=enc)
+    return models.CtrScorer("gbrt", models.train_gbrt(x, y, hyper), encodings=enc)
 
 
 def cmd_train_ctr(args) -> int:
+    hyper = _hyper(args)  # the flags, checked before any input is read
     train, test = _load_split(args)
+    scorer = _fit_scorer(hyper, train)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    scorer = _fit_scorer(args.model, train, args)
-    scorer.save(out)
+    scorer.save(out)  # creates out
     scores = scorer.score_cases(test)
     labels = [1.0 if c.clicked else 0.0 for c in test]
     report = models.evaluate(scores, labels)

@@ -10,14 +10,16 @@ each value is spelled, as a list of ``(field, value)`` pairs; the
 vocabulary, the encodings, :func:`densify` and the per-feature breakdowns
 of :mod:`rtbsim.stats` all read it.  The vocabulary and the encodings
 count its pairs with ``dict.fromkeys`` and ``Counter``, and
-:class:`CategoryEncodings` is one ``(field, value) -> (count, ctr)`` table.
+:class:`CategoryEncodings` is one ``(field, value) -> (count, ctr)`` table,
+which it also splits once into the per-field tables that :func:`densify`
+reads.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import chain
 from typing import Iterable, Sequence
@@ -83,6 +85,10 @@ GBRT_CATEGORICAL_FIELDS = (
     "domain", "slot_id", "slot_visibility", "slot_format", "creative_id",
 )
 GBRT_CONTINUOUS_FIELDS = ("slot_width", "slot_height", "slot_floor_price", "hour")
+# Where field_values lists each of GBRT_CATEGORICAL_FIELDS, and how many
+# pairs come before its tags.
+_CATEGORICAL_AT = (0, 2, 3, 4, 5, 6, 7, 8, 11, 12, 14)
+_N_FIELDS = 15
 
 
 # Distinct user-agent strings whose labels are kept: a log holds few (10 in
@@ -265,13 +271,28 @@ class CategoryEncodings:
     """One table, (field, value) -> (frequency, smoothed empirical CTR).
 
     Tag values carry count 0: only their CTR is a feature.  Unseen values
-    fall back to (0, prior).
+    fall back to (0, prior).  ``by_field`` and ``tag_ctr`` are the table
+    again, split once for :func:`densify`: one ``value -> (count, ctr)``
+    dict per :data:`GBRT_CATEGORICAL_FIELDS` entry, in that order, and
+    ``tag -> ctr``.
     """
 
     table: dict[tuple[str, str], tuple[int, float]]
     prior: float
     alpha: float
     beta: float
+    by_field: tuple = field(init=False, repr=False, compare=False)
+    tag_ctr: dict = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self.by_field = tuple({} for _ in GBRT_CATEGORICAL_FIELDS)
+        tables = dict(zip(GBRT_CATEGORICAL_FIELDS, self.by_field))
+        self.tag_ctr = {}
+        for (name, value), (n, ctr) in self.table.items():
+            if name == "tag":
+                self.tag_ctr[value] = ctr
+            elif name in tables:
+                tables[name][value] = (n, ctr)
 
     def lookup(self, field: str, value: str) -> tuple[int, float]:
         return self.table.get((field, value), (0, self.prior))
@@ -342,29 +363,23 @@ def feature_manifest() -> tuple[str, ...]:
 DEFAULT_MANIFEST = feature_manifest()
 
 
-# Column of each categorical field's frequency; its CTR is the next column.
-_FREQ_COLUMN = {f: 2 * i for i, f in enumerate(GBRT_CATEGORICAL_FIELDS)}
-_TAG_CTR_COLUMN = 2 * len(GBRT_CATEGORICAL_FIELDS)
-
-
 def densify(record: LogRecord, encodings: CategoryEncodings) -> np.ndarray:
     """Fixed-length dense vector in :data:`DEFAULT_MANIFEST` order."""
-    out = np.empty(len(DEFAULT_MANIFEST), dtype=np.float64)
+    pairs = field_values(record)
+    prior = encodings.prior
+    unseen = (0, prior)
+    row = []
+    for table, at in zip(encodings.by_field, _CATEGORICAL_AT):
+        row += table.get(pairs[at][1], unseen)
     # The tag CTRs added in sequence from 0.0: builtin sum compensates from
     # Python 3.12 on, which would change the column, and so the model files.
-    tag_sum, n_tags = 0.0, 0
-    for field, value in field_values(record):
-        col = _FREQ_COLUMN.get(field)
-        if col is not None:
-            out[col], out[col + 1] = encodings.lookup(field, value)
-        elif field == "tag":
-            tag_sum += encodings.lookup(field, value)[1]
-            n_tags += 1
-    out[_TAG_CTR_COLUMN] = tag_sum / n_tags if n_tags else encodings.prior
-    out[_TAG_CTR_COLUMN + 1:] = (
-        record.slot_width, record.slot_height, record.slot_floor_price, record.timestamp.hour,
-    )
-    return out
+    tag_ctr, tag_sum = encodings.tag_ctr, 0.0
+    for _, tag in pairs[_N_FIELDS:]:
+        tag_sum += tag_ctr.get(tag, prior)
+    n_tags = len(pairs) - _N_FIELDS
+    row += (tag_sum / n_tags if n_tags else prior, record.slot_width, record.slot_height,
+            record.slot_floor_price, record.timestamp.hour)
+    return np.fromiter(row, np.float64, len(row))
 
 
 def densify_cases(

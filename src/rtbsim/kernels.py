@@ -2,35 +2,38 @@
 
 Every kernel here has a loop form, which numba's ``@njit`` compiles, and
 the backend is whether numba imports (``HAVE_NUMBA``): with it the loop
-forms run, without it the numpy forms (plain Python over lists where
-numpy does not pay, as for the SGD epoch and one forest row).  The two
-backends are bit-identical for every kernel: integer arithmetic is exact,
-and the float accumulations are arranged so both sides add in the same
-order (``np.cumsum``/``np.bincount`` accumulate sequentially, matching the
+forms run, without it the numpy forms (plain Python where numpy does not
+pay, as for the SGD epoch and one forest row).  The two backends are
+bit-identical for every kernel: integer arithmetic is exact, and the float
+accumulations are arranged so both sides add in the same order
+(``np.cumsum``/``np.bincount`` accumulate sequentially, matching the
 scalar loops).  The test suite asserts this equality, and
 ``benchmarks/bench_kernels.py`` compares their speed.
 
 The kernels: ``win_scan`` (budget-constrained auction replay),
 ``sgd_epoch`` (one logistic-regression epoch), ``grow_tree`` (one
 regression tree), ``apply_forest``, which scores a whole GBRT ensemble on a
-batch in one call, and ``apply_forest_row``, which scores one impression.
-Both forest kernels take the trees packed into flat node arrays with global
-child indices (see ``models.PackedForest``), and ``apply_forest``'s loop form
-is ``apply_forest_row`` on each row.  ``grow_tree`` also returns the leaf it
-put each row in, so boosting adds a new tree's leaves without walking the
-rows through it again; ``apply_tree`` is that gather, not a kernel.
+batch in one call, and ``forest_row_scorer``, which makes the function that
+scores one impression.  The forest kernels take the trees packed into flat
+node arrays with global child indices (see ``models.PackedForest``), and
+``apply_forest``'s loop form is ``apply_forest_row`` on each row.
+``grow_tree`` also returns the leaf it put each row in, so boosting adds a
+new tree's leaves without walking the rows through it again;
+``apply_tree`` is that gather, not a kernel.
 
-Two kernels have no numpy form: ``sgd_epoch``, whose updates each depend
-on the last, and ``apply_forest_row``, for which numpy's per-call overhead
-on one row costs more than the walk.  Each has one loop body that numba
-compiles over the arrays and that otherwise runs as plain Python over list
-copies of them, whose items the interpreter reads several times faster
-than numpy's scalars.  The callers make those copies once with
-``row_operand``: ``train_lr`` for the rows, labels and weights of a fit,
-which every epoch reads and updates in place, and ``PackedForest`` for a
-model's nodes.  Both forms make the same float operations in the same
-order, so the SGD weights are the same bit for bit, and a row's forest
-score equals its batch row.
+Two jobs have no numpy form, because numpy's per-call overhead costs more
+than the work: ``sgd_epoch``, whose updates each depend on the last, and
+scoring one row.  ``sgd_epoch`` has one loop body that numba compiles over
+the arrays and that otherwise runs as plain Python over list copies of
+them, whose items the interpreter reads several times faster than numpy's
+scalars; ``train_lr`` makes those copies once per fit with
+``row_operand``.  One row is scored under numba by ``apply_forest_row``,
+the compiled walk over the node arrays, and otherwise by a function that
+``compile_forest_row`` generates once per forest: each tree one nested
+conditional expression of Python source, which reads no array at all.
+Both forms make the same float operations in the same order, so the SGD
+weights are the same bit for bit, and a row's forest score equals its
+batch row.
 
 ``grow_tree``'s numpy form searches splits one frontier node at a time,
 over every feature at once (see ``grow_tree_numpy``).
@@ -423,6 +426,61 @@ def apply_forest_numpy(x, feat, thr, left, right, value, roots, base, shrinkage)
 apply_forest = apply_forest_loop if HAVE_NUMBA else apply_forest_numpy
 
 
+def _forest_source(feat, thr, left, right, value, roots, base, shrinkage) -> str:
+    # Written from ints and repr floats only, which read back as the same
+    # floats: a finite one is a literal, inf and nan are names.  A leaf is
+    # written as its product shrinkage * value, the multiplication that
+    # apply_forest makes, so s adds the same float.
+    feat, thr, left, right = (a.tolist() for a in (feat, thr, left, right))
+    leaf = (float(shrinkage) * value).tolist()
+    lines = ["def score(x):"]
+    top = max(feat, default=-1)  # the largest slot that a split reads
+    if top >= 0:
+        lines.append(f"    {''.join(f'x{i}, ' for i in range(top + 1))}*_ = x.tolist()")
+    lines.append(f"    s = {float(base)!r}")
+    for root in roots.tolist():
+        parts = ["    s += "]
+        stack = [root]  # nodes still to write, and the text between them
+        while stack:
+            nd = stack.pop()
+            if isinstance(nd, str):
+                parts.append(nd)
+            elif left[nd] < 0:
+                parts.append(repr(leaf[nd]))
+            else:
+                parts.append("(")
+                stack += [")", right[nd], f" if x{feat[nd]} <= {thr[nd]!r} else ", left[nd]]
+        lines.append("".join(parts))
+    lines.append("    return s")
+    return "\n".join(lines) + "\n"
+
+
+def compile_forest_row(feat, thr, left, right, value, roots, base, shrinkage):
+    """``score(x)``: a float64 row's forest score, as straight-line Python.
+
+    The function unpacks the row into locals once, starts from ``s =
+    base`` and adds one term per tree in tree order, ``s += (<left> if
+    x<f> <= <threshold> else <right>)`` with the subtrees nested the same
+    way down to ``shrinkage * leaf``: the float operations of
+    ``_apply_forest_row_py``, so the same score bit for bit.  Its source
+    holds one line per tree; it is compiled once, in a namespace without
+    builtins that binds only ``inf`` and ``nan``.  A tree deeper than 200
+    levels does not compile: CPython nests at most 200 parentheses."""
+    namespace = {"__builtins__": {}, "inf": math.inf, "nan": math.nan}
+    exec(compile(_forest_source(feat, thr, left, right, value, roots, base, shrinkage),
+                 "<forest>", "exec"), namespace)
+    return namespace["score"]
+
+
+def forest_row_scorer(feat, thr, left, right, value, roots, base, shrinkage):
+    """The function of one float64 row that returns its forest score: the
+    compiled walk over the node arrays with numba, ``compile_forest_row``'s
+    straight-line Python without it."""
+    if HAVE_NUMBA:
+        return lambda x: apply_forest_row(x, feat, thr, left, right, value, roots, base, shrinkage)
+    return compile_forest_row(feat, thr, left, right, value, roots, base, shrinkage)
+
+
 def apply_tree(node_of, value):
     """Each training row's leaf value: ``value`` gathered at the leaves that
     ``grow_tree`` put the rows in.  It is a name of its own only because
@@ -433,9 +491,9 @@ def apply_tree(node_of, value):
 
 
 def row_operand(a: np.ndarray):
-    """``a`` in the form that ``sgd_epoch`` and ``apply_forest_row`` read: the
-    array itself for the compiled body, a list for plain Python, whose items
-    the interpreter reads and writes several times faster than numpy's."""
+    """``a`` in the form that ``sgd_epoch`` reads: the array itself for the
+    compiled body, a list for plain Python, whose items the interpreter
+    reads and writes several times faster than numpy's."""
     return a if HAVE_NUMBA else a.tolist()
 
 
@@ -457,4 +515,4 @@ def warmup() -> None:
     *tree, _ = grow_tree(x, sids, np.take_along_axis(x.T, sids, axis=1), r, 1, 2)
     root = np.zeros(1, dtype=np.int64)
     apply_forest(x, *tree, root, 0.0, 1.0)
-    apply_forest_row(*map(row_operand, (x[0], *tree, root)), 0.0, 1.0)
+    apply_forest_row(x[0], *tree, root, 0.0, 1.0)

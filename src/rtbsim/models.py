@@ -89,7 +89,10 @@ _RANGES = {
     "epochs": (">= 1", lambda v: v >= 1),
     "rounds": (">= 1", lambda v: v >= 1),
     "shrinkage": ("finite and > 0", lambda v: math.isfinite(v) and v > 0),
-    "max_depth": (">= 0", lambda v: v >= 0),
+    # grow_tree allocates 2**(max_depth + 1) - 1 nodes a tree, 16 MiB an
+    # array at 20, and each level nests one more parenthesis in the source
+    # of the one-row scorer (kernels.compile_forest_row).
+    "max_depth": (">= 0 and <= 20", lambda v: 0 <= v <= 20),
     "min_leaf": (">= 1", lambda v: v >= 1),
 }
 
@@ -241,9 +244,7 @@ class PackedForest:
     start; child indices are global, and ``left < 0`` marks a leaf whose
     output is ``value``, so :func:`kernels.apply_forest` scores every tree
     in one call.  ``max_feature`` is the largest feature slot that any split
-    reads (-1 if none).  ``nodes`` holds the six arrays again in the form
-    :func:`kernels.apply_forest_row` walks one row over, made once here:
-    plain-list copies without numba, the arrays with it.
+    reads (-1 if none).
     """
 
     feature: np.ndarray
@@ -253,11 +254,9 @@ class PackedForest:
     value: np.ndarray
     roots: np.ndarray
     max_feature: int = field(init=False)
-    nodes: tuple = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "max_feature", int(self.feature.max(initial=-1)))
-        object.__setattr__(self, "nodes", tuple(map(kernels.row_operand, self._arrays())))
 
     def _arrays(self) -> tuple:
         return self.feature, self.threshold, self.left, self.right, self.value, self.roots
@@ -289,6 +288,11 @@ class GbrtModel:
     forest: PackedForest
     hyper: GbrtHyper
     train_mse: list[float] = field(default_factory=list)  # after each round
+    # kernels.forest_row_scorer of this model, made by the first one-vector
+    # predict: building it costs about 20 ms, which a model that only
+    # scores batches never spends.  Made once, it assumes that base,
+    # forest and shrinkage stay as they are.
+    row_scorer: object = field(default=None, init=False, repr=False, compare=False)
 
 
 def train_gbrt(x: np.ndarray, y: np.ndarray, hyper: GbrtHyper | None = None) -> GbrtModel:
@@ -363,10 +367,11 @@ def predict(model, features):
             raise DimensionMismatch("dense vector shorter than tree feature slots")
         base, shrinkage = float(model.base), float(model.hyper.shrinkage)
         if arr.ndim == 1:
-            s = kernels.apply_forest_row(kernels.row_operand(arr), *f.nodes, base, shrinkage)
+            if model.row_scorer is None:
+                model.row_scorer = kernels.forest_row_scorer(*f._arrays(), base, shrinkage)
+            s = model.row_scorer(arr)
             return min(max(s, GBRT_CLAMP), 1.0 - GBRT_CLAMP)
-        total = kernels.apply_forest(np.ascontiguousarray(arr), f.feature, f.threshold, f.left,
-                                     f.right, f.value, f.roots, base, shrinkage)
+        total = kernels.apply_forest(np.ascontiguousarray(arr), *f._arrays(), base, shrinkage)
         return np.clip(total, GBRT_CLAMP, 1.0 - GBRT_CLAMP)
     raise TypeError(f"unsupported model type {type(model).__name__}")
 
@@ -460,6 +465,15 @@ class CtrScorer:
 _BODY_LINE = 4  # a model file's first line after its header, first and hyper lines
 
 
+def _finite(text: str) -> float:
+    """``float(text)``, which must be finite: a model file holds no inf or
+    nan, so every score it gives lies inside (0, 1)."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"{text!r} is not finite")
+    return value
+
+
 def save_lr(model: LrModel, path) -> None:
     with open(path, "w", encoding="utf-8") as f:
         f.write("#rtbsim-lr v1\n")
@@ -482,7 +496,7 @@ def load_lr(path) -> LrModel:
             text = line.rstrip("\n")
             idx, _, weight = text.partition("\t")
             try:
-                i, wv = int(idx), float(weight)
+                i, wv = int(idx), _finite(weight)
             except ValueError:
                 i = -1  # fails the range check below
             if not 0 <= i < dim:
@@ -511,9 +525,9 @@ def _read_node(line: str, line_no: int) -> tuple[int, float, float]:
     parts = line.split("\t")
     try:
         if parts[0] == "leaf" and len(parts) == 2:
-            return -1, 0.0, float(parts[1])
+            return -1, 0.0, _finite(parts[1])
         if parts[0] == "split" and len(parts) == 3 and int(parts[1]) >= 0:
-            return int(parts[1]), float(parts[2]), 0.0
+            return int(parts[1]), _finite(parts[2]), 0.0
     except ValueError:
         pass
     raise ValueError(f"line {line_no}: expected 'leaf\\t<value>' or "
@@ -558,7 +572,12 @@ def save_gbrt(model: GbrtModel, path) -> None:
 def load_gbrt(path) -> GbrtModel:
     with open(path, encoding="utf-8") as f:
         kvfile.check_header(f, "#rtbsim-gbrt v1")
-        base = float(kvfile.read_labeled(f, "base")[0])
+        text = kvfile.read_labeled(f, "base")[0]
+        try:
+            base = _finite(text)
+        except ValueError:
+            line = f"base\t{text}"
+            raise ValueError(f"line 2: expected 'base\\t<finite float>', found {line!r}") from None
         hyper = kvfile.read_fields(f, "hyper", GbrtHyper)
         lines = [ln.rstrip("\n") for ln in f]
     nodes: list[list] = []

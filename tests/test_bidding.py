@@ -253,7 +253,7 @@ def _seeded_records():
         McpcBid(num()),
         LinBid(count(), avg_ctr=float(rng.random()) or 1.0, model="gbrt"),
         LrHyper(num(), num(), count(), count()),
-        GbrtHyper(count(), num(), count(), count()),
+        GbrtHyper(count(), num(), count() % 21, count()),  # max_depth <= 20
         EvalReport(float(rng.random()), num(), count()),
     ]
 

@@ -278,6 +278,7 @@ class TestReplayErrors:
     (["--model", "lr", "--epochs", "-1"], "epochs=-1"),
     (["--model", "lr", "--learning-rate", "-1"], "learning_rate=-1.0"),
     (["--model", "lr", "--l2", "inf"], "l2=inf"),
+    (["--model", "gbrt", "--depth", "21"], "max_depth=21"),
 ])
 def test_train_ctr_hyperparameter_out_of_range(dataset, tmp_path, capsys, flags, named):
     rc = main(["train-ctr", "--input", str(dataset), "--out", str(tmp_path), *flags])
@@ -287,6 +288,21 @@ def test_train_ctr_hyperparameter_out_of_range(dataset, tmp_path, capsys, flags,
     assert not any(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("flags, named", [
+    (["--model", "gbrt", "--shrinkage", "nan"], "shrinkage=nan"),
+    (["--model", "gbrt", "--depth", "30"], "max_depth=30"),
+    (["--model", "lr", "--epochs", "0"], "epochs=0"),
+])
+def test_train_ctr_flags_checked_before_input(tmp_path, capsys, flags, named):
+    # the input does not exist: the flag must fail first, and create no --out
+    rc = main(["train-ctr", "--input", str(tmp_path / "missing"), "--out", str(tmp_path / "out"),
+               *flags])
+    err = capsys.readouterr().err.splitlines()
+    assert rc == 1
+    assert len(err) == 1 and err[0].startswith("error: ValueError: ") and named in err[0]
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("bids", ["-5", "10", "5999"])
 def test_stats_bid_count_below_the_impressions(dataset, tmp_path, capsys, bids):
     rc = main(["stats", "--input", str(dataset / "train"), "--out", str(tmp_path / "s"),
@@ -294,7 +310,7 @@ def test_stats_bid_count_below_the_impressions(dataset, tmp_path, capsys, bids):
     assert rc == 1
     assert capsys.readouterr().err == (f"error: ValueError: bid count {bids} must be 0 (unknown) "
                                        "or at least the 6000 impressions\n")
-    assert not (tmp_path / "s" / "summary.csv").exists()
+    assert not (tmp_path / "s").exists()
 
 
 def test_stats_bid_count_at_the_impressions(dataset, tmp_path):

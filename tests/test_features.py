@@ -8,7 +8,10 @@ import numpy as np
 import pytest
 
 from rtbsim.features import (
+    _CATEGORICAL_AT,
+    _N_FIELDS,
     DEFAULT_MANIFEST,
+    GBRT_CATEGORICAL_FIELDS,
     CategoryEncodings,
     EmptyTrainingSet,
     Vocabulary,
@@ -18,9 +21,11 @@ from rtbsim.features import (
     build_vocabulary,
     classify_user_agent,
     densify,
+    densify_cases,
     derive_fields,
     encoding_split,
     feature_manifest,
+    field_values,
     floor_price_bucket,
 )
 from conftest import breakdown, make_case, make_record
@@ -316,6 +321,29 @@ class TestDensify:
                 freq, ctr = enc.lookup(field, spelled[field])
                 assert freq > 0
                 assert vec[i] == (freq if stat == "freq" else ctr), name
+
+
+    def test_vector_equals_its_batch_row(self, small_synth):
+        train, test, _ = small_synth
+        enc = build_encodings(encoding_split(train))
+        x, _ = densify_cases(test, enc)
+        for case, row in zip(test, x):
+            vec = densify(case.record, enc)
+            assert vec.dtype == np.float64 and np.array_equal(vec, row)
+
+    def test_categorical_positions_are_field_values_order(self, small_synth):
+        train, _, _ = small_synth
+        rec = next(c.record for c in train if c.record.user_tags)
+        pairs = field_values(rec)
+        assert [pairs[i][0] for i in _CATEGORICAL_AT] == list(GBRT_CATEGORICAL_FIELDS)
+        assert {f for f, _ in pairs[_N_FIELDS:]} == {"tag"} and pairs[_N_FIELDS - 1][0] != "tag"
+
+    def test_per_field_tables_are_the_table(self, small_synth):
+        train, _, _ = small_synth
+        enc = build_encodings(train[:500])
+        for name, by_value in zip(GBRT_CATEGORICAL_FIELDS, enc.by_field):
+            assert by_value == {v: nc for (f, v), nc in enc.table.items() if f == name}
+        assert enc.tag_ctr == {v: c for (f, v), (_, c) in enc.table.items() if f == "tag"}
 
 
 class TestEncodingSplit:

@@ -318,25 +318,60 @@ class TestApplyForest:
         loop, vec = self._both(np.zeros((2, 3)), forest, 0.2, 0.5)
         assert np.array_equal(loop, [0.2, 0.2]) and np.array_equal(vec, [0.2, 0.2])
 
+    def _row_forms_agree(self, trees, xq, base, shrinkage):
+        """Each row of xq scores the same, bit for bit, by the plain-Python
+        walk, the compiled straight-line scorer, the installed backend's
+        scorer, both batch forms and the per-tree reference sum."""
+        forest = models.PackedForest.of(trees)
+        nodes = (forest.feature, forest.threshold, forest.left, forest.right,
+                 forest.value, forest.roots)
+        loop, vec = self._both(xq, forest, base, shrinkage)
+        reference = self._per_tree_sum(xq, trees, base, shrinkage)
+        compiled = kernels.compile_forest_row(*nodes, base, shrinkage)
+        installed = kernels.forest_row_scorer(*nodes, base, shrinkage)
+        for i, row in enumerate(xq):
+            plain = kernels._apply_forest_row_py(*lists(row, *nodes), base, shrinkage)
+            assert compiled(row) == plain == installed(row) == loop[i] == vec[i] == reference[i]
+            if kernels.HAVE_NUMBA:
+                assert kernels.apply_forest_row(row, *nodes, base, shrinkage) == plain
+
     def test_row_walk_equals_batch_forms(self):
         rng = np.random.default_rng(11)
-        nfeat = 4
-        x = rng.normal(size=(150, nfeat))
+        x = rng.normal(size=(150, 4))
         forests = [[], [self._leaf(0.5), self._leaf(-0.25)]]
         forests += [self._random_forest(rng, x, int(rng.integers(1, 12))) for _ in range(12)]
         for trees in forests:
-            forest = models.PackedForest.of(trees)
             base, shrinkage = float(rng.random()), float(rng.random())
             # exactly the slots that the splits read: max_feature + 1 of them
-            xq = rng.normal(size=(25, forest.max_feature + 1))
-            loop, vec = self._both(xq, forest, base, shrinkage)
-            nodes = (forest.feature, forest.threshold, forest.left, forest.right,
-                     forest.value, forest.roots)
-            for i, row in enumerate(xq):
-                plain = kernels._apply_forest_row_py(*lists(row, *nodes), base, shrinkage)
-                assert plain == loop[i] == vec[i]
-                if kernels.HAVE_NUMBA:
-                    assert kernels.apply_forest_row(row, *nodes, base, shrinkage) == plain
+            width = max((int(t[0].max()) for t in trees), default=-1) + 1
+            xq = rng.normal(size=(25, width))
+            self._row_forms_agree(trees, xq, base, shrinkage)
+            # and wider rows, whose extra slots no split reads
+            self._row_forms_agree(trees, rng.normal(size=(5, width + 3)), base, shrinkage)
+
+    def test_row_forms_at_edge_thresholds(self):
+        # Signed zeros, the smallest subnormal, huge and infinite values, and
+        # rows that equal a threshold exactly (x <= t goes left).
+        edges = [-np.inf, -1e308, -0.75, -0.0, 0.0, 5e-324, 1e-323, 0.75, 1e308, np.inf, np.nan]
+
+        def node(feature, threshold, left, right, value=0.0):
+            return feature, threshold, left, right, value
+
+        def tree(*nodes):
+            return tuple(np.array(c) for c in zip(*nodes))
+
+        trees = [
+            tree(node(0, -0.0, 1, 2), node(1, 5e-324, 3, 4), node(2, 1e308, 5, 6),
+                 node(-1, 0.0, -1, -1, 5e-324), node(-1, 0.0, -1, -1, -0.0),
+                 node(-1, 0.0, -1, -1, 1e308), node(-1, 0.0, -1, -1, -0.3)),
+            tree(node(1, 0.75, 1, 2), node(-1, 0.0, -1, -1, 0.1), node(2, -np.inf, 3, 4),
+                 node(-1, 0.0, -1, -1, -1e-300), node(-1, 0.0, -1, -1, 0.7)),
+            tree(node(0, np.inf, 1, 2), node(-1, 0.0, -1, -1, 1.0), node(-1, 0.0, -1, -1, 2.0)),
+            self._leaf(-0.0),
+        ]
+        xq = np.array([[a, b, c] for a in edges for b in edges for c in edges[::3]])
+        self._row_forms_agree(trees, xq, 0.25, 0.5)
+        self._row_forms_agree(trees, xq, -0.0, 1e-308)
 
     def test_blocks_of_a_large_batch_agree(self, monkeypatch):
         rng = np.random.default_rng(9)
@@ -355,9 +390,36 @@ class TestApplyForest:
         assert forest.max_feature == max(int(t[0].max()) for t in trees)
 
 
+def test_compiled_scorer_is_straight_line_python():
+    # one conditional expression per tree, nested by level, each leaf times
+    # shrinkage; no builtin is reachable
+    forest = models.PackedForest.of([
+        (np.array([1, -1, -1]), np.array([0.5, 0.0, 0.0]), np.array([1, -1, -1]),
+         np.array([2, -1, -1]), np.array([0.0, 0.25, -0.5])),
+        (np.array([0, 1, -1, -1, -1]), np.array([-0.0, 1e308, 0.0, 0.0, 0.0]),
+         np.array([1, 3, -1, -1, -1]), np.array([2, 4, -1, -1, -1]),
+         np.array([0.0, 0.0, 3.0, 5e-324, 1.0])),
+        (np.array([-1]), np.array([0.0]), np.array([-1]), np.array([-1]), np.array([0.75])),
+    ])
+    arrays = (forest.feature, forest.threshold, forest.left, forest.right, forest.value, forest.roots)
+    assert kernels._forest_source(*arrays, 0.125, 0.5).splitlines() == [
+        "def score(x):",
+        "    x0, x1, *_ = x.tolist()",
+        "    s = 0.125",
+        "    s += (0.125 if x1 <= 0.5 else -0.25)",
+        "    s += ((0.0 if x1 <= 1e+308 else 0.5) if x0 <= -0.0 else 1.5)",
+        "    s += 0.375",
+        "    return s",
+    ]
+    score = kernels.compile_forest_row(*arrays, 0.125, 0.5)
+    assert score(np.array([0.0, 0.5])) == 0.125 + 0.125 + 0.0 + 0.375
+    assert score(np.array([1.0, 0.75])) == 0.125 - 0.25 + 1.5 + 0.375
+    assert score.__globals__["__builtins__"] == {}
+
+
 def test_backend_is_whether_numba_imports():
     # With numba the loop forms run over the arrays; without it the numpy
-    # forms, and the plain-Python bodies over list copies.
+    # forms, the SGD body over list copies and the straight-line scorer.
     assert kernels.NUMBA_ENABLED == kernels.HAVE_NUMBA
     loop = kernels.HAVE_NUMBA
     assert kernels.win_scan is (kernels.win_scan_loop if loop else kernels.win_scan_numpy)
@@ -365,5 +427,9 @@ def test_backend_is_whether_numba_imports():
     assert kernels.grow_tree is (kernels.grow_tree_loop if loop else kernels.grow_tree_numpy)
     assert kernels.apply_forest is (kernels.apply_forest_loop if loop else kernels.apply_forest_numpy)
     assert (kernels.apply_forest_row is kernels._apply_forest_row_py) == (not loop)
-    nodes = models.PackedForest.of([]).nodes
-    assert all(type(a) is (np.ndarray if loop else list) for a in nodes)
+    assert type(kernels.row_operand(np.zeros(2))) is (np.ndarray if loop else list)
+    f = models.PackedForest.of([])
+    score = kernels.forest_row_scorer(f.feature, f.threshold, f.left, f.right, f.value, f.roots,
+                                      0.5, 1.0)
+    assert (score.__code__.co_filename == "<forest>") == (not loop)
+    assert score(np.zeros(3)) == 0.5

@@ -303,7 +303,7 @@ class TestHyperRanges:
         (LrHyper, "learning_rate", math.inf), (LrHyper, "l2", -1e-9), (LrHyper, "l2", math.nan),
         (LrHyper, "epochs", 0), (LrHyper, "epochs", -1), (GbrtHyper, "rounds", -2),
         (GbrtHyper, "shrinkage", math.nan), (GbrtHyper, "shrinkage", -1.0),
-        (GbrtHyper, "max_depth", -1), (GbrtHyper, "min_leaf", 0),
+        (GbrtHyper, "max_depth", -1), (GbrtHyper, "max_depth", 21), (GbrtHyper, "min_leaf", 0),
     ])
     def test_out_of_range_named(self, hyper, field, value):
         with pytest.raises(ValueError, match=rf"^{hyper.__name__}: {field}={value!r} is not "):
@@ -319,6 +319,7 @@ class TestHyperRanges:
     def test_edges_pass(self):
         LrHyper(l2=0.0, epochs=1)
         GbrtHyper(rounds=1, max_depth=0, min_leaf=1)
+        GbrtHyper(max_depth=20)
 
 
 class TestPredictLr:
@@ -364,6 +365,24 @@ class TestPredictGbrt:
         with pytest.raises(DimensionMismatch):
             predict(model, xt[:, :model.forest.max_feature])
         predict(model, xt[0, :model.forest.max_feature + 1])  # the highest slot read is present
+
+    def test_scorer_is_built_by_the_first_vector(self, tmp_path, small_synth, fitted):
+        # Loading a model and scoring batches compiles no one-row scorer; the
+        # first vector does, once, and the model still equals one without it.
+        train, test, _ = small_synth
+        model, _ = fitted
+        enc = build_encodings(encoding_split(train))
+        CtrScorer("gbrt", model, encodings=enc).save(tmp_path)
+        loaded = CtrScorer.load(tmp_path, "gbrt")
+        batch = loaded.score_cases(test[:300])
+        assert loaded.model.row_scorer is None
+        xt = densify_cases(test[:300], enc)[0]
+        assert [predict(loaded.model, row) for row in xt] == batch.tolist()
+        built = loaded.model.row_scorer
+        assert built is not None
+        predict(loaded.model, xt[0])
+        assert loaded.model.row_scorer is built
+        assert loaded.model == load_gbrt(tmp_path / "model_gbrt.txt")
 
 
 class TestMetrics:
@@ -559,8 +578,9 @@ class TestSerialization:
         with pytest.raises(ValueError, match=f"^{expected}$"):
             load_lr(path)
 
-    @pytest.mark.parametrize("line", ["-1\t0.25", "7\t0.25", "2 0.25"],
-                             ids=["negative index", "index past dimension", "no tab"])
+    @pytest.mark.parametrize("line", ["-1\t0.25", "7\t0.25", "2 0.25", "2\tnan", "2\tinf", "2\t-inf"],
+                             ids=["negative index", "index past dimension", "no tab", "nan weight",
+                                  "inf weight", "-inf weight"])
     def test_lr_bad_weight_line_named(self, tmp_path, line):
         path = tmp_path / "lr.txt"
         save_lr(LrModel(self.LR_FILE_WEIGHTS, LrHyper()), path)
@@ -597,6 +617,20 @@ class TestSerialization:
         with pytest.raises(ValueError, match=f"^tree 0: its header says {n + 2} nodes, but it lists {n}$"):
             self._load_gbrt_lines(tmp_path, lines)
 
+    @pytest.mark.parametrize("text", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("kind", ["base", "threshold", "leaf"])
+    def test_gbrt_non_finite_float_named(self, tmp_path, kind, text):
+        # a nan base would score nan, and a nan threshold send every row right
+        lines = self._gbrt_lines(tmp_path)
+        at = {"base": 1, "threshold": 4,
+              "leaf": next(i for i, ln in enumerate(lines) if ln.startswith("leaf\t"))}[kind]
+        lines[at] = lines[at].rpartition("\t")[0] + "\t" + text
+        expected = (rf"line 2: expected 'base\\t<finite float>', found 'base\\t{text}'"
+                    if kind == "base" else rf"tree 0: line {at + 1}: expected .* found "
+                    + re.escape(repr(lines[at])))
+        with pytest.raises(ValueError, match=f"^{expected}$"):
+            self._load_gbrt_lines(tmp_path, lines)
+
     def test_gbrt_negative_split_feature_named(self, tmp_path):
         lines = self._gbrt_lines(tmp_path)
         lines[4] = lines[4].replace("split\t0\t", "split\t-2\t")
@@ -613,22 +647,37 @@ class TestSerialization:
 
     @staticmethod
     def _hand_gbrt_lines(max_depth, tree) -> list[str]:
-        hyper = "\t".join(["hyper", *kvfile.dump(GbrtHyper(rounds=1, shrinkage=1.0, max_depth=max_depth))])
+        # the hyper line by hand: GbrtHyper itself refuses a max_depth past 20
+        hyper = f"hyper\trounds=1\tshrinkage=1.0\tmax_depth={max_depth}\tmin_leaf=20"
         return ["#rtbsim-gbrt v1", "base\t0.0", hyper, f"tree\t{len(tree)}", *tree]
 
+    @staticmethod
+    def _chain(depth) -> list[str]:
+        """Split i sends x <= i + 0.5 to a leaf of (i + 1) / 64; the last
+        right child is the leaf (depth + 1) / 64."""
+        return [ln for i in range(depth) for ln in (f"split\t0\t{i + 0.5!r}",
+                                                    f"leaf\t{(i + 1) / 64!r}")] + [
+            f"leaf\t{(depth + 1) / 64!r}"]
+
     def test_gbrt_deep_chain_reads_without_recursion(self, tmp_path):
-        # Split i sends x <= i + 0.5 to leaf i; the last right child is leaf 1200.
-        chain = [ln for i in range(1200) for ln in (f"split\t0\t{i + 0.5!r}", f"leaf\t{float(i)!r}")]
-        lines = self._hand_gbrt_lines(1200, chain + [f"leaf\t{1200.0!r}"])
+        # a chain at the largest max_depth, 20
+        lines = self._hand_gbrt_lines(20, self._chain(20))
         model = self._load_gbrt_lines(tmp_path, lines)
         f = model.forest
-        assert len(f.feature) == 2401 and f.roots.tolist() == [0]
-        rows = np.array([[0.0], [7.0], [1199.0], [5000.0]])
+        assert len(f.feature) == 41 and f.roots.tolist() == [0]
+        rows = np.array([[0.0], [7.0], [19.0], [5000.0]])
         leaves = reference_tree_leaves(rows, f.feature, f.threshold, f.left, f.right, f.value)
-        assert leaves.tolist() == [0.0, 7.0, 1199.0, 1200.0]
-        # and writes it back, byte for byte, without recursion either
+        assert leaves.tolist() == [1 / 64, 8 / 64, 20 / 64, 21 / 64]
+        assert [predict(model, row) for row in rows] == (0.0 + 1.0 * leaves).tolist()
+        # and writes it back, byte for byte
         save_gbrt(model, tmp_path / "again.txt")
         assert (tmp_path / "again.txt").read_bytes() == (tmp_path / "bad.txt").read_bytes()
+
+    def test_gbrt_max_depth_past_20_named(self, tmp_path):
+        # a 1,200-split chain would need max_depth=1200
+        lines = self._hand_gbrt_lines(1200, self._chain(1200))
+        with pytest.raises(ValueError, match=r"^GbrtHyper: max_depth=1200 is not >= 0 and <= 20$"):
+            self._load_gbrt_lines(tmp_path, lines)
 
     def test_gbrt_split_at_max_depth_named(self, tmp_path):
         tree = ["split\t0\t0.5", "split\t0\t0.25", "leaf\t1.0", "leaf\t2.0", "leaf\t3.0"]
