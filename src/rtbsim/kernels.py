@@ -163,10 +163,21 @@ sgd_epoch = sgd_epoch_loop if HAVE_NUMBA else sgd_epoch_python
 # Regression tree growth: exact greedy splits on presorted columns.
 # ---------------------------------------------------------------------------
 
+def _split_threshold_py(a, b):
+    # A threshold between column values a < b that sends a left and b right:
+    # their midpoint, or a where it overflows (beyond about 9e307) or rounds
+    # to b (adjacent floats).  Python floats overflow without a RuntimeWarning.
+    t = 0.5 * (float(a) + float(b))
+    return t if a <= t < b else a
+
+
+_split_threshold = _njit(_split_threshold_py)
+
+
 def _grow_tree_py(x, sorted_ids, sorted_vals, resid, min_leaf, max_depth):
     # Level-wise growth.  One pass over each presorted column per level
     # evaluates every candidate split of every frontier node; candidate
-    # thresholds are midpoints between consecutive distinct values.
+    # thresholds lie between consecutive distinct values (_split_threshold).
     # sorted_vals[f, k] is x[sorted_ids[f, k], f], gathered once per model.
     n, nfeat = x.shape
     max_nodes = 2 ** (max_depth + 1) - 1
@@ -226,7 +237,7 @@ def _grow_tree_py(x, sorted_ids, sorted_vals, resid, min_leaf, max_depth):
                             if sc > best_score[nd]:
                                 best_score[nd] = sc
                                 best_feat[nd] = f
-                                best_thr[nd] = 0.5 * (prev_val[nd] + xv)
+                                best_thr[nd] = _split_threshold(prev_val[nd], xv)
                     run_cnt[nd] += 1
                     run_sum[nd] += resid[i]
                     prev_val[nd] = xv
@@ -282,7 +293,7 @@ def _best_split(ids, vals, resid, total, min_leaf):
     sc = sl * sl / nl + sr * sr / (m - nl)
     j = int(np.argmax(sc))  # first maximum: lowest feature, then lowest threshold
     f, k = divmod(int(at[j]), m)
-    return sc[j], f, 0.5 * (vals[f, k] + vals[f, k + 1])
+    return sc[j], f, _split_threshold(vals[f, k], vals[f, k + 1])
 
 
 def grow_tree_numpy(x, sorted_ids, sorted_vals, resid, min_leaf, max_depth):

@@ -11,6 +11,12 @@ rest, giving 21.
 definition of the line: :func:`parse_record` and :func:`serialize_record`
 are loops over them.
 
+Every :class:`LogRecord` the package makes, parsed, copied by
+:func:`as_event` or generated by :mod:`rtbsim.synthgen`, is built by
+``_make_record`` from its values in :data:`EVENT_COLUMNS` order.  It sets
+each slot directly, without the frozen dataclass ``__init__`` and its
+``object.__setattr__`` call per field.
+
 All price columns are integers under the CPM convention: the logged value
 is the price of one thousand impressions expressed in Chinese fen, so the
 cost of a single impression in fen is ``paying_price / 1000``.  Derived
@@ -22,7 +28,7 @@ from __future__ import annotations
 import enum
 import gzip
 import io
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from datetime import datetime
 from operator import attrgetter
 from typing import Iterable, Iterator
@@ -186,6 +192,8 @@ COLUMN_KINDS = {
 
 EVENT_COLUMNS = tuple(COLUMN_KINDS)
 
+_LOG_TYPE_AT = EVENT_COLUMNS.index("log_type")
+
 EVENT_ONLY_COLUMNS = ("log_type", "paying_price", "key_page_url")
 
 BID_COLUMNS = tuple(c for c in EVENT_COLUMNS if c not in EVENT_ONLY_COLUMNS)
@@ -250,6 +258,23 @@ class LogRecord:
     user_tags: tuple[int, ...]
 
 
+# Each field's slot setter, in EVENT_COLUMNS order.  A slot's member
+# descriptor writes the field without the frozen class's __setattr__.
+_SLOT_SETTERS = tuple(LogRecord.__dict__[name].__set__ for name in EVENT_COLUMNS)
+
+
+def _make_record(values) -> LogRecord:
+    """The record whose fields are ``values``, in :data:`EVENT_COLUMNS` order.
+
+    It equals ``LogRecord(*values)``: LogRecord has no ``__post_init__``, so
+    setting the fields is all its ``__init__`` does.
+    """
+    record = object.__new__(LogRecord)
+    for set_field, value in zip(_SLOT_SETTERS, values):
+        set_field(record, value)
+    return record
+
+
 @dataclass(frozen=True, slots=True)
 class AuctionCase:
     """An impression joined with its deduplicated click/conversion outcome."""
@@ -292,7 +317,7 @@ def parse_record(line: str, schema: LogSchema, line_no: int | None = None) -> Lo
         raise _field_error(schema, parts, line_no) from None
     for i in schema.absent:
         values.insert(i, None)
-    return LogRecord(*values)
+    return _make_record(values)
 
 
 def _field_error(schema: LogSchema, parts: list[str], line_no: int | None) -> FieldParseError:
@@ -429,4 +454,6 @@ def join_events(
 
 def as_event(record: LogRecord, log_type: LogType) -> LogRecord:
     """Copy of the record with the given event type code."""
-    return replace(record, log_type=log_type)
+    values = list(EVENT_LOG.values(record))
+    values[_LOG_TYPE_AT] = log_type
+    return _make_record(values)

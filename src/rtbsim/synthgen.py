@@ -5,6 +5,10 @@ logistic model over the sampled categorical features, with market prices
 drawn from a truncated log-normal.  Everything is a deterministic function
 of the config seed, which makes end-to-end tests possible without any real
 log data.
+
+Each block draws its random columns with numpy, in a fixed order from its
+own seeded generator, then builds its cases in one pass over the columns'
+``tolist()`` forms, each record by ``logdata._make_record``.
 """
 
 from __future__ import annotations
@@ -20,8 +24,8 @@ import numpy as np
 from .logdata import (
     EVENT_LOG,
     AuctionCase,
-    LogRecord,
     LogType,
+    _make_record,
     _parse_timestamp,
     as_event,
     serialize_record,
@@ -30,6 +34,9 @@ from .logdata import (
 __all__ = ["SynthConfig", "GroundTruth", "DegenerateConfig", "generate", "write_dataset"]
 
 ZIPF_EXPONENT = 1.1
+
+MAX_GAP_MS = 399  # cases in a block are 1 to MAX_GAP_MS ms apart
+BLOCK_GAP = timedelta(seconds=60)  # from the last training case to the first test case
 
 # Pool of user-agent strings with a spread of OS/browser classes.
 USER_AGENTS = (
@@ -127,7 +134,12 @@ class SynthConfig:
                     f"(bias + regions + cities + exchanges + slot sizes + tags), got {w.shape}"
                 )
             object.__setattr__(self, "true_weights", w)
-        _parse_timestamp(self.start_time)  # validates the format
+        start = _parse_timestamp(self.start_time)  # validates the format
+        ms = timedelta(milliseconds=1)
+        span_ms = MAX_GAP_MS * (self.n_train + self.n_test) + BLOCK_GAP // ms
+        if (datetime.max - start) // ms < span_ms:
+            raise ValueError(f"start_time {self.start_time} is too late: the last case may fall "
+                             f"up to {span_ms} ms after it, past {datetime.max}")
 
     @property
     def weight_dim(self) -> int:
@@ -240,44 +252,28 @@ def _sample_block(
     clicked = rng.random(n) < p
     converted = clicked & (rng.random(n) < config.conversion_given_click)
 
-    gaps = rng.integers(1, 400, size=n)  # milliseconds between cases
+    gaps = rng.integers(1, MAX_GAP_MS + 1, size=n)
     offsets = np.cumsum(gaps)
 
     bid_price = config.max_price + 1  # every generated case is a valid historical win
     prefix = f"{config.seed & 0xFFFFFFFF:08x}{phase}"
+    slots = [(w, h, f"{w}_{h}_{k}") for k, (w, h) in enumerate(SLOT_SIZE_POOL)]
+    # datetime64 converts to datetime up to year 9999, as SynthConfig ensures
+    stamps = (np.datetime64(start, "ms") + offsets.astype("timedelta64[ms]")).tolist()
+    tags = zip(*(tag_cols + 1).T.tolist())  # tag ids are 1-based
+    columns = [c.tolist() for c in (ua_idx, ip_a, ip_b, region, city, exchange, dom_idx,
+                                    url_idx, slot_idx, vis_idx, fmt_idx, floor, cre_idx,
+                                    paying, clicked, converted)]
     cases: list[AuctionCase] = []
-    ts = start
-    for i in range(n):
-        ts = start + timedelta(milliseconds=int(offsets[i]))
-        w, h = SLOT_SIZE_POOL[slot_idx[i]]
-        rec = LogRecord(
-            bid_id=f"{prefix}{i:011d}",
-            timestamp=ts,
-            log_type=LogType.IMPRESSION,
-            ipinyou_id=f"u{phase}{i:012d}",
-            user_agent=USER_AGENTS[ua_idx[i]],
-            ip=f"{ip_a[i]}.{ip_b[i]}.{(i >> 8) & 255}.*",
-            region=int(region[i]),
-            city=int(city[i]),
-            ad_exchange=int(exchange[i]),
-            domain=domain_pool[dom_idx[i]],
-            url=url_pool[url_idx[i]],
-            anonymous_url_id=None,
-            slot_id=f"{w}_{h}_{int(slot_idx[i])}",
-            slot_width=w,
-            slot_height=h,
-            slot_visibility=VISIBILITY_POOL[vis_idx[i]],
-            slot_format=FORMAT_POOL[fmt_idx[i]],
-            slot_floor_price=int(floor[i]),
-            creative_id=creative_pool[cre_idx[i]],
-            bid_price=bid_price,
-            paying_price=int(paying[i]),
-            key_page_url=None,
-            advertiser_id=config.advertiser_id,
-            user_tags=tuple(int(t) + 1 for t in tag_cols[i]),  # tag ids are 1-based
-        )
-        cases.append(AuctionCase(rec, bool(clicked[i]), bool(converted[i])))
-    return cases, p, ts
+    for i, (ts, user_tags, ua, a, b, reg, cty, exch, dom, url, slot, vis, fmt, fl, cre, pay,
+            clk, cnv) in enumerate(zip(stamps, tags, *columns)):
+        w, h, slot_id = slots[slot]
+        cases.append(AuctionCase(_make_record((
+            f"{prefix}{i:011d}", ts, LogType.IMPRESSION, f"u{phase}{i:012d}", USER_AGENTS[ua],
+            f"{a}.{b}.{(i >> 8) & 255}.*", reg, cty, exch, domain_pool[dom], url_pool[url], None,
+            slot_id, w, h, VISIBILITY_POOL[vis], FORMAT_POOL[fmt], fl, creative_pool[cre],
+            bid_price, pay, None, config.advertiser_id, user_tags)), clk, cnv))
+    return cases, p, stamps[-1]
 
 
 def generate(config: SynthConfig) -> tuple[list[AuctionCase], list[AuctionCase], GroundTruth]:
@@ -285,7 +281,7 @@ def generate(config: SynthConfig) -> tuple[list[AuctionCase], list[AuctionCase],
     weights = _resolve_weights(config)
     start = _parse_timestamp(config.start_time)
     train, train_p, train_end = _sample_block(config, weights, config.n_train, 0, start)
-    test, test_p, _ = _sample_block(config, weights, config.n_test, 1, train_end + timedelta(seconds=60))
+    test, test_p, _ = _sample_block(config, weights, config.n_test, 1, train_end + BLOCK_GAP)
 
     eps = 1e-9
     all_p = np.concatenate([train_p, test_p])

@@ -61,6 +61,7 @@ class TestSynth:
         ("market_price_params=4.2,0.4", "'market_price_params'"),
         ("market_mu=high", "market_mu='high'"),
         ("seed=1\nseed=2", "'seed' is set more than once"),
+        ("start_time=99991231235959000", "start_time 99991231235959000 is too late"),
     ])
     def test_bad_config_line_named(self, tmp_path, capsys, line, named):
         cfg = tmp_path / "synth.cfg"

@@ -5,6 +5,7 @@ change experiment outputs."""
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -236,6 +237,28 @@ class TestGrowTree:
                 assert np.array_equal(kernels.apply_tree(node_of, tree[4]), leaves)
                 node_ofs.append(node_of)
             assert np.array_equal(*node_ofs)
+
+    @pytest.mark.parametrize("a, b", [(1e308, 1.7e308), (-1.7e308, -1e308), (1 + 2**-52, 1 + 2**-51)],
+                             ids=["overflow", "negative-overflow", "adjacent"])
+    def test_threshold_below_the_right_value(self, tmp_path, a, b):
+        # The midpoint of a and b overflows or rounds to b, where every row
+        # would go left; the threshold is a, so each value keeps its side.
+        x = np.r_[np.full(10, a), np.full(10, b)].reshape(-1, 1)
+        y = np.r_[np.zeros(10), np.ones(10)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert self._same(x, y - 0.5, 2, 1)[1][0] == a
+            model = models.train_gbrt(x, y, models.GbrtHyper(rounds=1, max_depth=1, min_leaf=2))
+            scores = models.predict(model, x)
+        f = model.forest
+        assert f.threshold[0] == a
+        assert np.isfinite(f.threshold).all() and np.isfinite(f.value).all()
+        assert scores[0] < scores[-1] and len(set(scores[:10])) == len(set(scores[10:])) == 1
+        models.save_gbrt(model, tmp_path / "gb.txt")
+        loaded = models.load_gbrt(tmp_path / "gb.txt")
+        models.save_gbrt(loaded, tmp_path / "again.txt")
+        assert (tmp_path / "again.txt").read_bytes() == (tmp_path / "gb.txt").read_bytes()
+        assert np.array_equal(models.predict(loaded, x), scores)
 
     def test_min_leaf_respected(self):
         rng = np.random.default_rng(7)

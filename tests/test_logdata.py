@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import gzip
 import random
 from dataclasses import replace
@@ -10,15 +11,19 @@ import pytest
 
 from rtbsim.logdata import (
     BID_LOG,
+    EVENT_COLUMNS,
     EVENT_LOG,
     EVENT_ONLY_COLUMNS,
     AuctionCase,
     ColumnCountMismatch,
     FieldParseError,
+    LogRecord,
     LogType,
     MissingValue,
     SchemaMismatch,
     TimestampFormatError,
+    _make_record,
+    as_event,
     join_events,
     load_log,
     parse_record,
@@ -200,6 +205,40 @@ class TestSerializeRecord:
                 line = serialize_record(r, schema)
                 assert parse_record(line, schema) == r
                 assert serialize_record(parse_record(line, schema), schema) == line
+
+
+class TestMakeRecord:
+    """``_make_record`` sets the slots without ``LogRecord.__init__``."""
+
+    @staticmethod
+    def _values(line, schema):
+        parts = line.split("\t")
+        if schema is BID_LOG:
+            parts = [p for i, p in enumerate(parts) if i not in (2, 20, 21)]
+        return EVENT_LOG.values(parse_record("\t".join(parts), schema))
+
+    @pytest.mark.parametrize("schema", [EVENT_LOG, BID_LOG], ids=["event", "bid"])
+    def test_equals_the_constructed_record(self, schema):
+        values = self._values(EXAMPLE_EVENT_LINE, schema)
+        made, built = _make_record(values), LogRecord(*values)
+        assert type(made) is LogRecord
+        assert made == built and hash(made) == hash(built)
+        assert list(map(type, EVENT_LOG.values(made))) == list(map(type, EVENT_LOG.values(built)))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            made.region = 1
+
+    def test_as_event_copies_every_other_field(self):
+        rec = parse_record(EXAMPLE_EVENT_LINE, EVENT_LOG)
+        for log_type in LogType:
+            event, replaced = as_event(rec, log_type), replace(rec, log_type=log_type)
+            assert event == replaced and hash(event) == hash(replaced)
+        assert rec.log_type is LogType.IMPRESSION
+
+    def test_fields_are_the_event_columns_and_nothing_runs_after_init(self):
+        # The two facts that make a slot-set record equal LogRecord(*values).
+        assert tuple(f.name for f in dataclasses.fields(LogRecord)) == EVENT_COLUMNS
+        assert not hasattr(LogRecord, "__post_init__")
+        assert LogRecord.__slots__ == EVENT_COLUMNS
 
 
 class TestLoadLog:

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import hashlib
 import math
+from datetime import datetime
 
 import numpy as np
 import pytest
@@ -42,6 +44,55 @@ def test_same_seed_is_byte_identical(tmp_path):
     b = write_dataset(train2, tmp_path / "b")
     for key in a:
         assert a[key].read_bytes() == b[key].read_bytes()
+
+
+# sha256 of each file write_dataset makes from a block, per config; the
+# default config's bytes are pinned by tests/gbrt_chain_seed3.sha256.
+SYNTH_PINS = [
+    (dict(seed=5, n_train=1, n_test=1), {
+        "train/imp.txt": "4775cab0e579cda68ea89133eaf1294f62c612cd3ae77e5283c2acfc26afa442",
+        "train/clk.txt": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "train/cnv.txt": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "test/imp.txt": "094d1653178bebdc54ad31a59a27024316abde2c8411d8c0569ee736a5847b21",
+        "test/clk.txt": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "test/cnv.txt": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    }),
+    # every tag in every case, all ten slot sizes, prices that follow the
+    # click logit, and a training block that crosses into 2014
+    (dict(seed=8, n_train=300, n_test=100, n_tags=4, tags_per_case=4, n_slot_sizes=10,
+          price_click_correlation=0.5, base_ctr=0.2, conversion_given_click=0.5,
+          start_time="20131231235950000"), {
+        "train/imp.txt": "38ec2459b755ab4015f35059bbf2c3a127579867181f0618644d95bebb6c1d30",
+        "train/clk.txt": "ac8ca3b94e683b8f8eb1a7045f8586421c4aa9754e1488d625d4d9115f1f8fe4",
+        "train/cnv.txt": "657186ac0c8a177af14433709c56270b20cbfda7f04a29bb2b11f983d278d118",
+        "test/imp.txt": "e3564cb0a3131fd10274ac42f457b6a10b50ab6587d45433427e58af9052f155",
+        "test/clk.txt": "ae763769febec7645a05186c8055512a8dd673009b2539b1d42da3554f8f8e90",
+        "test/cnv.txt": "08f569d5cdaca690689fe4318234b6c563de05208977185aa64b0c9a1c6479a7",
+    }),
+]
+
+
+@pytest.mark.parametrize("kwargs, digests", SYNTH_PINS, ids=["one-case", "all-tags"])
+def test_dataset_bytes_pinned(tmp_path, kwargs, digests):
+    train, test, _ = generate(SynthConfig(**kwargs))
+    assert all(type(c.timestamp) is datetime for c in train + test)
+    for name, cases in (("train", train), ("test", test)):
+        write_dataset(cases, tmp_path / name)
+    found = {rel: hashlib.sha256((tmp_path / rel).read_bytes()).hexdigest() for rel in digests}
+    assert found == digests
+
+
+def test_latest_start_time():
+    # Two cases may take up to 399 ms each, plus the minute before the test
+    # block: 60.798 s before datetime.max is the last start allowed.
+    train, test, _ = generate(SynthConfig(seed=1, n_train=1, n_test=1,
+                                          start_time="99991231235859201"))
+    assert all(type(c.timestamp) is datetime for c in train + test)
+    assert test[0].timestamp.year == 9999
+    with pytest.raises(ValueError, match="^start_time 99991231235859202 is too late"):
+        SynthConfig(seed=1, n_train=1, n_test=1, start_time="99991231235859202")
+    with pytest.raises(ValueError, match="^start_time 99991231235959000 is too late"):
+        SynthConfig(seed=1, start_time="99991231235959000")
 
 
 def test_different_seeds_differ():
