@@ -52,13 +52,6 @@ def compare(rows, name, loop_fn, fallback_fn, args, n, same, repeats=5):
     return out_slow
 
 
-def presort(x):
-    """grow_tree's presorted operands: each column's row ids in ascending
-    order and their values, which train_gbrt gathers once per model."""
-    sorted_ids = np.argsort(x, axis=0, kind="stable").T.copy()
-    return sorted_ids, np.take_along_axis(x.T, sorted_ids, axis=1)
-
-
 def same_arrays(a, b):
     return all(np.array_equal(x, y) for x, y in zip(a, b))
 
@@ -110,7 +103,8 @@ def bench_grow_tree(rows):
     hyper = models.GbrtHyper()
 
     def dense_args(m):
-        return (xd[:m], *presort(xd[:m]), yd[:m] - yd[:m].mean(), hyper.min_leaf, hyper.max_depth)
+        return (xd[:m], *kernels.presort(xd[:m]), yd[:m] - yd[:m].mean(),
+                hyper.min_leaf, hyper.max_depth)
 
     compare(rows, f"grow_tree (densified n=3000, {xd.shape[1]} feat, depth 5)",
             kernels.grow_tree_loop, kernels.grow_tree_numpy, dense_args, len(yd), same_arrays)
@@ -122,7 +116,7 @@ def bench_grow_tree(rows):
     resid = rng.normal(size=n)
 
     def args(m):
-        return x[:m], *presort(x[:m]), resid[:m], 20, 5
+        return x[:m], *kernels.presort(x[:m]), resid[:m], 20, 5
 
     compare(rows, "grow_tree (continuous n=1e5, 15 feat, depth 5)", kernels.grow_tree_loop,
             kernels.grow_tree_numpy, args, n, same_arrays, repeats=3)

@@ -55,7 +55,8 @@ def _warn_input_issues(directory: Path, skipped: list, issues: list) -> None:
 
 
 def load_cases(directory, strict: bool = False, advertiser: int | None = None) -> list[AuctionCase]:
-    """The joined cases of the event logs (imp, clk, cnv) under ``directory``."""
+    """The joined cases of the event logs (imp, clk, cnv) under ``directory``:
+    ``advertiser``'s, or all of them when they are one advertiser's."""
     directory = Path(directory)
     sink: list = []
 
@@ -72,7 +73,11 @@ def load_cases(directory, strict: bool = False, advertiser: int | None = None) -
     cases = join_events(imps, clks, cnvs, issues)
     _warn_input_issues(directory, sink, issues)
     if advertiser is not None:
-        cases = [c for c in cases if c.record.advertiser_id == advertiser]
+        return [c for c in cases if c.record.advertiser_id == advertiser]
+    ids = sorted({c.record.advertiser_id for c in cases})
+    if len(ids) > 1:
+        raise ValueError(f"{directory} holds advertisers {', '.join(map(str, ids))}; "
+                         "choose one with --advertiser")
     return cases
 
 
@@ -142,13 +147,33 @@ def _load_split(args) -> tuple[list[AuctionCase], list[AuctionCase]]:
     test = load_cases(root / "test", args.strict, args.advertiser)
     if not train or not test:
         raise ValueError("train and test splits must both be nonempty")
+    ids = train[0].record.advertiser_id, test[0].record.advertiser_id
+    if ids[0] != ids[1]:
+        raise ValueError(f"the train split holds advertiser {ids[0]} and the test split {ids[1]}")
     return train, test
 
 
+# train-ctr's hyperparameter flags: each model's hyper class, and its flag
+# for each field.
+_HYPER_FLAGS = {
+    "lr": (models.LrHyper, {"learning_rate": "--learning-rate", "l2": "--l2",
+                            "epochs": "--epochs", "seed": "--seed"}),
+    "gbrt": (models.GbrtHyper, {"rounds": "--rounds", "shrinkage": "--shrinkage",
+                                "max_depth": "--depth", "min_leaf": "--min-leaf"}),
+}
+
+
 def _hyper(args) -> models.LrHyper | models.GbrtHyper:
-    if args.model == "lr":
-        return models.LrHyper(args.learning_rate, args.l2, args.epochs, args.seed)
-    return models.GbrtHyper(args.rounds, args.shrinkage, args.depth, args.min_leaf)
+    """The model's hyper from the flags given, with its own defaults for the
+    rest; a flag of the other model fails."""
+    given = {}
+    for model, (_, flags) in _HYPER_FLAGS.items():
+        for field, flag in flags.items():
+            if getattr(args, field) is not None:
+                if model != args.model:
+                    raise ValueError(f"{flag} is a --model {model} flag, not --model {args.model}")
+                given[field] = getattr(args, field)
+    return _HYPER_FLAGS[args.model][0](**given)
 
 
 def _fit_scorer(hyper, train) -> models.CtrScorer:
@@ -194,27 +219,39 @@ def _campaign_for(cases, kpi_n: int | None) -> bidding.CampaignSpec:
     return known if known is not None else bidding.CampaignSpec(adv, 0)
 
 
+def _score_splits(args, strategy: str, kinds, *splits) -> list[dict[str, np.ndarray]]:
+    """For each split, each model kind's pCTR from the scorer in ``--models``;
+    empty dicts when ``kinds`` is empty, which needs no ``--models``."""
+    if kinds and not args.models:
+        raise ValueError(f"{strategy} needs --models pointing at a train-ctr output dir")
+    scorers = {kind: models.CtrScorer.load(args.models, kind) for kind in kinds}
+    return [{kind: s.score_cases(split) for kind, s in scorers.items()} for split in splits]
+
+
+def _tuner(args, train, campaign, pctr_train):
+    """``tune(family, fraction, kind)``: ``bidding.tune`` on the train split's
+    columns over ``--grid``, with model ``kind``'s train pCTR (None: none)."""
+    data = replay.ReplayData.from_cases(train)
+    grid = _parse_grid(args.grid)
+
+    def tune(family: str, fraction: Fraction, kind: str | None):
+        return bidding.tune(family, data, fraction, grid, campaign,
+                            pctr=pctr_train.get(kind), seed=args.seed, model_label=kind)
+    return tune
+
+
 def cmd_tune(args) -> int:
     fractions = [replay.budget_fraction(f) for f in args.budget_fraction or ["1/8"]]
     train = load_cases(Path(args.input) / "train", args.strict, args.advertiser)
     if not train:
         raise ValueError("the train split must be nonempty")
+    kind = args.model if args.strategy == "lin" else None
+    pctr_train = _score_splits(args, "lin", [kind] if kind else [], train)[0]
+    tune = _tuner(args, train, _campaign_for(train, args.kpi_n), pctr_train)
+    tuned = [(fraction, *tune(args.strategy, fraction, kind)) for fraction in fractions]
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    campaign = _campaign_for(train, args.kpi_n)
-    pctr = None
-    if args.strategy == "lin":
-        if not args.models:
-            raise ValueError("lin tuning needs --models pointing at a train-ctr output dir")
-        scorer = models.CtrScorer.load(args.models, args.model)
-        pctr = scorer.score_cases(train)
-    train_data = replay.ReplayData.from_cases(train)
-    grid = _parse_grid(args.grid)
-    for fraction in fractions:
-        strategy, rows = bidding.tune(
-            args.strategy, train_data, fraction, grid,
-            campaign, pctr=pctr, seed=args.seed, model_label=args.model,
-        )
+    for fraction, strategy, rows in tuned:
         frac_tag = f"{fraction.numerator}_{fraction.denominator}"
         bidding.save_strategy(strategy, out / f"strategy_{args.strategy}_{frac_tag}.txt")
         bidding.write_grid_csv(rows, out / f"grid_{args.strategy}_{frac_tag}.csv")
@@ -230,61 +267,34 @@ def cmd_replay(args) -> int:
     fractions = [replay.budget_fraction(f)
                  for f in args.budget_fraction or replay.STANDARD_FRACTIONS]
     train, test = _load_split(args)
-    train_data = replay.ReplayData.from_cases(train)
     campaign = _campaign_for(test, args.kpi_n)
-    grid = _parse_grid(args.grid)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-
-    strategy_names = args.strategy or ["const", "rand", "mcpc", "lin"]
+    families = args.strategy or ["const", "rand", "mcpc", "lin"]
     model_kinds = {"lr": ["lr"], "gbrt": ["gbrt"], "both": ["lr", "gbrt"]}[args.model]
-    scorers: dict[str, models.CtrScorer] = {}
-    pctr_train: dict[str, np.ndarray] = {}
-    pctr_test: dict[str, np.ndarray] = {}
-    if any(s in ("mcpc", "lin") for s in strategy_names):
-        if not args.models:
-            raise ValueError("mcpc/lin strategies need --models pointing at train-ctr output")
-        for kind in model_kinds:
-            scorers[kind] = models.CtrScorer.load(args.models, kind)
-            pctr_train[kind] = scorers[kind].score_cases(train)
-            pctr_test[kind] = scorers[kind].score_cases(test)
-
-    suffix = {"lr": "L", "gbrt": "G"}
-    entries: list[replay.StrategyEntry] = []
+    priced = "/".join(f for f in ("mcpc", "lin") if f in families)  # the families that read pCTR
+    pctr_train, pctr_test = _score_splits(args, priced, model_kinds if priced else [], train, test)
+    tune = _tuner(args, train, campaign, pctr_train)
+    max_ecpc = bidding.estimate_max_ecpc(train) if "mcpc" in families else None
     tuned_log: list[str] = []
 
-    def tuned(family: str, kind: str | None):
+    def tuned(family: str, kind: str | None, key: str):
         def factory(fraction: Fraction) -> bidding.Strategy:
-            strategy, _ = bidding.tune(
-                family, train_data, fraction, grid, campaign,
-                pctr=pctr_train.get(kind), seed=args.seed, model_label=kind,
-            )
-            tuned_log.append(
-                f"{family}{'-' + suffix[kind] if kind else ''}@{fraction}: {strategy.parameter}"
-            )
+            strategy, _ = tune(family, fraction, kind)
+            tuned_log.append(f"{key}@{fraction}: {strategy.parameter}")
             return strategy
         return factory
 
-    for name in strategy_names:
-        if name == "const":
-            entries.append(replay.StrategyEntry("Const", tuned("const", None)))
-        elif name == "rand":
-            entries.append(replay.StrategyEntry("Rand", tuned("rand", None)))
-        elif name == "mcpc":
-            max_ecpc = bidding.estimate_max_ecpc(train)
-            for kind in model_kinds:
-                entries.append(replay.StrategyEntry(
-                    f"Mcpc-{suffix[kind]}", bidding.McpcBid(max_ecpc, kind), pctr=pctr_test[kind]))
-        elif name == "lin":
-            for kind in model_kinds:
-                entries.append(replay.StrategyEntry(
-                    f"Lin-{suffix[kind]}", tuned("lin", kind), pctr=pctr_test[kind]))
-        else:
-            raise ValueError(f"unknown strategy {name!r}")
+    entries = []
+    for family in families:
+        for kind in model_kinds if family in ("mcpc", "lin") else [None]:
+            tag = {"lr": "-L", "gbrt": "-G", None: ""}[kind]
+            strategy = (bidding.McpcBid(max_ecpc, kind) if family == "mcpc"
+                        else tuned(family, kind, family + tag))
+            entries.append(replay.StrategyEntry(family.capitalize() + tag, strategy,
+                                                pctr=pctr_test.get(kind)))
 
     run = replay.CampaignRun(campaign, replay.ReplayData.from_cases(test), entries)
-    tables = replay.run_experiment([run], fractions)
-    written = tables.write(out)
+    out = Path(args.out)
+    written = replay.run_experiment([run], fractions).write(out)  # creates out
     if tuned_log:
         (out / "tuned_parameters.txt").write_text("\n".join(sorted(tuned_log)) + "\n", encoding="utf-8")
     print(f"replay: wrote {len(written)} table files to {out}")
@@ -325,14 +335,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train-ctr", help="train and evaluate a CTR model")
     _add_common_io(p)
     p.add_argument("--model", choices=("lr", "gbrt"), required=True)
-    p.add_argument("--seed", type=int, default=models.LrHyper.seed)
-    p.add_argument("--epochs", type=int, default=models.LrHyper.epochs)
-    p.add_argument("--learning-rate", type=float, default=models.LrHyper.learning_rate)
-    p.add_argument("--l2", type=float, default=models.LrHyper.l2)
-    p.add_argument("--rounds", type=int, default=models.GbrtHyper.rounds)
-    p.add_argument("--depth", type=int, default=models.GbrtHyper.max_depth)
-    p.add_argument("--shrinkage", type=float, default=models.GbrtHyper.shrinkage)
-    p.add_argument("--min-leaf", type=int, default=models.GbrtHyper.min_leaf)
+    for cls, flags in _HYPER_FLAGS.values():
+        for field, flag in flags.items():  # parsed as the type of the field's default
+            p.add_argument(flag, dest=field, type=type(getattr(cls, field)), default=None,
+                           help=f"{cls.__name__}.{field} (default {getattr(cls, field)})")
     p.set_defaults(func=cmd_train_ctr)
 
     p = sub.add_parser("tune", help="grid-search one bidding strategy on training data")

@@ -163,6 +163,14 @@ sgd_epoch = sgd_epoch_loop if HAVE_NUMBA else sgd_epoch_python
 # Regression tree growth: exact greedy splits on presorted columns.
 # ---------------------------------------------------------------------------
 
+def presort(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``grow_tree``'s operands ``sorted_ids`` and ``sorted_vals`` for the
+    columns of ``x``: each column's row ids in stable ascending order of its
+    values, shape ``(nfeat, n)``, and the values in that order."""
+    sorted_ids = np.argsort(x, axis=0, kind="stable").T.copy()
+    return sorted_ids, np.take_along_axis(x.T, sorted_ids, axis=1)
+
+
 def _split_threshold_py(a, b):
     # A threshold between column values a < b that sends a left and b right:
     # their midpoint, or a where it overflows (beyond about 9e307) or rounds
@@ -302,10 +310,11 @@ def grow_tree_numpy(x, sorted_ids, sorted_vals, resid, min_leaf, max_depth):
     Each frontier node keeps its rows as an ``(nfeat, n_node)`` block of row
     ids in every feature's presorted order, with the matching values; the
     root block is ``sorted_ids`` and ``sorted_vals``, which the caller
-    gathers once for all the trees it grows on ``x``.  One split search
-    scores every feature of the node at once: one gather of the residuals,
-    one ``cumsum`` along the rows, and scores only at the positions where a
-    feature's value changes with ``min_leaf`` rows on each side.
+    makes once with ``presort`` for all the trees it grows on ``x``.  One
+    split search scores every feature of the node at once: one gather of
+    the residuals, one ``cumsum`` along the rows, and scores only at the
+    positions where a feature's value changes with ``min_leaf`` rows on
+    each side.
     ``np.cumsum`` adds each row in sequence, as the loop's running sum does,
     so the candidate scores are the same floats, and the first maximum in
     (feature, position) order is the loop's tie-break: lowest feature, then
@@ -521,9 +530,8 @@ def warmup() -> None:
     order = np.array([0, 1], dtype=np.int64)
     sgd_epoch(indptr, indices, labels, v, order, 0.0, 1.0, 0, 0.01, 1e-6)
     x = np.array([[0.0], [1.0], [2.0], [3.0]])
-    sids = np.argsort(x, axis=0, kind="stable").T.copy()
     r = np.array([0.0, 0.0, 1.0, 1.0])
-    *tree, _ = grow_tree(x, sids, np.take_along_axis(x.T, sids, axis=1), r, 1, 2)
+    *tree, _ = grow_tree(x, *presort(x), r, 1, 2)
     root = np.zeros(1, dtype=np.int64)
     apply_forest(x, *tree, root, 0.0, 1.0)
     apply_forest_row(x[0], *tree, root, 0.0, 1.0)

@@ -308,8 +308,7 @@ def train_gbrt(x: np.ndarray, y: np.ndarray, hyper: GbrtHyper | None = None) -> 
     _check_labels(y)
     if len(y) < hyper.min_leaf:
         raise InsufficientData(f"need at least min_leaf={hyper.min_leaf} examples, got {len(y)}")
-    sorted_ids = np.argsort(x, axis=0, kind="stable").T.copy()
-    sorted_vals = np.take_along_axis(x.T, sorted_ids, axis=1)  # the same for every round
+    sorted_ids, sorted_vals = kernels.presort(x)  # the same for every round
     base = float(np.mean(y))
     pred = np.full(len(y), base)
     trees = []

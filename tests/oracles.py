@@ -3,8 +3,9 @@
 Everything here is deliberately straight-line Python with no shared code
 paths into the package internals it checks: the replay reference walks
 case objects one by one, the AUC reference counts all positive/negative
-pairs, and the gradient reference differentiates a locally re-stated loss
-by central finite differences.
+pairs, the gradient reference differentiates a locally re-stated loss
+by central finite differences, and the split reference scores every
+candidate split of a node.
 """
 
 from __future__ import annotations
@@ -91,3 +92,41 @@ def reference_tree_leaves(rows, feature, threshold, left, right, value, root=0):
             nd = left[nd] if row[feature[nd]] <= threshold[nd] else right[nd]
         out.append(float(value[nd]))
     return np.array(out, dtype=np.float64)
+
+
+def reference_best_split(columns, resid, min_leaf):
+    """The split a regression-tree node takes, by brute force: ``(feature,
+    threshold)``, or None when no split scores above the node itself.
+
+    ``columns[f]`` holds feature f's value of each of the node's rows, and
+    ``resid`` their residuals, both in row order.  A candidate puts the rows
+    of the k + 1 smallest values of a feature on the left, ordered stably
+    (equal values keep row order), where the next value is larger and both
+    sides keep at least ``min_leaf`` rows.  It scores
+    ``sl * sl / nl + sr * sr / nr``: ``sl`` is summed along that order, the
+    node total in row order, and ``sr`` is the total minus ``sl``.  The
+    first candidate with the strictly greatest score, in (feature,
+    position) order, wins if it beats the node's own ``total**2 / n``.  Its
+    threshold is the midpoint of the two values, or the left value where
+    the midpoint overflows or rounds up to the right value.
+    """
+    n = len(resid)
+    total = 0.0
+    for r in resid:
+        total += r
+    best, choice = -math.inf, None
+    for f, col in enumerate(columns):
+        order = sorted(range(n), key=lambda i: col[i])
+        sl = 0.0
+        for k in range(n - 1):
+            sl += resid[order[k]]
+            a, b = col[order[k]], col[order[k + 1]]
+            nl, nr = k + 1, n - k - 1
+            if a == b or nl < min_leaf or nr < min_leaf:
+                continue
+            sr = total - sl
+            score = sl * sl / nl + sr * sr / nr
+            if score > best:
+                mid = 0.5 * (a + b)
+                best, choice = score, (f, mid if a <= mid < b else a)
+    return choice if best > total * total / n else None

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from rtbsim import models, replay
-from rtbsim.cli import build_parser, main
+from rtbsim.cli import _hyper, build_parser, main
 
 
 @pytest.fixture(scope="module")
@@ -154,9 +154,9 @@ class TestStats:
 @pytest.fixture(scope="module")
 def models_dir(dataset, tmp_path_factory):
     out = tmp_path_factory.mktemp("models")
-    for kind in ("lr", "gbrt"):
+    for kind, flags in (("lr", ["--seed", "1"]), ("gbrt", ["--rounds", "20"])):
         rc = main(["train-ctr", "--input", str(dataset), "--model", kind,
-                   "--out", str(out), "--seed", "1", "--rounds", "20"])
+                   "--out", str(out), *flags])
         assert rc == 0
     return out
 
@@ -269,6 +269,14 @@ class TestReplayErrors:
         assert rc == 1
         assert "error: ValueError" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["tune", "replay"])
+    def test_no_out_before_the_models_check(self, dataset, tmp_path, capsys, command):
+        rc = main([command, "--input", str(dataset), "--strategy", "lin", "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err.splitlines()
+        assert rc == 1
+        assert len(err) == 1 and err[0].startswith("error: ValueError: ") and "lin" in err[0]
+        assert "--models" in err[0] and not (tmp_path / "o").exists()
+
 
 @pytest.mark.parametrize("flags, named", [
     (["--model", "gbrt", "--shrinkage", "nan"], "shrinkage=nan"),
@@ -293,6 +301,10 @@ def test_train_ctr_hyperparameter_out_of_range(dataset, tmp_path, capsys, flags,
     (["--model", "gbrt", "--shrinkage", "nan"], "shrinkage=nan"),
     (["--model", "gbrt", "--depth", "30"], "max_depth=30"),
     (["--model", "lr", "--epochs", "0"], "epochs=0"),
+    (["--model", "gbrt", "--seed", "1"], "--seed"),
+    (["--model", "gbrt", "--learning-rate", "0.1"], "--learning-rate"),
+    (["--model", "lr", "--depth", "3"], "--depth"),
+    (["--model", "lr", "--rounds", "5", "--epochs", "2"], "--rounds"),
 ])
 def test_train_ctr_flags_checked_before_input(tmp_path, capsys, flags, named):
     # the input does not exist: the flag must fail first, and create no --out
@@ -330,8 +342,7 @@ def test_full_pipeline_completes_quickly(tmp_path):
     models_dir = tmp_path / "models"
     assert main(["train-ctr", "--input", str(root), "--model", "lr", "--out", str(models_dir),
                  "--epochs", "10", "--learning-rate", "0.3", "--seed", "1"]) == 0
-    assert main(["train-ctr", "--input", str(root), "--model", "gbrt", "--out", str(models_dir),
-                 "--seed", "1"]) == 0
+    assert main(["train-ctr", "--input", str(root), "--model", "gbrt", "--out", str(models_dir)]) == 0
     assert main(["replay", "--input", str(root), "--models", str(models_dir),
                  "--model", "both", "--out", str(tmp_path / "replay")]) == 0
     elapsed = time.perf_counter() - t0
@@ -380,10 +391,9 @@ def test_readme_walkthrough_commands_parse():
 
 
 def test_train_ctr_flag_defaults_are_the_hyper_defaults():
-    args = build_parser().parse_args(["train-ctr", "--input", "d", "--out", "o", "--model", "lr"])
-    assert models.LrHyper(args.learning_rate, args.l2, args.epochs, args.seed) == models.LrHyper()
-    assert (models.GbrtHyper(args.rounds, args.shrinkage, args.depth, args.min_leaf)
-            == models.GbrtHyper())
+    for model, hyper in (("lr", models.LrHyper()), ("gbrt", models.GbrtHyper())):
+        args = build_parser().parse_args(["train-ctr", "--input", "d", "--out", "o", "--model", model])
+        assert _hyper(args) == hyper
 
 
 def test_schema_flag_is_a_usage_error(capsys):
@@ -392,3 +402,70 @@ def test_schema_flag_is_a_usage_error(capsys):
         build_parser().parse_args(["stats", "--input", "d", "--out", "o", "--schema", "event"])
     assert exit_.value.code == 2
     assert "--schema" in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def two_advertisers(tmp_path_factory):
+    """Advertisers 1458 and 3386 from two synth runs: each on its own, both
+    merged into one directory in time order, and 1458's train split beside
+    3386's test split."""
+    root = tmp_path_factory.mktemp("advertisers")
+    for adv, seed in ((1458, 1), (3386, 2)):
+        assert main(["synth", "--out", str(root / str(adv)), "--seed", str(seed), "--advertiser",
+                     str(adv), "--n-train", "1500", "--n-test", "500"]) == 0
+    for split in ("train", "test"):
+        (root / "merged" / split).mkdir(parents=True)
+        for log in ("imp.txt", "clk.txt", "cnv.txt"):
+            lines = [ln for adv in ("1458", "3386")
+                     for ln in (root / adv / split / log).read_text().splitlines(keepends=True)]
+            lines.sort(key=lambda ln: ln.split("\t")[1])
+            (root / "merged" / split / log).write_text("".join(lines))
+    shutil.copytree(root / "1458" / "train", root / "mixed" / "train")
+    shutil.copytree(root / "3386" / "test", root / "mixed" / "test")
+    return root
+
+
+def _advertiser_commands(data, out):
+    models_dir = str(out / "models")
+    return [
+        ["stats", "--input", str(data / "train"), "--out", str(out / "stats")],
+        ["train-ctr", "--input", str(data), "--model", "lr", "--out", models_dir],
+        ["train-ctr", "--input", str(data), "--model", "gbrt", "--rounds", "5", "--out", models_dir],
+        ["tune", "--input", str(data), "--strategy", "lin", "--models", models_dir,
+         "--grid", "10,50,100", "--out", str(out / "tune")],
+        ["replay", "--input", str(data), "--models", models_dir, "--model", "both",
+         "--grid", "10,50,100", "--out", str(out / "replay")],
+    ]
+
+
+def test_two_advertisers_in_one_split_fail_by_name(two_advertisers, tmp_path, capsys):
+    for argv in _advertiser_commands(two_advertisers / "merged", tmp_path):
+        assert main(argv) == 1, argv
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ValueError: "), err
+        assert "1458, 3386" in err[0] and "--advertiser" in err[0]
+    assert not any(tmp_path.iterdir())
+
+
+def test_advertiser_flag_on_a_merged_split_writes_its_own_bytes(two_advertisers, tmp_path):
+    for data in ("merged", "1458"):
+        for argv in _advertiser_commands(two_advertisers / data, tmp_path / data):
+            assert main(argv + ["--advertiser", "1458"]) == 0, argv
+    written = sorted(p.relative_to(tmp_path / "1458") for p in (tmp_path / "1458").rglob("*")
+                     if p.is_file())
+    assert len(written) > 20
+    assert written == sorted(p.relative_to(tmp_path / "merged")
+                             for p in (tmp_path / "merged").rglob("*") if p.is_file())
+    for rel in written:
+        assert (tmp_path / "merged" / rel).read_bytes() == (tmp_path / "1458" / rel).read_bytes(), rel
+
+
+@pytest.mark.parametrize("command", ["train-ctr", "replay"])
+def test_train_and_test_of_different_advertisers_fail_by_name(two_advertisers, tmp_path, capsys,
+                                                              command):
+    argv = [command, "--input", str(two_advertisers / "mixed"), "--out", str(tmp_path / "o")]
+    rc = main(argv + (["--model", "lr"] if command == "train-ctr" else ["--strategy", "const"]))
+    err = capsys.readouterr().err.splitlines()
+    assert rc == 1
+    assert err == ["error: ValueError: the train split holds advertiser 1458 and the test split 3386"]
+    assert not (tmp_path / "o").exists()

@@ -10,17 +10,11 @@ import warnings
 import numpy as np
 import pytest
 
-from rtbsim import kernels, models
+from rtbsim import features, kernels, models, synthgen
 from rtbsim.bidding import RandBid, compute_bid
 
 from conftest import make_case
-from oracles import reference_simulate, reference_tree_leaves
-
-
-def presort(x):
-    """The row ids of each column in ascending order, and their values."""
-    sorted_ids = np.argsort(x, axis=0, kind="stable").T.copy()
-    return sorted_ids, np.take_along_axis(x.T, sorted_ids, axis=1)
+from oracles import reference_best_split, reference_simulate, reference_tree_leaves
 
 
 def random_auction_arrays(rng, n):
@@ -147,7 +141,7 @@ class TestGrowTree:
         else:
             x = rng.normal(size=(n, nfeat))
         resid = rng.normal(size=n)
-        return x, presort(x), resid
+        return x, kernels.presort(x), resid
 
     @pytest.mark.parametrize("discrete", [False, True])
     def test_backends_agree(self, discrete):
@@ -168,7 +162,7 @@ class TestGrowTree:
         """Both forms grow the same tree bit for bit; returns it."""
         x = np.asarray(x, dtype=np.float64).reshape(len(resid), -1)
         resid = np.asarray(resid, dtype=np.float64)
-        presorted = presort(x)
+        presorted = kernels.presort(x)
         t1 = kernels.grow_tree_loop(x, *presorted, resid, min_leaf, max_depth)
         t2 = kernels.grow_tree_numpy(x, *presorted, resid, min_leaf, max_depth)
         for a, b in zip(t1, t2):
@@ -279,6 +273,57 @@ class TestGrowTree:
             assert np.array_equal(node, node_of)
 
 
+class TestSplitOracle:
+    """Both grower forms take the brute-force oracle's split at every node:
+    the same feature and threshold where they split, and no split where the
+    oracle finds none above the node's own score, short of the depth limit."""
+
+    @staticmethod
+    def _agree(x, resid, min_leaf, max_depth):
+        splits = 0
+        for form in (kernels.grow_tree_loop, kernels.grow_tree_numpy):
+            feat, thr, left, right, _, _ = form(x, *kernels.presort(x), resid, min_leaf, max_depth)
+            stack = [(0, np.arange(len(resid)), 0)]
+            while stack:
+                nd, rows, depth = stack.pop()
+                want = None
+                if depth < max_depth:
+                    want = reference_best_split(x[rows].T.tolist(), resid[rows].tolist(), min_leaf)
+                if left[nd] < 0:
+                    assert want is None, (form.__name__, nd)
+                    continue
+                assert want == (feat[nd], thr[nd]), (form.__name__, nd)
+                splits += 1
+                go = x[rows, feat[nd]] <= thr[nd]
+                stack += [(left[nd], rows[go], depth + 1), (right[nd], rows[~go], depth + 1)]
+        return splits
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_columns(self, seed):
+        rng = np.random.default_rng(40 + seed)
+        n = int(rng.integers(30, 300))
+        x = np.c_[rng.normal(size=(n, 2)), rng.integers(0, 5, size=(n, 2))]
+        x = np.c_[x, x[:, 3]]  # a duplicated column: ties between features
+        resid = rng.normal(size=n)
+        if seed % 2:
+            resid = np.round(resid)  # ties between scores
+        assert self._agree(x, resid, int(rng.integers(1, 6)), 4) > 0
+
+    @pytest.mark.parametrize("a, b", [(1e308, 1.7e308), (1 + 2**-52, 1 + 2**-51), (-1.0, 2.0)],
+                             ids=["overflow", "adjacent", "midpoint"])
+    def test_threshold_rule(self, a, b):
+        x = np.r_[np.full(10, a), np.full(10, b)].reshape(-1, 1)
+        assert self._agree(x, np.r_[np.zeros(10), np.ones(10)] - 0.5, 2, 1) == 2
+
+    def test_densified_campaign(self):
+        train, _, _ = synthgen.generate(synthgen.SynthConfig(seed=5, n_train=1200, n_test=10))
+        encodings = features.build_encodings(features.encoding_split(train))
+        x, y = features.densify_cases(train, encodings)
+        model = models.train_gbrt(x, y, models.GbrtHyper(rounds=3, max_depth=3, min_leaf=5))
+        for resid in (y - y.mean(), y - models.predict(model, x)):
+            assert self._agree(x, resid, 5, 4) > 0
+
+
 class TestApplyForest:
     """The packed-forest kernel against its twin and the per-tree sum."""
 
@@ -288,7 +333,7 @@ class TestApplyForest:
 
     def _random_forest(self, rng, x, n_trees):
         trees = []
-        presorted = presort(x)
+        presorted = kernels.presort(x)
         for _ in range(n_trees):
             if rng.random() < 0.25:
                 trees.append(self._leaf(float(rng.normal())))
