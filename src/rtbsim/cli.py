@@ -219,11 +219,21 @@ def _campaign_for(cases, kpi_n: int | None) -> bidding.CampaignSpec:
     return known if known is not None else bidding.CampaignSpec(adv, 0)
 
 
-def _score_splits(args, strategy: str, kinds, *splits) -> list[dict[str, np.ndarray]]:
-    """For each split, each model kind's pCTR from the scorer in ``--models``;
-    empty dicts when ``kinds`` is empty, which needs no ``--models``."""
-    if kinds and not args.models:
-        raise ValueError(f"{strategy} needs --models pointing at a train-ctr output dir")
+def _pctr_kinds(args, asked, readers: tuple[str, ...], kinds: list[str]) -> list[str]:
+    """``kinds`` when a family of ``readers`` (those that read pCTR) is
+    ``asked``, which needs ``--models``; else none, and then ``--models`` and
+    an explicit ``--model`` fail, as flags that nothing would read."""
+    priced = "/".join(f for f in readers if f in asked)
+    if priced and not args.models:
+        raise ValueError(f"{priced} needs --models pointing at a train-ctr output dir")
+    unread = [flag for flag, value in (("--models", args.models), ("--model", args.model)) if value is not None]
+    if not priced and unread:
+        raise ValueError(f"{unread[0]} is read only with --strategy {' or '.join(readers)}")
+    return kinds if priced else []
+
+
+def _score_splits(args, kinds, *splits) -> list[dict[str, np.ndarray]]:
+    """For each split, each model kind's pCTR from the scorer in ``--models``."""
     scorers = {kind: models.CtrScorer.load(args.models, kind) for kind in kinds}
     return [{kind: s.score_cases(split) for kind, s in scorers.items()} for split in splits]
 
@@ -242,11 +252,12 @@ def _tuner(args, train, campaign, pctr_train):
 
 def cmd_tune(args) -> int:
     fractions = [replay.budget_fraction(f) for f in args.budget_fraction or ["1/8"]]
+    kinds = _pctr_kinds(args, [args.strategy], ("lin",), [args.model or "lr"])
     train = load_cases(Path(args.input) / "train", args.strict, args.advertiser)
     if not train:
         raise ValueError("the train split must be nonempty")
-    kind = args.model if args.strategy == "lin" else None
-    pctr_train = _score_splits(args, "lin", [kind] if kind else [], train)[0]
+    kind = kinds[0] if kinds else None
+    pctr_train = _score_splits(args, kinds, train)[0]
     tune = _tuner(args, train, _campaign_for(train, args.kpi_n), pctr_train)
     tuned = [(fraction, *tune(args.strategy, fraction, kind)) for fraction in fractions]
     out = Path(args.out)
@@ -266,12 +277,12 @@ def cmd_tune(args) -> int:
 def cmd_replay(args) -> int:
     fractions = [replay.budget_fraction(f)
                  for f in args.budget_fraction or replay.STANDARD_FRACTIONS]
+    families = args.strategy or ["const", "rand", "mcpc", "lin"]
+    model_kinds = {"lr": ["lr"], "gbrt": ["gbrt"], "both": ["lr", "gbrt"]}[args.model or "lr"]
+    kinds = _pctr_kinds(args, families, ("mcpc", "lin"), model_kinds)
     train, test = _load_split(args)
     campaign = _campaign_for(test, args.kpi_n)
-    families = args.strategy or ["const", "rand", "mcpc", "lin"]
-    model_kinds = {"lr": ["lr"], "gbrt": ["gbrt"], "both": ["lr", "gbrt"]}[args.model]
-    priced = "/".join(f for f in ("mcpc", "lin") if f in families)  # the families that read pCTR
-    pctr_train, pctr_test = _score_splits(args, priced, model_kinds if priced else [], train, test)
+    pctr_train, pctr_test = _score_splits(args, kinds, train, test)
     tune = _tuner(args, train, campaign, pctr_train)
     max_ecpc = bidding.estimate_max_ecpc(train) if "mcpc" in families else None
     tuned_log: list[str] = []
@@ -348,7 +359,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="e.g. 1/8; repeat to tune each (default 1/8)")
     p.add_argument("--grid", default=None, help="comma-separated parameter grid")
     p.add_argument("--models", default=None, help="train-ctr output dir (for lin)")
-    p.add_argument("--model", choices=("lr", "gbrt"), default="lr")
+    p.add_argument("--model", choices=("lr", "gbrt"), default=None, help="for lin (default lr)")
     p.add_argument("--kpi-n", type=int, default=None)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_tune)
@@ -358,7 +369,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--models", default=None, help="train-ctr output dir")
     p.add_argument("--strategy", action="append", default=None,
                    choices=("const", "rand", "mcpc", "lin"))
-    p.add_argument("--model", choices=("lr", "gbrt", "both"), default="lr")
+    p.add_argument("--model", choices=("lr", "gbrt", "both"), default=None,
+                   help="for mcpc and lin (default lr)")
     p.add_argument("--budget-fraction", action="append", default=None, metavar="FRAC")
     p.add_argument("--grid", default=None)
     p.add_argument("--kpi-n", type=int, default=None)

@@ -7,12 +7,16 @@ appears in a vector.
 
 :func:`field_values` is the one definition of a record's fields and of how
 each value is spelled, as a list of ``(field, value)`` pairs; the
-vocabulary, the encodings, :func:`densify` and the per-feature breakdowns
-of :mod:`rtbsim.stats` all read it.  The vocabulary and the encodings
-count its pairs with ``dict.fromkeys`` and ``Counter``, and
-:class:`CategoryEncodings` is one ``(field, value) -> (count, ctr)`` table,
-which it also splits once into the per-field tables that :func:`densify`
-reads.
+vocabulary, the encodings and the per-feature breakdowns of
+:mod:`rtbsim.stats` count its pairs.  :class:`CategoryEncodings` is one
+``(field, value) -> (count, ctr)`` table.
+
+One record is encoded from its own values: the vocabulary and the encodings
+split their tables once into one dict per field, keyed by the value a record
+holds (an int column or tag, ``weekday()`` and ``hour``, a label, a string),
+which :func:`binarize` and :func:`densify` look up.  Each dict is the exact
+inverse of field_values' spelling, so a loaded entry that no record is
+spelled as (``hour 07``, ``region +5``) matches nothing.
 """
 
 from __future__ import annotations
@@ -85,10 +89,12 @@ GBRT_CATEGORICAL_FIELDS = (
     "domain", "slot_id", "slot_visibility", "slot_format", "creative_id",
 )
 GBRT_CONTINUOUS_FIELDS = ("slot_width", "slot_height", "slot_floor_price", "hour")
-# Where field_values lists each of GBRT_CATEGORICAL_FIELDS, and how many
-# pairs come before its tags.
-_CATEGORICAL_AT = (0, 2, 3, 4, 5, 6, 7, 8, 11, 12, 14)
-_N_FIELDS = 15
+# field_values' fields before the tags, in its order; and the fields, tags
+# too, whose value a record holds as an int, which field_values spells with str.
+_FIELDS = ("weekday", "hour", "os", "browser", "region", "city", "ad_exchange", "domain",
+           "slot_id", "slot_width", "slot_height", "slot_visibility", "slot_format",
+           "floor_bucket", "creative_id")
+_INT_FIELDS = frozenset(("hour", "region", "city", "ad_exchange", "slot_width", "slot_height", "tag"))
 
 
 # Distinct user-agent strings whose labels are kept: a log holds few (10 in
@@ -137,34 +143,39 @@ def field_values(record: LogRecord) -> list[tuple[str, str]]:
     Identifier-like and price/label columns are deliberately absent.
     """
     weekday, hour, os_label, browser, floor_bucket = derive_fields(record)
-    pairs = [
-        ("weekday", weekday),
-        ("hour", str(hour)),
-        ("os", os_label),
-        ("browser", browser),
-        ("region", str(record.region)),
-        ("city", str(record.city)),
-        ("ad_exchange", str(record.ad_exchange)),
-        ("domain", record.domain),
-        ("slot_id", record.slot_id),
-        ("slot_width", str(record.slot_width)),
-        ("slot_height", str(record.slot_height)),
-        ("slot_visibility", record.slot_visibility),
-        ("slot_format", record.slot_format),
-        ("floor_bucket", floor_bucket),
-        ("creative_id", record.creative_id),
-    ]
+    values = (weekday, str(hour), os_label, browser, str(record.region), str(record.city),
+              str(record.ad_exchange), record.domain, record.slot_id, str(record.slot_width),
+              str(record.slot_height), record.slot_visibility, record.slot_format, floor_bucket,
+              record.creative_id)
+    pairs = list(zip(_FIELDS, values))
     for tag in dict.fromkeys(record.user_tags):
         pairs.append(("tag", str(tag)))
     return pairs
 
 
+def _by_field(table: dict, names: tuple[str, ...]) -> tuple[dict, ...]:
+    """``table``'s ``(field, value) -> entry`` items as one ``record value ->
+    entry`` dict per field of ``names``, in that order.  An item is kept only
+    where field_values spells its key back as its value."""
+    tables = {name: {} for name in names}
+    for (name, value), entry in table.items():
+        try:
+            key = int(value) if name in _INT_FIELDS else WEEKDAYS.index(value) if name == "weekday" else value
+        except ValueError:
+            continue
+        if name in tables and (name not in _INT_FIELDS or str(key) == value):
+            tables[name][key] = entry
+    return tuple(tables.values())
+
+
 class Vocabulary:
-    """Injective (field, value) -> index map; index 0 is the bias."""
+    """Injective (field, value) -> index map; index 0 is the bias.  ``tables``
+    splits it by field, in field_values' order, for :func:`binarize`."""
 
     def __init__(self, index: dict[tuple[str, str], int]):
         self.index = index
         self.dimension = len(index) + 1
+        self.tables = _by_field(index, (*_FIELDS, "tag"))
 
     def lookup(self, field: str, value: str) -> int | None:
         return self.index.get((field, value))
@@ -216,8 +227,18 @@ def binarize(record: LogRecord, vocab: Vocabulary) -> np.ndarray:
     Out-of-vocabulary values contribute nothing, so a fully unseen record
     yields an empty vector.
     """
-    found = map(vocab.index.get, field_values(record))  # indices start at 1, misses are None
-    return np.array(sorted(filter(None, found)), dtype=np.int64)
+    (weekday, hour, os_label, browser, region, city, ad_exchange, domain, slot_id, width, height,
+     visibility, slot_format, floor_bucket, creative_id, tag) = vocab.tables
+    ts = record.timestamp
+    os_key, browser_key = classify_user_agent(record.user_agent)
+    found = {weekday.get(ts.weekday()), hour.get(ts.hour), os_label.get(os_key), browser.get(browser_key),
+             region.get(record.region), city.get(record.city), ad_exchange.get(record.ad_exchange),
+             domain.get(record.domain), slot_id.get(record.slot_id), width.get(record.slot_width),
+             height.get(record.slot_height), visibility.get(record.slot_visibility),
+             slot_format.get(record.slot_format), floor_bucket.get(floor_price_bucket(record.slot_floor_price)),
+             creative_id.get(record.creative_id), *map(tag.get, record.user_tags)}
+    found.discard(None)  # a miss; indices start at 1
+    return np.fromiter(sorted(found), np.int64, len(found))
 
 
 def index_array(vector, row: int | None = None) -> np.ndarray:
@@ -272,9 +293,9 @@ class CategoryEncodings:
 
     Tag values carry count 0: only their CTR is a feature.  Unseen values
     fall back to (0, prior).  ``by_field`` and ``tag_ctr`` are the table
-    again, split once for :func:`densify`: one ``value -> (count, ctr)``
-    dict per :data:`GBRT_CATEGORICAL_FIELDS` entry, in that order, and
-    ``tag -> ctr``.
+    again, split once for :func:`densify`: one ``record value -> (count,
+    ctr)`` dict per :data:`GBRT_CATEGORICAL_FIELDS` entry, in that order,
+    and ``tag -> ctr`` keyed by the int tag.
     """
 
     table: dict[tuple[str, str], tuple[int, float]]
@@ -285,14 +306,9 @@ class CategoryEncodings:
     tag_ctr: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        self.by_field = tuple({} for _ in GBRT_CATEGORICAL_FIELDS)
-        tables = dict(zip(GBRT_CATEGORICAL_FIELDS, self.by_field))
-        self.tag_ctr = {}
-        for (name, value), (n, ctr) in self.table.items():
-            if name == "tag":
-                self.tag_ctr[value] = ctr
-            elif name in tables:
-                tables[name][value] = (n, ctr)
+        *by_field, tags = _by_field(self.table, (*GBRT_CATEGORICAL_FIELDS, "tag"))
+        self.by_field = tuple(by_field)
+        self.tag_ctr = {tag: ctr for tag, (_, ctr) in tags.items()}
 
     def lookup(self, field: str, value: str) -> tuple[int, float]:
         return self.table.get((field, value), (0, self.prior))
@@ -365,20 +381,23 @@ DEFAULT_MANIFEST = feature_manifest()
 
 def densify(record: LogRecord, encodings: CategoryEncodings) -> np.ndarray:
     """Fixed-length dense vector in :data:`DEFAULT_MANIFEST` order."""
-    pairs = field_values(record)
+    (weekday, os_label, browser, region, city, ad_exchange, domain, slot_id, visibility,
+     slot_format, creative_id) = encodings.by_field
     prior = encodings.prior
-    unseen = (0, prior)
-    row = []
-    for table, at in zip(encodings.by_field, _CATEGORICAL_AT):
-        row += table.get(pairs[at][1], unseen)
-    # The tag CTRs added in sequence from 0.0: builtin sum compensates from
-    # Python 3.12 on, which would change the column, and so the model files.
-    tag_ctr, tag_sum = encodings.tag_ctr, 0.0
-    for _, tag in pairs[_N_FIELDS:]:
+    unseen, ts = (0, prior), record.timestamp
+    os_key, browser_key = classify_user_agent(record.user_agent)
+    # The distinct tags' CTRs added in sequence from 0.0: builtin sum compensates
+    # from Python 3.12 on, which would change the column, and so the model files.
+    tag_ctr, tag_sum, tags = encodings.tag_ctr, 0.0, dict.fromkeys(record.user_tags)
+    for tag in tags:
         tag_sum += tag_ctr.get(tag, prior)
-    n_tags = len(pairs) - _N_FIELDS
-    row += (tag_sum / n_tags if n_tags else prior, record.slot_width, record.slot_height,
-            record.slot_floor_price, record.timestamp.hour)
+    row = (*weekday.get(ts.weekday(), unseen), *os_label.get(os_key, unseen), *browser.get(browser_key, unseen),
+           *region.get(record.region, unseen), *city.get(record.city, unseen),
+           *ad_exchange.get(record.ad_exchange, unseen), *domain.get(record.domain, unseen),
+           *slot_id.get(record.slot_id, unseen), *visibility.get(record.slot_visibility, unseen),
+           *slot_format.get(record.slot_format, unseen), *creative_id.get(record.creative_id, unseen),
+           tag_sum / len(tags) if tags else prior, record.slot_width, record.slot_height,
+           record.slot_floor_price, ts.hour)
     return np.fromiter(row, np.float64, len(row))
 
 

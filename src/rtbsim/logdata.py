@@ -13,9 +13,10 @@ are loops over them.
 
 Every :class:`LogRecord` the package makes, parsed, copied by
 :func:`as_event` or generated by :mod:`rtbsim.synthgen`, is built by
-``_make_record`` from its values in :data:`EVENT_COLUMNS` order.  It sets
-each slot directly, without the frozen dataclass ``__init__`` and its
-``object.__setattr__`` call per field.
+``_make_record`` from its values in :data:`EVENT_COLUMNS` order, and every
+:class:`AuctionCase` by ``_make_case``.  They set each slot directly,
+without the frozen dataclass ``__init__`` and its ``object.__setattr__``
+call per field.
 
 All price columns are integers under the CPM convention: the logged value
 is the price of one thousand impressions expressed in Chinese fen, so the
@@ -301,6 +302,20 @@ class AuctionCase:
         return self.record.slot_floor_price
 
 
+_SET_RECORD, _SET_CLICKED, _SET_CONVERTED = (
+    AuctionCase.__dict__[name].__set__ for name in ("record", "clicked", "converted"))
+
+
+def _make_case(record: LogRecord, clicked: bool, converted: bool) -> AuctionCase:
+    """``AuctionCase(record, clicked, converted)``, its slots set as
+    :func:`_make_record` sets a record's."""
+    case = object.__new__(AuctionCase)
+    _SET_RECORD(case, record)
+    _SET_CLICKED(case, clicked)
+    _SET_CONVERTED(case, converted)
+    return case
+
+
 def parse_record(line: str, schema: LogSchema, line_no: int | None = None) -> LogRecord:
     """Parse one tab-separated line into a record.
 
@@ -444,10 +459,7 @@ def join_events(
         else:
             report("orphan_conversion", rec.bid_id)
 
-    cases = [
-        AuctionCase(rec, rec.bid_id in clicked, rec.bid_id in converted)
-        for rec in by_id.values()
-    ]
+    cases = [_make_case(rec, rec.bid_id in clicked, rec.bid_id in converted) for rec in by_id.values()]
     cases.sort(key=lambda c: (c.record.timestamp, c.record.bid_id))
     return cases
 

@@ -213,10 +213,10 @@ def lr_gradient(model: LrModel, batch: SparseBatch) -> np.ndarray:
     n = len(batch)
     p = _sigmoid(_margins(model, batch))
     err = (p - batch.labels) / n
-    grad = np.zeros(model.dimension, dtype=np.float64)
-    grad[0] = err.sum()
     row_ids = np.repeat(np.arange(n), np.diff(batch.indptr))
-    np.add.at(grad, batch.indices, err[row_ids])
+    grad = np.bincount(batch.indices, weights=err[row_ids], minlength=model.dimension)
+    grad = grad.astype(np.float64, copy=False)  # int64 when no row lists an index
+    grad[0] = err.sum()
     grad[1:] += model.hyper.l2 * model.weights[1:]
     return grad
 
@@ -341,9 +341,10 @@ def predict(model, features):
             return np.clip(p, LR_CLAMP, 1.0 - LR_CLAMP)
         idx = index_array(features)
         dim = len(model.weights)
-        for i in idx.tolist():  # the batch's index rule (_check_indices)
-            if not 0 < i < dim:
-                raise DimensionMismatch(f"feature index {i} outside [1, {dim})")
+        listed = idx.tolist()
+        if listed and not (0 < min(listed) and max(listed) < dim):  # the batch's index rule (_check_indices)
+            bad = next(i for i in listed if not 0 < i < dim)
+            raise DimensionMismatch(f"feature index {bad} outside [1, {dim})")
         terms = model.weights.take(idx).tolist()
         # The batch's float operations on one row, as plain Python: the
         # weights added in sequence from 0.0 (bincount's order; builtin sum

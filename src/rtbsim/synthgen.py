@@ -8,7 +8,8 @@ log data.
 
 Each block draws its random columns with numpy, in a fixed order from its
 own seeded generator, then builds its cases in one pass over the columns'
-``tolist()`` forms, each record by ``logdata._make_record``.
+``tolist()`` forms, each record by ``logdata._make_record`` and each case by
+``logdata._make_case``.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from .logdata import (
     EVENT_LOG,
     AuctionCase,
     LogType,
+    _make_case,
     _make_record,
     _parse_timestamp,
     as_event,
@@ -268,7 +270,7 @@ def _sample_block(
     for i, (ts, user_tags, ua, a, b, reg, cty, exch, dom, url, slot, vis, fmt, fl, cre, pay,
             clk, cnv) in enumerate(zip(stamps, tags, *columns)):
         w, h, slot_id = slots[slot]
-        cases.append(AuctionCase(_make_record((
+        cases.append(_make_case(_make_record((
             f"{prefix}{i:011d}", ts, LogType.IMPRESSION, f"u{phase}{i:012d}", USER_AGENTS[ua],
             f"{a}.{b}.{(i >> 8) & 255}.*", reg, cty, exch, domain_pool[dom], url_pool[url], None,
             slot_id, w, h, VISIBILITY_POOL[vis], FORMAT_POOL[fmt], fl, creative_pool[cre],

@@ -277,6 +277,24 @@ class TestReplayErrors:
         assert len(err) == 1 and err[0].startswith("error: ValueError: ") and "lin" in err[0]
         assert "--models" in err[0] and not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("argv, message", [
+        (["tune", "--strategy", "const", "--model", "gbrt"], "--model is read only with --strategy lin"),
+        (["tune", "--strategy", "rand", "--models", "/nonexistent"],
+         "--models is read only with --strategy lin"),
+        (["replay", "--strategy", "const", "--model", "both", "--models", "/nonexistent"],
+         "--models is read only with --strategy mcpc or lin"),
+        (["replay", "--strategy", "const", "--strategy", "rand", "--model", "lr"],
+         "--model is read only with --strategy mcpc or lin"),
+        (["tune", "--strategy", "lin"], "lin needs --models"),
+        (["replay", "--strategy", "mcpc", "--model", "gbrt"], "mcpc needs --models"),
+    ])
+    def test_model_flags_checked_before_input(self, tmp_path, capsys, argv, message):
+        rc = main([*argv, "--input", str(tmp_path / "nope"), "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err.splitlines()
+        assert rc == 1
+        assert len(err) == 1 and err[0].startswith(f"error: ValueError: {message}")
+        assert not (tmp_path / "o").exists()
+
 
 @pytest.mark.parametrize("flags, named", [
     (["--model", "gbrt", "--shrinkage", "nan"], "shrinkage=nan"),

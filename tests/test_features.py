@@ -7,11 +7,13 @@ from datetime import datetime
 import numpy as np
 import pytest
 
+from rtbsim import synthgen
+from rtbsim.logdata import AuctionCase
 from rtbsim.features import (
-    _CATEGORICAL_AT,
-    _N_FIELDS,
+    _FIELDS,
     DEFAULT_MANIFEST,
     GBRT_CATEGORICAL_FIELDS,
+    WEEKDAYS,
     CategoryEncodings,
     EmptyTrainingSet,
     Vocabulary,
@@ -335,15 +337,131 @@ class TestDensify:
         train, _, _ = small_synth
         rec = next(c.record for c in train if c.record.user_tags)
         pairs = field_values(rec)
-        assert [pairs[i][0] for i in _CATEGORICAL_AT] == list(GBRT_CATEGORICAL_FIELDS)
-        assert {f for f, _ in pairs[_N_FIELDS:]} == {"tag"} and pairs[_N_FIELDS - 1][0] != "tag"
+        assert [f for f, _ in pairs[:len(_FIELDS)]] == list(_FIELDS)
+        assert {f for f, _ in pairs[len(_FIELDS):]} == {"tag"}
+        assert [f for f in _FIELDS if f in GBRT_CATEGORICAL_FIELDS] == list(GBRT_CATEGORICAL_FIELDS)
 
     def test_per_field_tables_are_the_table(self, small_synth):
+        """Each per-field entry spells back, as field_values spells a record's
+        value, to its (field, value) in the table, with the same entry; and
+        every table entry is in a per-field table."""
         train, _, _ = small_synth
         enc = build_encodings(train[:500])
-        for name, by_value in zip(GBRT_CATEGORICAL_FIELDS, enc.by_field):
-            assert by_value == {v: nc for (f, v), nc in enc.table.items() if f == name}
-        assert enc.tag_ctr == {v: c for (f, v), (_, c) in enc.table.items() if f == "tag"}
+        seen = set()
+        tables = [*zip(GBRT_CATEGORICAL_FIELDS, enc.by_field),
+                  ("tag", {tag: (0, ctr) for tag, ctr in enc.tag_ctr.items()})]
+        for name, by_value in tables:
+            for key, entry in by_value.items():
+                assert enc.table[(name, _spell(name, key))] == entry
+                seen.add((name, _spell(name, key)))
+        assert seen == {key for key in enc.table if key[0] in (*GBRT_CATEGORICAL_FIELDS, "tag")}
+        vocab = build_vocabulary(train[:500])
+        spelled = {(name, _spell(name, key)): i
+                   for name, table in zip((*_FIELDS, "tag"), vocab.tables) for key, i in table.items()}
+        assert spelled == vocab.index
+
+
+# The record values that field_values spells with str, and the type each
+# per-field table key must have.
+_INT_KEYED = {"hour", "region", "city", "ad_exchange", "slot_width", "slot_height", "tag"}
+
+
+def _spell(name, key):
+    """How field_values spells a record's value ``key`` for field ``name``."""
+    if name == "weekday":
+        assert type(key) is int
+        return WEEKDAYS[key]
+    assert type(key) is (int if name in _INT_KEYED else str), (name, key)
+    return str(key)
+
+
+def reference_binarize(record, vocab):
+    """The vocabulary's index of each of field_values' pairs, sorted."""
+    found = [vocab.index.get(pair) for pair in field_values(record)]
+    return np.array(sorted(i for i in found if i is not None), dtype=np.int64)
+
+
+def reference_densify(record, enc):
+    """Each categorical field's (count, ctr) from the table by its spelled
+    value, the distinct tags' CTRs added in sequence from 0.0 over their
+    count, then the raw columns."""
+    pairs = field_values(record)
+    spelled = dict(pair for pair in pairs if pair[0] != "tag")
+    row = []
+    for name in GBRT_CATEGORICAL_FIELDS:
+        row += enc.table.get((name, spelled[name]), (0, enc.prior))
+    tag_ctrs = [enc.table.get(pair, (0, enc.prior))[1] for pair in pairs if pair[0] == "tag"]
+    total = 0.0
+    for ctr in tag_ctrs:
+        total += ctr
+    row += [total / len(tag_ctrs) if tag_ctrs else enc.prior, record.slot_width,
+            record.slot_height, record.slot_floor_price, record.timestamp.hour]
+    return np.array(row, dtype=np.float64)
+
+
+def assert_encoders_match_reference(records, vocab, enc):
+    """binarize and densify equal the pair-based reference bit for bit, and
+    the batch encoders equal them row for row."""
+    cases = [r if isinstance(r, AuctionCase) else AuctionCase(r, False, False) for r in records]
+    records = [c.record for c in cases]
+    batch = binarize_cases(cases, vocab)
+    x, _ = densify_cases(cases, enc)
+    for i, rec in enumerate(records):
+        vec, dense = binarize(rec, vocab), densify(rec, enc)
+        assert vec.dtype == np.int64 and np.array_equal(vec, reference_binarize(rec, vocab)), rec
+        assert np.array_equal(batch.indices[batch.indptr[i]:batch.indptr[i + 1]], vec)
+        assert dense.dtype == np.float64
+        assert dense.tobytes() == reference_densify(rec, enc).tobytes() == x[i].tobytes(), rec
+
+
+class TestEncodersAgainstReference:
+    def test_every_record_of_a_synth_split(self):
+        train, test, _ = synthgen.generate(synthgen.SynthConfig(seed=7))
+        vocab = build_vocabulary(train)
+        enc = build_encodings(encoding_split(train))
+        assert_encoders_match_reference(test, vocab, enc)
+
+    def test_edge_records(self):
+        seen = [make_case(bid_id="a", region=-5, city=-7, user_tags=(5, 7), clicked=True),
+                make_case(bid_id="b", region=0, city=-1, user_tags=()),
+                make_case(bid_id="c", region=15, city=16, user_tags=(7, 7, 9),
+                          timestamp=datetime(2013, 6, 9, 0, 1))]
+        vocab, enc = build_vocabulary(seen), build_encodings(seen)
+        unseen = make_record(
+            timestamp=datetime(2001, 1, 3, 23), user_agent="weird bot/1.0", region=-6, city=-8,
+            ad_exchange=77, domain="none", slot_id="none", slot_width=1, slot_height=2,
+            slot_visibility="EleventhView", slot_format="Hologram", slot_floor_price=500,
+            creative_id="none", user_tags=(4, 4, 6))
+        edges = [unseen, make_record(region=-5, city=-7, user_tags=(7, 5, 7, 5)),
+                 make_record(region=-5, city=-1, user_tags=()), make_record(user_tags=(5, 5)),
+                 make_record(region=5, city=7, user_tags=(-5,))]
+        assert_encoders_match_reference([*seen, *edges], vocab, enc)
+        assert binarize(unseen, vocab).size == 0
+
+    def test_non_canonical_spellings_match_nothing(self, tmp_path):
+        """A loaded entry that field_values spells no record value as (an
+        int with a sign, padding or leading zeros, a weekday in another
+        case) matches no record, whether or not the canonical one is there."""
+        rec = make_record(timestamp=datetime(2013, 6, 6, 7), region=5, city=-3, slot_width=300,
+                          user_tags=(7, 12))
+        odd = [("hour", "07"), ("region", "+5"), ("region", " 5"), ("region", "5.0"),
+               ("city", "-03"), ("slot_width", "0300"), ("slot_height", "2_50"), ("tag", "007"),
+               ("tag", "12 "), ("weekday", "thu"), ("weekday", "3"), ("ad_exchange", "２")]
+        canonical = [("region", "5"), ("tag", "12"), ("os", "windows"), ("ad_exchange", "2")]
+        vocab_file = tmp_path / "vocab.txt"
+        vocab_file.write_text("#rtbsim-vocab v1\n" + f"dimension\t{len(odd) + len(canonical) + 1}\n"
+                              + "".join(f"{i}\t{f}\t{v}\n" for i, (f, v) in enumerate(odd + canonical, 1)),
+                              encoding="utf-8")
+        vocab = Vocabulary.load(vocab_file)
+        enc_file = tmp_path / "enc.txt"
+        enc_file.write_text("#rtbsim-encodings v1\nprior\t0.1\talpha\t2.0\tbeta\t18.0\n"
+                            + "".join(f"{f}\t{v}\t{0 if f == 'tag' else 3}\t0.5\n" for f, v in odd)
+                            + "".join(f"{f}\t{v}\t{0 if f == 'tag' else 9}\t0.25\n" for f, v in canonical),
+                            encoding="utf-8")
+        enc = CategoryEncodings.load(enc_file)
+        assert sorted(binarize(rec, vocab).tolist()) == [len(odd) + k for k in (1, 2, 3, 4)]
+        assert_encoders_match_reference([rec, make_record(user_tags=())], vocab, enc)
+        assert 3.0 not in densify(rec, enc).tolist() and 0.5 not in densify(rec, enc).tolist()
 
 
 class TestEncodingSplit:

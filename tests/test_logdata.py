@@ -22,6 +22,7 @@ from rtbsim.logdata import (
     MissingValue,
     SchemaMismatch,
     TimestampFormatError,
+    _make_case,
     _make_record,
     as_event,
     join_events,
@@ -239,6 +240,18 @@ class TestMakeRecord:
         assert tuple(f.name for f in dataclasses.fields(LogRecord)) == EVENT_COLUMNS
         assert not hasattr(LogRecord, "__post_init__")
         assert LogRecord.__slots__ == EVENT_COLUMNS
+
+    @pytest.mark.parametrize("clicked, converted", [(False, False), (True, False), (True, True)])
+    def test_make_case_equals_the_constructed_case(self, clicked, converted):
+        rec = parse_record(EXAMPLE_EVENT_LINE, EVENT_LOG)
+        made, built = _make_case(rec, clicked, converted), AuctionCase(rec, clicked, converted)
+        assert type(made) is AuctionCase
+        assert made == built and hash(made) == hash(built)
+        assert (made.record, made.clicked, made.converted) == (rec, clicked, converted)
+        assert tuple(f.name for f in dataclasses.fields(AuctionCase)) == AuctionCase.__slots__
+        assert not hasattr(AuctionCase, "__post_init__") and not hasattr(made, "__dict__")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            made.clicked = not clicked
 
 
 class TestLoadLog:

@@ -126,6 +126,21 @@ class TestLrGradient:
             rel = np.abs(grad[coords] - fd) / np.maximum(np.abs(fd), 1e-8)
             assert rel.max() < 1e-4
 
+    def test_bincount_sums_equal_add_at(self):
+        # lr_gradient's per-index sums, against the np.add.at form it replaced
+        rng = np.random.default_rng(6)
+        dim, n = 40, 300
+        rows = [sorted(rng.choice(np.arange(1, dim), size=rng.integers(0, 9), replace=False).tolist())
+                for _ in range(n)]
+        batch = batch_of(rows, rng.integers(0, 2, size=n).astype(float).tolist(), dim=dim)
+        model = LrModel(rng.normal(0, 1, size=dim), LrHyper(l2=1e-3))
+        err = (predict(model, batch) - batch.labels) / n  # no row's pCTR is clamped here
+        old = np.zeros(dim)
+        old[0] = err.sum()
+        np.add.at(old, batch.indices, err[np.repeat(np.arange(n), np.diff(batch.indptr))])
+        old[1:] += model.hyper.l2 * model.weights[1:]
+        assert lr_gradient(model, batch).tobytes() == old.tobytes()
+
     def test_loss_matches_reference(self):
         rng = np.random.default_rng(4)
         batch = batch_of([[1, 2], [2], []], [1.0, 0.0, 1.0], dim=4)
@@ -267,6 +282,11 @@ class TestLrIndexRule:
         model = LrModel(np.array([0.0, 0.0, 3.0]), LrHyper())
         with pytest.raises(DimensionMismatch, match=rf"^feature index {bad} outside \[1, 3\)$"):
             predict(model, np.array([1, bad, 2]))
+
+    def test_vector_names_its_first_bad_index(self):
+        model = LrModel(np.array([0.0, 0.0, 3.0]), LrHyper())
+        with pytest.raises(DimensionMismatch, match=r"^feature index 7 outside \[1, 3\)$"):
+            predict(model, np.array([2, 7, -1, 0]))
 
     @pytest.mark.parametrize("bad, named", [
         (np.array([1.7, 2.2]), "1.7"), ([1.0], "1.0"), (np.array([True]), "True"),
