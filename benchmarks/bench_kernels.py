@@ -103,7 +103,7 @@ def bench_grow_tree(rows):
     hyper = models.GbrtHyper()
 
     def dense_args(m):
-        return (xd[:m], *kernels.presort(xd[:m]), yd[:m] - yd[:m].mean(),
+        return (xd[:m], *kernels.bin_columns(xd[:m]), yd[:m] - yd[:m].mean(),
                 hyper.min_leaf, hyper.max_depth)
 
     compare(rows, f"grow_tree (densified n=3000, {xd.shape[1]} feat, depth 5)",
@@ -116,7 +116,7 @@ def bench_grow_tree(rows):
     resid = rng.normal(size=n)
 
     def args(m):
-        return x[:m], *kernels.presort(x[:m]), resid[:m], 20, 5
+        return x[:m], *kernels.bin_columns(x[:m]), resid[:m], 20, 5
 
     compare(rows, "grow_tree (continuous n=1e5, 15 feat, depth 5)", kernels.grow_tree_loop,
             kernels.grow_tree_numpy, args, n, same_arrays, repeats=3)

@@ -6,8 +6,8 @@ forms run, without it the numpy forms (plain Python where numpy does not
 pay, as for the SGD epoch and one forest row).  The two backends are
 bit-identical for every kernel: integer arithmetic is exact, and the float
 accumulations are arranged so both sides add in the same order
-(``np.cumsum``/``np.bincount`` accumulate sequentially, matching the
-scalar loops).  The test suite asserts this equality, and
+(``np.cumsum``, ``np.add.accumulate`` and ``np.bincount`` add in sequence,
+matching the scalar loops).  The test suite asserts this equality, and
 ``benchmarks/bench_kernels.py`` compares their speed.
 
 The kernels: ``win_scan`` (budget-constrained auction replay),
@@ -35,8 +35,9 @@ Both forms make the same float operations in the same order, so the SGD
 weights are the same bit for bit, and a row's forest score equals its
 batch row.
 
-``grow_tree``'s numpy form searches splits one frontier node at a time,
-over every feature at once (see ``grow_tree_numpy``).
+``grow_tree`` searches each level's splits from histograms with one bin
+per distinct value of a column, which ``bin_columns`` assigns once per
+model (see ``grow_tree_numpy``).
 """
 
 from __future__ import annotations
@@ -160,15 +161,20 @@ sgd_epoch = sgd_epoch_loop if HAVE_NUMBA else sgd_epoch_python
 
 
 # ---------------------------------------------------------------------------
-# Regression tree growth: exact greedy splits on presorted columns.
+# Regression tree growth: exact greedy splits from per-level histograms.
 # ---------------------------------------------------------------------------
 
-def presort(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``grow_tree``'s operands ``sorted_ids`` and ``sorted_vals`` for the
-    columns of ``x``: each column's row ids in stable ascending order of its
-    values, shape ``(nfeat, n)``, and the values in that order."""
-    sorted_ids = np.argsort(x, axis=0, kind="stable").T.copy()
-    return sorted_ids, np.take_along_axis(x.T, sorted_ids, axis=1)
+def bin_columns(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``grow_tree``'s operands ``bins``, ``bin_start`` and ``bin_value`` for
+    the columns of ``x``: one bin per distinct value of a column, in
+    ascending value order, the columns' bins laid end to end.  Column f owns
+    bins ``bin_start[f]`` up to ``bin_start[f + 1]``, bin b holds the value
+    ``bin_value[b]``, and ``bins[f, i]`` is the bin of ``x[i, f]``."""
+    values = [np.unique(col) for col in x.T]
+    bin_start = np.cumsum([0] + [len(v) for v in values])
+    bins = np.array([np.searchsorted(v, col) for v, col in zip(values, x.T)], dtype=np.int64)
+    return bins.reshape(x.shape[::-1]) + bin_start[:-1, None], bin_start, np.concatenate(
+        [np.empty(0), *values])
 
 
 def _split_threshold_py(a, b):
@@ -182,12 +188,16 @@ def _split_threshold_py(a, b):
 _split_threshold = _njit(_split_threshold_py)
 
 
-def _grow_tree_py(x, sorted_ids, sorted_vals, resid, min_leaf, max_depth):
-    # Level-wise growth.  One pass over each presorted column per level
-    # evaluates every candidate split of every frontier node; candidate
-    # thresholds lie between consecutive distinct values (_split_threshold).
-    # sorted_vals[f, k] is x[sorted_ids[f, k], f], gathered once per model.
+def _grow_tree_py(x, bins, bin_start, bin_value, resid, min_leaf, max_depth):
+    # Level-wise growth.  Per level, one pass over the rows fills each node's
+    # per-bin row counts and residual sums, in row order; a running sum over
+    # each column's bins in ascending value order scores the split after
+    # each bin that holds rows of the node, with its threshold between that
+    # bin's value and the node's next (_split_threshold).  The level's nodes
+    # go in chunks whose histograms hold at most n * nfeat cells.
     n, nfeat = x.shape
+    nbins = bin_value.shape[0]
+    per_chunk = max(1, n * nfeat // max(1, nbins))
     max_nodes = 2 ** (max_depth + 1) - 1
     feat = np.full(max_nodes, -1, dtype=np.int64)
     thr = np.zeros(max_nodes, dtype=np.float64)
@@ -201,20 +211,17 @@ def _grow_tree_py(x, sorted_ids, sorted_vals, resid, min_leaf, max_depth):
     best_score = np.zeros(max_nodes, dtype=np.float64)
     best_feat = np.zeros(max_nodes, dtype=np.int64)
     best_thr = np.zeros(max_nodes, dtype=np.float64)
-    run_cnt = np.zeros(max_nodes, dtype=np.int64)
-    run_sum = np.zeros(max_nodes, dtype=np.float64)
-    prev_val = np.zeros(max_nodes, dtype=np.float64)
-    started = np.zeros(max_nodes, dtype=np.uint8)
+    h_cnt = np.zeros((per_chunk, nbins), dtype=np.int64)
+    h_sum = np.zeros((per_chunk, nbins), dtype=np.float64)
 
     n_nodes = 1
     level_lo = 0
     level_hi = 1
     for depth in range(max_depth + 1):
-        for nd in range(level_lo, level_hi):
-            cnt[nd] = 0
-            ssum[nd] = 0.0
-            best_score[nd] = -np.inf
-            best_feat[nd] = -1
+        cnt[level_lo:level_hi] = 0
+        ssum[level_lo:level_hi] = 0.0
+        best_score[level_lo:level_hi] = -np.inf
+        best_feat[level_lo:level_hi] = -1
         for i in range(n):
             nd = node_of[i]
             if level_lo <= nd < level_hi:
@@ -222,34 +229,38 @@ def _grow_tree_py(x, sorted_ids, sorted_vals, resid, min_leaf, max_depth):
                 ssum[nd] += resid[i]
 
         if depth < max_depth:
-            for f in range(nfeat):
-                for nd in range(level_lo, level_hi):
-                    run_cnt[nd] = 0
-                    run_sum[nd] = 0.0
-                    started[nd] = 0
-                for k in range(n):
-                    i = sorted_ids[f, k]
-                    nd = node_of[i]
-                    if nd < level_lo or nd >= level_hi:
-                        continue
-                    if cnt[nd] < 2 * min_leaf:
-                        continue
-                    xv = sorted_vals[f, k]
-                    if started[nd] == 1 and xv != prev_val[nd]:
-                        nl = run_cnt[nd]
-                        nr = cnt[nd] - nl
-                        if nl >= min_leaf and nr >= min_leaf:
-                            sl = run_sum[nd]
-                            sr = ssum[nd] - sl
-                            sc = sl * sl / nl + sr * sr / nr
-                            if sc > best_score[nd]:
-                                best_score[nd] = sc
-                                best_feat[nd] = f
-                                best_thr[nd] = _split_threshold(prev_val[nd], xv)
-                    run_cnt[nd] += 1
-                    run_sum[nd] += resid[i]
-                    prev_val[nd] = xv
-                    started[nd] = 1
+            for lo in range(level_lo, level_hi, per_chunk):
+                hi = min(lo + per_chunk, level_hi)
+                h_cnt[:] = 0
+                h_sum[:] = 0.0
+                for i in range(n):
+                    r = node_of[i] - lo
+                    if 0 <= r < hi - lo:
+                        for f in range(nfeat):
+                            h_cnt[r, bins[f, i]] += 1
+                            h_sum[r, bins[f, i]] += resid[i]
+                for nd in range(lo, hi):
+                    r = nd - lo
+                    best_bin = -1
+                    for f in range(nfeat):
+                        nl = 0
+                        sl = 0.0
+                        for b in range(bin_start[f], bin_start[f + 1]):
+                            nl += h_cnt[r, b]
+                            sl += h_sum[r, b]
+                            nr = cnt[nd] - nl
+                            if h_cnt[r, b] > 0 and nl >= min_leaf and nr >= min_leaf:
+                                sr = ssum[nd] - sl
+                                sc = sl * sl / nl + sr * sr / nr
+                                if sc > best_score[nd]:
+                                    best_score[nd] = sc
+                                    best_feat[nd] = f
+                                    best_bin = b
+                    if best_bin >= 0:
+                        nxt = best_bin + 1
+                        while h_cnt[r, nxt] == 0:
+                            nxt += 1
+                        best_thr[nd] = _split_threshold(bin_value[best_bin], bin_value[nxt])
 
         any_split = False
         for nd in range(level_lo, level_hi):
@@ -262,7 +273,6 @@ def _grow_tree_py(x, sorted_ids, sorted_vals, resid, min_leaf, max_depth):
                 n_nodes += 2
                 any_split = True
             else:
-                left[nd] = -1
                 value[nd] = ssum[nd] / cnt[nd]
         if any_split:
             for i in range(n):
@@ -282,92 +292,82 @@ def _grow_tree_py(x, sorted_ids, sorted_vals, resid, min_leaf, max_depth):
 grow_tree_loop = _njit(_grow_tree_py)
 
 
-def _best_split(ids, vals, resid, total, min_leaf):
-    # ids/vals: one node's rows in each feature's presorted order and their
-    # values, shape (nfeat, m).  Candidate (f, k): row k is the last on the
-    # left, the value changes after it, and both sides keep min_leaf rows.
-    m = ids.shape[1]
-    lo, hi = min_leaf - 1, m - min_leaf
-    change = np.zeros(ids.shape, dtype=bool)
-    np.not_equal(vals[:, lo + 1:hi + 1], vals[:, lo:hi], out=change[:, lo:hi])
-    at = np.flatnonzero(change)  # f * m + k, in (feature, position) order
-    if at.size == 0:
-        return -np.inf, -1, 0.0
-    cum = resid.take(ids)
-    np.cumsum(cum, axis=1, out=cum)
-    sl = cum.take(at)
-    nl = at % m + 1.0
-    sr = total - sl
-    sc = sl * sl / nl + sr * sr / (m - nl)
-    j = int(np.argmax(sc))  # first maximum: lowest feature, then lowest threshold
-    f, k = divmod(int(at[j]), m)
-    return sc[j], f, _split_threshold(vals[f, k], vals[f, k + 1])
+def _chunk_splits(lo, hi, node_of, cnt, ssum, bins, bin_start, bin_value, weights, min_leaf):
+    # The splits of nodes lo..hi-1 of a level that beat the node itself, as
+    # (nodes, features, thresholds); only cells that hold rows are scored.
+    k, nbins = hi - lo, len(bin_value)
+    rows = np.flatnonzero((node_of >= lo) & (node_of < hi))
+    if len(rows) < len(node_of):
+        bins, weights = bins.take(rows, axis=1), weights.take(rows, axis=1)
+    if k > 1:  # the keys of one node are its bins
+        bins = bins + (node_of[rows] - lo) * nbins
+    h_cnt = np.bincount(bins.ravel(), minlength=k * nbins).reshape(k, nbins)
+    sl = np.bincount(bins.ravel(), weights=weights.ravel(), minlength=k * nbins).reshape(k, nbins)
+    for a, b in zip(bin_start[:-1].tolist(), bin_start[1:].tolist()):
+        np.add.accumulate(sl[:, a:b], axis=1, out=sl[:, a:b])
+    occ = np.flatnonzero(h_cnt)  # the cells that hold rows, in (node, feature, bin) order
+    m = cnt[lo:hi].take(occ // nbins)
+    nl = np.cumsum(h_cnt, axis=1, out=h_cnt).take(occ)
+    del h_cnt
+    nl -= (np.searchsorted(bin_start, occ % nbins, side="right") - 1) * m  # m per earlier column
+    cand = (nl >= min_leaf) & (nl <= m - min_leaf)
+    at, nl, m = occ[cand], nl[cand], m[cand]
+    m -= nl  # the right side's rows
+    sc = sl.take(at)
+    sr = ssum[lo:hi].take(at // nbins) - sc
+    sc *= sc
+    sc /= nl
+    sr *= sr
+    sr /= m
+    sc += sr  # in place, the loop's sl * sl / nl + sr * sr / nr
+    sl.fill(-np.inf)
+    sl.put(at, sc)
+    best = sl.argmax(axis=1)  # first maximum: lowest feature, then lowest bin
+    win = np.flatnonzero(sl[np.arange(k), best] > ssum[lo:hi] * ssum[lo:hi] / cnt[lo:hi])
+    b = best[win]
+    nxt = occ[np.searchsorted(occ, win * nbins + b) + 1] - win * nbins  # in the same column
+    return lo + win, np.searchsorted(bin_start, b, side="right") - 1, [
+        _split_threshold(u, v) for u, v in zip(bin_value[b].tolist(), bin_value[nxt].tolist())]
 
 
-def grow_tree_numpy(x, sorted_ids, sorted_vals, resid, min_leaf, max_depth):
+def grow_tree_numpy(x, bins, bin_start, bin_value, resid, min_leaf, max_depth):
     """Vectorized twin of the loop kernel (same splits, bit for bit).
 
-    Each frontier node keeps its rows as an ``(nfeat, n_node)`` block of row
-    ids in every feature's presorted order, with the matching values; the
-    root block is ``sorted_ids`` and ``sorted_vals``, which the caller
-    makes once with ``presort`` for all the trees it grows on ``x``.  One
-    split search scores every feature of the node at once: one gather of
-    the residuals, one ``cumsum`` along the rows, and scores only at the
-    positions where a feature's value changes with ``min_leaf`` rows on
-    each side.
-    ``np.cumsum`` adds each row in sequence, as the loop's running sum does,
-    so the candidate scores are the same floats, and the first maximum in
-    (feature, position) order is the loop's tie-break: lowest feature, then
-    lowest threshold.  A split
-    partitions the parent's blocks stably by the rows' go-left mask (every
-    feature's row holds the same row ids, so each keeps the same count), and
-    the children's rows stay presorted.  Node counts and sums come from
-    ``np.bincount`` over the rows' nodes, in row order, as in the loop.
-    """
+    ``bins``, ``bin_start`` and ``bin_value`` are ``bin_columns(x)``, made
+    once for all the trees grown on ``x``.  A level's (node, bin) histograms
+    are one ``np.bincount`` pair over the rows' keys, laid out feature by
+    feature so that each bin's residuals add in row order, then
+    ``np.add.accumulate`` along each column's bins: the loop's sums in the
+    loop's order, so the same scores, and the first maximum in (feature,
+    bin) order is the loop's tie-break.  A level's nodes go in chunks whose
+    histograms hold at most ``n * nfeat`` cells, the size of ``bins``."""
     n, nfeat = x.shape
+    per_chunk = max(1, n * nfeat // max(1, len(bin_value)))
     max_nodes = 2 ** (max_depth + 1) - 1
-    feat = np.full(max_nodes, -1, dtype=np.int64)
-    thr = np.zeros(max_nodes, dtype=np.float64)
-    left = np.full(max_nodes, -1, dtype=np.int64)
-    right = np.full(max_nodes, -1, dtype=np.int64)
-    value = np.zeros(max_nodes, dtype=np.float64)
-
+    feat, left, right = (np.full(max_nodes, -1, dtype=np.int64) for _ in range(3))
+    thr, value = np.zeros(max_nodes), np.zeros(max_nodes)
     node_of = np.zeros(n, dtype=np.int64)
-    go_left = np.zeros(n, dtype=bool)
-    blocks = {0: (sorted_ids, sorted_vals)}
-    n_nodes = 1
-    level_lo = 0
-    level_hi = 1
+    weights = np.tile(resid, (nfeat, 1))  # the residual of each key
+    n_nodes, level_lo, level_hi = 1, 0, 1
     for depth in range(max_depth + 1):
         cnt = np.bincount(node_of, minlength=max_nodes)
         ssum = np.bincount(node_of, weights=resid, minlength=max_nodes)
-        any_split = False
-        for nd in range(level_lo, level_hi):
-            score = -np.inf
-            if depth < max_depth and cnt[nd] >= 2 * min_leaf:
-                ids, vals = blocks.pop(nd)
-                score, f, t = _best_split(ids, vals, resid, ssum[nd], min_leaf)
-            if not score > ssum[nd] * ssum[nd] / cnt[nd]:
-                value[nd] = ssum[nd] / cnt[nd]
-                continue
-            feat[nd] = f
-            thr[nd] = t
-            left[nd] = n_nodes
-            right[nd] = n_nodes + 1
-            n_nodes += 2
-            any_split = True
-            go = vals[f] <= t
-            node_of[ids[f]] = np.where(go, left[nd], right[nd])
-            if depth + 1 < max_depth:
-                go_left[ids[f]] = go
-                mask = go_left.take(ids)
-                for child, side in ((left[nd], mask), (right[nd], ~mask)):
-                    at = np.flatnonzero(side)
-                    blocks[child] = (ids.take(at).reshape(nfeat, -1), vals.take(at).reshape(nfeat, -1))
-        level_lo = level_hi
-        level_hi = n_nodes
-        if not any_split:
+        for lo in range(level_lo, level_hi if depth < max_depth and nfeat else level_lo, per_chunk):
+            nodes, f, t = _chunk_splits(lo, min(lo + per_chunk, level_hi), node_of, cnt, ssum,
+                                        bins, bin_start, bin_value, weights, min_leaf)
+            feat[nodes], thr[nodes] = f, t
+        level = np.arange(level_lo, level_hi)
+        split = level[feat[level] >= 0]
+        value[level] = np.where(feat[level] < 0, ssum[level] / cnt[level], 0.0)
+        if not len(split):
             break
+        left[split] = n_nodes + 2 * np.arange(len(split))
+        right[split] = left[split] + 1
+        n_nodes += 2 * len(split)
+        rows = np.flatnonzero(left[node_of] >= 0)  # the rows of the nodes just split
+        nd = node_of[rows]
+        node_of[rows] = left[nd] + (x.take(rows * nfeat + feat[nd]) > thr[nd])  # right = left + 1
+        level_lo, level_hi = level_hi, n_nodes
     return feat[:n_nodes], thr[:n_nodes], left[:n_nodes], right[:n_nodes], value[:n_nodes], node_of
 
 
@@ -531,7 +531,7 @@ def warmup() -> None:
     sgd_epoch(indptr, indices, labels, v, order, 0.0, 1.0, 0, 0.01, 1e-6)
     x = np.array([[0.0], [1.0], [2.0], [3.0]])
     r = np.array([0.0, 0.0, 1.0, 1.0])
-    *tree, _ = grow_tree(x, *presort(x), r, 1, 2)
+    *tree, _ = grow_tree(x, *bin_columns(x), r, 1, 2)
     root = np.zeros(1, dtype=np.int64)
     apply_forest(x, *tree, root, 0.0, 1.0)
     apply_forest_row(x[0], *tree, root, 0.0, 1.0)

@@ -300,7 +300,11 @@ def train_gbrt(x: np.ndarray, y: np.ndarray, hyper: GbrtHyper | None = None) -> 
 
     Split search is exact greedy over midpoints of consecutive distinct
     values, ties broken toward the lowest feature then lowest threshold.
-    Training MSE is recorded per round and is non-increasing.
+    Each level is searched from histograms with one bin per distinct value
+    (``kernels.bin_columns``, made once per fit): a bin's residuals are
+    summed in row order, and a split's left sum runs over the bins in
+    ascending value order.  Training MSE is recorded per round and is
+    non-increasing.
     """
     hyper = hyper or GbrtHyper()
     x = np.ascontiguousarray(x, dtype=np.float64)
@@ -308,15 +312,14 @@ def train_gbrt(x: np.ndarray, y: np.ndarray, hyper: GbrtHyper | None = None) -> 
     _check_labels(y)
     if len(y) < hyper.min_leaf:
         raise InsufficientData(f"need at least min_leaf={hyper.min_leaf} examples, got {len(y)}")
-    sorted_ids, sorted_vals = kernels.presort(x)  # the same for every round
+    binned = kernels.bin_columns(x)  # the same for every round
     base = float(np.mean(y))
     pred = np.full(len(y), base)
     trees = []
     mse: list[float] = []
     for _ in range(hyper.rounds):
         resid = y - pred
-        *tree, node_of = kernels.grow_tree(x, sorted_ids, sorted_vals, resid, hyper.min_leaf,
-                                           hyper.max_depth)
+        *tree, node_of = kernels.grow_tree(x, *binned, resid, hyper.min_leaf, hyper.max_depth)
         trees.append(tree)
         pred = pred + hyper.shrinkage * kernels.apply_tree(node_of, tree[4])
         mse.append(float(np.mean((y - pred) ** 2)))

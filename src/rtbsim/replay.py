@@ -12,6 +12,7 @@ rule for reading such a fraction: it must lie in (0, 1].
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
@@ -64,14 +65,18 @@ class ReplayData:
 
     @classmethod
     def from_cases(cls, cases: Sequence[AuctionCase]) -> "ReplayData":
-        ts = [c.timestamp for c in cases]
-        if any(a > b for a, b in zip(ts, ts[1:])):
+        # The records' slots, read directly: AuctionCase's properties cost a call each.
+        records = [c.record for c in cases]
+        ts = [r.timestamp for r in records]
+        if not all(map(operator.le, ts, ts[1:])):
             raise UnsortedInput("cases must be sorted by ascending timestamp")
+        n = len(records)
         return cls(
-            paying=np.array([c.paying_price for c in cases], dtype=np.int64),
-            floor=np.array([c.floor_price for c in cases], dtype=np.int64),
-            clicked=np.array([c.clicked for c in cases], dtype=bool),
-            converted=np.array([c.converted for c in cases], dtype=bool),
+            paying=np.fromiter((0 if r.paying_price is None else r.paying_price for r in records),
+                               dtype=np.int64, count=n),
+            floor=np.fromiter((r.slot_floor_price for r in records), dtype=np.int64, count=n),
+            clicked=np.fromiter((c.clicked for c in cases), dtype=bool, count=n),
+            converted=np.fromiter((c.converted for c in cases), dtype=bool, count=n),
         )
 
     @classmethod

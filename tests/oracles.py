@@ -98,17 +98,21 @@ def reference_best_split(columns, resid, min_leaf):
     """The split a regression-tree node takes, by brute force: ``(feature,
     threshold)``, or None when no split scores above the node itself.
 
+    The sum rule comes first.  For each feature, the residuals of the rows
+    that share a value are summed per value, in row order, from 0.0; ``sl``
+    is then the running sum of those per-value sums in ascending value
+    order, from 0.0.  The node total is summed in row order, and ``sr`` is
+    the total minus ``sl``.
+
     ``columns[f]`` holds feature f's value of each of the node's rows, and
     ``resid`` their residuals, both in row order.  A candidate puts the rows
-    of the k + 1 smallest values of a feature on the left, ordered stably
-    (equal values keep row order), where the next value is larger and both
-    sides keep at least ``min_leaf`` rows.  It scores
-    ``sl * sl / nl + sr * sr / nr``: ``sl`` is summed along that order, the
-    node total in row order, and ``sr`` is the total minus ``sl``.  The
-    first candidate with the strictly greatest score, in (feature,
-    position) order, wins if it beats the node's own ``total**2 / n``.  Its
-    threshold is the midpoint of the two values, or the left value where
-    the midpoint overflows or rounds up to the right value.
+    of the smallest values of a feature, up to one value, on the left, where
+    a larger value follows and both sides keep at least ``min_leaf`` rows.
+    It scores ``sl * sl / nl + sr * sr / nr``.  The first candidate with the
+    strictly greatest score, in (feature, value) order, wins if it beats the
+    node's own ``total**2 / n``.  Its threshold is the midpoint of the value
+    and the next larger one, or the value itself where the midpoint
+    overflows or rounds up to the larger one.
     """
     n = len(resid)
     total = 0.0
@@ -116,13 +120,18 @@ def reference_best_split(columns, resid, min_leaf):
         total += r
     best, choice = -math.inf, None
     for f, col in enumerate(columns):
-        order = sorted(range(n), key=lambda i: col[i])
-        sl = 0.0
-        for k in range(n - 1):
-            sl += resid[order[k]]
-            a, b = col[order[k]], col[order[k + 1]]
-            nl, nr = k + 1, n - k - 1
-            if a == b or nl < min_leaf or nr < min_leaf:
+        per_value = {}  # value -> [rows, residual sum]
+        for v, r in zip(col, resid):
+            tally = per_value.setdefault(v, [0, 0.0])
+            tally[0] += 1
+            tally[1] += r
+        values = sorted(per_value)
+        nl, sl = 0, 0.0
+        for a, b in zip(values, values[1:]):
+            nl += per_value[a][0]
+            sl += per_value[a][1]
+            nr = n - nl
+            if nl < min_leaf or nr < min_leaf:
                 continue
             sr = total - sl
             score = sl * sl / nl + sr * sr / nr

@@ -5,6 +5,7 @@ change experiment outputs."""
 from __future__ import annotations
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -141,7 +142,7 @@ class TestGrowTree:
         else:
             x = rng.normal(size=(n, nfeat))
         resid = rng.normal(size=n)
-        return x, kernels.presort(x), resid
+        return x, kernels.bin_columns(x), resid
 
     @pytest.mark.parametrize("discrete", [False, True])
     def test_backends_agree(self, discrete):
@@ -149,11 +150,11 @@ class TestGrowTree:
         for _ in range(20):
             n = int(rng.integers(10, 400))
             nfeat = int(rng.integers(1, 6))
-            x, presorted, resid = self._random_problem(rng, n, nfeat, discrete)
+            x, binned, resid = self._random_problem(rng, n, nfeat, discrete)
             min_leaf = int(rng.integers(1, 5))
             depth = int(rng.integers(1, 5))
-            t1 = kernels.grow_tree_loop(x, *presorted, resid, min_leaf, depth)
-            t2 = kernels.grow_tree_numpy(x, *presorted, resid, min_leaf, depth)
+            t1 = kernels.grow_tree_loop(x, *binned, resid, min_leaf, depth)
+            t2 = kernels.grow_tree_numpy(x, *binned, resid, min_leaf, depth)
             for a, b in zip(t1, t2):
                 assert np.array_equal(a, b)
 
@@ -162,9 +163,9 @@ class TestGrowTree:
         """Both forms grow the same tree bit for bit; returns it."""
         x = np.asarray(x, dtype=np.float64).reshape(len(resid), -1)
         resid = np.asarray(resid, dtype=np.float64)
-        presorted = kernels.presort(x)
-        t1 = kernels.grow_tree_loop(x, *presorted, resid, min_leaf, max_depth)
-        t2 = kernels.grow_tree_numpy(x, *presorted, resid, min_leaf, max_depth)
+        binned = kernels.bin_columns(x)
+        t1 = kernels.grow_tree_loop(x, *binned, resid, min_leaf, max_depth)
+        t2 = kernels.grow_tree_numpy(x, *binned, resid, min_leaf, max_depth)
         for a, b in zip(t1, t2):
             assert a.dtype == b.dtype and np.array_equal(a, b)
         return t2
@@ -194,8 +195,9 @@ class TestGrowTree:
         x = np.c_[np.full(60, 3.0), rng.integers(0, 4, 60), np.zeros(60)]
         feat = self._same(x, resid, 2, 4)[0]
         assert set(feat[feat >= 0]) == {1}
-        tree = self._same(np.full((60, 3), 7.0), resid, 2, 4)
-        assert len(tree[0]) == 1 and tree[4][0] == pytest.approx(resid.mean())
+        for x in (np.full((60, 3), 7.0), np.zeros((60, 0))):  # no column to split on
+            tree = self._same(x, resid, 2, 4)
+            assert len(tree[0]) == 1 and tree[4][0] == pytest.approx(resid.mean())
 
     def test_duplicated_column_lowest_feature_wins(self):
         rng = np.random.default_rng(12)
@@ -221,11 +223,11 @@ class TestGrowTree:
         # The leaves boosting adds: on both forms, each row's leaf, also for
         # a tree that is only its root
         rng = np.random.default_rng(6)
-        x, presorted, resid = self._random_problem(rng, 300, 4)
+        x, binned, resid = self._random_problem(rng, 300, 4)
         for min_leaf in (2, 200):  # a deep tree, then a root-only one
             node_ofs = []
             for form in (kernels.grow_tree_loop, kernels.grow_tree_numpy):
-                *tree, node_of = form(x, *presorted, resid, min_leaf, 4)
+                *tree, node_of = form(x, *binned, resid, min_leaf, 4)
                 assert (len(tree[0]) > 1) == (min_leaf == 2)
                 leaves = reference_tree_leaves(x, *tree)
                 assert np.array_equal(kernels.apply_tree(node_of, tree[4]), leaves)
@@ -256,9 +258,9 @@ class TestGrowTree:
 
     def test_min_leaf_respected(self):
         rng = np.random.default_rng(7)
-        x, presorted, resid = self._random_problem(rng, 100, 3)
+        x, binned, resid = self._random_problem(rng, 100, 3)
         for min_leaf in (1, 10, 30):
-            feat, thr, left, right, value, node_of = kernels.grow_tree(x, *presorted, resid,
+            feat, thr, left, right, value, node_of = kernels.grow_tree(x, *binned, resid,
                                                                        min_leaf, 5)
             counts = np.zeros(len(feat), dtype=int)
             node = np.zeros(100, dtype=int)
@@ -272,6 +274,23 @@ class TestGrowTree:
             assert leaf_counts.min() >= min_leaf
             assert np.array_equal(node, node_of)
 
+    def test_continuous_columns_peak_memory(self):
+        # Histograms of columns whose values are all distinct hold about
+        # n * nfeat cells a node, so a level's nodes go in chunks.  One call
+        # peaks near 23 MiB here; presorted per-node blocks take 21 MiB on
+        # this input, and a whole level's histograms at once 355 MiB.
+        rng = np.random.default_rng(2)
+        x = rng.normal(size=(20_000, 15))
+        resid = rng.normal(size=20_000)
+        binned = kernels.bin_columns(x)
+        tracemalloc.start()
+        try:
+            kernels.grow_tree_numpy(x, *binned, resid, 20, 5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 32 * 2**20
+
 
 class TestSplitOracle:
     """Both grower forms take the brute-force oracle's split at every node:
@@ -281,8 +300,10 @@ class TestSplitOracle:
     @staticmethod
     def _agree(x, resid, min_leaf, max_depth):
         splits = 0
-        for form in (kernels.grow_tree_loop, kernels.grow_tree_numpy):
-            feat, thr, left, right, _, _ = form(x, *kernels.presort(x), resid, min_leaf, max_depth)
+        trees = [form(x, *kernels.bin_columns(x), resid, min_leaf, max_depth)
+                 for form in (kernels.grow_tree_loop, kernels.grow_tree_numpy)]
+        assert all(np.array_equal(a, b) for a, b in zip(*trees))
+        for form, (feat, thr, left, right, _, _) in zip(("loop", "numpy"), trees):
             stack = [(0, np.arange(len(resid)), 0)]
             while stack:
                 nd, rows, depth = stack.pop()
@@ -290,9 +311,9 @@ class TestSplitOracle:
                 if depth < max_depth:
                     want = reference_best_split(x[rows].T.tolist(), resid[rows].tolist(), min_leaf)
                 if left[nd] < 0:
-                    assert want is None, (form.__name__, nd)
+                    assert want is None, (form, nd)
                     continue
-                assert want == (feat[nd], thr[nd]), (form.__name__, nd)
+                assert want == (feat[nd], thr[nd]), (form, nd)
                 splits += 1
                 go = x[rows, feat[nd]] <= thr[nd]
                 stack += [(left[nd], rows[go], depth + 1), (right[nd], rows[~go], depth + 1)]
@@ -315,6 +336,32 @@ class TestSplitOracle:
         x = np.r_[np.full(10, a), np.full(10, b)].reshape(-1, 1)
         assert self._agree(x, np.r_[np.zeros(10), np.ones(10)] - 0.5, 2, 1) == 2
 
+    def test_mirrored_columns(self):
+        # Columns 1 and 2 split the rows into the same two sets at every
+        # value, in opposite value orders, so their scores are equal in exact
+        # arithmetic; the sum rule's float sums pick the winner.
+        rng = np.random.default_rng(44)
+        v = rng.integers(0, 6, 240).astype(np.float64)
+        x = np.c_[rng.integers(0, 3, 240), v, 5.0 - v]
+        for resid in (v / 7 + rng.normal(size=240), np.round(rng.normal(size=240), 1)):
+            assert self._agree(x, resid, 4, 4) > 0
+
+    def test_high_cardinality_chunks(self, monkeypatch):
+        # One column of distinct values and three with few: a level's
+        # histograms outgrow n * nfeat cells, so a level takes several calls.
+        rng = np.random.default_rng(45)
+        x = np.c_[rng.normal(size=400), rng.integers(0, 5, size=(400, 3))]
+        chunks = []
+        split_chunk = kernels._chunk_splits
+
+        def spy(lo, hi, *args):
+            chunks.append((lo, hi))
+            return split_chunk(lo, hi, *args)
+
+        monkeypatch.setattr(kernels, "_chunk_splits", spy)
+        assert self._agree(x, rng.normal(size=400) + x[:, 1], 6, 5) > 0
+        assert len(chunks) > 5  # more calls than the levels searched
+
     def test_densified_campaign(self):
         train, _, _ = synthgen.generate(synthgen.SynthConfig(seed=5, n_train=1200, n_test=10))
         encodings = features.build_encodings(features.encoding_split(train))
@@ -333,14 +380,14 @@ class TestApplyForest:
 
     def _random_forest(self, rng, x, n_trees):
         trees = []
-        presorted = kernels.presort(x)
+        binned = kernels.bin_columns(x)
         for _ in range(n_trees):
             if rng.random() < 0.25:
                 trees.append(self._leaf(float(rng.normal())))
                 continue
             resid = rng.normal(size=x.shape[0])
             depth = int(rng.integers(1, 6))
-            trees.append(kernels.grow_tree_numpy(x, *presorted, resid, 2, depth)[:5])
+            trees.append(kernels.grow_tree_numpy(x, *binned, resid, 2, depth)[:5])
         return trees
 
     @staticmethod

@@ -103,6 +103,25 @@ class TestSimulate:
         with pytest.raises(UnsortedInput):
             simulate(cases, ConstBid(5), BIG, CampaignSpec(1, 0))
 
+    def test_columns_equal_the_case_properties(self, small_synth):
+        # The columns as AuctionCase's properties give them, with a missing
+        # paying price read as 0 and equal timestamps in a row.
+        _, test, _ = small_synth
+        t0 = test[-1].timestamp
+        cases = list(test) + [make_case(paying_price=None, floor=9, clicked=True, ts=t0),
+                              make_case(paying=7, converted=True, ts=t0 + timedelta(seconds=1))]
+        data = ReplayData.from_cases(cases)
+        want = {"paying": ([c.paying_price for c in cases], np.int64),
+                "floor": ([c.floor_price for c in cases], np.int64),
+                "clicked": ([c.clicked for c in cases], bool),
+                "converted": ([c.converted for c in cases], bool)}
+        for name, (column, dtype) in want.items():
+            got = getattr(data, name)
+            assert got.dtype == dtype and got.tolist() == column, name
+        assert data.paying[-2] == 0 and len(ReplayData.from_cases([])) == 0
+        with pytest.raises(UnsortedInput, match="cases must be sorted by ascending timestamp"):
+            ReplayData.from_cases(cases[::-1])
+
     def test_missing_ctr_model(self):
         cases = timed_cases([dict(paying=1)])
         with pytest.raises(MissingPctr):
