@@ -6,20 +6,17 @@ emitted in the same CPM milli-fen units as the logs; the eCPC family
 carries an explicit x1000 bridge from fen-per-click to those units.  Each
 pCTR strategy class holds its own bid formula (``raw_bid``), which
 :func:`compute_bid` and :func:`bid_vector` only round, after one pCTR
-validity check.  Strategy files are a ``variant=`` line followed by the
-dataclass fields in :mod:`kvfile` form.
+validity check.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
-from . import kvfile
 from .logdata import AuctionCase
 
 __all__ = [
@@ -38,8 +35,6 @@ __all__ = [
     "tune",
     "DEFAULT_GRID",
     "GridRow",
-    "save_strategy",
-    "load_strategy",
     "write_grid_csv",
 ]
 
@@ -299,24 +294,6 @@ def tune(
             best = (result.score, param)
             best_strategy = strategy
     return best_strategy, rows
-
-
-_VARIANTS = {cls.name: cls for cls in (ConstBid, RandBid, McpcBid, LinBid)}
-
-
-def save_strategy(strategy: Strategy, path) -> None:
-    """``variant=<name>``, then the strategy's fields (:func:`kvfile.dump`)."""
-    lines = [f"variant={strategy.name}", *kvfile.dump(strategy)]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
-def load_strategy(path) -> Strategy:
-    head, *pairs = [ln for ln in Path(path).read_text(encoding="utf-8").splitlines()
-                    if ln.strip()] or [""]
-    cls = _VARIANTS.get(head.removeprefix("variant="))
-    if cls is None or not head.startswith("variant="):
-        raise ValueError(f"expected variant=<{'|'.join(_VARIANTS)}> first, found {head!r}")
-    return kvfile.load(cls, pairs)
 
 
 def write_grid_csv(rows: list[GridRow], path) -> None:

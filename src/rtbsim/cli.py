@@ -2,10 +2,11 @@
 
 Subcommands: ``synth`` (generate a dataset), ``stats`` (campaign summary
 and per-feature breakdowns), ``train-ctr`` (fit and evaluate a CTR model),
-``tune`` (grid-search one bidding strategy), ``replay`` (the full
-strategy x budget experiment).  Every run is a pure function of its flags
-and input files; on failure a single ``error: <Type>: <message>`` line
-goes to stderr and the exit code is nonzero.
+``replay`` (tune each bidding strategy on the train split, then the
+strategy x budget experiment on the test split).  Every run is a pure
+function of its flags and input files; on failure a single
+``error: <Type>: <message>`` line goes to stderr and the exit code is
+nonzero.
 """
 
 from __future__ import annotations
@@ -13,10 +14,7 @@ from __future__ import annotations
 import argparse
 import sys
 from collections import Counter
-from fractions import Fraction
 from pathlib import Path
-
-import numpy as np
 
 from . import bidding, features, kvfile, models, replay, stats, synthgen
 from .logdata import EVENT_LOG, AuctionCase, join_events, load_log
@@ -202,13 +200,26 @@ def cmd_train_ctr(args) -> int:
 
 
 # ---------------------------------------------------------------------------
-# tune
+# replay
 # ---------------------------------------------------------------------------
 
-def _parse_grid(text: str | None):
-    if not text:
+def _once(flag: str, values, parse) -> list:
+    """``parse`` of each of a flag's values, which must differ."""
+    parsed = [parse(text) for text in values]
+    for i, value in enumerate(parsed):
+        if value in parsed[:i]:
+            raise ValueError(f"{flag} lists {value} twice")
+    return parsed
+
+
+def _grid(text: str | None) -> tuple[int, ...]:
+    """``--grid``'s comma-separated integers >= 0, or the default grid."""
+    if text is None:
         return bidding.DEFAULT_GRID
-    return tuple(int(p) for p in text.split(","))
+    parts = [part.strip() for part in text.split(",")]
+    if not all(part.isdecimal() for part in parts):
+        raise ValueError(f"--grid {text!r} is not a comma-separated list of integers >= 0")
+    return tuple(_once("--grid", parts, int))
 
 
 def _campaign_for(cases, kpi_n: int | None) -> bidding.CampaignSpec:
@@ -219,95 +230,57 @@ def _campaign_for(cases, kpi_n: int | None) -> bidding.CampaignSpec:
     return known if known is not None else bidding.CampaignSpec(adv, 0)
 
 
-def _pctr_kinds(args, asked, readers: tuple[str, ...], kinds: list[str]) -> list[str]:
-    """``kinds`` when a family of ``readers`` (those that read pCTR) is
-    ``asked``, which needs ``--models``; else none, and then ``--models`` and
-    an explicit ``--model`` fail, as flags that nothing would read."""
-    priced = "/".join(f for f in readers if f in asked)
+def cmd_replay(args) -> int:
+    # The flags, checked before any input is read.
+    fractions = _once("--budget-fraction", args.budget_fraction or replay.STANDARD_FRACTIONS,
+                      replay.budget_fraction)
+    families = _once("--strategy", args.strategy or ["const", "rand", "mcpc", "lin"], str)
+    grid = _grid(args.grid)
+    model_kinds = {"lr": ["lr"], "gbrt": ["gbrt"], "both": ["lr", "gbrt"]}[args.model or "lr"]
+    priced = "/".join(f for f in ("mcpc", "lin") if f in families)
     if priced and not args.models:
         raise ValueError(f"{priced} needs --models pointing at a train-ctr output dir")
     unread = [flag for flag, value in (("--models", args.models), ("--model", args.model)) if value is not None]
     if not priced and unread:
-        raise ValueError(f"{unread[0]} is read only with --strategy {' or '.join(readers)}")
-    return kinds if priced else []
+        raise ValueError(f"{unread[0]} is read only with --strategy mcpc or lin")
+    kinds = model_kinds if priced else []
 
-
-def _score_splits(args, kinds, *splits) -> list[dict[str, np.ndarray]]:
-    """For each split, each model kind's pCTR from the scorer in ``--models``."""
-    scorers = {kind: models.CtrScorer.load(args.models, kind) for kind in kinds}
-    return [{kind: s.score_cases(split) for kind, s in scorers.items()} for split in splits]
-
-
-def _tuner(args, train, campaign, pctr_train):
-    """``tune(family, fraction, kind)``: ``bidding.tune`` on the train split's
-    columns over ``--grid``, with model ``kind``'s train pCTR (None: none)."""
-    data = replay.ReplayData.from_cases(train)
-    grid = _parse_grid(args.grid)
-
-    def tune(family: str, fraction: Fraction, kind: str | None):
-        return bidding.tune(family, data, fraction, grid, campaign,
-                            pctr=pctr_train.get(kind), seed=args.seed, model_label=kind)
-    return tune
-
-
-def cmd_tune(args) -> int:
-    fractions = [replay.budget_fraction(f) for f in args.budget_fraction or ["1/8"]]
-    kinds = _pctr_kinds(args, [args.strategy], ("lin",), [args.model or "lr"])
-    train = load_cases(Path(args.input) / "train", args.strict, args.advertiser)
-    if not train:
-        raise ValueError("the train split must be nonempty")
-    kind = kinds[0] if kinds else None
-    pctr_train = _score_splits(args, kinds, train)[0]
-    tune = _tuner(args, train, _campaign_for(train, args.kpi_n), pctr_train)
-    tuned = [(fraction, *tune(args.strategy, fraction, kind)) for fraction in fractions]
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    for fraction, strategy, rows in tuned:
-        frac_tag = f"{fraction.numerator}_{fraction.denominator}"
-        bidding.save_strategy(strategy, out / f"strategy_{args.strategy}_{frac_tag}.txt")
-        bidding.write_grid_csv(rows, out / f"grid_{args.strategy}_{frac_tag}.csv")
-        print(f"tune[{args.strategy} @ {fraction}]: best parameter {strategy.parameter}")
-    return 0
-
-
-# ---------------------------------------------------------------------------
-# replay
-# ---------------------------------------------------------------------------
-
-def cmd_replay(args) -> int:
-    fractions = [replay.budget_fraction(f)
-                 for f in args.budget_fraction or replay.STANDARD_FRACTIONS]
-    families = args.strategy or ["const", "rand", "mcpc", "lin"]
-    model_kinds = {"lr": ["lr"], "gbrt": ["gbrt"], "both": ["lr", "gbrt"]}[args.model or "lr"]
-    kinds = _pctr_kinds(args, families, ("mcpc", "lin"), model_kinds)
     train, test = _load_split(args)
     campaign = _campaign_for(test, args.kpi_n)
-    pctr_train, pctr_test = _score_splits(args, kinds, train, test)
-    tune = _tuner(args, train, campaign, pctr_train)
+    scorers = {kind: models.CtrScorer.load(args.models, kind) for kind in kinds}
+    pctr_train = {kind: s.score_cases(train) for kind, s in scorers.items()}
+    pctr_test = {kind: s.score_cases(test) for kind, s in scorers.items()}
+    train_data = replay.ReplayData.from_cases(train)
     max_ecpc = bidding.estimate_max_ecpc(train) if "mcpc" in families else None
-    tuned_log: list[str] = []
 
-    def tuned(family: str, kind: str | None, key: str):
-        def factory(fraction: Fraction) -> bidding.Strategy:
-            strategy, _ = tune(family, fraction, kind)
-            tuned_log.append(f"{key}@{fraction}: {strategy.parameter}")
-            return strategy
-        return factory
-
+    # (key, fraction) -> (strategy, grid rows) for each tunable family; key
+    # is the family with its model's tag, e.g. lin-L.
+    tuned = {}
     entries = []
     for family in families:
         for kind in model_kinds if family in ("mcpc", "lin") else [None]:
             tag = {"lr": "-L", "gbrt": "-G", None: ""}[kind]
-            strategy = (bidding.McpcBid(max_ecpc, kind) if family == "mcpc"
-                        else tuned(family, kind, family + tag))
+            if family == "mcpc":
+                strategy = bidding.McpcBid(max_ecpc, kind)
+            else:
+                key = family + tag
+                for fraction in fractions:
+                    tuned[key, fraction] = bidding.tune(
+                        family, train_data, fraction, grid, campaign,
+                        pctr=pctr_train.get(kind), seed=args.seed, model_label=kind)
+                strategy = lambda fraction, key=key: tuned[key, fraction][0]
             entries.append(replay.StrategyEntry(family.capitalize() + tag, strategy,
                                                 pctr=pctr_test.get(kind)))
 
     run = replay.CampaignRun(campaign, replay.ReplayData.from_cases(test), entries)
     out = Path(args.out)
     written = replay.run_experiment([run], fractions).write(out)  # creates out
-    if tuned_log:
-        (out / "tuned_parameters.txt").write_text("\n".join(sorted(tuned_log)) + "\n", encoding="utf-8")
+    if tuned:
+        lines = sorted(f"{key}@{fraction}: {strategy.parameter}"
+                       for (key, fraction), (strategy, _) in tuned.items())
+        (out / "tuned_parameters.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    for (key, fraction), (_, rows) in tuned.items():
+        bidding.write_grid_csv(rows, out / f"grid_{key}_{fraction.numerator}_{fraction.denominator}.csv")
     print(f"replay: wrote {len(written)} table files to {out}")
     return 0
 
@@ -352,19 +325,8 @@ def build_parser() -> argparse.ArgumentParser:
                            help=f"{cls.__name__}.{field} (default {getattr(cls, field)})")
     p.set_defaults(func=cmd_train_ctr)
 
-    p = sub.add_parser("tune", help="grid-search one bidding strategy on training data")
-    _add_common_io(p)
-    p.add_argument("--strategy", choices=("const", "rand", "lin"), required=True)
-    p.add_argument("--budget-fraction", action="append", default=None, metavar="FRAC",
-                   help="e.g. 1/8; repeat to tune each (default 1/8)")
-    p.add_argument("--grid", default=None, help="comma-separated parameter grid")
-    p.add_argument("--models", default=None, help="train-ctr output dir (for lin)")
-    p.add_argument("--model", choices=("lr", "gbrt"), default=None, help="for lin (default lr)")
-    p.add_argument("--kpi-n", type=int, default=None)
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_tune)
-
-    p = sub.add_parser("replay", help="strategy x budget experiment on the test split")
+    p = sub.add_parser("replay", help="tune strategies on the train split, then the "
+                                      "strategy x budget experiment on the test split")
     _add_common_io(p)
     p.add_argument("--models", default=None, help="train-ctr output dir")
     p.add_argument("--strategy", action="append", default=None,
@@ -372,7 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", choices=("lr", "gbrt", "both"), default=None,
                    help="for mcpc and lin (default lr)")
     p.add_argument("--budget-fraction", action="append", default=None, metavar="FRAC")
-    p.add_argument("--grid", default=None)
+    p.add_argument("--grid", default=None, help="comma-separated tuning grid")
     p.add_argument("--kpi-n", type=int, default=None)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_replay)

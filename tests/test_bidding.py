@@ -17,12 +17,9 @@ from rtbsim.bidding import (
     MissingPctr,
     NoClicks,
     RandBid,
-    Strategy,
     bid_vector,
     compute_bid,
     estimate_max_ecpc,
-    load_strategy,
-    save_strategy,
     tune,
     write_grid_csv,
 )
@@ -269,49 +266,25 @@ class TestStrategyFiles:
         LinBid(69, avg_ctr=0.0008, model="gbrt"),
         *_SEEDED,
     ], ids=[f"strategy{i}" for i in range(4)] + [f"seeded-{type(r).__name__}" for r in _SEEDED])
-    def test_round_trip(self, tmp_path, record):
+    def test_round_trip(self, record):
         loaded = kvfile.load(type(record), kvfile.dump(record))
         assert loaded == record and repr(loaded) == repr(record)  # floats bit-equal
-        if isinstance(record, Strategy):
-            save_strategy(record, tmp_path / "s.txt")
-            assert load_strategy(tmp_path / "s.txt") == record
 
-    @pytest.mark.parametrize("strategy, text", [
-        (ConstBid(44), "variant=const\nprice=44\n"),
-        (RandBid(upper=90, seed=3, lower=5), "variant=rand\nupper=90\nseed=3\nlower=5\n"),
-        (McpcBid(50), "variant=mcpc\nmax_ecpc_fen=50.0\n"),
-        (McpcBid(86.55, model="lr"), "variant=mcpc\nmax_ecpc_fen=86.55\nmodel=lr\n"),
-        (LinBid(69, avg_ctr=0.0008, model="gbrt"),
-         "variant=lin\nbase_bid=69\navg_ctr=0.0008\nmodel=gbrt\n"),
-    ])
-    def test_file_text(self, tmp_path, strategy, text):
-        save_strategy(strategy, tmp_path / "s.txt")
-        assert (tmp_path / "s.txt").read_text(encoding="utf-8") == text
-
-    def test_unknown_variant(self, tmp_path):
-        (tmp_path / "s.txt").write_text("variant=kelly\nprice=3\n", encoding="utf-8")
-        with pytest.raises(ValueError, match="kelly"):
-            load_strategy(tmp_path / "s.txt")
-
-    def test_unknown_key_rejected(self, tmp_path):
+    def test_unknown_key_rejected(self):
         # a misspelt key must not load the field's default (seed=0) silently
-        (tmp_path / "s.txt").write_text("variant=rand\nupper=5\nseeed=3\n", encoding="utf-8")
         with pytest.raises(ValueError, match="seeed"):
-            load_strategy(tmp_path / "s.txt")
+            kvfile.load(RandBid, ["upper=5", "seeed=3"])
 
-    @pytest.mark.parametrize("text, named", [
-        ("price=44\n", "variant="),  # no variant line
-        ("", "variant="),
-        ("variant=lin\navg_ctr=0.01\n", "base_bid"),  # a field without a default
-        ("variant=rand\nupper=5\n", "seed"),  # a field dump always writes
-        ("variant=const\nprice\n", "'price'"),  # no '='
-        ("variant=const\nprice=4.5\n", "price='4.5'"),  # not an int
-        ("variant=const\nprice=4\nprice=5\n", "'price' is set more than once"),
-    ])
-    def test_bad_file_named(self, tmp_path, text, named):
-        (tmp_path / "s.txt").write_text(text, encoding="utf-8")
+    @pytest.mark.parametrize("cls, pairs, named", [
+        (LinBid, ["avg_ctr=0.01"], "base_bid"),  # a field without a default
+        (RandBid, ["upper=5"], "seed"),  # a field dump always writes
+        (ConstBid, ["price"], "'price'"),  # no '='
+        (ConstBid, ["price=4.5"], "price='4.5'"),  # not an int
+        (ConstBid, ["price=4", "price=5"], "'price' is set more than once"),
+    ], ids=["missing", "missing-default", "no-equals", "not-int", "twice"])
+    def test_bad_pair_named(self, cls, pairs, named):
         with pytest.raises(ValueError, match=re.escape(named)):
-            load_strategy(tmp_path / "s.txt")
+            kvfile.load(cls, pairs)
 
     def test_grid_csv(self, tmp_path):
         cases, pctr = _tune_fixture()

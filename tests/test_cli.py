@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from rtbsim import models, replay
-from rtbsim.cli import _hyper, build_parser, main
+from rtbsim.cli import _hyper, build_parser, cmd_replay, cmd_stats, cmd_synth, cmd_train_ctr, main
 
 
 @pytest.fixture(scope="module")
@@ -174,15 +174,6 @@ class TestTrainCtr:
         assert len(scores) == 2001
 
     def test_tune_and_replay(self, dataset, models_dir, tmp_path):
-        rc = main(["tune", "--input", str(dataset), "--strategy", "lin",
-                   "--models", str(models_dir), "--model", "lr",
-                   "--budget-fraction", "1/8", "--grid", "10,50,100",
-                   "--out", str(tmp_path)])
-        assert rc == 0
-        assert (tmp_path / "strategy_lin_1_8.txt").exists()
-        grid = (tmp_path / "grid_lin_1_8.csv").read_text().splitlines()
-        assert len(grid) == 4
-
         out = tmp_path / "replay"
         argv = ["replay", "--input", str(dataset), "--models", str(models_dir),
                 "--model", "both", "--budget-fraction", "1/32", "--budget-fraction", "1/8",
@@ -192,6 +183,8 @@ class TestTrainCtr:
         assert clicks[0] == "campaign,Const,Rand,Mcpc-L,Mcpc-G,Lin-L,Lin-G"
         assert clicks[-1].startswith("Total,")
         assert (out / "tuned_parameters.txt").exists()
+        grid = (out / "grid_lin-L_1_8.csv").read_text().splitlines()
+        assert grid[0] == "parameter,wins,clicks,convs,cost_fen,score" and len(grid) == 4
         # idempotence: byte-identical tables on a second run
         out2 = tmp_path / "replay2"
         assert main(argv[:-1] + [str(out2)]) == 0
@@ -213,40 +206,88 @@ class TestTrainCtr:
         assert calls == [6000, 2000]  # train columns for every tune call, then test
 
 
-class TestTune:
-    def test_reads_the_train_split_alone(self, dataset, tmp_path):
-        shutil.copytree(dataset / "train", tmp_path / "d" / "train")
-        argv = ["tune", "--strategy", "const", "--grid", "10,50,100"]
-        assert main(argv + ["--input", str(tmp_path / "d"), "--out", str(tmp_path / "alone")]) == 0
-        assert main(argv + ["--input", str(dataset), "--out", str(tmp_path / "both")]) == 0
-        for name in ("strategy_const_1_8.txt", "grid_const_1_8.csv"):  # 1/8 by default
-            assert (tmp_path / "alone" / name).read_bytes() == (tmp_path / "both" / name).read_bytes()
+# The sha256 of each grid file of replay_argv's run at 1/32 and 1/8 on the
+# dataset and models_dir fixtures, as the retired `rtbsim tune` command wrote
+# it for the same family, model, fraction and grid, and of tuned_parameters.txt.
+TUNED_SHA256 = {
+    "grid_const_1_32.csv": "35e6372b94435cfcb03b2faecd9a849b5d80fc384197356debdc27802ddda2ee",
+    "grid_const_1_8.csv": "2f382085eee1d245e2d32bb4d2e7df87bc12f2c583402865c30c0b5fa812a1fc",
+    "grid_rand_1_32.csv": "b0ff5ea5b1fcef2e27e693a60f768081f23a0136581a0633f2386935bd199153",
+    "grid_rand_1_8.csv": "8f6ae86ccaf4c7c283df91fb55a40dac8e796c82769e7ecaeed7a108da4cff1e",
+    "grid_lin-L_1_32.csv": "b2a079d5a1bc7df22b04deadb6c5cdc153e1ba57775295ff69434f859014f2fa",
+    "grid_lin-L_1_8.csv": "ea1c5e1e336b6fc89edc5ccfa7dfef127c5689107126e39a97f25aac1055530b",
+    "grid_lin-G_1_32.csv": "dfb546966ab80d16c9d42727e37ab50c1712bcbbbb20f128852889a98a22478b",
+    "grid_lin-G_1_8.csv": "16705523879564eac9a017b0e7f4500830f3e8674e6e2f827e30e5270bfa5c5a",
+    "tuned_parameters.txt": "2c9127415c3c7f052c51a027a43d5871d0f9c9661d1807a8e61c6e783688e06c",
+}
+
+
+def replay_argv(dataset, models_dir, out, *flags):
+    return ["replay", "--input", str(dataset), "--models", str(models_dir), "--model", "both",
+            "--grid", "5,20,50,100,300", "--out", str(out), *flags]
+
+
+class TestReplayTuning:
+    def test_grid_files_pinned(self, dataset, models_dir, tmp_path):
+        argv = replay_argv(dataset, models_dir, tmp_path, "--budget-fraction", "1/32",
+                           "--budget-fraction", "1/8")
+        assert main(argv) == 0
+        written = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.iterdir()
+                   if not p.name.startswith("table_")}
+        assert written == TUNED_SHA256
 
     def test_each_fraction_tuned_from_one_scoring(self, dataset, models_dir, tmp_path, monkeypatch):
-        argv = ["tune", "--input", str(dataset), "--strategy", "lin", "--models", str(models_dir),
-                "--grid", "10,50,100,300"]
         for frac in ("1/32", "1/8"):
-            assert main(argv + ["--budget-fraction", frac, "--out", str(tmp_path / frac[2:])]) == 0
+            argv = replay_argv(dataset, models_dir, tmp_path / frac[2:], "--budget-fraction", frac)
+            assert main(argv) == 0
         from_cases, score_cases = replay.ReplayData.from_cases, models.CtrScorer.score_cases
         calls = []
 
         def columns(cases):
-            calls.append("columns")
+            calls.append(("columns", len(cases)))
             return from_cases(cases)
 
         def scores(scorer, cases):
-            calls.append("scores")
+            calls.append((scorer.kind, len(cases)))
             return score_cases(scorer, cases)
 
         monkeypatch.setattr(replay.ReplayData, "from_cases", staticmethod(columns))
         monkeypatch.setattr(models.CtrScorer, "score_cases", scores)
         out = tmp_path / "both"
-        rc = main(argv + ["--budget-fraction", "1/32", "--budget-fraction", "1/8", "--out", str(out)])
-        assert rc == 0
-        assert calls == ["scores", "columns"]
-        for tag, single in (("1_32", "32"), ("1_8", "8")):
-            for name in (f"strategy_lin_{tag}.txt", f"grid_lin_{tag}.csv"):
-                assert (out / name).read_bytes() == (tmp_path / single / name).read_bytes()
+        argv = replay_argv(dataset, models_dir, out, "--budget-fraction", "1/32",
+                           "--budget-fraction", "1/8")
+        assert main(argv) == 0
+        assert sorted(calls) == sorted([("lr", 6000), ("lr", 2000), ("gbrt", 6000), ("gbrt", 2000),
+                                        ("columns", 6000), ("columns", 2000)])
+        grids = sorted(p.name for p in out.glob("grid_*.csv"))
+        assert len(grids) == 8
+        for name in grids:
+            single = tmp_path / name.rsplit("_", 1)[1].removesuffix(".csv") / name
+            assert (out / name).read_bytes() == single.read_bytes(), name
+
+    def test_tune_is_not_a_command(self, capsys):
+        with pytest.raises(SystemExit) as exit_:
+            build_parser().parse_args(["tune", "--input", "d", "--out", "o", "--strategy", "const"])
+        assert exit_.value.code == 2
+        assert "invalid choice: 'tune'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags, named", [
+        (["--grid", ""], "--grid ''"),
+        (["--grid", " "], "--grid ' '"),
+        (["--grid", "10,x"], "--grid '10,x'"),
+        (["--grid", "10,-5"], "--grid '10,-5'"),
+        (["--grid", "2.5"], "--grid '2.5'"),
+        (["--grid", "10,50,10"], "--grid lists 10 twice"),
+        (["--strategy", "const", "--strategy", "const"], "--strategy lists const twice"),
+        (["--budget-fraction", "1/8", "--budget-fraction", "0.125"], "--budget-fraction lists 1/8 twice"),
+    ])
+    def test_bad_tuning_flag_fails_before_input(self, tmp_path, capsys, flags, named):
+        argv = ["replay", "--input", str(tmp_path / "nope"), "--out", str(tmp_path / "o"), *flags]
+        rc = main(argv + ([] if "--strategy" in flags else ["--strategy", "const"]))
+        err = capsys.readouterr().err.splitlines()
+        assert rc == 1
+        assert len(err) == 1 and err[0].startswith("error: ValueError: ") and named in err[0]
+        assert not (tmp_path / "o").exists()
 
 
 class TestReplayErrors:
@@ -257,11 +298,12 @@ class TestReplayErrors:
         err = capsys.readouterr().err
         assert "error: FractionOutOfRange:" in err
 
-    def test_tune_fraction_checked_before_input(self, tmp_path, capsys):
-        rc = main(["tune", "--input", str(tmp_path / "nope"), "--strategy", "const",
+    def test_fraction_checked_before_input(self, tmp_path, capsys):
+        rc = main(["replay", "--input", str(tmp_path / "nope"), "--strategy", "const",
                    "--budget-fraction", "3/2", "--out", str(tmp_path / "o")])
         assert rc == 1
         assert "error: FractionOutOfRange:" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_lin_without_models(self, dataset, tmp_path, capsys):
         rc = main(["replay", "--input", str(dataset), "--strategy", "lin",
@@ -269,23 +311,23 @@ class TestReplayErrors:
         assert rc == 1
         assert "error: ValueError" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("command", ["tune", "replay"])
-    def test_no_out_before_the_models_check(self, dataset, tmp_path, capsys, command):
-        rc = main([command, "--input", str(dataset), "--strategy", "lin", "--out", str(tmp_path / "o")])
+    def test_no_out_before_the_models_check(self, dataset, tmp_path, capsys):
+        rc = main(["replay", "--input", str(dataset), "--strategy", "lin", "--out", str(tmp_path / "o")])
         err = capsys.readouterr().err.splitlines()
         assert rc == 1
         assert len(err) == 1 and err[0].startswith("error: ValueError: ") and "lin" in err[0]
         assert "--models" in err[0] and not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("argv, message", [
-        (["tune", "--strategy", "const", "--model", "gbrt"], "--model is read only with --strategy lin"),
-        (["tune", "--strategy", "rand", "--models", "/nonexistent"],
-         "--models is read only with --strategy lin"),
+        (["replay", "--strategy", "rand", "--model", "gbrt"],
+         "--model is read only with --strategy mcpc or lin"),
+        (["replay", "--strategy", "rand", "--models", "/nonexistent"],
+         "--models is read only with --strategy mcpc or lin"),
         (["replay", "--strategy", "const", "--model", "both", "--models", "/nonexistent"],
          "--models is read only with --strategy mcpc or lin"),
         (["replay", "--strategy", "const", "--strategy", "rand", "--model", "lr"],
          "--model is read only with --strategy mcpc or lin"),
-        (["tune", "--strategy", "lin"], "lin needs --models"),
+        (["replay", "--strategy", "lin"], "lin needs --models"),
         (["replay", "--strategy", "mcpc", "--model", "gbrt"], "mcpc needs --models"),
     ])
     def test_model_flags_checked_before_input(self, tmp_path, capsys, argv, message):
@@ -390,22 +432,26 @@ def test_gbrt_chain_output_bytes_pinned(tmp_path, monkeypatch):
     listing = (Path(__file__).parent / "gbrt_chain_seed3.sha256").read_text(encoding="utf-8")
     pinned = {path: digest for digest, path in (ln.split("  ") for ln in listing.splitlines())}
     written = {p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*") if p.is_file()}
-    assert written - UNPINNED == set(pinned)
+    # and the grid of each tuned parameter, whose bytes TestReplayTuning pins
+    tuned = (line.split(": ")[0].split("@") for line in
+             (tmp_path / "replay/tuned_parameters.txt").read_text(encoding="utf-8").splitlines())
+    grids = {f"replay/grid_{key}_{fraction.replace('/', '_')}.csv" for key, fraction in tuned}
+    assert written - UNPINNED == set(pinned) | grids
     changed = [path for path, digest in pinned.items()
                if hashlib.sha256((tmp_path / path).read_bytes()).hexdigest() != digest]
     assert changed == []
 
 
 def test_readme_walkthrough_commands_parse():
-    """Every ``rtbsim ...`` command in README's code blocks parses, so a
-    removed or renamed flag cannot stay in the docs."""
+    """Every ``rtbsim ...`` line of README's walkthrough, its ``\\``
+    continuations joined, parses, and together they run every command, so a
+    removed or renamed command or flag cannot stay in the docs."""
     text = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
-    commands = re.findall(r"^rtbsim (.*)$", text.replace("\\\n", " "), flags=re.M)
-    assert len(commands) >= 6
+    block = re.search(r"^## Pipeline walkthrough\n\n```bash\n(.*?)^```$", text, flags=re.M | re.S)
+    commands = re.findall(r"^rtbsim (.*)$", block[1].replace("\\\n", " "), flags=re.M)
     parser = build_parser()
-    for command in commands:
-        args = parser.parse_args(shlex.split(command))
-        assert callable(args.func), command
+    run = {parser.parse_args(shlex.split(command)).func for command in commands}
+    assert run == {cmd_synth, cmd_stats, cmd_train_ctr, cmd_replay}
 
 
 def test_train_ctr_flag_defaults_are_the_hyper_defaults():
@@ -449,8 +495,6 @@ def _advertiser_commands(data, out):
         ["stats", "--input", str(data / "train"), "--out", str(out / "stats")],
         ["train-ctr", "--input", str(data), "--model", "lr", "--out", models_dir],
         ["train-ctr", "--input", str(data), "--model", "gbrt", "--rounds", "5", "--out", models_dir],
-        ["tune", "--input", str(data), "--strategy", "lin", "--models", models_dir,
-         "--grid", "10,50,100", "--out", str(out / "tune")],
         ["replay", "--input", str(data), "--models", models_dir, "--model", "both",
          "--grid", "10,50,100", "--out", str(out / "replay")],
     ]
