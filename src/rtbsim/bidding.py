@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .logdata import AuctionCase
+from .logdata import AuctionCase, CaseTable
 
 __all__ = [
     "CampaignSpec",
@@ -54,6 +54,10 @@ class CampaignSpec:
     advertiser_id: int
     n_weight: int = 0  # KPI score = clicks + n_weight * conversions
     season: int | None = None
+
+    def __post_init__(self) -> None:
+        if self.n_weight < 0:
+            raise ValueError(f"conversion weight must be >= 0, got {self.n_weight}")
 
 
 # Published conversion weights and seasons for the iPinYou 2013 dataset.
@@ -159,13 +163,15 @@ class LinBid(Strategy):
         return self.base_bid * pctr / self.avg_ctr
 
 
-def estimate_max_ecpc(train: Sequence[AuctionCase]) -> float:
+def estimate_max_ecpc(train: Sequence[AuctionCase] | CaseTable) -> float:
     """Historical cost per click in fen: (sum paying / 1000) / clicks."""
-    clicks = sum(1 for c in train if c.clicked)
+    if isinstance(train, CaseTable):
+        clicks, cost_milli = int(np.count_nonzero(train.clicked)), train.total("paying_price")
+    else:
+        clicks, cost_milli = sum(1 for c in train if c.clicked), sum(c.paying_price for c in train)
     if clicks == 0:
         raise NoClicks("training data has no clicks; max eCPC undefined")
-    cost_fen = sum(c.paying_price for c in train) / 1000.0
-    return cost_fen / clicks
+    return cost_milli / 1000.0 / clicks
 
 
 def _check_pctr(low, high) -> None:

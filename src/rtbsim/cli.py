@@ -16,23 +16,12 @@ import sys
 from collections import Counter
 from pathlib import Path
 
+import numpy as np
+
 from . import bidding, features, kvfile, models, replay, stats, synthgen
-from .logdata import EVENT_LOG, AuctionCase, join_events, load_log
+from .logdata import AuctionCase, CaseTable
 
 __all__ = ["main"]
-
-
-def _find_logs(directory: Path, stems: tuple[str, ...]) -> list[Path]:
-    # Accepts both the generator's single files (imp.txt) and the public
-    # dataset's day-partitioned dumps (imp.20130606.txt.bz2, conv.* stem).
-    for stem in stems:
-        found = sorted(
-            p for p in directory.glob(f"{stem}*")
-            if p.is_file() and (p.name == stem or p.name.startswith(f"{stem}."))
-        )
-        if found:
-            return found
-    raise FileNotFoundError(f"no {stems[0]} log found under {directory}")
 
 
 def _tally(names) -> str:
@@ -52,31 +41,24 @@ def _warn_input_issues(directory: Path, skipped: list, issues: list) -> None:
         print(f"warning: {directory}: {'; '.join(parts)}", file=sys.stderr)
 
 
-def load_cases(directory, strict: bool = False, advertiser: int | None = None) -> list[AuctionCase]:
+def _read_split(directory, strict: bool = False, advertiser: int | None = None) -> CaseTable:
     """The joined cases of the event logs (imp, clk, cnv) under ``directory``:
     ``advertiser``'s, or all of them when they are one advertiser's."""
     directory = Path(directory)
-    sink: list = []
-
-    def read_all(stems: tuple[str, ...]):
-        records = []
-        for path in _find_logs(directory, stems):
-            records.extend(load_log(path, EVENT_LOG, strict, sink))
-        return records
-
-    imps = read_all(("imp",))
-    clks = read_all(("clk",))
-    cnvs = read_all(("cnv", "conv"))
+    skipped: list = []
     issues: list = []
-    cases = join_events(imps, clks, cnvs, issues)
-    _warn_input_issues(directory, sink, issues)
-    if advertiser is not None:
-        return [c for c in cases if c.record.advertiser_id == advertiser]
-    ids = sorted({c.record.advertiser_id for c in cases})
+    table = CaseTable.read(directory, strict, advertiser, skipped, issues)
+    _warn_input_issues(directory, skipped, issues)
+    ids = table.distinct("advertiser_id")
     if len(ids) > 1:
-        raise ValueError(f"{directory} holds advertisers {', '.join(map(str, ids))}; "
+        raise ValueError(f"{directory} holds advertisers {', '.join(map(str, sorted(ids)))}; "
                          "choose one with --advertiser")
-    return cases
+    return table
+
+
+def load_cases(directory, strict: bool = False, advertiser: int | None = None) -> list[AuctionCase]:
+    """The cases of :func:`_read_split`'s table, as records."""
+    return _read_split(directory, strict, advertiser).cases()
 
 
 # ---------------------------------------------------------------------------
@@ -120,8 +102,8 @@ def cmd_synth(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_stats(args) -> int:
-    cases = load_cases(args.input, args.strict, args.advertiser)
-    if not cases:
+    cases = _read_split(args.input, args.strict, args.advertiser)
+    if not len(cases):
         raise ValueError("no cases after loading/filtering")
     summary = stats.campaign_summary(args.bid_count, cases)
     out = Path(args.out)
@@ -139,13 +121,13 @@ def cmd_stats(args) -> int:
 # train-ctr
 # ---------------------------------------------------------------------------
 
-def _load_split(args) -> tuple[list[AuctionCase], list[AuctionCase]]:
+def _load_split(args) -> tuple[CaseTable, CaseTable]:
     root = Path(args.input)
-    train = load_cases(root / "train", args.strict, args.advertiser)
-    test = load_cases(root / "test", args.strict, args.advertiser)
-    if not train or not test:
+    train = _read_split(root / "train", args.strict, args.advertiser)
+    test = _read_split(root / "test", args.strict, args.advertiser)
+    if not len(train) or not len(test):
         raise ValueError("train and test splits must both be nonempty")
-    ids = train[0].record.advertiser_id, test[0].record.advertiser_id
+    ids = train.record(0).advertiser_id, test.record(0).advertiser_id
     if ids[0] != ids[1]:
         raise ValueError(f"the train split holds advertiser {ids[0]} and the test split {ids[1]}")
     return train, test
@@ -191,10 +173,9 @@ def cmd_train_ctr(args) -> int:
     out = Path(args.out)
     scorer.save(out)  # creates out
     scores = scorer.score_cases(test)
-    labels = [1.0 if c.clicked else 0.0 for c in test]
-    report = models.evaluate(scores, labels)
+    report = models.evaluate(scores, test.clicked.astype(np.float64))
     report.save(out / f"eval_{args.model}.txt")
-    models.write_scores_csv([c.bid_id for c in test], scores, out / f"scores_test_{args.model}.csv")
+    models.write_scores_csv(test.lists["bid_id"], scores, out / f"scores_test_{args.model}.csv")
     print(f"train-ctr[{args.model}]: auc={report.auc:.4f} rmse={report.rmse:.5f} n={report.n}")
     return 0
 
@@ -222,8 +203,8 @@ def _grid(text: str | None) -> tuple[int, ...]:
     return tuple(_once("--grid", parts, int))
 
 
-def _campaign_for(cases, kpi_n: int | None) -> bidding.CampaignSpec:
-    adv = cases[0].record.advertiser_id
+def _campaign_for(cases: CaseTable, kpi_n: int | None) -> bidding.CampaignSpec:
+    adv = cases.record(0).advertiser_id
     if kpi_n is not None:
         return bidding.CampaignSpec(adv, kpi_n)
     known = bidding.IPINYOU_CAMPAIGNS.get(adv)
@@ -236,6 +217,8 @@ def cmd_replay(args) -> int:
                       replay.budget_fraction)
     families = _once("--strategy", args.strategy or ["const", "rand", "mcpc", "lin"], str)
     grid = _grid(args.grid)
+    if args.kpi_n is not None and args.kpi_n < 0:
+        raise ValueError(f"--kpi-n {args.kpi_n} must be >= 0: it weighs conversions in the score")
     model_kinds = {"lr": ["lr"], "gbrt": ["gbrt"], "both": ["lr", "gbrt"]}[args.model or "lr"]
     priced = "/".join(f for f in ("mcpc", "lin") if f in families)
     if priced and not args.models:

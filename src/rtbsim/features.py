@@ -17,21 +17,30 @@ holds (an int column or tag, ``weekday()`` and ``hour``, a label, a string),
 which :func:`binarize` and :func:`densify` look up.  Each dict is the exact
 inverse of field_values' spelling, so a loaded entry that no record is
 spelled as (``hour 07``, ``region +5``) matches nothing.
+
+A batch is encoded from the columns of a :class:`~rtbsim.logdata.CaseTable`
+(a case list is made into one): :func:`field_columns` codes each row's value
+of every field into the field's distinct values, deriving weekday and hour
+once per distinct hour of the timestamps, OS and browser once per distinct
+user agent and the floor bucket once per distinct floor price, each by
+:func:`derive_fields` on the first row that holds it.  The vocabulary and
+the encodings count those codes, and :func:`binarize_cases` and
+:func:`densify_cases` look each distinct value up once and gather, so a
+batch row equals its case's :func:`binarize` or :func:`densify` vector.
 """
 
 from __future__ import annotations
 
+import weakref
 from bisect import bisect_left
-from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import chain
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from . import kvfile
-from .logdata import AuctionCase, LogRecord
+from .logdata import AuctionCase, CaseTable, LogRecord, _code
 
 __all__ = [
     "Vocabulary",
@@ -41,6 +50,8 @@ __all__ = [
     "DimensionMismatch",
     "derive_fields",
     "field_values",
+    "FieldColumns",
+    "field_columns",
     "classify_user_agent",
     "floor_price_bucket",
     "build_vocabulary",
@@ -153,6 +164,107 @@ def field_values(record: LogRecord) -> list[tuple[str, str]]:
     return pairs
 
 
+def _spell(name: str, key):
+    """How :func:`field_values` spells field ``name``'s value ``key``, the
+    value a record holds: an int with ``str``, ``weekday()`` by its name,
+    and a label or string as itself.  :func:`_by_field` is its inverse."""
+    return WEEKDAYS[key] if name == "weekday" else str(key) if name in _INT_FIELDS else key
+
+
+@dataclass(frozen=True)
+class FieldColumns:
+    """:func:`field_values`' pairs of a table's rows, as columns.
+
+    For each field of field_values (``tag`` too), ``keys[name]`` holds the
+    distinct values the rows hold, each as a record holds it (the value
+    :func:`binarize` and :func:`densify` look up, with ``weekday()`` for the
+    weekday), and ``codes[name]`` the code of each row's value into it.  A
+    row's distinct tags, in the order it first lists them, are
+    ``codes["tag"][tag_ptr[i]:tag_ptr[i + 1]]`` for row i.
+    """
+
+    codes: dict[str, np.ndarray]
+    keys: dict[str, list]
+    tag_ptr: np.ndarray
+
+    def spelled(self, name: str) -> list[str]:
+        """``keys[name]`` spelled as field_values spells them."""
+        return [_spell(name, key) for key in self.keys[name]]
+
+    def tag_rows(self) -> np.ndarray:
+        """The row of each entry of ``codes["tag"]``."""
+        return np.repeat(np.arange(len(self.tag_ptr) - 1), np.diff(self.tag_ptr))
+
+
+# Each table's FieldColumns, made once while the table lives.
+_FIELD_COLUMNS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+# derive_fields' fields, each with its place in derive_fields' tuple and the
+# table column whose distinct values it is derived from ("hour key", a
+# timestamp to the hour, is no column: field_columns makes it).
+_DERIVED = {"weekday": (0, "hour key"), "hour": (1, "hour key"), "os": (2, "user_agent"),
+            "browser": (3, "user_agent"), "floor_bucket": (4, "slot_floor_price")}
+
+
+def field_columns(cases) -> FieldColumns:
+    """The field columns of ``cases``, a :class:`CaseTable` or a case list.
+
+    Weekday and hour are derived once per distinct hour of the timestamps,
+    OS and browser once per distinct user agent, and the floor bucket once
+    per distinct floor price: each by :func:`derive_fields`, on the first
+    row that holds the value.
+    """
+    table = CaseTable.of(cases)
+    columns = _FIELD_COLUMNS.get(table)
+    if columns is None:
+        columns = _FIELD_COLUMNS[table] = _field_columns(table)
+    return columns
+
+
+def _field_columns(table: CaseTable) -> FieldColumns:
+    sources = dict(table.codes)
+    sources["hour key"], _ = _code([ts.toordinal() * 24 + ts.hour for ts in table.lists["timestamp"]])
+    firsts = {source: np.unique(sources[source], return_index=True)
+              for source in dict.fromkeys(source for _, source in _DERIVED.values())}
+    rows = sorted(set().union(*(first.tolist() for _, first in firsts.values())))
+    derived = {row: derive_fields(table.record(row)) for row in rows}
+    codes, keys = {}, {}
+    for name in _FIELDS:
+        if name in _DERIVED:
+            at, source = _DERIVED[name]
+            present, first = firsts[source]
+            held = [derived[row][at] for row in first.tolist()]
+            if name == "weekday":
+                held = list(map(WEEKDAYS.index, held))
+        else:
+            source, present = name, np.unique(sources[name])
+            held = list(map(table.values[name].__getitem__, present.tolist()))
+        codes[name], keys[name] = _recode(sources[source], present, held)
+    # Each distinct tag list that rows hold, its distinct tags laid end to
+    # end; then each row's run of them.
+    lists = table.codes["user_tags"]
+    present = np.unique(lists)
+    tags = [list(dict.fromkeys(table.values["user_tags"][code])) for code in present.tolist()]
+    length = np.zeros(len(table.values["user_tags"]), np.int64)
+    length[present] = list(map(len, tags))
+    start = np.zeros_like(length)
+    start[present] = np.cumsum(length[present]) - length[present]
+    tag_codes, keys["tag"] = _code([tag for listed in tags for tag in listed])
+    tag_ptr = np.zeros(len(table) + 1, np.int64)
+    np.cumsum(length[lists], out=tag_ptr[1:])
+    codes["tag"] = tag_codes[np.repeat(start[lists] - tag_ptr[:-1], length[lists]) + np.arange(tag_ptr[-1])]
+    return FieldColumns(codes, keys, tag_ptr)
+
+
+def _recode(codes: np.ndarray, present: np.ndarray, held: list) -> tuple[np.ndarray, list]:
+    """``codes`` as codes into the distinct values of ``held``, which holds
+    the value of each code of ``present``."""
+    held_codes, distinct = _code(held)
+    remap = np.zeros(int(present[-1]) + 1 if len(present) else 0, np.int64)
+    remap[present] = held_codes
+    return remap[codes], distinct
+
+
 def _by_field(table: dict, names: tuple[str, ...]) -> tuple[dict, ...]:
     """``table``'s ``(field, value) -> entry`` items as one ``record value ->
     entry`` dict per field of ``names``, in that order.  An item is kept only
@@ -212,12 +324,24 @@ class Vocabulary:
         return cls(index)
 
 
-def build_vocabulary(train: Iterable[AuctionCase]) -> Vocabulary:
-    """First-seen value order over the canonical field order, one pass."""
-    keys = dict.fromkeys(chain.from_iterable(field_values(c.record) for c in train))
-    if not keys:
+def build_vocabulary(train: Iterable[AuctionCase] | CaseTable) -> Vocabulary:
+    """Every (field, value) pair of :func:`field_values` over the cases,
+    indexed in first-seen order: by the first row that holds it, then by
+    its place in that row's pairs."""
+    columns = field_columns(train)
+    if len(columns.tag_ptr) == 1:
         raise EmptyTrainingSet("cannot build a vocabulary from zero cases")
-    return Vocabulary({key: i for i, key in enumerate(keys, 1)})
+    first = []  # (row, place in the row's pairs, field, key code)
+    for place, name in enumerate(_FIELDS):
+        present, rows = np.unique(columns.codes[name], return_index=True)
+        first += zip(rows.tolist(), [place] * len(present), [name] * len(present), present.tolist())
+    present, at = np.unique(columns.codes["tag"], return_index=True)
+    rows = np.searchsorted(columns.tag_ptr, at, side="right") - 1
+    places = len(_FIELDS) + at - columns.tag_ptr[rows]
+    first += zip(rows.tolist(), places.tolist(), ["tag"] * len(present), present.tolist())
+    first.sort()
+    return Vocabulary({(name, _spell(name, columns.keys[name][code])): i
+                       for i, (_, _, name, code) in enumerate(first, 1)})
 
 
 def binarize(record: LogRecord, vocab: Vocabulary) -> np.ndarray:
@@ -276,10 +400,26 @@ class SparseBatch:
         return cls(indptr, indices, np.asarray(labels, dtype=np.float64), dimension)
 
 
-def binarize_cases(cases: Sequence[AuctionCase], vocab: Vocabulary) -> SparseBatch:
-    vectors = [binarize(c.record, vocab) for c in cases]
-    labels = [1.0 if c.clicked else 0.0 for c in cases]
-    return SparseBatch.from_vectors(vectors, labels, vocab.dimension)
+def binarize_cases(cases: Sequence[AuctionCase] | CaseTable, vocab: Vocabulary) -> SparseBatch:
+    """Each case's :func:`binarize` vector, and its click label, as one
+    batch: each field's distinct values are looked up once in
+    ``vocab.tables``."""
+    table = CaseTable.of(cases)
+    columns = field_columns(table)
+    n = len(table)
+    found, rows = [], []
+    for name, lookup in zip((*_FIELDS, "tag"), vocab.tables):
+        index = np.array([lookup.get(key, 0) for key in columns.keys[name]], dtype=np.int64)
+        found.append(index[columns.codes[name]])  # 0 for a miss; indices start at 1
+        rows.append(columns.tag_rows() if name == "tag" else np.arange(n))
+    found, rows = np.concatenate(found), np.concatenate(rows)
+    hit = found > 0
+    found, rows = found[hit], rows[hit]
+    order = np.lexsort((found, rows))
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+    return SparseBatch(indptr, found[order].astype(np.int32), table.clicked.astype(np.float64),
+                       vocab.dimension)
 
 
 # Pseudo-observation mass of the CTR smoothing: alpha + beta = 20 at the
@@ -345,7 +485,7 @@ class CategoryEncodings:
         return cls(table, prior, alpha, beta)
 
 
-def build_encodings(train_subset: Sequence[AuctionCase]) -> CategoryEncodings:
+def build_encodings(train_subset: Sequence[AuctionCase] | CaseTable) -> CategoryEncodings:
     """Fit frequency/CTR encodings on a training subset.
 
     Each category's CTR is smoothed toward the subset's global CTR p with
@@ -353,22 +493,23 @@ def build_encodings(train_subset: Sequence[AuctionCase]) -> CategoryEncodings:
     and beta = 20 (1 - p) non-clicks, so a category seen n times with k
     clicks encodes (k + alpha) / (n + alpha + beta).
     """
-    if not train_subset:
+    table = CaseTable.of(train_subset)
+    if not len(table):
         raise EmptyTrainingSet("cannot fit encodings on zero cases")
-    counts: Counter[tuple[str, str]] = Counter()
-    clicks: Counter[tuple[str, str]] = Counter()
-    for case in train_subset:
-        pairs = field_values(case.record)
-        counts.update(pairs)
-        if case.clicked:
-            clicks.update(pairs)
-    prior = sum(1 for c in train_subset if c.clicked) / len(train_subset)
+    columns = field_columns(table)
+    prior = int(np.count_nonzero(table.clicked)) / len(table)
     alpha = SMOOTHING_PSEUDO_COUNT * prior
     beta = SMOOTHING_PSEUDO_COUNT * (1.0 - prior)
     denom = alpha + beta  # n + (alpha + beta): n + alpha + beta rounds differently
-    table = {key: (0 if key[0] == "tag" else n, (clicks[key] + alpha) / (n + denom))
-             for key, n in counts.items()}
-    return CategoryEncodings(table, prior, alpha, beta)
+    encoded = {}
+    for name in (*_FIELDS, "tag"):
+        codes, size = columns.codes[name], len(columns.keys[name])
+        clicked = table.clicked[columns.tag_rows()] if name == "tag" else table.clicked
+        counts = np.bincount(codes, minlength=size).tolist()
+        clicks = np.bincount(codes[clicked], minlength=size).tolist()
+        for value, n, k in zip(columns.spelled(name), counts, clicks):
+            encoded[(name, value)] = (0 if name == "tag" else n, (k + alpha) / (n + denom))
+    return CategoryEncodings(encoded, prior, alpha, beta)
 
 
 def feature_manifest() -> tuple[str, ...]:
@@ -386,34 +527,52 @@ def densify(record: LogRecord, encodings: CategoryEncodings) -> np.ndarray:
     prior = encodings.prior
     unseen, ts = (0, prior), record.timestamp
     os_key, browser_key = classify_user_agent(record.user_agent)
-    # The distinct tags' CTRs added in sequence from 0.0: builtin sum compensates
-    # from Python 3.12 on, which would change the column, and so the model files.
-    tag_ctr, tag_sum, tags = encodings.tag_ctr, 0.0, dict.fromkeys(record.user_tags)
-    for tag in tags:
-        tag_sum += tag_ctr.get(tag, prior)
     row = (*weekday.get(ts.weekday(), unseen), *os_label.get(os_key, unseen), *browser.get(browser_key, unseen),
            *region.get(record.region, unseen), *city.get(record.city, unseen),
            *ad_exchange.get(record.ad_exchange, unseen), *domain.get(record.domain, unseen),
            *slot_id.get(record.slot_id, unseen), *visibility.get(record.slot_visibility, unseen),
            *slot_format.get(record.slot_format, unseen), *creative_id.get(record.creative_id, unseen),
-           tag_sum / len(tags) if tags else prior, record.slot_width, record.slot_height,
+           _tag_mean(record.user_tags, encodings.tag_ctr, prior), record.slot_width, record.slot_height,
            record.slot_floor_price, ts.hour)
     return np.fromiter(row, np.float64, len(row))
 
 
+def _tag_mean(user_tags, tag_ctr: dict, prior: float) -> float:
+    """The mean CTR of the distinct tags, ``prior`` for an unseen one, or
+    ``prior`` without tags."""
+    # Added in sequence from 0.0: builtin sum compensates from Python 3.12
+    # on, which would change the column, and so the model files.
+    total, tags = 0.0, dict.fromkeys(user_tags)
+    for tag in tags:
+        total += tag_ctr.get(tag, prior)
+    return total / len(tags) if tags else prior
+
+
 def densify_cases(
-    cases: Sequence[AuctionCase], encodings: CategoryEncodings,
+    cases: Sequence[AuctionCase] | CaseTable, encodings: CategoryEncodings,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(matrix, labels) for a batch of cases."""
-    x = np.empty((len(cases), len(DEFAULT_MANIFEST)), dtype=np.float64)
-    y = np.empty(len(cases), dtype=np.float64)
-    for i, case in enumerate(cases):
-        x[i] = densify(case.record, encodings)
-        y[i] = 1.0 if case.clicked else 0.0
-    return x, y
+    """(matrix, labels) for a batch of cases: each row the case's
+    :func:`densify` vector.  Each field's distinct values are looked up once
+    in ``encodings.by_field``, and the tag mean is taken once per distinct
+    tag list."""
+    table = CaseTable.of(cases)
+    columns = field_columns(table)
+    x = np.empty((len(table), len(DEFAULT_MANIFEST)), dtype=np.float64)
+    unseen = (0, encodings.prior)
+    for j, (name, lookup) in enumerate(zip(GBRT_CATEGORICAL_FIELDS, encodings.by_field)):
+        entries = np.array([lookup.get(key, unseen) for key in columns.keys[name]], dtype=np.float64)
+        x[:, 2 * j:2 * j + 2] = entries.reshape(-1, 2)[columns.codes[name]]
+    at = 2 * len(GBRT_CATEGORICAL_FIELDS)
+    means = [_tag_mean(tags, encodings.tag_ctr, encodings.prior) for tags in table.values["user_tags"]]
+    x[:, at] = np.array(means, dtype=np.float64)[table.codes["user_tags"]]
+    for j, name in enumerate(("slot_width", "slot_height", "slot_floor_price"), at + 1):
+        x[:, j] = np.array(table.values[name], dtype=np.float64)[table.codes[name]]
+    x[:, -1] = np.array(columns.keys["hour"], dtype=np.float64)[columns.codes["hour"]]
+    return x, table.clicked.astype(np.float64)
 
 
-def encoding_split(cases: Sequence[AuctionCase]) -> list[AuctionCase]:
+def encoding_split(cases: Sequence[AuctionCase] | CaseTable) -> list[AuctionCase] | CaseTable:
     """The first half of the training cases in time order, reserved for
     fitting encodings, so the encoded period is disjoint from the fitted one."""
-    return list(cases[:max(1, len(cases) // 2)])
+    half = slice(0, max(1, len(cases) // 2))
+    return cases.take(half) if isinstance(cases, CaseTable) else list(cases[half])

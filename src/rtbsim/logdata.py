@@ -18,6 +18,17 @@ Every :class:`LogRecord` the package makes, parsed, copied by
 without the frozen dataclass ``__init__`` and its ``object.__setattr__``
 call per field.
 
+The commands read a split into a :class:`CaseTable`, its joined cases as
+columns, without making a record per line.  :func:`read_columns` reads a
+log in blocks of whole lines, splits each block into lines and tabs once,
+checks each line's column count, and parses each column's distinct texts
+once with that column's parser (the near-distinct timestamps row by row).
+A line that fails goes to :func:`parse_record` for its error, so the
+per-line parser stays the one definition of a bad line: strict mode raises
+the first, lenient mode skips each.  The table and :func:`join_events`
+share one join.  :meth:`CaseTable.cases` builds the records back, equal to
+the per-line path's.
+
 All price columns are integers under the CPM convention: the logged value
 is the price of one thousand impressions expressed in Chinese fen, so the
 cost of a single impression in fen is ``paying_price / 1000``.  Derived
@@ -31,8 +42,12 @@ import gzip
 import io
 from dataclasses import dataclass
 from datetime import datetime
+from itertools import chain, repeat
 from operator import attrgetter
+from pathlib import Path
 from typing import Iterable, Iterator
+
+import numpy as np
 
 __all__ = [
     "MoneyMilli",
@@ -51,9 +66,11 @@ __all__ = [
     "SchemaMismatch",
     "MissingValue",
     "JoinIssue",
+    "CaseTable",
     "parse_record",
     "serialize_record",
     "load_log",
+    "read_columns",
     "join_events",
 ]
 
@@ -115,12 +132,13 @@ class MissingValue(ValueError):
 def _parse_timestamp(raw: str) -> datetime:
     if len(raw) != TIMESTAMP_DIGITS or not raw.isdigit():
         raise TimestampFormatError(raw)
-    try:
-        return datetime(
-            int(raw[0:4]), int(raw[4:6]), int(raw[6:8]),
-            int(raw[8:10]), int(raw[10:12]), int(raw[12:14]),
-            int(raw[14:17]) * 1000,
-        )
+    try:  # the digits as one int, then each field's digits from its low end
+        stamp, millisecond = divmod(int(raw), 1000)
+        stamp, second = divmod(stamp, 100)
+        stamp, minute = divmod(stamp, 100)
+        stamp, hour = divmod(stamp, 100)
+        year_month, day = divmod(stamp, 100)
+        return datetime(*divmod(year_month, 100), day, hour, minute, second, millisecond * 1000)
     except ValueError:
         raise TimestampFormatError(raw) from None
 
@@ -433,35 +451,45 @@ def join_events(
     no matching impression are reported as orphans rather than failing.
     Output is sorted by ascending timestamp with bid_id as the tie-break.
     """
+    imps = list(impressions)
+    rows, clicked, converted = _join(
+        [r.bid_id for r in imps], [r.timestamp for r in imps], [r.bid_price for r in imps],
+        [r.paying_price for r in imps], [r.bid_id for r in clicks], [r.bid_id for r in conversions],
+        issue_sink)
+    return [_make_case(imps[row], c, v) for row, c, v in zip(rows, clicked, converted)]
+
+
+def _join(bid_ids, timestamps, bid_prices, paying_prices, click_ids, conversion_ids,
+          issue_sink: list[JoinIssue] | None) -> tuple[list[int], list[bool], list[bool]]:
+    """The join of :func:`join_events` over impression columns, one value
+    per impression: the rows kept, in (timestamp, bid_id) order, and each
+    one's clicked and converted flags."""
     def report(kind: str, bid_id: str) -> None:
         if issue_sink is not None:
             issue_sink.append(JoinIssue(kind, bid_id))
 
-    by_id: dict[str, LogRecord] = {}
-    for rec in impressions:
-        if rec.bid_id in by_id:
-            report("duplicate_impression", rec.bid_id)
+    first: dict[str, int] = {}  # bid_id -> the row of its first impression
+    for row, (bid_id, bid, paying) in enumerate(zip(bid_ids, bid_prices, paying_prices)):
+        if bid_id in first:
+            report("duplicate_impression", bid_id)
             continue
-        if rec.paying_price is None or rec.bid_price <= rec.paying_price:
-            report("price_invariant", rec.bid_id)
-        by_id[rec.bid_id] = rec
+        if paying is None or bid <= paying:
+            report("price_invariant", bid_id)
+        first[bid_id] = row
 
-    clicked: set[str] = set()
-    for rec in clicks:
-        if rec.bid_id in by_id:
-            clicked.add(rec.bid_id)
-        else:
-            report("orphan_click", rec.bid_id)
-    converted: set[str] = set()
-    for rec in conversions:
-        if rec.bid_id in by_id:
-            converted.add(rec.bid_id)
-        else:
-            report("orphan_conversion", rec.bid_id)
+    flagged = []
+    for kind, ids in (("orphan_click", click_ids), ("orphan_conversion", conversion_ids)):
+        hit: set[str] = set()
+        for bid_id in ids:
+            if bid_id in first:
+                hit.add(bid_id)
+            else:
+                report(kind, bid_id)
+        flagged.append(hit)
 
-    cases = [_make_case(rec, rec.bid_id in clicked, rec.bid_id in converted) for rec in by_id.values()]
-    cases.sort(key=lambda c: (c.record.timestamp, c.record.bid_id))
-    return cases
+    keys = list(zip(timestamps, bid_ids))
+    rows = sorted(first.values(), key=keys.__getitem__)
+    return rows, *([bid_ids[row] in hit for row in rows] for hit in flagged)
 
 
 def as_event(record: LogRecord, log_type: LogType) -> LogRecord:
@@ -469,3 +497,256 @@ def as_event(record: LogRecord, log_type: LogType) -> LogRecord:
     values = list(EVENT_LOG.values(record))
     values[_LOG_TYPE_AT] = log_type
     return _make_record(values)
+
+
+# ---------------------------------------------------------------------------
+# Column tables
+# ---------------------------------------------------------------------------
+
+# The columns a CaseTable holds as plain lists, one value per row: nearly
+# every row holds its own value, so codes would save nothing.
+LIST_COLUMNS = ("bid_id", "timestamp", "ipinyou_id", "ip")
+
+def _code(items) -> tuple[np.ndarray, list]:
+    """Each item's int64 code into the list of the distinct items, in the
+    order each first appears."""
+    index = {item: code for code, item in enumerate(dict.fromkeys(items))}
+    return np.fromiter(map(index.__getitem__, items), np.int64, len(items)), list(index)
+
+
+def _find_logs(directory: Path, stems: tuple[str, ...]) -> list[Path]:
+    # Accepts both the generator's single files (imp.txt) and the public
+    # dataset's day-partitioned dumps (imp.20130606.txt.bz2, conv.* stem).
+    for stem in stems:
+        found = sorted(
+            p for p in directory.glob(f"{stem}*")
+            if p.is_file() and (p.name == stem or p.name.startswith(f"{stem}."))
+        )
+        if found:
+            return found
+    raise FileNotFoundError(f"no {stems[0]} log found under {directory}")
+
+
+def _line_error(line: str, line_no: int) -> LogParseError:
+    """The error :func:`parse_record` raises for a bad event-log line."""
+    try:
+        parse_record(line, EVENT_LOG, line_no)
+    except LogParseError as exc:
+        return exc
+    raise AssertionError(f"line {line_no} parses, but a column of it did not")
+
+
+def _parse_column(parse, texts) -> tuple[list, list[int]]:
+    """``parse`` of each text, and the positions of the texts it rejects
+    (whose values read None)."""
+    values, rejected = [], []
+    for at, text in enumerate(texts):
+        try:
+            values.append(parse(text))
+        except (ValueError, KeyError):
+            values.append(None)
+            rejected.append(at)
+    return values, rejected
+
+
+def _columns(texts: list) -> tuple[list, set[int]]:
+    """The columns of event-log lines, from the text of each column, and
+    the rows that hold a text their column rejects.  A list column is one
+    value per row; a coded one is (codes, distinct values)."""
+    columns, rejected = [], set()
+    for name, parse, column in zip(EVENT_COLUMNS, EVENT_LOG.parsers, texts):
+        if name in LIST_COLUMNS:
+            values, bad = (column, []) if parse is str.__str__ else _parse_column(parse, column)
+            columns.append(values)
+        else:  # codes into the distinct texts, then into their distinct values
+            codes, distinct = _code(column)
+            bad = []
+            if parse is not str.__str__:
+                parsed, bad = _parse_column(parse, distinct)
+                bad = np.flatnonzero(np.isin(codes, bad)).tolist()
+                value_codes, distinct = _code(parsed)  # a rejected text's row is dropped
+                codes = value_codes[codes]
+            columns.append((codes, distinct))
+        rejected.update(bad)
+    return columns, rejected
+
+
+def _line_blocks(fh, size: int = 1 << 22) -> Iterator[list[str]]:
+    """The lines of a text file, without their newlines, in blocks of whole
+    lines read about ``size`` characters at a time."""
+    rest = ""
+    while block := fh.read(size):
+        lines = (rest + block).split("\n")
+        rest = lines.pop()
+        yield lines
+    if rest:
+        yield [rest]
+
+
+def _block_columns(lines: list[str], first_line: int, strict: bool,
+                   error_sink: list | None) -> list:
+    """:func:`_columns` of the good ones of ``lines``, the first of which
+    is line ``first_line`` of its file; the bad ones raise or are sunk."""
+    width = EVENT_LOG.column_count
+    at, bad = range(len(lines)), set()  # each good row's line, and the bad lines
+    if lines and all(tabs == width - 1 for tabs in map(str.count, lines, repeat("\t"))):
+        cells = "\t".join(lines).split("\t")  # one list: no list per line for the GC to track
+        texts = [cells[j::width] for j in range(width)]
+    else:
+        rows = [line.split("\t") for line in lines]
+        at = [i for i, row in enumerate(rows) if len(row) == width]
+        bad = {i for i, row in enumerate(rows) if len(row) != width and lines[i]}  # blank is skipped
+        texts = list(zip(*(rows[i] for i in at))) or [()] * width
+    columns, rejected = _columns(texts)
+    if rejected:
+        bad.update(at[g] for g in rejected)
+        columns, _ = _columns([[t for g, t in enumerate(column) if g not in rejected] for column in texts])
+    if bad:
+        errors = [_line_error(lines[i], first_line + i) for i in sorted(bad)]
+        if strict:
+            raise errors[0]
+        if error_sink is not None:
+            error_sink.extend(errors)
+    return columns
+
+
+def read_columns(paths, strict: bool = True, error_sink: list | None = None) -> CaseTable:
+    """The event-log lines of ``paths``, in file order, as a table of
+    unjoined rows (none clicked or converted), without the bad lines.
+
+    Each file is read in blocks of whole lines, about 4 MB at a time, each
+    split into lines and tabs once, with lines as :func:`load_log` reads
+    them.  Each coded column's distinct texts in a block are parsed once,
+    by its :data:`TEXT_FORMS` parser, and the timestamps row by row; text
+    is kept as written.  A line whose column count is wrong, or that holds
+    a text its column rejects, is named by :func:`parse_record`'s error:
+    strict mode raises the first in file order, and lenient mode appends
+    each to ``error_sink`` (when given) and drops it.
+    """
+    blocks = []
+    for path in paths:
+        with _open_maybe_gzip(path) as fh:
+            first_line = 1
+            for lines in _line_blocks(fh):
+                blocks.append(_block_columns(lines, first_line, strict, error_sink))
+                first_line += len(lines)
+    codes, values, lists = {}, {}, {}
+    for name, pieces in zip(EVENT_COLUMNS, zip(*blocks) if blocks else [()] * len(EVENT_COLUMNS)):
+        if name in LIST_COLUMNS:
+            lists[name] = list(chain.from_iterable(pieces))
+        else:  # each block's codes into the distinct values of all of them
+            index: dict = {}
+            codes[name] = np.concatenate([np.empty(0, np.int64)] + [
+                np.array([index.setdefault(v, len(index)) for v in distinct], np.int64)[c]
+                for c, distinct in pieces])
+            values[name] = list(index)
+    n = len(lists["bid_id"])
+    return CaseTable(codes, values, lists, np.zeros(n, dtype=bool), np.zeros(n, dtype=bool))
+
+
+class CaseTable:
+    """A split's joined, time-sorted cases, as columns.
+
+    Each of :data:`LIST_COLUMNS` is ``lists[name]``, a list with one value
+    per row; every other column is ``codes[name]``, an int64 code per row
+    into ``values[name]``, the list of the column's distinct values.  Values are those :func:`parse_record` gives.  ``clicked`` and
+    ``converted`` are bool arrays.
+
+    :meth:`read` builds a table from the log text, :meth:`of` from cases,
+    and :meth:`cases` builds the cases back, each record by
+    ``_make_record``.
+    """
+
+    def __init__(self, codes: dict[str, np.ndarray], values: dict[str, list],
+                 lists: dict[str, list], clicked: np.ndarray, converted: np.ndarray):
+        self.codes = codes
+        self.values = values
+        self.lists = lists
+        self.clicked = clicked
+        self.converted = converted
+
+    def __len__(self) -> int:
+        return len(self.clicked)
+
+    @classmethod
+    def read(cls, directory, strict: bool = False, advertiser: int | None = None,
+             error_sink: list | None = None, issue_sink: list | None = None) -> "CaseTable":
+        """The joined cases of the event logs (imp, clk, cnv) under
+        ``directory``, or only ``advertiser``'s.
+
+        The logs are read by :func:`read_columns`, which parses each
+        column's distinct texts once and names bad lines, and joined as
+        :func:`join_events` joins records.  Skipped lines go to
+        ``error_sink`` and join issues to ``issue_sink``.
+        """
+        directory = Path(directory)
+        imps, clicks, conversions = (read_columns(_find_logs(directory, stems), strict, error_sink)
+                                     for stems in (("imp",), ("clk",), ("cnv", "conv")))
+        rows, clicked, converted = _join(
+            imps.lists["bid_id"], imps.lists["timestamp"], imps.column("bid_price"),
+            imps.column("paying_price"), clicks.lists["bid_id"], conversions.lists["bid_id"],
+            issue_sink)
+        table = imps.take(np.array(rows, dtype=np.int64))
+        table.clicked, table.converted = np.array(clicked, dtype=bool), np.array(converted, dtype=bool)
+        if advertiser is not None:
+            ids = [code for code, value in enumerate(table.values["advertiser_id"]) if value == advertiser]
+            table = table.take(np.flatnonzero(np.isin(table.codes["advertiser_id"], ids)))
+        return table
+
+    @classmethod
+    def of(cls, cases: Iterable[AuctionCase]) -> "CaseTable":
+        """``cases`` itself if it is a CaseTable, else the table of the
+        cases, in their order."""
+        if isinstance(cases, cls):
+            return cases
+        cases = list(cases)
+        columns = list(zip(*(EVENT_LOG.values(c.record) for c in cases))) or [()] * len(EVENT_COLUMNS)
+        codes, values, lists = {}, {}, {}
+        for name, column in zip(EVENT_COLUMNS, columns):
+            if name in LIST_COLUMNS:
+                lists[name] = list(column)
+            else:
+                codes[name], values[name] = _code(column)
+        n = len(cases)
+        return cls(codes, values, lists, np.fromiter((c.clicked for c in cases), bool, n),
+                   np.fromiter((c.converted for c in cases), bool, n))
+
+    def take(self, rows) -> "CaseTable":
+        """The table of ``rows``, an index array or a slice, in that order."""
+        at = range(len(self))[rows] if isinstance(rows, slice) else rows.tolist()
+        return CaseTable({name: c[rows] for name, c in self.codes.items()}, self.values,
+                         {name: list(map(items.__getitem__, at)) for name, items in self.lists.items()},
+                         self.clicked[rows], self.converted[rows])
+
+    def column(self, name: str) -> list:
+        """Each row's value of column ``name``."""
+        if name in self.lists:
+            return self.lists[name]
+        return list(map(self.values[name].__getitem__, self.codes[name].tolist()))
+
+    def ints(self, name: str) -> np.ndarray:
+        """Each row's value of an integer column, as int64; an absent value
+        (a bid log's paying price) reads 0, as in
+        :attr:`AuctionCase.paying_price`."""
+        present = [0 if value is None else value for value in self.values[name]]
+        return np.array(present, dtype=np.int64)[self.codes[name]]
+
+    def total(self, name: str) -> int:
+        """The exact sum of an integer column, as a Python int; an absent
+        value reads 0."""
+        counts = np.bincount(self.codes[name], minlength=len(self.values[name])).tolist()
+        return sum(count * value for count, value in zip(counts, self.values[name]) if value is not None)
+
+    def distinct(self, name: str) -> list:
+        """The values of column ``name`` that some row holds, in code order."""
+        return list(map(self.values[name].__getitem__, np.unique(self.codes[name]).tolist()))
+
+    def record(self, row: int) -> LogRecord:
+        """Row ``row``'s record."""
+        return _make_record([self.lists[name][row] if name in self.lists
+                             else self.values[name][self.codes[name][row]] for name in EVENT_COLUMNS])
+
+    def cases(self) -> list[AuctionCase]:
+        """The rows as cases, in order."""
+        records = map(_make_record, zip(*map(self.column, EVENT_COLUMNS)))
+        return list(map(_make_case, records, self.clicked.tolist(), self.converted.tolist()))

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import bidding, kernels
 from .bidding import CampaignSpec, Strategy
-from .logdata import AuctionCase
+from .logdata import AuctionCase, CaseTable
 
 __all__ = [
     "STANDARD_FRACTIONS",
@@ -64,20 +64,26 @@ class ReplayData:
         return len(self.paying)
 
     @classmethod
-    def from_cases(cls, cases: Sequence[AuctionCase]) -> "ReplayData":
-        # The records' slots, read directly: AuctionCase's properties cost a call each.
-        records = [c.record for c in cases]
-        ts = [r.timestamp for r in records]
+    def from_cases(cls, cases: Sequence[AuctionCase] | CaseTable) -> "ReplayData":
+        """The columns of a case list, or of a :class:`CaseTable`'s."""
+        if isinstance(cases, CaseTable):
+            ts = cases.lists["timestamp"]
+            columns = (cases.ints("paying_price"), cases.ints("slot_floor_price"), cases.clicked,
+                       cases.converted)
+        else:  # the records' slots, read directly: AuctionCase's properties cost a call each
+            records = [c.record for c in cases]
+            ts = [r.timestamp for r in records]
+            n = len(records)
+            columns = (
+                np.fromiter((0 if r.paying_price is None else r.paying_price for r in records),
+                            dtype=np.int64, count=n),
+                np.fromiter((r.slot_floor_price for r in records), dtype=np.int64, count=n),
+                np.fromiter((c.clicked for c in cases), dtype=bool, count=n),
+                np.fromiter((c.converted for c in cases), dtype=bool, count=n),
+            )
         if not all(map(operator.le, ts, ts[1:])):
             raise UnsortedInput("cases must be sorted by ascending timestamp")
-        n = len(records)
-        return cls(
-            paying=np.fromiter((0 if r.paying_price is None else r.paying_price for r in records),
-                               dtype=np.int64, count=n),
-            floor=np.fromiter((r.slot_floor_price for r in records), dtype=np.int64, count=n),
-            clicked=np.fromiter((c.clicked for c in cases), dtype=bool, count=n),
-            converted=np.fromiter((c.converted for c in cases), dtype=bool, count=n),
-        )
+        return cls(*columns)
 
     @classmethod
     def of(cls, cases) -> "ReplayData":

@@ -6,19 +6,24 @@ denominator come back absent (None), never NaN.
 
 Breakdowns group cases by the ``(field, value)`` pairs that
 :func:`rtbsim.features.field_values` gives, the one definition of a
-record's fields, walked once per case: each breakdown key groups by one of
-its fields, except ``slot_size``, which joins the record's width and height.
+record's fields, read as the columns of :func:`rtbsim.features.field_columns`:
+each breakdown key groups by one of its fields, except ``slot_size``, which
+joins each distinct (width, height).  Each group's tallies are sums over
+its codes: ``bincount`` for cases and clicks, and ``add.at`` for the
+prices, exact where float weights would round.  Both functions take a case
+list or a :class:`~rtbsim.logdata.CaseTable`.
 """
 
 from __future__ import annotations
 
 import math
-from collections import defaultdict
 from dataclasses import dataclass
 from typing import Sequence
 
-from .features import BROWSER_LABELS, OS_LABELS, WEEKDAYS, field_values
-from .logdata import SLOT_FORMATS, SLOT_VISIBILITIES, AuctionCase
+import numpy as np
+
+from .features import BROWSER_LABELS, OS_LABELS, WEEKDAYS, field_columns
+from .logdata import SLOT_FORMATS, SLOT_VISIBILITIES, AuctionCase, CaseTable
 
 __all__ = [
     "CampaignSummary",
@@ -34,7 +39,7 @@ __all__ = [
 ]
 
 # field_values field -> the breakdown key that groups by it, in breakdown
-# order; _tally adds the slot_size pair.
+# order; slot_size joins the slot_width and slot_height fields.
 _FIELD_KEY = {
     "weekday": "weekday", "hour": "hour", "os": "os", "browser": "browser",
     "region": "region", "slot_size": "slot_size", "slot_visibility": "visibility",
@@ -73,16 +78,17 @@ class CampaignSummary:
         )
 
 
-def campaign_summary(bid_count: int, cases: Sequence[AuctionCase]) -> CampaignSummary:
+def campaign_summary(bid_count: int, cases: Sequence[AuctionCase] | CaseTable) -> CampaignSummary:
     """Summary over joined cases; bid_count 0 means win ratio unknown, and
     any other count must be at least the impressions won."""
-    imps = len(cases)
+    table = CaseTable.of(cases)
+    imps = len(table)
     if bid_count != 0 and bid_count < imps:
         raise ValueError(f"bid count {bid_count} must be 0 (unknown) or at least the "
                          f"{imps} impressions")
-    clicks = sum(1 for c in cases if c.clicked)
-    convs = sum(1 for c in cases if c.converted)
-    cost_milli = sum(c.paying_price for c in cases)
+    clicks = int(np.count_nonzero(table.clicked))
+    convs = int(np.count_nonzero(table.converted))
+    cost_milli = table.total("paying_price")
     return CampaignSummary.from_tallies(bid_count, imps, clicks, convs, cost_milli / 1000.0)
 
 
@@ -102,29 +108,38 @@ class FeatureBreakdown:
     rows: list[BreakdownRow]
 
 
-def _tally(cases: Sequence[AuctionCase]) -> dict[str, dict[str, list]]:
+def _tally(cases: Sequence[AuctionCase] | CaseTable) -> dict[str, dict[str, list]]:
     """key -> label -> [n, clicks, sum_price, sum_price_sq] for every
-    FEATURE_KEYS key, in one pass.
+    FEATURE_KEYS key, over the labels some case holds.
 
-    A case counts once in each tag group it carries: field_values gives
+    A case counts once in each tag group it carries: field_columns gives
     each distinct tag once.
     """
-    acc = {key: defaultdict(lambda: [0, 0, 0, 0]) for key in FEATURE_KEYS}
-    groups_of = {field: acc[key] for field, key in _FIELD_KEY.items()}
-    for case in cases:
-        r = case.record
-        pairs = field_values(r)
-        pairs.append(("slot_size", f"{r.slot_width}×{r.slot_height}"))
-        clicked = 1 if case.clicked else 0
-        price = case.paying_price
-        for field, label in pairs:
-            groups = groups_of.get(field)
-            if groups is not None:
-                a = groups[label]
-                a[0] += 1
-                a[1] += clicked
-                a[2] += price
-                a[3] += price * price
+    table = CaseTable.of(cases)
+    columns = field_columns(table)
+    clicked, paying = table.clicked, [0 if p is None else p for p in table.values["paying_price"]]
+    # A group's price sums are exact in int64 unless a sum of squares could
+    # pass 2**63; Python ints (object) are exact at any size.
+    exact = np.int64 if max(paying, default=0) ** 2 * len(table) < 2**63 else object
+    price = np.array(paying, dtype=exact)[table.codes["paying_price"]]
+    width, height = columns.codes["slot_width"], columns.codes["slot_height"]
+    sizes = len(columns.keys["slot_height"])
+    size_keys, size_codes = np.unique(width * sizes + height, return_inverse=True)
+    widths, heights = columns.keys["slot_width"], columns.keys["slot_height"]
+    size_labels = [f"{widths[k // sizes]}×{heights[k % sizes]}" for k in size_keys.tolist()]
+    acc = {}
+    for field, key in _FIELD_KEY.items():
+        if field == "slot_size":
+            codes, labels, rows = size_codes, size_labels, slice(None)
+        else:
+            codes, labels = columns.codes[field], columns.spelled(field)
+            rows = columns.tag_rows() if field == "tag" else slice(None)
+        tallies = [np.bincount(codes, minlength=len(labels)),
+                   np.bincount(codes[clicked[rows]], minlength=len(labels))]
+        for weight in (price[rows], price[rows] * price[rows]):
+            tallies.append(np.zeros(len(labels), exact))
+            np.add.at(tallies[-1], codes, weight)
+        acc[key] = {label: list(t) for label, *t in zip(labels, *(t.tolist() for t in tallies))}
     return acc
 
 
@@ -146,9 +161,9 @@ def _sort_key(key: str):
     return lambda label: (order.get(label, len(order)), label)
 
 
-def feature_breakdowns(cases: Sequence[AuctionCase]) -> list[FeatureBreakdown]:
+def feature_breakdowns(cases: Sequence[AuctionCase] | CaseTable) -> list[FeatureBreakdown]:
     """Every (key, metric) breakdown, in FEATURE_KEYS x METRICS order, from
-    one pass over the cases: per group, (n, mean, standard error).
+    one tally of the cases: per group, (n, mean, standard error).
 
     CTR uses the Bernoulli standard error sqrt(m(1-m)/n); market price uses
     the sample standard error; eCPC groups without a click are reported
@@ -156,9 +171,10 @@ def feature_breakdowns(cases: Sequence[AuctionCase]) -> list[FeatureBreakdown]:
     tag groups are re-indexed 1..K by descending frequency (original id
     kept in raw_label).
     """
-    if not cases:
+    table = CaseTable.of(cases)
+    if not len(table):
         raise ValueError("breakdown needs at least one case")
-    acc = _tally(cases)
+    acc = _tally(table)
     return [_breakdown(key, metric, acc[key]) for key in FEATURE_KEYS for metric in METRICS]
 
 

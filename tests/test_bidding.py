@@ -28,6 +28,12 @@ from rtbsim.models import EvalReport, GbrtHyper, LrHyper
 from conftest import make_case
 
 
+def test_campaign_spec_rejects_a_negative_conversion_weight():
+    assert CampaignSpec(1, 0).n_weight == 0
+    with pytest.raises(ValueError, match="^conversion weight must be >= 0, got -1$"):
+        CampaignSpec(1, -1)
+
+
 class TestMaxEcpc:
     def test_published_scale_ratio(self):
         # 212,400 fen over 2,454 clicks, the training cost/clicks of the

@@ -290,6 +290,16 @@ class TestReplayTuning:
         assert not (tmp_path / "o").exists()
 
 
+def test_negative_kpi_n_fails_before_input(dataset, tmp_path, capsys):
+    # A negative conversion weight would tune toward fewer conversions.
+    argv = ["replay", "--input", str(dataset), "--out", str(tmp_path / "o"), "--strategy", "const",
+            "--grid", "10,50", "--budget-fraction", "1/8", "--kpi-n", "-5"]
+    assert main(argv) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: ValueError: --kpi-n -5 must be >= 0: it weighs conversions in the score"]
+    assert not (tmp_path / "o").exists()
+
+
 class TestReplayErrors:
     def test_fraction_out_of_range(self, dataset, capsys):
         rc = main(["replay", "--input", str(dataset), "--budget-fraction", "2",
