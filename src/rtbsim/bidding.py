@@ -6,7 +6,8 @@ emitted in the same CPM milli-fen units as the logs; the eCPC family
 carries an explicit x1000 bridge from fen-per-click to those units.  Each
 pCTR strategy class holds its own bid formula (``raw_bid``), which
 :func:`compute_bid` and :func:`bid_vector` only round, after one pCTR
-validity check.
+validity check.  Bids are int64 columns, so a bid of 2**63 or more fails
+both paths with :class:`BidOverflow` (:func:`check_bid`).
 """
 
 from __future__ import annotations
@@ -29,6 +30,8 @@ __all__ = [
     "LinBid",
     "NoClicks",
     "MissingPctr",
+    "BidOverflow",
+    "check_bid",
     "estimate_max_ecpc",
     "compute_bid",
     "bid_vector",
@@ -45,6 +48,22 @@ class NoClicks(ValueError):
 
 class MissingPctr(ValueError):
     pass
+
+
+class BidOverflow(ValueError):
+    """A bid of 2**63 or more, beyond an int64 bid column."""
+
+
+# The least bid an int64 cannot hold.  A float compares with it exactly, and
+# an int too: 2**63 - 1 is below it, 2**63 is not.
+_BID_LIMIT = 2.0 ** 63
+
+
+def check_bid(bid, what: str = "bid") -> None:
+    """``bid``, an int or a float not yet rounded down, must be below 2**63;
+    inf and NaN fail."""
+    if not bid < _BID_LIMIT:
+        raise BidOverflow(f"{what} {bid} is not below 2**63, the bound of an int64 bid")
 
 
 @dataclass(frozen=True)
@@ -91,6 +110,7 @@ class ConstBid(Strategy):
     def __post_init__(self):
         if self.price < 0:
             raise ValueError("price must be >= 0")
+        check_bid(self.price, "price")
 
     @property
     def parameter(self):
@@ -109,6 +129,7 @@ class RandBid(Strategy):
     def __post_init__(self):
         if not 0 <= self.lower <= self.upper:
             raise ValueError("need 0 <= lower <= upper")
+        check_bid(self.upper, "upper")
 
     @property
     def parameter(self):
@@ -180,10 +201,6 @@ def _check_pctr(low, high) -> None:
         raise ValueError(f"pctr must be in (0, 1), got {float(high if 0.0 < low else low)!r}")
 
 
-def _round_half_up(x: float) -> int:
-    return max(0, int(math.floor(x + 0.5)))
-
-
 def compute_bid(
     strategy: Strategy,
     pctr: float | None = None,
@@ -203,7 +220,9 @@ def compute_bid(
     if pctr is None:
         raise MissingPctr(f"{strategy.name} bidding requires a pctr")
     _check_pctr(pctr, pctr)
-    return _round_half_up(strategy.raw_bid(pctr))
+    bid = strategy.raw_bid(pctr) + 0.5  # rounded half up below
+    check_bid(bid)
+    return max(0, math.floor(bid))
 
 
 def bid_vector(
@@ -224,9 +243,11 @@ def bid_vector(
     p = np.asarray(pctr, dtype=np.float64)
     if p.shape != (n,):
         raise ValueError(f"pctr must have shape ({n},), got {p.shape}")
+    bids = strategy.raw_bid(p) + 0.5
     if n:
         _check_pctr(p.min(), p.max())  # NaN propagates through min and max
-    return np.maximum(0, np.floor(strategy.raw_bid(p) + 0.5)).astype(np.int64)
+        check_bid(bids.max())
+    return np.maximum(0, np.floor(bids)).astype(np.int64)
 
 
 DEFAULT_GRID = (2, 5, 10, 20, 50, 100, 200, 300)

@@ -194,13 +194,17 @@ def _once(flag: str, values, parse) -> list:
 
 
 def _grid(text: str | None) -> tuple[int, ...]:
-    """``--grid``'s comma-separated integers >= 0, or the default grid."""
+    """``--grid``'s comma-separated integers >= 0 and below 2**63, or the
+    default grid."""
     if text is None:
         return bidding.DEFAULT_GRID
     parts = [part.strip() for part in text.split(",")]
     if not all(part.isdecimal() for part in parts):
         raise ValueError(f"--grid {text!r} is not a comma-separated list of integers >= 0")
-    return tuple(_once("--grid", parts, int))
+    grid = tuple(_once("--grid", parts, int))
+    for value in grid:
+        bidding.check_bid(value, "--grid value")
+    return grid
 
 
 def _campaign_for(cases: CaseTable, kpi_n: int | None) -> bidding.CampaignSpec:

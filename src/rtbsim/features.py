@@ -5,18 +5,20 @@ CTR model) and dense frequency/CTR category encodings (for the boosted
 trees).  Index 0 of the one-hot space is reserved for the bias and never
 appears in a vector.
 
-:func:`field_values` is the one definition of a record's fields and of how
-each value is spelled, as a list of ``(field, value)`` pairs; the
-vocabulary, the encodings and the per-feature breakdowns of
-:mod:`rtbsim.stats` count its pairs.  :class:`CategoryEncodings` is one
-``(field, value) -> (count, ctr)`` table.
+A record's ``(field, value)`` keys are its fields in ``_FIELDS`` order,
+then one per distinct tag, each value spelled by ``_spell``: these two
+define the keys that the vocabulary, the encodings and the per-feature
+breakdowns of :mod:`rtbsim.stats` count, through :func:`field_columns`.
+:func:`field_values` spells one record's pairs on its own, the per-record
+reference that the tests compare the batch keys against.
+:class:`CategoryEncodings` is one ``(field, value) -> (count, ctr)`` table.
 
 One record is encoded from its own values: the vocabulary and the encodings
 split their tables once into one dict per field, keyed by the value a record
 holds (an int column or tag, ``weekday()`` and ``hour``, a label, a string),
 which :func:`binarize` and :func:`densify` look up.  Each dict is the exact
-inverse of field_values' spelling, so a loaded entry that no record is
-spelled as (``hour 07``, ``region +5``) matches nothing.
+inverse of ``_spell``, so a loaded entry that no record is spelled as
+(``hour 07``, ``region +5``) matches nothing.
 
 A batch is encoded from the columns of a :class:`~rtbsim.logdata.CaseTable`
 (a case list is made into one): :func:`field_columns` codes each row's value
@@ -100,8 +102,8 @@ GBRT_CATEGORICAL_FIELDS = (
     "domain", "slot_id", "slot_visibility", "slot_format", "creative_id",
 )
 GBRT_CONTINUOUS_FIELDS = ("slot_width", "slot_height", "slot_floor_price", "hour")
-# field_values' fields before the tags, in its order; and the fields, tags
-# too, whose value a record holds as an int, which field_values spells with str.
+# A record's fields before its tags, in key order; and the fields, tags too,
+# whose value a record holds as an int, which _spell spells with str.
 _FIELDS = ("weekday", "hour", "os", "browser", "region", "city", "ad_exchange", "domain",
            "slot_id", "slot_width", "slot_height", "slot_visibility", "slot_format",
            "floor_bucket", "creative_id")

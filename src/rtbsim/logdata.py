@@ -20,14 +20,17 @@ call per field.
 
 The commands read a split into a :class:`CaseTable`, its joined cases as
 columns, without making a record per line.  :func:`read_columns` reads a
-log in blocks of whole lines, splits each block into lines and tabs once,
-checks each line's column count, and parses each column's distinct texts
-once with that column's parser (the near-distinct timestamps row by row).
-A line that fails goes to :func:`parse_record` for its error, so the
-per-line parser stays the one definition of a bad line: strict mode raises
-the first, lenient mode skips each.  The table and :func:`join_events`
-share one join.  :meth:`CaseTable.cases` builds the records back, equal to
-the per-line path's.
+log in blocks of whole lines.  A block whose every line holds 24 columns is
+split at tabs once and parsed column by column, each column's distinct
+texts once by that column's parser (the near-distinct timestamps row by
+row).  A block with another column count on some line, or with a text its
+column's parser rejects, goes line by line through :func:`parse_record`,
+as :func:`load_log` reads a file, so the per-line parser is the one
+definition of a bad line: strict mode raises the first, lenient mode skips
+each.  The table and :func:`join_events` share one join, and a table read
+from text and one made from cases share one column builder.
+:meth:`CaseTable.cases` builds the records back, equal to the per-line
+path's.
 
 All price columns are integers under the CPM convention: the logged value
 is the price of one thousand impressions expressed in Chinese fen, so the
@@ -417,10 +420,14 @@ def load_log(
     given) and skipped.
     """
     with _open_maybe_gzip(path) as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.rstrip("\r\n")
-            if not line:
-                continue
+        numbered = ((line_no, line.rstrip("\r\n")) for line_no, line in enumerate(fh, start=1))
+        yield from _parse_lines(numbered, schema, strict, error_sink)
+
+
+def _parse_lines(numbered, schema: LogSchema, strict: bool, error_sink: list | None) -> Iterator[LogRecord]:
+    """:func:`load_log`'s records of ``(line_no, line)`` pairs, blank lines skipped."""
+    for line_no, line in numbered:
+        if line:
             try:
                 yield parse_record(line, schema, line_no)
             except LogParseError as exc:
@@ -527,48 +534,42 @@ def _find_logs(directory: Path, stems: tuple[str, ...]) -> list[Path]:
     raise FileNotFoundError(f"no {stems[0]} log found under {directory}")
 
 
-def _line_error(line: str, line_no: int) -> LogParseError:
-    """The error :func:`parse_record` raises for a bad event-log line."""
-    try:
-        parse_record(line, EVENT_LOG, line_no)
-    except LogParseError as exc:
-        return exc
-    raise AssertionError(f"line {line_no} parses, but a column of it did not")
-
-
-def _parse_column(parse, texts) -> tuple[list, list[int]]:
-    """``parse`` of each text, and the positions of the texts it rejects
-    (whose values read None)."""
-    values, rejected = [], []
-    for at, text in enumerate(texts):
-        try:
-            values.append(parse(text))
-        except (ValueError, KeyError):
-            values.append(None)
-            rejected.append(at)
-    return values, rejected
-
-
-def _columns(texts: list) -> tuple[list, set[int]]:
-    """The columns of event-log lines, from the text of each column, and
-    the rows that hold a text their column rejects.  A list column is one
-    value per row; a coded one is (codes, distinct values)."""
-    columns, rejected = [], set()
-    for name, parse, column in zip(EVENT_COLUMNS, EVENT_LOG.parsers, texts):
+def _columns(columns, parse: bool) -> list:
+    """Event-log columns as a :class:`CaseTable` holds them: a list column
+    as a list, any other as (codes, distinct values).  With ``parse`` the
+    columns hold texts, each coded column's distinct ones parsed once, and a
+    rejected text raises ValueError or KeyError; without, they hold values."""
+    pieces = []
+    for name, parser, column in zip(EVENT_COLUMNS, EVENT_LOG.parsers, columns):
         if name in LIST_COLUMNS:
-            values, bad = (column, []) if parse is str.__str__ else _parse_column(parse, column)
-            columns.append(values)
-        else:  # codes into the distinct texts, then into their distinct values
+            pieces.append(list(map(parser, column)) if parse and parser is not str.__str__ else column)
+        else:
             codes, distinct = _code(column)
-            bad = []
-            if parse is not str.__str__:
-                parsed, bad = _parse_column(parse, distinct)
-                bad = np.flatnonzero(np.isin(codes, bad)).tolist()
-                value_codes, distinct = _code(parsed)  # a rejected text's row is dropped
-                codes = value_codes[codes]
-            columns.append((codes, distinct))
-        rejected.update(bad)
-    return columns, rejected
+            pieces.append((codes, list(map(parser, distinct)) if parse else distinct))
+    return pieces
+
+
+def _table(blocks: list, clicked: np.ndarray, converted: np.ndarray) -> CaseTable:
+    """The table of the rows of ``blocks``, each :func:`_columns` of some
+    rows, in order.  A coded column's codes are mapped into the distinct
+    values of all the blocks, so texts that parse to one value (``Null`` and
+    ``null``, ``7`` and ``07``) share a code."""
+    codes, values, lists = {}, {}, {}
+    for name, pieces in zip(EVENT_COLUMNS, zip(*blocks) if blocks else [()] * len(EVENT_COLUMNS)):
+        if name in LIST_COLUMNS:
+            lists[name] = list(chain.from_iterable(pieces))
+        else:
+            index: dict = {}
+            codes[name] = np.concatenate([np.empty(0, np.int64)] + [
+                np.array([index.setdefault(v, len(index)) for v in distinct], np.int64)[c]
+                for c, distinct in pieces])
+            values[name] = list(index)
+    return CaseTable(codes, values, lists, clicked, converted)
+
+
+def _value_columns(records: Iterable[LogRecord]) -> list:
+    """:func:`_columns` of the records' values."""
+    return _columns(list(zip(*map(EVENT_LOG.values, records))) or [()] * len(EVENT_COLUMNS), False)
 
 
 def _line_blocks(fh, size: int = 1 << 22) -> Iterator[list[str]]:
@@ -586,42 +587,27 @@ def _line_blocks(fh, size: int = 1 << 22) -> Iterator[list[str]]:
 def _block_columns(lines: list[str], first_line: int, strict: bool,
                    error_sink: list | None) -> list:
     """:func:`_columns` of the good ones of ``lines``, the first of which
-    is line ``first_line`` of its file; the bad ones raise or are sunk."""
+    is line ``first_line`` of its file: split at tabs once and parsed column
+    by column, or, if a line is bad, parsed line by line as by :func:`load_log`."""
     width = EVENT_LOG.column_count
-    at, bad = range(len(lines)), set()  # each good row's line, and the bad lines
     if lines and all(tabs == width - 1 for tabs in map(str.count, lines, repeat("\t"))):
         cells = "\t".join(lines).split("\t")  # one list: no list per line for the GC to track
-        texts = [cells[j::width] for j in range(width)]
-    else:
-        rows = [line.split("\t") for line in lines]
-        at = [i for i, row in enumerate(rows) if len(row) == width]
-        bad = {i for i, row in enumerate(rows) if len(row) != width and lines[i]}  # blank is skipped
-        texts = list(zip(*(rows[i] for i in at))) or [()] * width
-    columns, rejected = _columns(texts)
-    if rejected:
-        bad.update(at[g] for g in rejected)
-        columns, _ = _columns([[t for g, t in enumerate(column) if g not in rejected] for column in texts])
-    if bad:
-        errors = [_line_error(lines[i], first_line + i) for i in sorted(bad)]
-        if strict:
-            raise errors[0]
-        if error_sink is not None:
-            error_sink.extend(errors)
-    return columns
+        try:
+            return _columns([cells[j::width] for j in range(width)], True)
+        except (ValueError, KeyError):
+            pass  # a text its column rejects: parse_record names the line
+    return _value_columns(_parse_lines(enumerate(lines, first_line), EVENT_LOG, strict, error_sink))
 
 
 def read_columns(paths, strict: bool = True, error_sink: list | None = None) -> CaseTable:
     """The event-log lines of ``paths``, in file order, as a table of
     unjoined rows (none clicked or converted), without the bad lines.
 
-    Each file is read in blocks of whole lines, about 4 MB at a time, each
-    split into lines and tabs once, with lines as :func:`load_log` reads
-    them.  Each coded column's distinct texts in a block are parsed once,
-    by its :data:`TEXT_FORMS` parser, and the timestamps row by row; text
-    is kept as written.  A line whose column count is wrong, or that holds
-    a text its column rejects, is named by :func:`parse_record`'s error:
-    strict mode raises the first in file order, and lenient mode appends
-    each to ``error_sink`` (when given) and drops it.
+    Each file is read in blocks of whole lines, about 4 MB at a time, with
+    lines as :func:`load_log` reads them, and each block as
+    :func:`_block_columns` reads it; text is kept as written.  Strict mode
+    raises the first bad line in file order, and lenient mode appends each
+    to ``error_sink`` (when given) and drops it.
     """
     blocks = []
     for path in paths:
@@ -630,18 +616,8 @@ def read_columns(paths, strict: bool = True, error_sink: list | None = None) -> 
             for lines in _line_blocks(fh):
                 blocks.append(_block_columns(lines, first_line, strict, error_sink))
                 first_line += len(lines)
-    codes, values, lists = {}, {}, {}
-    for name, pieces in zip(EVENT_COLUMNS, zip(*blocks) if blocks else [()] * len(EVENT_COLUMNS)):
-        if name in LIST_COLUMNS:
-            lists[name] = list(chain.from_iterable(pieces))
-        else:  # each block's codes into the distinct values of all of them
-            index: dict = {}
-            codes[name] = np.concatenate([np.empty(0, np.int64)] + [
-                np.array([index.setdefault(v, len(index)) for v in distinct], np.int64)[c]
-                for c, distinct in pieces])
-            values[name] = list(index)
-    n = len(lists["bid_id"])
-    return CaseTable(codes, values, lists, np.zeros(n, dtype=bool), np.zeros(n, dtype=bool))
+    n = sum(len(block[0]) for block in blocks)
+    return _table(blocks, np.zeros(n, dtype=bool), np.zeros(n, dtype=bool))
 
 
 class CaseTable:
@@ -649,7 +625,8 @@ class CaseTable:
 
     Each of :data:`LIST_COLUMNS` is ``lists[name]``, a list with one value
     per row; every other column is ``codes[name]``, an int64 code per row
-    into ``values[name]``, the list of the column's distinct values.  Values are those :func:`parse_record` gives.  ``clicked`` and
+    into ``values[name]``, the list of the column's distinct values.
+    Values are those :func:`parse_record` gives.  ``clicked`` and
     ``converted`` are bool arrays.
 
     :meth:`read` builds a table from the log text, :meth:`of` from cases,
@@ -700,16 +677,10 @@ class CaseTable:
         if isinstance(cases, cls):
             return cases
         cases = list(cases)
-        columns = list(zip(*(EVENT_LOG.values(c.record) for c in cases))) or [()] * len(EVENT_COLUMNS)
-        codes, values, lists = {}, {}, {}
-        for name, column in zip(EVENT_COLUMNS, columns):
-            if name in LIST_COLUMNS:
-                lists[name] = list(column)
-            else:
-                codes[name], values[name] = _code(column)
         n = len(cases)
-        return cls(codes, values, lists, np.fromiter((c.clicked for c in cases), bool, n),
-                   np.fromiter((c.converted for c in cases), bool, n))
+        return _table([_value_columns(c.record for c in cases)],
+                      np.fromiter((c.clicked for c in cases), bool, n),
+                      np.fromiter((c.converted for c in cases), bool, n))
 
     def take(self, rows) -> "CaseTable":
         """The table of ``rows``, an index array or a slice, in that order."""

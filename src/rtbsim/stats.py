@@ -4,13 +4,14 @@ Money figures are fen throughout: cost = sum(paying) / 1000, CPM is cost
 per thousand impressions, eCPC is cost per click.  Ratios with an empty
 denominator come back absent (None), never NaN.
 
-Breakdowns group cases by the ``(field, value)`` pairs that
-:func:`rtbsim.features.field_values` gives, the one definition of a
-record's fields, read as the columns of :func:`rtbsim.features.field_columns`:
-each breakdown key groups by one of its fields, except ``slot_size``, which
-joins each distinct (width, height).  Each group's tallies are sums over
-its codes: ``bincount`` for cases and clicks, and ``add.at`` for the
-prices, exact where float weights would round.  Both functions take a case
+Breakdowns group cases by their ``(field, value)`` keys, read as the
+columns of :func:`rtbsim.features.field_columns`, whose fields and spelling
+``features._FIELDS`` and ``features._spell`` define
+(:func:`rtbsim.features.field_values` is the per-record reference the tests
+compare against): each breakdown key groups by one of its fields, except
+``slot_size``, which joins each distinct (width, height).  Each group's
+tallies are sums over its codes: ``bincount`` for cases and clicks, and
+``add.at`` for the prices, exact where float weights would round.  Both functions take a case
 list or a :class:`~rtbsim.logdata.CaseTable`.
 """
 
@@ -38,8 +39,8 @@ __all__ = [
     "write_summary_markdown",
 ]
 
-# field_values field -> the breakdown key that groups by it, in breakdown
-# order; slot_size joins the slot_width and slot_height fields.
+# field -> the breakdown key that groups by it, in breakdown order;
+# slot_size joins the slot_width and slot_height fields.
 _FIELD_KEY = {
     "weekday": "weekday", "hour": "hour", "os": "os", "browser": "browser",
     "region": "region", "slot_size": "slot_size", "slot_visibility": "visibility",

@@ -6,7 +6,7 @@ from datetime import datetime, timedelta
 import numpy as np
 import pytest
 
-from rtbsim import kvfile, replay
+from rtbsim import bidding, kvfile, replay
 from rtbsim.bidding import (
     DEFAULT_GRID,
     CampaignSpec,
@@ -119,6 +119,28 @@ class TestBidVector:
         with pytest.raises(ValueError) as vector:
             bid_vector(strategy, 3, pctr=np.array([0.01, bad, 0.5]))
         assert str(vector.value) == str(scalar.value)
+
+    @pytest.mark.parametrize("strategy", [LinBid(3 * 10**18, avg_ctr=0.05), McpcBid(5e16)])
+    def test_both_paths_reject_a_bid_beyond_int64(self, strategy):
+        # pCTR 0.2 bids about 1.2e19 and 1e19: no int64 holds either, so
+        # neither path may return a bid, and the vector path no cast one.
+        pctr = np.array([0.01, 0.2, 0.001])
+        with pytest.raises(bidding.BidOverflow, match=r"not below 2\*\*63") as scalar:
+            compute_bid(strategy, pctr=0.2)
+        with pytest.raises(bidding.BidOverflow) as vector:
+            bid_vector(strategy, 3, pctr=pctr)
+        assert str(vector.value) == str(scalar.value)
+        assert bid_vector(strategy, 2, pctr=pctr[[0, 2]]).tolist() == [
+            compute_bid(strategy, pctr=float(p)) for p in pctr[[0, 2]]]
+
+    def test_the_greatest_int64_bid_is_kept(self):
+        top = 2**63 - 1
+        for strategy in (ConstBid(top), RandBid(upper=top, lower=top)):
+            assert compute_bid(strategy) == top
+            assert bid_vector(strategy, 2).tolist() == [top, top]
+        for make in (ConstBid, lambda bid: RandBid(upper=bid)):
+            with pytest.raises(bidding.BidOverflow, match=r"9223372036854775808 is not below 2\*\*63"):
+                make(top + 1)
 
 
 def _tune_fixture():

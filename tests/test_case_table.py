@@ -198,6 +198,30 @@ class TestReadEqualsPerLine:
             assert type(got.clicked) is bool and type(got.converted) is bool
 
 
+@pytest.mark.parametrize("bad", [False, True], ids=["clean", "one-bad-timestamp"])
+def test_per_line_parser_reads_only_a_block_with_a_bad_line(tmp_path, monkeypatch, bad):
+    monkeypatch.setattr(logdata, "_line_blocks", partial(logdata._line_blocks, size=700))
+    parse, calls = logdata.parse_record, []
+
+    def spy(line, *args):
+        calls.append(line)
+        return parse(line, *args)
+
+    monkeypatch.setattr(logdata, "parse_record", spy)
+    imp, clk, cnv = _split(12)
+    if bad:
+        imp[7] = _with(imp[7], "timestamp", BAD_TIMESTAMPS[0])
+    skipped = []
+    CaseTable.read(_write(tmp_path, imp, clk, cnv), error_sink=skipped)
+    # A 700-character read ends the block of each line whose newline it holds.
+    text = "".join(line + "\n" for line in imp)
+    block_of = [at // 700 for at, char in enumerate(text) if char == "\n"]
+    block = [line for line, b in zip(imp, block_of) if b == block_of[7]]
+    assert len(block) > 1
+    assert calls == (block if bad else [])
+    assert [e.line_no for e in skipped] == ([8] if bad else [])
+
+
 # ---------------------------------------------------------------------------
 # Consumers of a table against the per-record loops they replaced
 # ---------------------------------------------------------------------------

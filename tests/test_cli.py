@@ -5,6 +5,7 @@ import re
 import shlex
 import shutil
 import time
+import warnings
 from pathlib import Path
 
 import pytest
@@ -288,6 +289,29 @@ class TestReplayTuning:
         assert rc == 1
         assert len(err) == 1 and err[0].startswith("error: ValueError: ") and named in err[0]
         assert not (tmp_path / "o").exists()
+
+
+def test_grid_beyond_int64_fails_before_input(tmp_path, capsys):
+    # A grid value is a Const or Rand bid, which an int64 bid column holds.
+    argv = ["replay", "--input", str(tmp_path / "nope"), "--out", str(tmp_path / "o"),
+            "--strategy", "const", "--grid", "10,9223372036854775807,9223372036854775808"]
+    assert main(argv) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "error: BidOverflow: --grid value 9223372036854775808 is not below 2**63, "
+        "the bound of an int64 bid"]
+    assert not (tmp_path / "o").exists()
+
+
+def test_lin_bid_beyond_int64_is_an_error(dataset, models_dir, tmp_path, capsys):
+    # At base bid 9e18, a pCTR 1.025 times the average CTR bids 2**63; no
+    # bid may wrap.
+    argv = ["replay", "--input", str(dataset), "--models", str(models_dir), "--strategy", "lin",
+            "--grid", "10,9000000000000000000", "--budget-fraction", "1/2", "--out", str(tmp_path / "o")]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: BidOverflow: bid ")
 
 
 def test_negative_kpi_n_fails_before_input(dataset, tmp_path, capsys):
