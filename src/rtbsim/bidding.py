@@ -184,12 +184,11 @@ class LinBid(Strategy):
         return self.base_bid * pctr / self.avg_ctr
 
 
-def estimate_max_ecpc(train: Sequence[AuctionCase] | CaseTable) -> float:
-    """Historical cost per click in fen: (sum paying / 1000) / clicks."""
-    if isinstance(train, CaseTable):
-        clicks, cost_milli = int(np.count_nonzero(train.clicked)), train.total("paying_price")
-    else:
-        clicks, cost_milli = sum(1 for c in train if c.clicked), sum(c.paying_price for c in train)
+def estimate_max_ecpc(train: CaseTable | Sequence[AuctionCase]) -> float:
+    """Historical cost per click in fen: (sum paying / 1000) / clicks, over
+    a :class:`CaseTable` or a case list's table."""
+    train = CaseTable.of(train)
+    clicks, cost_milli = int(np.count_nonzero(train.clicked)), train.total("paying_price")
     if clicks == 0:
         raise NoClicks("training data has no clicks; max eCPC undefined")
     return cost_milli / 1000.0 / clicks
@@ -275,11 +274,11 @@ def tune(
 ) -> tuple[Strategy, list[GridRow]]:
     """Pick the grid point maximizing the KPI score on a training replay.
 
-    ``train`` is a time-sorted case sequence or a prebuilt
-    :class:`replay.ReplayData`, so repeated tuning on one log can share
-    its columns.  The budget is ``budget_fraction`` of the training total
-    cost.  Ties go to the smaller parameter.  Mcpc is non-parametric and
-    not tunable.
+    ``train`` is a time-sorted :class:`CaseTable` or case list, or a
+    prebuilt :class:`replay.ReplayData`, so repeated tuning on one log can
+    share its columns.  The budget is ``budget_fraction`` of the training
+    total cost.  Ties go to the smaller parameter.  Mcpc is non-parametric
+    and not tunable.
     """
     from . import replay  # local import; replay also uses this module
 

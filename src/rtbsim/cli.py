@@ -76,11 +76,11 @@ def _build_synth_config(args) -> synthgen.SynthConfig:
     return synthgen.SynthConfig(**params)
 
 
-def _write_truth(cases, p, path: Path) -> None:
+def _write_truth(table: CaseTable, p, path: Path) -> None:
     with open(path, "w", encoding="utf-8") as f:
         f.write("bid_id,true_ctr\n")
-        for case, prob in zip(cases, p):
-            f.write(f"{case.bid_id},{float(prob)!r}\n")
+        for bid_id, prob in zip(table.lists["bid_id"], p):
+            f.write(f"{bid_id},{float(prob)!r}\n")
 
 
 def cmd_synth(args) -> int:

@@ -12,7 +12,7 @@ definition of the line: :func:`parse_record` and :func:`serialize_record`
 are loops over them.
 
 Every :class:`LogRecord` the package makes, parsed, copied by
-:func:`as_event` or generated by :mod:`rtbsim.synthgen`, is built by
+:func:`as_event` or built back from a :class:`CaseTable`, is built by
 ``_make_record`` from its values in :data:`EVENT_COLUMNS` order, and every
 :class:`AuctionCase` by ``_make_case``.  They set each slot directly,
 without the frozen dataclass ``__init__`` and its ``object.__setattr__``
@@ -644,6 +644,10 @@ class CaseTable:
 
     def __len__(self) -> int:
         return len(self.clicked)
+
+    def __iter__(self) -> Iterator[AuctionCase]:
+        """The rows as cases, in order, as :meth:`cases` builds them."""
+        return iter(self.cases())
 
     @classmethod
     def read(cls, directory, strict: bool = False, advertiser: int | None = None,

@@ -64,26 +64,14 @@ class ReplayData:
         return len(self.paying)
 
     @classmethod
-    def from_cases(cls, cases: Sequence[AuctionCase] | CaseTable) -> "ReplayData":
-        """The columns of a case list, or of a :class:`CaseTable`'s."""
-        if isinstance(cases, CaseTable):
-            ts = cases.lists["timestamp"]
-            columns = (cases.ints("paying_price"), cases.ints("slot_floor_price"), cases.clicked,
-                       cases.converted)
-        else:  # the records' slots, read directly: AuctionCase's properties cost a call each
-            records = [c.record for c in cases]
-            ts = [r.timestamp for r in records]
-            n = len(records)
-            columns = (
-                np.fromiter((0 if r.paying_price is None else r.paying_price for r in records),
-                            dtype=np.int64, count=n),
-                np.fromiter((r.slot_floor_price for r in records), dtype=np.int64, count=n),
-                np.fromiter((c.clicked for c in cases), dtype=bool, count=n),
-                np.fromiter((c.converted for c in cases), dtype=bool, count=n),
-            )
+    def from_cases(cls, cases: CaseTable | Sequence[AuctionCase]) -> "ReplayData":
+        """The columns of a :class:`CaseTable`, or of a case list's table."""
+        table = CaseTable.of(cases)
+        ts = table.lists["timestamp"]
         if not all(map(operator.le, ts, ts[1:])):
             raise UnsortedInput("cases must be sorted by ascending timestamp")
-        return cls(*columns)
+        return cls(table.ints("paying_price"), table.ints("slot_floor_price"), table.clicked,
+                   table.converted)
 
     @classmethod
     def of(cls, cases) -> "ReplayData":
@@ -150,9 +138,9 @@ def simulate(
 ) -> ReplayResult:
     """Replay one strategy against the logged prices under a budget.
 
-    ``cases`` is a time-sorted case sequence or a prebuilt
-    :class:`ReplayData`.  Strategies that price on pCTR need a ``pctr``
-    array aligned with the cases; without one they raise
+    ``cases`` is a time-sorted :class:`CaseTable` or case list, or a
+    prebuilt :class:`ReplayData`.  Strategies that price on pCTR need a
+    ``pctr`` array aligned with the cases; without one they raise
     :class:`bidding.MissingPctr`.
     """
     campaign = campaign or CampaignSpec(advertiser_id=0, n_weight=0)

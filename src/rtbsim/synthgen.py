@@ -7,9 +7,11 @@ of the config seed, which makes end-to-end tests possible without any real
 log data.
 
 Each block draws its random columns with numpy, in a fixed order from its
-own seeded generator, then builds its cases in one pass over the columns'
-``tolist()`` forms, each record by ``logdata._make_record`` and each case by
-``logdata._make_case``.
+own seeded generator, and is returned as a :class:`~rtbsim.logdata.CaseTable`
+built straight from those draws: each coded column is coded with numpy, in
+the order its values first appear, so the table equals ``CaseTable.of`` of
+the block's cases; only the per-row ids, IPs and timestamps are lists.  No
+record is made per case.
 """
 
 from __future__ import annotations
@@ -23,13 +25,14 @@ from pathlib import Path
 import numpy as np
 
 from .logdata import (
+    COLUMN_KINDS,
+    EVENT_COLUMNS,
     EVENT_LOG,
     AuctionCase,
+    CaseTable,
     LogType,
-    _make_case,
-    _make_record,
+    _LOG_TYPE_AT,
     _parse_timestamp,
-    as_event,
     serialize_record,
 )
 
@@ -203,7 +206,7 @@ def _sample_block(
     n: int,
     phase: int,
     start: datetime,
-) -> tuple[list[AuctionCase], np.ndarray, datetime]:
+) -> tuple[CaseTable, np.ndarray, datetime]:
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((config.seed, phase))))
     layout = config.weight_layout()
 
@@ -257,28 +260,65 @@ def _sample_block(
     gaps = rng.integers(1, MAX_GAP_MS + 1, size=n)
     offsets = np.cumsum(gaps)
 
-    bid_price = config.max_price + 1  # every generated case is a valid historical win
     prefix = f"{config.seed & 0xFFFFFFFF:08x}{phase}"
-    slots = [(w, h, f"{w}_{h}_{k}") for k, (w, h) in enumerate(SLOT_SIZE_POOL)]
     # datetime64 converts to datetime up to year 9999, as SynthConfig ensures
     stamps = (np.datetime64(start, "ms") + offsets.astype("timedelta64[ms]")).tolist()
-    tags = zip(*(tag_cols + 1).T.tolist())  # tag ids are 1-based
-    columns = [c.tolist() for c in (ua_idx, ip_a, ip_b, region, city, exchange, dom_idx,
-                                    url_idx, slot_idx, vis_idx, fmt_idx, floor, cre_idx,
-                                    paying, clicked, converted)]
-    cases: list[AuctionCase] = []
-    for i, (ts, user_tags, ua, a, b, reg, cty, exch, dom, url, slot, vis, fmt, fl, cre, pay,
-            clk, cnv) in enumerate(zip(stamps, tags, *columns)):
-        w, h, slot_id = slots[slot]
-        cases.append(_make_case(_make_record((
-            f"{prefix}{i:011d}", ts, LogType.IMPRESSION, f"u{phase}{i:012d}", USER_AGENTS[ua],
-            f"{a}.{b}.{(i >> 8) & 255}.*", reg, cty, exch, domain_pool[dom], url_pool[url], None,
-            slot_id, w, h, VISIBILITY_POOL[vis], FORMAT_POOL[fmt], fl, creative_pool[cre],
-            bid_price, pay, None, config.advertiser_id, user_tags)), clk, cnv))
-    return cases, p, stamps[-1]
+    lists = {
+        "bid_id": [f"{prefix}{i:011d}" for i in range(n)],
+        "timestamp": stamps,
+        "ipinyou_id": [f"u{phase}{i:012d}" for i in range(n)],
+        "ip": [f"{a}.{b}.{(i >> 8) & 255}.*" for i, a, b in zip(range(n), ip_a.tolist(), ip_b.tolist())],
+    }
+    widths, heights = (np.array(side)[slot_idx] for side in zip(*SLOT_SIZE_POOL))
+    slot_ids = [f"{w}_{h}_{k}" for k, (w, h) in enumerate(SLOT_SIZE_POOL)]
+    coded = {
+        "log_type": _constant(n, LogType.IMPRESSION),
+        "user_agent": _coded(ua_idx, USER_AGENTS),
+        "region": _coded(region),
+        "city": _coded(city),
+        "ad_exchange": _coded(exchange),
+        "domain": _coded(dom_idx, domain_pool),
+        "url": _coded(url_idx, url_pool),
+        "anonymous_url_id": _constant(n, None),
+        "slot_id": _coded(slot_idx, slot_ids),
+        "slot_width": _coded(widths),
+        "slot_height": _coded(heights),
+        "slot_visibility": _coded(vis_idx, VISIBILITY_POOL),
+        "slot_format": _coded(fmt_idx, FORMAT_POOL),
+        "slot_floor_price": _coded(floor),
+        "creative_id": _coded(cre_idx, creative_pool),
+        "bid_price": _constant(n, config.max_price + 1),  # every generated case is a valid historical win
+        "paying_price": _coded(paying),
+        "key_page_url": _constant(n, None),
+        "advertiser_id": _constant(n, config.advertiser_id),
+        "user_tags": _coded(tag_cols + 1),  # tag ids are 1-based
+    }
+    table = CaseTable({name: codes for name, (codes, _) in coded.items()},
+                      {name: values for name, (_, values) in coded.items()}, lists, clicked, converted)
+    return table, p, stamps[-1]
 
 
-def generate(config: SynthConfig) -> tuple[list[AuctionCase], list[AuctionCase], GroundTruth]:
+def _coded(keys: np.ndarray, pool=None) -> tuple[np.ndarray, list]:
+    """A column as :meth:`CaseTable.of` codes it: each row's int64 code into
+    the list of the distinct values, in the order each first appears.  Row
+    ``i`` holds ``keys[i]`` (as a tuple, when ``keys`` is 2-D), or
+    ``pool[keys[i]]`` when a pool of distinct values is given."""
+    distinct, first, inverse = np.unique(keys, return_index=True, return_inverse=True, axis=0)
+    order = np.argsort(first)
+    rank = np.empty(len(order), np.int64)
+    rank[order] = np.arange(len(order))
+    held = distinct[order].tolist()
+    if keys.ndim == 2:
+        held = list(map(tuple, held))
+    return rank[inverse.reshape(-1)], held if pool is None else [pool[k] for k in held]
+
+
+def _constant(n: int, value) -> tuple[np.ndarray, list]:
+    """The codes and values of a column whose ``n`` rows all hold ``value``."""
+    return np.zeros(n, np.int64), [value]
+
+
+def generate(config: SynthConfig) -> tuple[CaseTable, CaseTable, GroundTruth]:
     """Sample (train, test, ground truth) deterministically from the config."""
     weights = _resolve_weights(config)
     start = _parse_timestamp(config.start_time)
@@ -297,13 +337,33 @@ def generate(config: SynthConfig) -> tuple[list[AuctionCase], list[AuctionCase],
         weight_layout=config.weight_layout(),
         train_p=train_p,
         test_p=test_p,
-        realized_base_ctr=float(np.mean([c.clicked for c in train])),
+        realized_base_ctr=float(np.mean(train.clicked)),
     )
     return train, test, truth
 
 
-def write_dataset(cases: list[AuctionCase], directory) -> dict[str, Path]:
-    """Write imp/clk/cnv event-log files consumable by the log parser."""
+def write_dataset(cases: CaseTable | list[AuctionCase], directory) -> dict[str, Path]:
+    """Write imp/clk/cnv event-log files consumable by the log parser.
+
+    ``cases`` is a :class:`CaseTable` or a case list.  Each line is the
+    case's :func:`serialize_record` line, with log type 2 in the click log
+    and 3 in the conversion log, as :func:`as_event` sets it; each coded
+    column's distinct values are written once.  A case that leaves a column
+    absent that is not optional text raises :class:`MissingValue`.
+    """
+    table = CaseTable.of(cases)
+    _check_required(table)
+    texts = []
+    for name, write in zip(EVENT_COLUMNS, EVENT_LOG.writers):
+        if name in table.lists:
+            texts.append(list(map(write, table.lists[name])))
+        else:
+            written = list(map(write, table.values[name]))
+            texts.append(list(map(written.__getitem__, table.codes[name].tolist())))
+    # Each line around its log type column, which the event logs differ in.
+    heads = list(map("\t".join, zip(*texts[:_LOG_TYPE_AT])))
+    tails = list(map("\t".join, zip(*texts[_LOG_TYPE_AT + 1:])))
+    write_type = EVENT_LOG.writers[_LOG_TYPE_AT]
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     paths = {
@@ -311,13 +371,20 @@ def write_dataset(cases: list[AuctionCase], directory) -> dict[str, Path]:
         "clk": directory / "clk.txt",
         "cnv": directory / "cnv.txt",
     }
-    with open(paths["imp"], "w", encoding="utf-8") as f_imp, \
-         open(paths["clk"], "w", encoding="utf-8") as f_clk, \
-         open(paths["cnv"], "w", encoding="utf-8") as f_cnv:
-        for case in cases:
-            f_imp.write(serialize_record(case.record, EVENT_LOG) + "\n")
-            if case.clicked:
-                f_clk.write(serialize_record(as_event(case.record, LogType.CLICK), EVENT_LOG) + "\n")
-            if case.converted:
-                f_cnv.write(serialize_record(as_event(case.record, LogType.CONVERSION), EVENT_LOG) + "\n")
+    with open(paths["imp"], "w", encoding="utf-8") as f:
+        f.writelines(map("{}\t{}\t{}\n".format, heads, texts[_LOG_TYPE_AT], tails))
+    for key, flags, log_type in (("clk", table.clicked, LogType.CLICK),
+                                 ("cnv", table.converted, LogType.CONVERSION)):
+        text = write_type(log_type)
+        with open(paths[key], "w", encoding="utf-8") as f:
+            f.writelines(f"{heads[row]}\t{text}\t{tails[row]}\n" for row in np.flatnonzero(flags).tolist())
     return paths
+
+
+def _check_required(table: CaseTable) -> None:
+    """Raise :func:`serialize_record`'s :class:`MissingValue` for the first
+    row that leaves a column absent that is not optional text."""
+    first = [column.index(None) for name, kind in COLUMN_KINDS.items()
+             if kind != "optional text" and None in (column := table.column(name))]
+    if first:
+        serialize_record(table.record(min(first)), EVENT_LOG)

@@ -66,6 +66,8 @@ def breakdown(cases, key, metric):
 
 @pytest.fixture(scope="session")
 def small_synth():
-    """A shared mid-size synthetic campaign (deterministic)."""
+    """A shared mid-size synthetic campaign (deterministic), its splits as
+    case lists."""
     config = synthgen.SynthConfig(seed=42, n_train=4000, n_test=1500, base_ctr=0.02)
-    return synthgen.generate(config)
+    train, test, truth = synthgen.generate(config)
+    return train.cases(), test.cases(), truth

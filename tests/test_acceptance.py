@@ -214,7 +214,7 @@ def recovery_models():
     t0 = time.perf_counter()
     config = synthgen.SynthConfig(seed=7, n_train=100_000, n_test=20_000, base_ctr=0.01)
     train, test, truth = synthgen.generate(config)
-    labels = np.array([1.0 if c.clicked else 0.0 for c in test])
+    labels = test.clicked.astype(np.float64)
 
     vocab = build_vocabulary(train)
     lr_model = train_lr(binarize_cases(train, vocab), LrHyper(0.5, 1e-6, 20, 1))

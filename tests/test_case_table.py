@@ -267,7 +267,7 @@ def reference_breakdowns(cases):
 def edge_cases(seed):
     """A synth split whose first records hold every floor-bucket edge, an
     empty tag list, a repeated tag and a user agent labelled other."""
-    train, _, _ = synthgen.generate(synthgen.SynthConfig(seed=seed, n_train=600, n_test=10))
+    train = synthgen.generate(synthgen.SynthConfig(seed=seed, n_train=600, n_test=10))[0].cases()
     edits = [dict(slot_floor_price=price) for price in (0, 10, 11, 50, 51, 100, 101)]
     edits += [dict(user_tags=()), dict(user_tags=(5, 5, 7, 5)), dict(user_agent="weird bot/1.0")]
     return [AuctionCase(replace(c.record, **edit), c.clicked, c.converted)

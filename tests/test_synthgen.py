@@ -2,12 +2,14 @@ from __future__ import annotations
 
 import hashlib
 import math
+from dataclasses import replace
 from datetime import datetime
 
 import numpy as np
 import pytest
 
-from rtbsim.logdata import EVENT_LOG, join_events, load_log
+from conftest import make_case
+from rtbsim.logdata import EVENT_LOG, AuctionCase, CaseTable, MissingValue, join_events, load_log
 from rtbsim.synthgen import DegenerateConfig, SynthConfig, generate, write_dataset
 
 
@@ -29,7 +31,7 @@ def test_flat_model_realized_ctr_in_band(flat_big):
 
 def test_market_price_median_near_target(flat_big):
     config, (train, _, _) = flat_big
-    median = float(np.median([c.paying_price for c in train]))
+    median = float(np.median(train.ints("paying_price")))
     target = math.exp(config.market_mu)  # 70
     assert abs(median - target) <= 0.10 * target
 
@@ -38,7 +40,7 @@ def test_same_seed_is_byte_identical(tmp_path):
     config = SynthConfig(seed=11, n_train=300, n_test=100)
     train1, test1, truth1 = generate(config)
     train2, test2, truth2 = generate(config)
-    assert train1 == train2 and test1 == test2
+    assert train1.cases() == train2.cases() and test1.cases() == test2.cases()
     assert np.array_equal(truth1.true_weights, truth2.true_weights)
     a = write_dataset(train1, tmp_path / "a")
     b = write_dataset(train2, tmp_path / "b")
@@ -75,30 +77,69 @@ SYNTH_PINS = [
 @pytest.mark.parametrize("kwargs, digests", SYNTH_PINS, ids=["one-case", "all-tags"])
 def test_dataset_bytes_pinned(tmp_path, kwargs, digests):
     train, test, _ = generate(SynthConfig(**kwargs))
-    assert all(type(c.timestamp) is datetime for c in train + test)
+    assert all(type(ts) is datetime for ts in train.lists["timestamp"] + test.lists["timestamp"])
     for name, cases in (("train", train), ("test", test)):
         write_dataset(cases, tmp_path / name)
     found = {rel: hashlib.sha256((tmp_path / rel).read_bytes()).hexdigest() for rel in digests}
     assert found == digests
 
 
+LATEST_START = dict(seed=1, n_train=1, n_test=1, start_time="99991231235859201")
+
+
 def test_latest_start_time():
     # Two cases may take up to 399 ms each, plus the minute before the test
     # block: 60.798 s before datetime.max is the last start allowed.
-    train, test, _ = generate(SynthConfig(seed=1, n_train=1, n_test=1,
-                                          start_time="99991231235859201"))
-    assert all(type(c.timestamp) is datetime for c in train + test)
-    assert test[0].timestamp.year == 9999
+    train, test, _ = generate(SynthConfig(**LATEST_START))
+    assert all(type(ts) is datetime for ts in train.lists["timestamp"] + test.lists["timestamp"])
+    assert test.lists["timestamp"][0].year == 9999
     with pytest.raises(ValueError, match="^start_time 99991231235859202 is too late"):
         SynthConfig(seed=1, n_train=1, n_test=1, start_time="99991231235859202")
     with pytest.raises(ValueError, match="^start_time 99991231235959000 is too late"):
         SynthConfig(seed=1, start_time="99991231235959000")
 
 
+def assert_same_table(got: CaseTable, want: CaseTable) -> None:
+    """Equal codes, values in the same order and of the same types, lists
+    and flags; ``repr`` tells an int from a numpy integer and a tuple from a
+    list."""
+    assert list(got.codes) == list(want.codes) == list(got.values) == list(want.values)
+    for name, codes in want.codes.items():
+        assert got.codes[name].dtype == codes.dtype == np.int64, name
+        assert np.array_equal(got.codes[name], codes), name
+        assert repr(got.values[name]) == repr(want.values[name]), name
+    assert list(got.lists) == list(want.lists)
+    for name, items in want.lists.items():
+        assert type(got.lists[name]) is list and repr(got.lists[name]) == repr(items), name
+    for got_flags, want_flags in ((got.clicked, want.clicked), (got.converted, want.converted)):
+        assert got_flags.dtype == want_flags.dtype == bool
+        assert np.array_equal(got_flags, want_flags)
+
+
+@pytest.mark.parametrize("kwargs", [kwargs for kwargs, _ in SYNTH_PINS] + [LATEST_START],
+                         ids=["one-case", "all-tags", "latest-start"])
+def test_tables_equal_the_tables_of_their_logs(tmp_path, kwargs):
+    # A generated table is the table its written logs read back to, and the
+    # table CaseTable.of makes of its cases.
+    for name, table in zip(("train", "test"), generate(SynthConfig(**kwargs))):
+        write_dataset(table, tmp_path / name)
+        assert_same_table(table, CaseTable.read(tmp_path / name, strict=True))
+        assert_same_table(table, CaseTable.of(table.cases()))
+        assert list(table) == table.cases()
+
+
+def test_write_dataset_refuses_an_absent_value(tmp_path):
+    absent = AuctionCase(replace(make_case(bid_id="b").record, city=None), False, False)
+    cases = [make_case(bid_id="a"), absent]
+    expected = "column 8: the record has no city, and only optional text may be absent"
+    with pytest.raises(MissingValue, match=f"^{expected}$"):
+        write_dataset(cases, tmp_path)
+
+
 def test_different_seeds_differ():
     t1, _, _ = generate(SynthConfig(seed=1, n_train=200, n_test=50))
     t2, _, _ = generate(SynthConfig(seed=2, n_train=200, n_test=50))
-    assert t1 != t2
+    assert t1.cases() != t2.cases()
 
 
 def test_timestamps_strictly_increasing(small_synth):
