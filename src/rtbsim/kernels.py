@@ -37,7 +37,14 @@ batch row.
 
 ``grow_tree`` searches each level's splits from histograms with one bin
 per distinct value of a column, which ``bin_columns`` assigns once per
-model (see ``grow_tree_numpy``).
+model, with the root's row counts; it drops the columns that hold one
+value, which can never split.  Each level after the root fills only the
+smaller child of each split (fewer rows, the left one on equal rows), its
+residuals in row order, and takes the sibling's histograms as the parent's
+minus the smaller child's, cell by cell (counts exactly; 0.0 for a cell
+without rows).  A level whose histograms and its parents' do not fit in
+``n * nfeat`` cells is filled directly, in chunks (see
+``grow_tree_numpy``).
 """
 
 from __future__ import annotations
@@ -164,17 +171,26 @@ sgd_epoch = sgd_epoch_loop if HAVE_NUMBA else sgd_epoch_python
 # Regression tree growth: exact greedy splits from per-level histograms.
 # ---------------------------------------------------------------------------
 
-def bin_columns(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``grow_tree``'s operands ``bins``, ``bin_start`` and ``bin_value`` for
-    the columns of ``x``: one bin per distinct value of a column, in
-    ascending value order, the columns' bins laid end to end.  Column f owns
-    bins ``bin_start[f]`` up to ``bin_start[f + 1]``, bin b holds the value
-    ``bin_value[b]``, and ``bins[f, i]`` is the bin of ``x[i, f]``."""
-    values = [np.unique(col) for col in x.T]
+def bin_columns(x: np.ndarray) -> tuple[np.ndarray, ...]:
+    """``grow_tree``'s operands ``bins``, ``bin_start``, ``bin_value``,
+    ``bin_rows`` and ``column`` for the columns of ``x`` that hold more than
+    one value: a column of one value can never split, so no level searches
+    it.  Each kept column gets one bin per distinct value, in ascending
+    value order, the kept columns' bins laid end to end.  Kept column j is
+    feature ``column[j]`` of ``x`` and owns bins ``bin_start[j]`` up to
+    ``bin_start[j + 1]``; bin b holds the value ``bin_value[b]`` in
+    ``bin_rows[b]`` rows, which is the root's count histogram for every
+    tree, and ``bins[j, i]`` is the bin of row i."""
+    kept = []  # (feature, its values, each row's value index, rows per value)
+    for f, col in enumerate(x.T):
+        values, at, rows = np.unique(col, return_inverse=True, return_counts=True)
+        if len(values) > 1:
+            kept.append((f, values, at, rows))
+    column, values, at, rows = zip(*kept) if kept else ((),) * 4
     bin_start = np.cumsum([0] + [len(v) for v in values])
-    bins = np.array([np.searchsorted(v, col) for v, col in zip(values, x.T)], dtype=np.int64)
-    return bins.reshape(x.shape[::-1]) + bin_start[:-1, None], bin_start, np.concatenate(
-        [np.empty(0), *values])
+    bins = np.array(at, dtype=np.int64).reshape(len(kept), len(x)) + bin_start[:-1, None]
+    return bins, bin_start, np.concatenate([np.empty(0), *values]), np.concatenate(
+        [np.empty(0, dtype=np.int64), *rows]), np.array(column, dtype=np.int64)
 
 
 def _split_threshold_py(a, b):
@@ -188,17 +204,38 @@ def _split_threshold_py(a, b):
 _split_threshold = _njit(_split_threshold_py)
 
 
-def _grow_tree_py(x, bins, bin_start, bin_value, resid, min_leaf, max_depth):
-    # Level-wise growth.  Per level, one pass over the rows fills each node's
-    # per-bin row counts and residual sums, in row order; a running sum over
-    # each column's bins in ascending value order scores the split after
-    # each bin that holds rows of the node, with its threshold between that
-    # bin's value and the node's next (_split_threshold).  The level's nodes
-    # go in chunks whose histograms hold at most n * nfeat cells.
-    n, nfeat = x.shape
+def _node_bound_py(n, min_leaf, max_depth):
+    # The most nodes a tree can hold: a full tree of depth max_depth, or
+    # 2 * leaves - 1 for the at most n // min_leaf leaves of n rows.
+    return min(2 ** (max_depth + 1) - 1, max(1, 2 * (n // min_leaf) - 1))
+
+
+_node_bound = _njit(_node_bound_py)
+
+
+def _level_subtracts_py(n, nfeat, nbins, k):
+    # Whether a level of k nodes fills only the smaller child of each split:
+    # a level of children whose histograms and their parents' (k + k // 2
+    # nodes of nbins cells) fit in n * nfeat cells.
+    return k > 1 and (k + k // 2) * nbins <= n * nfeat
+
+
+_level_subtracts = _njit(_level_subtracts_py)
+
+
+def _grow_tree_py(x, bins, bin_start, bin_value, bin_rows, column, resid, min_leaf, max_depth):
+    # Level-wise growth over bin_columns' columns, by the rule that the
+    # module docstring states.  Per level, one pass over the rows counts each
+    # node's rows and residual sum in row order; a running sum over each
+    # column's bins in ascending value order scores the split after each bin
+    # that holds rows of the node, with its threshold between that bin's
+    # value and the node's next (_split_threshold).  p keeps the histograms
+    # of the nodes that split, for a next level that _level_subtracts.
+    n = x.shape[0]
+    nfeat = bins.shape[0]
     nbins = bin_value.shape[0]
     per_chunk = max(1, n * nfeat // max(1, nbins))
-    max_nodes = 2 ** (max_depth + 1) - 1
+    max_nodes = _node_bound(n, min_leaf, max_depth)
     feat = np.full(max_nodes, -1, dtype=np.int64)
     thr = np.zeros(max_nodes, dtype=np.float64)
     left = np.full(max_nodes, -1, dtype=np.int64)
@@ -208,11 +245,11 @@ def _grow_tree_py(x, bins, bin_start, bin_value, resid, min_leaf, max_depth):
     node_of = np.zeros(n, dtype=np.int64)
     cnt = np.zeros(max_nodes, dtype=np.int64)
     ssum = np.zeros(max_nodes, dtype=np.float64)
-    best_score = np.zeros(max_nodes, dtype=np.float64)
-    best_feat = np.zeros(max_nodes, dtype=np.int64)
-    best_thr = np.zeros(max_nodes, dtype=np.float64)
     h_cnt = np.zeros((per_chunk, nbins), dtype=np.int64)
     h_sum = np.zeros((per_chunk, nbins), dtype=np.float64)
+    # A subtracting level has at most per_chunk // 3 parents.
+    p_cnt = np.zeros((per_chunk // 3, nbins), dtype=np.int64)
+    p_sum = np.zeros((per_chunk // 3, nbins), dtype=np.float64)
 
     n_nodes = 1
     level_lo = 0
@@ -220,61 +257,75 @@ def _grow_tree_py(x, bins, bin_start, bin_value, resid, min_leaf, max_depth):
     for depth in range(max_depth + 1):
         cnt[level_lo:level_hi] = 0
         ssum[level_lo:level_hi] = 0.0
-        best_score[level_lo:level_hi] = -np.inf
-        best_feat[level_lo:level_hi] = -1
         for i in range(n):
             nd = node_of[i]
             if level_lo <= nd < level_hi:
                 cnt[nd] += 1
                 ssum[nd] += resid[i]
 
-        if depth < max_depth:
-            for lo in range(level_lo, level_hi, per_chunk):
-                hi = min(lo + per_chunk, level_hi)
-                h_cnt[:] = 0
-                h_sum[:] = 0.0
-                for i in range(n):
-                    r = node_of[i] - lo
-                    if 0 <= r < hi - lo:
-                        for f in range(nfeat):
-                            h_cnt[r, bins[f, i]] += 1
-                            h_sum[r, bins[f, i]] += resid[i]
-                for nd in range(lo, hi):
-                    r = nd - lo
-                    best_bin = -1
+        subtract = _level_subtracts(n, nfeat, nbins, level_hi - level_lo)
+        step = level_hi - level_lo if subtract else per_chunk
+        n_split = 0
+        for lo in range(level_lo, level_hi if depth < max_depth and nfeat > 0 else level_lo, step):
+            hi = min(lo + step, level_hi)
+            h_cnt[:hi - lo] = 0
+            h_sum[:hi - lo] = 0.0
+            if depth == 0:
+                h_cnt[0, :] = bin_rows
+            for i in range(n):
+                r = node_of[i] - lo
+                # Under subtraction, only the smaller child: the left one
+                # (r even) on equal rows.
+                if 0 <= r < hi - lo and (not subtract or cnt[lo + r] + (r & 1) <= cnt[lo + (r ^ 1)]):
                     for f in range(nfeat):
-                        nl = 0
-                        sl = 0.0
-                        for b in range(bin_start[f], bin_start[f + 1]):
-                            nl += h_cnt[r, b]
-                            sl += h_sum[r, b]
-                            nr = cnt[nd] - nl
-                            if h_cnt[r, b] > 0 and nl >= min_leaf and nr >= min_leaf:
-                                sr = ssum[nd] - sl
-                                sc = sl * sl / nl + sr * sr / nr
-                                if sc > best_score[nd]:
-                                    best_score[nd] = sc
-                                    best_feat[nd] = f
-                                    best_bin = b
-                    if best_bin >= 0:
-                        nxt = best_bin + 1
-                        while h_cnt[r, nxt] == 0:
-                            nxt += 1
-                        best_thr[nd] = _split_threshold(bin_value[best_bin], bin_value[nxt])
+                        if depth > 0:
+                            h_cnt[r, bins[f, i]] += 1
+                        h_sum[r, bins[f, i]] += resid[i]
+            if subtract:
+                for r in range(0, hi - lo, 2):
+                    small = r if cnt[lo + r] <= cnt[lo + r + 1] else r + 1
+                    big = small ^ 1
+                    for b in range(nbins):
+                        c = p_cnt[r // 2, b] - h_cnt[small, b]
+                        h_cnt[big, b] = c
+                        h_sum[big, b] = p_sum[r // 2, b] - h_sum[small, b] if c > 0 else 0.0
+            for nd in range(lo, hi):
+                r = nd - lo
+                best_score = -np.inf
+                best_feat = -1
+                best_bin = -1
+                for f in range(nfeat):
+                    nl = 0
+                    sl = 0.0
+                    for b in range(bin_start[f], bin_start[f + 1]):
+                        nl += h_cnt[r, b]
+                        sl += h_sum[r, b]
+                        nr = cnt[nd] - nl
+                        if h_cnt[r, b] > 0 and nl >= min_leaf and nr >= min_leaf:
+                            sr = ssum[nd] - sl
+                            sc = sl * sl / nl + sr * sr / nr
+                            if sc > best_score:
+                                best_score = sc
+                                best_feat = f
+                                best_bin = b
+                if best_bin >= 0 and best_score > ssum[nd] * ssum[nd] / cnt[nd]:
+                    nxt = best_bin + 1
+                    while h_cnt[r, nxt] == 0:
+                        nxt += 1
+                    feat[nd] = column[best_feat]
+                    thr[nd] = _split_threshold(bin_value[best_bin], bin_value[nxt])
+                    left[nd] = n_nodes
+                    right[nd] = n_nodes + 1
+                    n_nodes += 2
+                    if _level_subtracts(n, nfeat, nbins, 2 * n_split + 2):
+                        p_cnt[n_split, :] = h_cnt[r, :]
+                        p_sum[n_split, :] = h_sum[r, :]
+                    n_split += 1
 
-        any_split = False
         for nd in range(level_lo, level_hi):
-            parent_sc = ssum[nd] * ssum[nd] / cnt[nd]
-            if best_feat[nd] >= 0 and best_score[nd] > parent_sc:
-                feat[nd] = best_feat[nd]
-                thr[nd] = best_thr[nd]
-                left[nd] = n_nodes
-                right[nd] = n_nodes + 1
-                n_nodes += 2
-                any_split = True
-            else:
+            if left[nd] < 0:
                 value[nd] = ssum[nd] / cnt[nd]
-        if any_split:
+        if n_split > 0:
             for i in range(n):
                 nd = node_of[i]
                 if level_lo <= nd < level_hi and left[nd] >= 0:
@@ -284,7 +335,7 @@ def _grow_tree_py(x, bins, bin_start, bin_value, resid, min_leaf, max_depth):
                         node_of[i] = right[nd]
         level_lo = level_hi
         level_hi = n_nodes
-        if not any_split:
+        if n_split == 0:
             break
     return feat[:n_nodes], thr[:n_nodes], left[:n_nodes], right[:n_nodes], value[:n_nodes], node_of
 
@@ -292,23 +343,57 @@ def _grow_tree_py(x, bins, bin_start, bin_value, resid, min_leaf, max_depth):
 grow_tree_loop = _njit(_grow_tree_py)
 
 
-def _chunk_splits(lo, hi, node_of, cnt, ssum, bins, bin_start, bin_value, weights, min_leaf):
-    # The splits of nodes lo..hi-1 of a level that beat the node itself, as
-    # (nodes, features, thresholds); only cells that hold rows are scored.
-    k, nbins = hi - lo, len(bin_value)
-    rows = np.flatnonzero((node_of >= lo) & (node_of < hi))
-    if len(rows) < len(node_of):
+def _fill(bins, weights, rows, slot, k, nbins, counts=True):
+    # The (k, nbins) per-bin row counts (None unless counts) and residual
+    # sums of the given rows (all rows for None), the i-th of them in node
+    # slot[i] of the k.  The keys go feature by feature, so each cell's
+    # residuals add in row order.
+    if rows is not None and len(rows) < bins.shape[1]:
         bins, weights = bins.take(rows, axis=1), weights.take(rows, axis=1)
     if k > 1:  # the keys of one node are its bins
-        bins = bins + (node_of[rows] - lo) * nbins
-    h_cnt = np.bincount(bins.ravel(), minlength=k * nbins).reshape(k, nbins)
-    sl = np.bincount(bins.ravel(), weights=weights.ravel(), minlength=k * nbins).reshape(k, nbins)
+        bins = bins + slot * nbins
+    keys = bins.ravel()
+    h_sum = np.bincount(keys, weights=weights.ravel(), minlength=k * nbins).reshape(k, nbins)
+    if not counts:
+        return None, h_sum
+    return np.bincount(keys, minlength=k * nbins).reshape(k, nbins), h_sum
+
+
+def _subtract(lo, hi, node_of, cnt, parents, bins, weights, nbins):
+    # The histograms of nodes lo..hi-1, the children of the split nodes
+    # whose histograms are parents, in (left, right) pairs: the smaller child
+    # of each pair (the left one on equal rows) filled from its rows, which a
+    # per-node mask picks, and its sibling the parent minus it, cell by cell,
+    # with 0.0 for a cell that holds no row.
+    k = hi - lo
+    lefts = np.arange(lo, hi, 2)
+    small = lefts + (cnt[lefts] > cnt[lefts + 1])
+    fill = np.zeros(hi, dtype=bool)
+    fill[small] = True
+    rows = np.flatnonzero(fill[node_of])
+    s_cnt, s_sum = _fill(bins, weights, rows, (node_of[rows] - lo) >> 1, k // 2, nbins)
+    b_cnt, b_sum = parents
+    b_cnt -= s_cnt
+    b_sum -= s_sum
+    b_sum[b_cnt == 0] = 0.0
+    at = small - lo
+    h_cnt, h_sum = np.empty((k, nbins), dtype=np.int64), np.empty((k, nbins))
+    h_cnt[at], h_sum[at] = s_cnt, s_sum
+    h_cnt[at ^ 1], h_sum[at ^ 1] = b_cnt, b_sum
+    return h_cnt, h_sum
+
+
+def _chunk_splits(lo, hi, h_cnt, h_sum, cnt, ssum, bin_start, bin_value, min_leaf):
+    # The splits of nodes lo..hi-1 of a level that beat the node itself, as
+    # (nodes, columns, thresholds), from the nodes' histograms, which this
+    # overwrites; only cells that hold rows are scored.
+    k, nbins = hi - lo, len(bin_value)
+    sl = h_sum
     for a, b in zip(bin_start[:-1].tolist(), bin_start[1:].tolist()):
         np.add.accumulate(sl[:, a:b], axis=1, out=sl[:, a:b])
     occ = np.flatnonzero(h_cnt)  # the cells that hold rows, in (node, feature, bin) order
     m = cnt[lo:hi].take(occ // nbins)
     nl = np.cumsum(h_cnt, axis=1, out=h_cnt).take(occ)
-    del h_cnt
     nl -= (np.searchsorted(bin_start, occ % nbins, side="right") - 1) * m  # m per earlier column
     cand = (nl >= min_leaf) & (nl <= m - min_leaf)
     at, nl, m = occ[cand], nl[cand], m[cand]
@@ -330,43 +415,84 @@ def _chunk_splits(lo, hi, node_of, cnt, ssum, bins, bin_start, bin_value, weight
         _split_threshold(u, v) for u, v in zip(bin_value[b].tolist(), bin_value[nxt].tolist())]
 
 
-def grow_tree_numpy(x, bins, bin_start, bin_value, resid, min_leaf, max_depth):
+def _level_histograms(lo, hi, per_chunk, node_of, cnt, parents, bins, weights, bin_rows):
+    # The histograms of a level's nodes lo..hi-1, as (lo, hi, counts, sums)
+    # per chunk: the root's counts are bin_rows, a level with parents
+    # subtracts in one chunk, and any other is filled chunk by chunk.
+    nbins = len(bin_rows)
+    if hi == 1:
+        yield 0, 1, bin_rows[None].copy(), _fill(bins, weights, None, None, 1, nbins, False)[1]
+    elif parents is not None:
+        yield lo, hi, *_subtract(lo, hi, node_of, cnt, parents, bins, weights, nbins)
+    else:
+        for a in range(lo, hi, per_chunk):
+            b = min(a + per_chunk, hi)
+            rows = np.flatnonzero((node_of >= a) & (node_of < b))
+            yield a, b, *_fill(bins, weights, rows, node_of[rows] - a, b - a, nbins)
+
+
+def grow_tree_numpy(x, bins, bin_start, bin_value, bin_rows, column, resid, min_leaf, max_depth):
     """Vectorized twin of the loop kernel (same splits, bit for bit).
 
-    ``bins``, ``bin_start`` and ``bin_value`` are ``bin_columns(x)``, made
-    once for all the trees grown on ``x``.  A level's (node, bin) histograms
-    are one ``np.bincount`` pair over the rows' keys, laid out feature by
-    feature so that each bin's residuals add in row order, then
-    ``np.add.accumulate`` along each column's bins: the loop's sums in the
-    loop's order, so the same scores, and the first maximum in (feature,
-    bin) order is the loop's tie-break.  A level's nodes go in chunks whose
-    histograms hold at most ``n * nfeat`` cells, the size of ``bins``."""
-    n, nfeat = x.shape
-    per_chunk = max(1, n * nfeat // max(1, len(bin_value)))
-    max_nodes = 2 ** (max_depth + 1) - 1
+    ``bins``, ``bin_start``, ``bin_value``, ``bin_rows`` and ``column`` are
+    ``bin_columns(x)``, made once for all the trees grown on ``x``: only
+    columns with more than one value are searched, and ``column`` maps a
+    split back to its feature of ``x``.  A level's (node, bin) histograms
+    hold each node's row count and residual sum per bin.  The root's counts
+    are ``bin_rows``, the same for every tree, and its sums one
+    ``np.bincount``.  Each later level fills only the smaller child of each
+    split (fewer rows; the left one on equal rows), with one ``np.bincount``
+    pair over those rows' keys, and takes its sibling as the parent's
+    histogram minus the smaller child's, cell by cell: counts exactly, and
+    0.0 for a cell that holds no row.  The keys go feature by feature, so
+    each bin's residuals add in row order, and ``np.add.accumulate`` along
+    each column's bins then gives the loop's sums in the loop's order, so
+    the same scores, and the first maximum in (feature, bin) order is the
+    loop's tie-break.  A level's histograms, with its parents' that it
+    keeps, must fit in ``n * nfeat`` cells, the size of ``bins``: a level
+    that does not is filled directly from all its rows, its nodes in chunks
+    within that bound, and the next level may subtract from it
+    (``_level_subtracts``).  Nodes are allocated up to ``_node_bound``:
+    ``n // min_leaf`` leaves at most."""
+    n, nfeat, nbins = x.shape[0], bins.shape[0], len(bin_value)
+    per_chunk = max(1, n * nfeat // max(1, nbins))
+    max_nodes = _node_bound(n, min_leaf, max_depth)
     feat, left, right = (np.full(max_nodes, -1, dtype=np.int64) for _ in range(3))
     thr, value = np.zeros(max_nodes), np.zeros(max_nodes)
     node_of = np.zeros(n, dtype=np.int64)
     weights = np.tile(resid, (nfeat, 1))  # the residual of each key
+    parents = None  # the last level's split nodes' histograms, when this level subtracts
     n_nodes, level_lo, level_hi = 1, 0, 1
     for depth in range(max_depth + 1):
-        cnt = np.bincount(node_of, minlength=max_nodes)
-        ssum = np.bincount(node_of, weights=resid, minlength=max_nodes)
-        for lo in range(level_lo, level_hi if depth < max_depth and nfeat else level_lo, per_chunk):
-            nodes, f, t = _chunk_splits(lo, min(lo + per_chunk, level_hi), node_of, cnt, ssum,
-                                        bins, bin_start, bin_value, weights, min_leaf)
-            feat[nodes], thr[nodes] = f, t
+        cnt = np.bincount(node_of, minlength=n_nodes)
+        ssum = np.bincount(node_of, weights=resid, minlength=n_nodes)
+        kept, n_split = [], 0
+        for lo, hi, h_cnt, h_sum in (_level_histograms(
+                level_lo, level_hi, per_chunk, node_of, cnt, parents, bins, weights, bin_rows)
+                if depth < max_depth and nfeat else ()):
+            # _chunk_splits overwrites the histograms, and the next level may
+            # subtract from those of the nodes that split.
+            raw = (h_cnt.copy(), h_sum.copy()) if _level_subtracts(
+                n, nfeat, nbins, 2 * n_split + 2) else None
+            nodes, f, t = _chunk_splits(lo, hi, h_cnt, h_sum, cnt, ssum, bin_start, bin_value,
+                                        min_leaf)
+            feat[nodes], thr[nodes] = column[f], t
+            if raw is not None:
+                kept.append((raw[0][nodes - lo], raw[1][nodes - lo]))
+            n_split += len(nodes)
         level = np.arange(level_lo, level_hi)
         split = level[feat[level] >= 0]
         value[level] = np.where(feat[level] < 0, ssum[level] / cnt[level], 0.0)
         if not len(split):
             break
+        parents = tuple(map(np.concatenate, zip(*kept))) if _level_subtracts(
+            n, nfeat, nbins, 2 * len(split)) else None
         left[split] = n_nodes + 2 * np.arange(len(split))
         right[split] = left[split] + 1
         n_nodes += 2 * len(split)
         rows = np.flatnonzero(left[node_of] >= 0)  # the rows of the nodes just split
         nd = node_of[rows]
-        node_of[rows] = left[nd] + (x.take(rows * nfeat + feat[nd]) > thr[nd])  # right = left + 1
+        node_of[rows] = left[nd] + (x.take(rows * x.shape[1] + feat[nd]) > thr[nd])  # right = left + 1
         level_lo, level_hi = level_hi, n_nodes
     return feat[:n_nodes], thr[:n_nodes], left[:n_nodes], right[:n_nodes], value[:n_nodes], node_of
 

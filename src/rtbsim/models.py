@@ -89,9 +89,8 @@ _RANGES = {
     "epochs": (">= 1", lambda v: v >= 1),
     "rounds": (">= 1", lambda v: v >= 1),
     "shrinkage": ("finite and > 0", lambda v: math.isfinite(v) and v > 0),
-    # grow_tree allocates 2**(max_depth + 1) - 1 nodes a tree, 16 MiB an
-    # array at 20, and each level nests one more parenthesis in the source
-    # of the one-row scorer (kernels.compile_forest_row).
+    # Each level nests one more parenthesis in the source of the one-row
+    # scorer (kernels.compile_forest_row).
     "max_depth": (">= 0 and <= 20", lambda v: 0 <= v <= 20),
     "min_leaf": (">= 1", lambda v: v >= 1),
 }
@@ -301,10 +300,15 @@ def train_gbrt(x: np.ndarray, y: np.ndarray, hyper: GbrtHyper | None = None) -> 
     Split search is exact greedy over midpoints of consecutive distinct
     values, ties broken toward the lowest feature then lowest threshold.
     Each level is searched from histograms with one bin per distinct value
-    (``kernels.bin_columns``, made once per fit): a bin's residuals are
-    summed in row order, and a split's left sum runs over the bins in
-    ascending value order.  Training MSE is recorded per round and is
-    non-increasing.
+    (``kernels.bin_columns``, made once per fit with the root's row counts,
+    and without the columns that hold one value): a split's left sum runs
+    over the bins in ascending value order.  The root's bins sum their
+    residuals in row order.  Below it, the smaller child of each split
+    (fewer rows; the left one on equal rows) sums in row order, and its
+    sibling's bins are the parent's minus the smaller child's, except on a
+    level whose histograms and its parents' outgrow ``n * nfeat`` cells,
+    which sums every node in row order.  Training MSE is recorded per round
+    and is non-increasing.
     """
     hyper = hyper or GbrtHyper()
     x = np.ascontiguousarray(x, dtype=np.float64)

@@ -94,15 +94,16 @@ def reference_tree_leaves(rows, feature, threshold, left, right, value, root=0):
     return np.array(out, dtype=np.float64)
 
 
-def reference_best_split(columns, resid, min_leaf):
+def reference_best_split(columns, resid, min_leaf, value_sums=None):
     """The split a regression-tree node takes, by brute force: ``(feature,
     threshold)``, or None when no split scores above the node itself.
 
     The sum rule comes first.  For each feature, the residuals of the rows
-    that share a value are summed per value, in row order, from 0.0; ``sl``
-    is then the running sum of those per-value sums in ascending value
-    order, from 0.0.  The node total is summed in row order, and ``sr`` is
-    the total minus ``sl``.
+    that share a value are summed per value, in row order, from 0.0, unless
+    ``value_sums[f]`` gives feature f's sum of each value the rows hold (see
+    ``reference_node_splits``); ``sl`` is then the running sum of those
+    per-value sums in ascending value order, from 0.0.  The node total is
+    summed in row order, and ``sr`` is the total minus ``sl``.
 
     ``columns[f]`` holds feature f's value of each of the node's rows, and
     ``resid`` their residuals, both in row order.  A candidate puts the rows
@@ -118,18 +119,17 @@ def reference_best_split(columns, resid, min_leaf):
     total = 0.0
     for r in resid:
         total += r
+    sums = value_sums or row_order_sums(columns, resid)
     best, choice = -math.inf, None
     for f, col in enumerate(columns):
-        per_value = {}  # value -> [rows, residual sum]
-        for v, r in zip(col, resid):
-            tally = per_value.setdefault(v, [0, 0.0])
-            tally[0] += 1
-            tally[1] += r
-        values = sorted(per_value)
+        rows = {}  # value -> rows that hold it
+        for v in col:
+            rows[v] = rows.get(v, 0) + 1
+        values = sorted(rows)
         nl, sl = 0, 0.0
         for a, b in zip(values, values[1:]):
-            nl += per_value[a][0]
-            sl += per_value[a][1]
+            nl += rows[a]
+            sl += sums[f][a]
             nr = n - nl
             if nl < min_leaf or nr < min_leaf:
                 continue
@@ -139,3 +139,89 @@ def reference_best_split(columns, resid, min_leaf):
                 mid = 0.5 * (a + b)
                 best, choice = score, (f, mid if a <= mid < b else a)
     return choice if best > total * total / n else None
+
+
+def row_order_sums(columns, resid):
+    """Per feature, each value's residual sum over the rows that hold it,
+    added in row order from 0.0."""
+    sums = []
+    for col in columns:
+        per_value = {}
+        for v, r in zip(col, resid):
+            per_value[v] = per_value.get(v, 0.0) + r
+        sums.append(per_value)
+    return sums
+
+
+def reference_value_sums(x, resid, feature, threshold, left, right):
+    """``{node: (rows, sums)}`` for every node of a grown tree, walked level
+    by level from the root: the node's rows, in row order, and for each
+    feature of ``x``, the residual sum of each value that the rows hold.
+
+    The sum rule comes first.  The searched columns are those that hold
+    more than one value over all n rows: ``nfeat`` of them, holding
+    ``nbins`` distinct values in all.  A level's nodes are the children of
+    the last level's splits, in (left, right) pairs.  A level of k > 1 nodes
+    subtracts when ``(k + k // 2) * nbins <= n * nfeat``.  There the smaller
+    node of each pair (fewer rows; the left one on equal rows) sums each
+    value's residuals over its rows in row order, from 0.0, and the larger
+    one takes, for each value it holds, its parent's sum minus the smaller
+    node's (0.0 where the smaller node holds no row of that value).  The
+    root and the nodes of a level that does not subtract sum in row order.
+
+    The rows reach the nodes by the tree's own splits: a row goes left when
+    its split column is <= the threshold.
+    """
+    rows_x = np.asarray(x).tolist()
+    n = len(resid)
+    held = [len(set(col)) for col in np.asarray(x).T.tolist()]
+    nfeat, nbins = sum(h > 1 for h in held), sum(h for h in held if h > 1)
+    resid = list(resid)
+    out = {}
+    level = [(0, list(range(n)), None)]  # (node, rows, parent) in node order
+    while level:
+        k = len(level)
+        subtracts = k > 1 and (k + k // 2) * nbins <= n * nfeat
+
+        def larger(at):
+            # Whether level[at] takes its parent's sums minus its sibling's.
+            if not subtracts:
+                return False
+            ours, theirs = len(level[at][1]), len(level[at ^ 1][1])
+            return ours > theirs or (ours == theirs and at % 2 == 1)
+
+        for at in sorted(range(k), key=larger):  # the smaller nodes first
+            nd, rows, parent = level[at]
+            columns = [[rows_x[i][f] for i in rows] for f in range(len(held))]
+            if larger(at):
+                small = out[level[at ^ 1][0]][1]
+                sums = [{v: out[parent][1][f][v] - small[f].get(v, 0.0) for v in col}
+                        for f, col in enumerate(columns)]
+            else:
+                sums = row_order_sums(columns, [resid[i] for i in rows])
+            out[nd] = rows, sums
+        nxt = []
+        for nd, rows, _ in level:
+            if left[nd] >= 0:
+                go = [rows_x[i][feature[nd]] <= threshold[nd] for i in rows]
+                nxt.append((left[nd], [i for i, g in zip(rows, go) if g], nd))
+                nxt.append((right[nd], [i for i, g in zip(rows, go) if not g], nd))
+        level = nxt
+    return out
+
+
+def reference_node_splits(x, resid, min_leaf, max_depth, feature, threshold, left, right):
+    """``{node: reference_best_split of its rows}`` for every node of a
+    grown tree, with the per-value sums of ``reference_value_sums``, and None
+    at depth ``max_depth``, where no node is searched."""
+    depth = [0] * len(left)
+    for nd in range(len(left)):  # a child comes after its parent
+        if left[nd] >= 0:
+            depth[left[nd]] = depth[right[nd]] = depth[nd] + 1
+    rows_x = np.asarray(x).tolist()
+    want = {}
+    for nd, (rows, sums) in reference_value_sums(x, resid, feature, threshold, left, right).items():
+        columns = [[rows_x[i][f] for i in rows] for f in range(len(sums))]
+        want[nd] = None if depth[nd] == max_depth else reference_best_split(
+            columns, [float(resid[i]) for i in rows], min_leaf, sums)
+    return want

@@ -15,7 +15,8 @@ from rtbsim import features, kernels, models, synthgen
 from rtbsim.bidding import RandBid, compute_bid
 
 from conftest import make_case
-from oracles import reference_best_split, reference_simulate, reference_tree_leaves
+from oracles import (reference_node_splits, reference_simulate, reference_tree_leaves,
+                     reference_value_sums)
 
 
 def random_auction_arrays(rng, n):
@@ -158,6 +159,19 @@ class TestGrowTree:
             for a, b in zip(t1, t2):
                 assert np.array_equal(a, b)
 
+    def test_backends_agree_on_near_ties(self):
+        # Columns 1 and 2 split the rows into the same two sets at every
+        # value, so their scores tie in exact arithmetic and the last bits of
+        # the per-bin sums pick the winner: both forms must fill the same
+        # child of each pair and give each cell the same sum.
+        for seed in range(40):
+            rng = np.random.default_rng(seed)
+            n = int(rng.integers(40, 240))
+            v = rng.integers(0, 6, n).astype(np.float64)
+            x = np.c_[rng.integers(0, 3, n), v, 5.0 - v, rng.integers(0, 4, n)]
+            resid = np.round(rng.normal(size=n), 1) if seed % 2 else v / 7 + rng.normal(size=n)
+            self._same(x, resid, int(rng.integers(1, 5)), 5)
+
     @staticmethod
     def _same(x, resid, min_leaf, max_depth):
         """Both forms grow the same tree bit for bit; returns it."""
@@ -274,6 +288,94 @@ class TestGrowTree:
             assert leaf_counts.min() >= min_leaf
             assert np.array_equal(node, node_of)
 
+    def test_node_arrays_sized_by_rows(self):
+        # A tree of n rows has at most n // min_leaf leaves, so 2 * (n //
+        # min_leaf) - 1 nodes.  At max_depth 20 this tree reaches depth 20
+        # with 325 nodes; arrays for a full tree of that depth, 2**21 - 1
+        # nodes, took 128 MiB here.
+        rng = np.random.default_rng(15)
+        x = np.c_[rng.normal(size=600), rng.integers(0, 8, size=(600, 2))]
+        resid = rng.normal(size=600)
+        binned = kernels.bin_columns(x)
+        tracemalloc.start()
+        try:
+            kernels.grow_tree_numpy(x, *binned, resid, 3, 20)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2**20
+        assert TestSplitOracle._agree(x, resid, 3, 20) > 0
+        left, right = self._same(x, resid, 3, 20)[2:4]
+        depth = np.zeros(len(left), dtype=int)
+        for nd in np.flatnonzero(left >= 0):
+            depth[[left[nd], right[nd]]] = depth[nd] + 1
+        assert depth.max() == 20 and len(left) <= 2 * (600 // 3) - 1
+
+    def test_each_level_fills_only_the_smaller_children(self, monkeypatch):
+        # The root fills its sums from every row and takes its counts from
+        # bin_columns; each later level reads only the rows of the smaller
+        # child of each split (the left one on equal rows), at most half the
+        # rows of the nodes just split.
+        fills = []
+        fill = kernels._fill
+
+        def spy(bins, weights, rows, slot, k, nbins, counts=True):
+            fills.append((np.arange(bins.shape[1]) if rows is None else rows.copy(), counts))
+            return fill(bins, weights, rows, slot, k, nbins, counts)
+
+        monkeypatch.setattr(kernels, "_fill", spy)
+        rng = np.random.default_rng(16)
+        x, binned, resid = self._random_problem(rng, 500, 4, discrete=True)
+        feat, thr, left, right, *_ = kernels.grow_tree_numpy(x, *binned, resid, 5, 5)
+        level, levels = {0: np.arange(500)}, []
+        while level:  # each level's (left, right) children and their rows
+            nxt = {}
+            for nd, rows in level.items():
+                if left[nd] >= 0:
+                    go = x[rows, feat[nd]] <= thr[nd]
+                    nxt[left[nd]], nxt[right[nd]] = rows[go], rows[~go]
+            levels.append(sorted(nxt.items()))
+            level = nxt
+        assert len(fills[0][0]) == 500 and not fills[0][1]
+        assert len(fills) == len([lv for lv in levels if lv]) == 5  # every level searched
+        for (read, counts), children in zip(fills[1:], levels):
+            smaller = [min(a, b, key=len) for (_, a), (_, b) in zip(children[::2], children[1::2])]
+            assert counts and read.tolist() == sorted(np.concatenate(smaller).tolist())
+            assert len(read) <= sum(len(rows) for _, rows in children) // 2
+        # Each split of this tree halves its node, so each level fills the
+        # left child of every pair.
+        fills.clear()
+        x = np.repeat(np.arange(8.0), 32).reshape(-1, 1)
+        resid = 4.0 * (x[:, 0] >= 4) + 2.0 * (x[:, 0] % 4 >= 2) + (x[:, 0] % 2 >= 1)
+        thr = kernels.grow_tree_numpy(x, *kernels.bin_columns(x), resid, 1, 3)[1]
+        assert thr.tolist() == [3.5, 1.5, 5.5, 0.5, 2.5, 4.5, 6.5] + [0.0] * 8
+        assert [r.tolist() for r, _ in fills[1:]] == [list(range(128)),
+                                                      list(range(64)) + list(range(128, 192))]
+
+    def test_root_counts_once_per_model(self, monkeypatch):
+        # train_gbrt bins the columns, and so counts the root's rows, once
+        # for all its trees; no tree counts the root again.
+        binnings, root_fills = [], []
+        bin_columns, fill = kernels.bin_columns, kernels._fill
+
+        def bin_spy(x):
+            binnings.append(x.shape)
+            return bin_columns(x)
+
+        def fill_spy(bins, weights, rows, slot, k, nbins, counts=True):
+            if rows is None:
+                root_fills.append(counts)
+            return fill(bins, weights, rows, slot, k, nbins, counts)
+
+        monkeypatch.setattr(kernels, "bin_columns", bin_spy)
+        monkeypatch.setattr(kernels, "_fill", fill_spy)
+        monkeypatch.setattr(kernels, "grow_tree", kernels.grow_tree_numpy)
+        rng = np.random.default_rng(17)
+        x = rng.integers(0, 5, size=(300, 3)).astype(np.float64)
+        y = (rng.random(300) < 0.3).astype(np.float64)
+        models.train_gbrt(x, y, models.GbrtHyper(rounds=4, min_leaf=5))
+        assert binnings == [(300, 3)] and root_fills == [False] * 4
+
     def test_continuous_columns_peak_memory(self):
         # Histograms of columns whose values are all distinct hold about
         # n * nfeat cells a node, so a level's nodes go in chunks.  One call
@@ -304,19 +406,14 @@ class TestSplitOracle:
                  for form in (kernels.grow_tree_loop, kernels.grow_tree_numpy)]
         assert all(np.array_equal(a, b) for a, b in zip(*trees))
         for form, (feat, thr, left, right, _, _) in zip(("loop", "numpy"), trees):
-            stack = [(0, np.arange(len(resid)), 0)]
-            while stack:
-                nd, rows, depth = stack.pop()
-                want = None
-                if depth < max_depth:
-                    want = reference_best_split(x[rows].T.tolist(), resid[rows].tolist(), min_leaf)
+            want = reference_node_splits(x, resid, min_leaf, max_depth, feat, thr, left, right)
+            assert sorted(want) == list(range(len(feat)))
+            for nd, choice in want.items():
                 if left[nd] < 0:
-                    assert want is None, (form, nd)
+                    assert choice is None, (form, nd)
                     continue
-                assert want == (feat[nd], thr[nd]), (form, nd)
+                assert choice == (feat[nd], thr[nd]), (form, nd)
                 splits += 1
-                go = x[rows, feat[nd]] <= thr[nd]
-                stack += [(left[nd], rows[go], depth + 1), (right[nd], rows[~go], depth + 1)]
         return splits
 
     @pytest.mark.parametrize("seed", range(4))
@@ -347,20 +444,85 @@ class TestSplitOracle:
             assert self._agree(x, resid, 4, 4) > 0
 
     def test_high_cardinality_chunks(self, monkeypatch):
-        # One column of distinct values and three with few: a level's
-        # histograms outgrow n * nfeat cells, so a level takes several calls.
+        # One column of distinct values and three with few: from the second
+        # level on, a level's histograms and its parents' outgrow n * nfeat
+        # cells, so the level is filled directly, its nodes in several
+        # chunks.  At min_leaf 40 only one node of such a level splits, and
+        # the level of its two children subtracts again.
         rng = np.random.default_rng(45)
         x = np.c_[rng.normal(size=400), rng.integers(0, 5, size=(400, 3))]
-        chunks = []
-        split_chunk = kernels._chunk_splits
+        resid = rng.normal(size=400) + x[:, 1]
+        calls = []
+        split_chunk, subtract = kernels._chunk_splits, kernels._subtract
 
-        def spy(lo, hi, *args):
-            chunks.append((lo, hi))
+        def chunk_spy(lo, hi, *args):
+            calls.append(("score", lo))
             return split_chunk(lo, hi, *args)
 
+        def subtract_spy(lo, hi, *args):
+            calls.append(("subtract", lo))
+            return subtract(lo, hi, *args)
+
+        monkeypatch.setattr(kernels, "_chunk_splits", chunk_spy)
+        monkeypatch.setattr(kernels, "_subtract", subtract_spy)
+        for min_leaf in (6, 40):
+            calls.clear()
+            assert self._agree(x, resid, min_leaf, 5) > 0
+            scored = [lo for kind, lo in calls if kind == "score"]
+            subtracted = [lo for kind, lo in calls if kind == "subtract"]
+            direct = sorted(set(scored) - set(subtracted) - {0})
+            assert len(scored) > 5  # more calls than the levels searched
+            assert subtracted[0] == 1 and direct  # the root's children subtract, later levels not
+            assert (subtracted[-1] > direct[0]) == (min_leaf == 40)
+
+    def test_one_value_columns_between_splitting_columns(self):
+        # bin_columns drops the columns of one value, 0, 2 and 4, and maps
+        # the kept ones back to their features, which the splits name.
+        rng = np.random.default_rng(46)
+        x = np.c_[np.full(200, 3.0), rng.integers(0, 6, 200), np.zeros(200),
+                  rng.normal(size=200), np.full(200, -1.0), rng.integers(0, 4, 200)]
+        bins, bin_start, bin_value, bin_rows, column = kernels.bin_columns(x)
+        assert column.tolist() == [1, 3, 5] and bins.shape == (3, 200)
+        assert np.array_equal(bin_rows, np.bincount(bins.ravel()))
+        assert np.array_equal(bin_value[bins[1]], x[:, 3]) and bin_start.tolist() == [0, 6, 206, 210]
+        resid = rng.normal(size=200) + x[:, 1] - x[:, 5]
+        assert self._agree(x, resid, 4, 4) > 0
+        feat = kernels.grow_tree_numpy(x, *kernels.bin_columns(x), resid, 4, 4)[0]
+        assert {3, 5} <= set(feat[feat >= 0].tolist()) <= {1, 3, 5}
+
+    @pytest.mark.parametrize("high_cardinality", [False, True])
+    def test_histograms_follow_the_sum_rule(self, monkeypatch, high_cardinality):
+        # Each node's histograms, as grow_tree_numpy scores them, hold its
+        # rows per value, the oracle's per-value sums bit for bit, and 0.0
+        # in every cell without rows, on subtracting and direct levels.
+        rng = np.random.default_rng(47)
+        x = rng.integers(0, 6, size=(400, 4)).astype(np.float64)
+        if high_cardinality:
+            x[:, 0] = rng.normal(size=400)
+        resid = rng.normal(size=400)
+        seen = {}
+        split_chunk = kernels._chunk_splits
+
+        def spy(lo, hi, h_cnt, h_sum, *args):
+            seen.update((lo + r, (h_cnt[r].copy(), h_sum[r].copy())) for r in range(hi - lo))
+            return split_chunk(lo, hi, h_cnt, h_sum, *args)
+
         monkeypatch.setattr(kernels, "_chunk_splits", spy)
-        assert self._agree(x, rng.normal(size=400) + x[:, 1], 6, 5) > 0
-        assert len(chunks) > 5  # more calls than the levels searched
+        binned = kernels.bin_columns(x)
+        _, bin_start, bin_value, _, column = binned
+        feat, thr, left, right, *_ = kernels.grow_tree_numpy(x, *binned, resid, 3, 6)
+        want = reference_value_sums(x, resid, feat, thr, left, right)
+        assert len(seen) > 30
+        for nd, (h_cnt, h_sum) in seen.items():
+            rows, sums = want[nd]
+            for j, f in enumerate(column.tolist()):
+                a, b = bin_start[j], bin_start[j + 1]
+                values, counts = np.unique(x[rows, f], return_counts=True)
+                held = np.zeros(b - a, dtype=np.int64)
+                held[np.searchsorted(bin_value[a:b], values)] = counts
+                assert np.array_equal(h_cnt[a:b], held), (nd, f)
+                assert h_sum[a:b][held > 0].tolist() == [sums[f][v] for v in values.tolist()]
+                assert not h_sum[a:b][held == 0].any(), (nd, f)
 
     def test_densified_campaign(self):
         train, _, _ = synthgen.generate(synthgen.SynthConfig(seed=5, n_train=1200, n_test=10))
