@@ -79,8 +79,7 @@ def _build_synth_config(args) -> synthgen.SynthConfig:
 def _write_truth(table: CaseTable, p, path: Path) -> None:
     with open(path, "w", encoding="utf-8") as f:
         f.write("bid_id,true_ctr\n")
-        for bid_id, prob in zip(table.lists["bid_id"], p):
-            f.write(f"{bid_id},{float(prob)!r}\n")
+        f.writelines([f"{bid_id},{prob!r}\n" for bid_id, prob in zip(table.lists["bid_id"], p.tolist())])
 
 
 def cmd_synth(args) -> int:

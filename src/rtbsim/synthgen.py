@@ -11,7 +11,10 @@ own seeded generator, and is returned as a :class:`~rtbsim.logdata.CaseTable`
 built straight from those draws: each coded column is coded with numpy, in
 the order its values first appear, so the table equals ``CaseTable.of`` of
 the block's cases; only the per-row ids, IPs and timestamps are lists.  No
-record is made per case.
+record is made per case.  A column is coded from integer ranks among its
+distinct values, a tag row's one tag column at a time, so no key reaches
+rows times distinct values; the codes number the ranks in the order of
+their first rows.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ import hashlib
 import math
 from dataclasses import dataclass
 from datetime import datetime, timedelta
+from itertools import islice, product
 from pathlib import Path
 
 import numpy as np
@@ -69,8 +73,10 @@ class DegenerateConfig(ValueError):
     """Config whose true click probabilities carry no usable signal."""
 
 
-def _hashed_pool(prefix: str, n: int) -> tuple[str, ...]:
-    return tuple(hashlib.md5(f"{prefix}{i}".encode()).hexdigest() for i in range(n))
+DOMAIN_POOL, URL_POOL, CREATIVE_POOL = (tuple(hashlib.md5(f"{prefix}{i}".encode()).hexdigest() for i in range(n))
+                                        for prefix, n in (("domain", 15), ("url", 25), ("creative", 6)))
+_LOW_DIGITS = tuple(f"{i:03d}" for i in range(1000))
+_OCTETS = np.array([str(i) for i in range(256)], object)
 
 
 @dataclass
@@ -224,12 +230,9 @@ def _sample_block(
     ua_idx = rng.integers(0, len(USER_AGENTS), size=n)
     vis_idx = rng.integers(0, len(VISIBILITY_POOL), size=n)
     fmt_idx = rng.integers(0, len(FORMAT_POOL), size=n)
-    domain_pool = _hashed_pool("domain", 15)
-    url_pool = _hashed_pool("url", 25)
-    creative_pool = _hashed_pool("creative", 6)
-    dom_idx = rng.integers(0, len(domain_pool), size=n)
-    url_idx = rng.integers(0, len(url_pool), size=n)
-    cre_idx = rng.integers(0, len(creative_pool), size=n)
+    dom_idx = rng.integers(0, len(DOMAIN_POOL), size=n)
+    url_idx = rng.integers(0, len(URL_POOL), size=n)
+    cre_idx = rng.integers(0, len(CREATIVE_POOL), size=n)
     ip_a = rng.integers(1, 223, size=n)
     ip_b = rng.integers(0, 255, size=n)
 
@@ -264,10 +267,10 @@ def _sample_block(
     # datetime64 converts to datetime up to year 9999, as SynthConfig ensures
     stamps = (np.datetime64(start, "ms") + offsets.astype("timedelta64[ms]")).tolist()
     lists = {
-        "bid_id": [f"{prefix}{i:011d}" for i in range(n)],
+        "bid_id": _numbered(prefix, 11, n),
         "timestamp": stamps,
-        "ipinyou_id": [f"u{phase}{i:012d}" for i in range(n)],
-        "ip": [f"{a}.{b}.{(i >> 8) & 255}.*" for i, a, b in zip(range(n), ip_a.tolist(), ip_b.tolist())],
+        "ipinyou_id": _numbered(f"u{phase}", 12, n),
+        "ip": list(map(".".join, zip(_OCTETS[ip_a], _OCTETS[ip_b], _OCTETS[np.arange(n) >> 8 & 255] + ".*"))),
     }
     widths, heights = (np.array(side)[slot_idx] for side in zip(*SLOT_SIZE_POOL))
     slot_ids = [f"{w}_{h}_{k}" for k, (w, h) in enumerate(SLOT_SIZE_POOL)]
@@ -277,8 +280,8 @@ def _sample_block(
         "region": _coded(region),
         "city": _coded(city),
         "ad_exchange": _coded(exchange),
-        "domain": _coded(dom_idx, domain_pool),
-        "url": _coded(url_idx, url_pool),
+        "domain": _coded(dom_idx, DOMAIN_POOL),
+        "url": _coded(url_idx, URL_POOL),
         "anonymous_url_id": _constant(n, None),
         "slot_id": _coded(slot_idx, slot_ids),
         "slot_width": _coded(widths),
@@ -286,7 +289,7 @@ def _sample_block(
         "slot_visibility": _coded(vis_idx, VISIBILITY_POOL),
         "slot_format": _coded(fmt_idx, FORMAT_POOL),
         "slot_floor_price": _coded(floor),
-        "creative_id": _coded(cre_idx, creative_pool),
+        "creative_id": _coded(cre_idx, CREATIVE_POOL),
         "bid_price": _constant(n, config.max_price + 1),  # every generated case is a valid historical win
         "paying_price": _coded(paying),
         "key_page_url": _constant(n, None),
@@ -298,19 +301,29 @@ def _sample_block(
     return table, p, stamps[-1]
 
 
+def _numbered(head: str, width: int, n: int) -> list[str]:
+    """``f"{head}{i:0{width}d}"`` for each ``i < n``, from its thousands and last three digits."""
+    highs = [f"{head}{i:0{width - 3}d}" for i in range(-(-n // 1000))]
+    return list(map("".join, islice(product(highs, _LOW_DIGITS), n)))
+
+
 def _coded(keys: np.ndarray, pool=None) -> tuple[np.ndarray, list]:
     """A column as :meth:`CaseTable.of` codes it: each row's int64 code into
     the list of the distinct values, in the order each first appears.  Row
     ``i`` holds ``keys[i]`` (as a tuple, when ``keys`` is 2-D), or
     ``pool[keys[i]]`` when a pool of distinct values is given."""
-    distinct, first, inverse = np.unique(keys, return_index=True, return_inverse=True, axis=0)
+    columns = keys.reshape(len(keys), -1).T
+    rank = np.unique(columns[0], return_inverse=True)[1]
+    for column in columns[1:]:  # the rows' ranks so far, re-ranked with this column's
+        distinct, ranks = np.unique(column, return_inverse=True)
+        rank = np.unique(rank * len(distinct) + ranks, return_inverse=True)[1]
+    first = np.full(rank.max() + 1, len(keys))
+    np.minimum.at(first, rank, np.arange(len(keys)))
     order = np.argsort(first)
-    rank = np.empty(len(order), np.int64)
-    rank[order] = np.arange(len(order))
-    held = distinct[order].tolist()
+    held = keys[first[order]].tolist()
     if keys.ndim == 2:
         held = list(map(tuple, held))
-    return rank[inverse.reshape(-1)], held if pool is None else [pool[k] for k in held]
+    return np.argsort(order)[rank], held if pool is None else [pool[k] for k in held]
 
 
 def _constant(n: int, value) -> tuple[np.ndarray, list]:
@@ -383,8 +396,10 @@ def write_dataset(cases: CaseTable | list[AuctionCase], directory) -> dict[str, 
 
 def _check_required(table: CaseTable) -> None:
     """Raise :func:`serialize_record`'s :class:`MissingValue` for the first
-    row that leaves a column absent that is not optional text."""
-    first = [column.index(None) for name, kind in COLUMN_KINDS.items()
-             if kind != "optional text" and None in (column := table.column(name))]
+    row that leaves a column absent that is not optional text (not for a
+    coded column's absent value that no row holds, as a taken table's)."""
+    first = [table.column(name).index(None) for name, kind in COLUMN_KINDS.items() if kind != "optional text"
+             and (None in table.lists[name] if name in table.lists
+                  else None in (values := table.values[name]) and values.index(None) in table.codes[name])]
     if first:
         serialize_record(table.record(min(first)), EVENT_LOG)

@@ -10,7 +10,7 @@ import pytest
 
 from conftest import make_case
 from rtbsim.logdata import EVENT_LOG, AuctionCase, CaseTable, MissingValue, join_events, load_log
-from rtbsim.synthgen import DegenerateConfig, SynthConfig, generate, write_dataset
+from rtbsim.synthgen import DegenerateConfig, SynthConfig, _coded, _numbered, generate, write_dataset
 
 
 @pytest.fixture(scope="module")
@@ -116,8 +116,12 @@ def assert_same_table(got: CaseTable, want: CaseTable) -> None:
         assert np.array_equal(got_flags, want_flags)
 
 
-@pytest.mark.parametrize("kwargs", [kwargs for kwargs, _ in SYNTH_PINS] + [LATEST_START],
-                         ids=["one-case", "all-tags", "latest-start"])
+@pytest.mark.parametrize("kwargs", [kwargs for kwargs, _ in SYNTH_PINS] + [
+    LATEST_START,
+    dict(seed=2, n_train=300, n_test=100, n_tags=40, tags_per_case=40),
+    dict(seed=3, n_train=300, n_test=100, n_tags=40, tags_per_case=20),
+    dict(seed=4, n_train=300, n_test=100, max_floor=2**62 - 1),
+], ids=["one-case", "all-tags", "latest-start", "40-of-40-tags", "20-of-40-tags", "floors-near-2**62"])
 def test_tables_equal_the_tables_of_their_logs(tmp_path, kwargs):
     # A generated table is the table its written logs read back to, and the
     # table CaseTable.of makes of its cases.
@@ -128,12 +132,71 @@ def test_tables_equal_the_tables_of_their_logs(tmp_path, kwargs):
         assert list(table) == table.cases()
 
 
+def first_seen(keys: np.ndarray, pool=None) -> tuple[list, list]:
+    """Reference coding: each row's index into its distinct rows (tuples,
+    when ``keys`` is 2-D) in the order each first appears, and those rows,
+    or their ``pool`` entries."""
+    rows = keys.tolist()
+    if keys.ndim == 2:
+        rows = list(map(tuple, rows))
+    held = list(dict.fromkeys(rows))
+    at = {row: code for code, row in enumerate(held)}
+    return [at[row] for row in rows], held if pool is None else [pool[k] for k in held]
+
+
+_rng = np.random.default_rng(12)
+CODED_KEYS = {
+    "one-row": np.array([7]),
+    "one-row-tags": np.array([[2, 5, 9]]),
+    "one-value": np.full(50, 3),
+    "one-value-tags": np.tile([1, 2, 3], (50, 1)),
+    "all-distinct": _rng.permutation(500),
+    "all-distinct-tags": np.column_stack([np.arange(500), np.arange(500)[::-1]]),
+    "near-2**62": _rng.integers(2**62 - 40, 2**62, 500),
+    "near-2**62-tags": np.sort(_rng.integers(2**62 - 3, 2**62, (500, 4)), axis=1),
+    "zipf-like": _rng.geometric(0.3, 2000),
+    "tag-rows": np.sort(np.argsort(_rng.random((2000, 12)), axis=1)[:, :3], axis=1) + 1,
+    "every-tag": np.tile(np.arange(1, 41), (30, 1)),
+    "half-the-tags": np.sort(np.argsort(_rng.random((300, 40)), axis=1)[:, :20], axis=1) + 1,
+}
+
+
+@pytest.mark.parametrize("keys", CODED_KEYS.values(), ids=CODED_KEYS)
+def test_coded_codes_in_first_seen_order(keys):
+    codes, values = _coded(keys)
+    want_codes, want_values = first_seen(keys)
+    assert codes.dtype == np.int64 and codes.tolist() == want_codes
+    assert repr(values) == repr(want_values)  # ints and tuples, not numpy scalars or lists
+
+
+def test_coded_with_a_pool():
+    pool = ("a", "b", "c", "d")
+    keys = np.array([2, 2, 0, 3, 0, 2])
+    codes, values = _coded(keys, pool)
+    assert (codes.tolist(), values) == first_seen(keys, pool) == ([0, 0, 1, 2, 1, 0], ["c", "a", "d"])
+
+
+@pytest.mark.parametrize("n", [0, 1, 999, 1000, 1001, 2345])
+def test_numbered_ids(n):
+    assert _numbered("u1", 12, n) == [f"u1{i:012d}" for i in range(n)]
+
+
 def test_write_dataset_refuses_an_absent_value(tmp_path):
     absent = AuctionCase(replace(make_case(bid_id="b").record, city=None), False, False)
     cases = [make_case(bid_id="a"), absent]
     expected = "column 8: the record has no city, and only optional text may be absent"
     with pytest.raises(MissingValue, match=f"^{expected}$"):
         write_dataset(cases, tmp_path)
+
+
+def test_write_dataset_ignores_an_absent_value_no_row_holds(tmp_path):
+    # The rows taken share the table's values, which still hold the absent
+    # city of the row left out.
+    absent = AuctionCase(replace(make_case(bid_id="b").record, city=None), False, False)
+    table = CaseTable.of([make_case(bid_id="a"), absent, make_case(bid_id="c")])
+    assert None in table.values["city"]
+    write_dataset(table.take(np.array([0, 2])), tmp_path)
+    assert [c.bid_id for c in CaseTable.read(tmp_path, strict=True)] == ["a", "c"]
 
 
 def test_different_seeds_differ():
