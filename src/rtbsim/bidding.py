@@ -6,8 +6,9 @@ emitted in the same CPM milli-fen units as the logs; the eCPC family
 carries an explicit x1000 bridge from fen-per-click to those units.  Each
 pCTR strategy class holds its own bid formula (``raw_bid``), which
 :func:`compute_bid` and :func:`bid_vector` only round, after one pCTR
-validity check.  Bids are int64 columns, so a bid of 2**63 or more fails
-both paths with :class:`BidOverflow` (:func:`check_bid`).
+validity check; :func:`tune` applies Lin's formula to a column of base
+bids.  Bids are int64 columns, so a bid of 2**63 or more fails both paths
+with :class:`BidOverflow` (:func:`check_bid`).
 """
 
 from __future__ import annotations
@@ -181,7 +182,12 @@ class LinBid(Strategy):
 
     def raw_bid(self, pctr):
         """Unrounded bid for a pCTR float or array."""
-        return self.base_bid * pctr / self.avg_ctr
+        return _lin_raw(self.base_bid, pctr, self.avg_ctr)
+
+
+def _lin_raw(base_bid, pctr, avg_ctr):
+    """Lin's unrounded bid; ``tune`` passes a column of base bids."""
+    return base_bid * pctr / avg_ctr
 
 
 def estimate_max_ecpc(train: CaseTable | Sequence[AuctionCase]) -> float:
@@ -237,15 +243,27 @@ def bid_vector(
         if rng is None:
             rng = strategy.stream()
         return rng.integers(strategy.lower, strategy.upper + 1, size=n).astype(np.int64)
+    return _rounded(strategy.raw_bid(_pctr_column(strategy, n, pctr)) + 0.5)
+
+
+def _pctr_column(strategy: Strategy, n: int, pctr) -> np.ndarray:
+    """``pctr`` as n float64 values in (0, 1), for ``strategy``."""
     if pctr is None:
         raise MissingPctr(f"{strategy.name} bidding requires a pctr array")
     p = np.asarray(pctr, dtype=np.float64)
     if p.shape != (n,):
         raise ValueError(f"pctr must have shape ({n},), got {p.shape}")
-    bids = strategy.raw_bid(p) + 0.5
     if n:
         _check_pctr(p.min(), p.max())  # NaN propagates through min and max
-        check_bid(bids.max())
+    return p
+
+
+def _rounded(bids: np.ndarray) -> np.ndarray:
+    """Bids not yet rounded down, of shape (n,) or (rows, n), as int64 bids
+    floored at zero; each row's greatest bid is checked, in row order."""
+    if bids.shape[-1]:
+        for top in bids.reshape(-1, bids.shape[-1]).max(axis=1):
+            check_bid(top)
     return np.maximum(0, np.floor(bids)).astype(np.int64)
 
 
@@ -275,10 +293,16 @@ def tune(
     """Pick the grid point maximizing the KPI score on a training replay.
 
     ``train`` is a time-sorted :class:`CaseTable` or case list, or a
-    prebuilt :class:`replay.ReplayData`, so repeated tuning on one log can
-    share its columns.  The budget is ``budget_fraction`` of the training
-    total cost.  Ties go to the smaller parameter.  Mcpc is non-parametric
-    and not tunable.
+    prebuilt :class:`replay.ReplayData`; a table's columns are built once
+    (see :meth:`replay.ReplayData.of`).  The budget is ``budget_fraction``
+    of the training total cost.  The grid's bids are built a block of
+    points at a time, a row per point, and :func:`replay.simulate_each`
+    replays each block in one scan, each row as :func:`replay.simulate`
+    replays it: the whole grid is one scan while points times cases stay
+    within ``kernels.SCAN_CELLS``, and takes more scans past it.  Const is
+    one column of prices, Rand each point's own stream, and Lin each base
+    bid times the pCTR column, checked point by point in grid order.  Ties
+    go to the smaller parameter.  Mcpc is non-parametric and not tunable.
     """
     from . import replay  # local import; replay also uses this module
 
@@ -293,33 +317,38 @@ def tune(
     if family == "lin" and pctr is None:
         raise MissingPctr("lin tuning requires pctr values for the training cases")
 
-    campaign = campaign or CampaignSpec(advertiser_id=0, n_weight=0)
     data = replay.ReplayData.of(train)
     budget = replay.make_budget(data, budget_fraction)
-    avg_ctr = None
-    if family == "lin":
+    n = len(data)
+    params = sorted(int(g) for g in grid)
+    if family == "const":
+        strategies: list[Strategy] = [ConstBid(param) for param in params]
+
+        def block(points):
+            prices = np.array([s.price for s in points], dtype=np.int64)
+            return np.broadcast_to(prices[:, None], (len(points), n))
+    elif family == "rand":
+        strategies = [RandBid(upper=param, seed=seed) for param in params]
+
+        def block(points):
+            return np.stack([bid_vector(s, n) for s in points])
+    else:
         clicks = int(data.clicked.sum())
         if clicks == 0:
             raise NoClicks("lin tuning needs at least one training click for avg_ctr")
-        avg_ctr = clicks / len(data)
+        avg_ctr = clicks / n
+        strategies = [LinBid(base_bid=param, avg_ctr=avg_ctr, model=model_label) for param in params]
+        p = _pctr_column(strategies[0], n, pctr)
 
-    rows: list[GridRow] = []
-    best: tuple[int, int] | None = None  # (score, parameter), ties -> smaller param
-    best_strategy: Strategy | None = None
-    for param in sorted(int(g) for g in grid):
-        if family == "const":
-            strategy: Strategy = ConstBid(param)
-        elif family == "rand":
-            strategy = RandBid(upper=param, seed=seed)
-        else:
-            strategy = LinBid(base_bid=param, avg_ctr=avg_ctr, model=model_label)
-        result = replay.simulate(data, strategy, budget, campaign, pctr=pctr)
-        rows.append(GridRow(param, result.wins, result.clicks, result.convs,
-                            result.cost_fen, result.score))
-        if best is None or result.score > best[0]:
-            best = (result.score, param)
-            best_strategy = strategy
-    return best_strategy, rows
+        def block(points):
+            base = np.array([s.base_bid for s in points], dtype=np.float64)
+            return _rounded(_lin_raw(base[:, None], p, avg_ctr) + 0.5)
+
+    results = replay.simulate_each(data, strategies, block, budget, campaign)
+    rows = [GridRow(s.parameter, r.wins, r.clicks, r.convs, r.cost_fen, r.score)
+            for s, r in zip(strategies, results)]
+    best = max(range(len(rows)), key=lambda i: rows[i].score)  # the first of equals
+    return strategies[best], rows
 
 
 def write_grid_csv(rows: list[GridRow], path) -> None:

@@ -8,11 +8,22 @@ the case's click/conversion flags.  The KPI score of a run is
 clicks + N * conversions with N the campaign's conversion weight.  Budgets
 are a fraction of a log's total cost, and :func:`budget_fraction` is the one
 rule for reading such a fraction: it must lie in (0, 1].
+
+:func:`simulate_each` replays many bid rows under one budget in one
+``kernels.win_scan`` per block of at most ``kernels.SCAN_CELLS`` cells (rows
+times cases): ``bidding.tune`` scans a grid that way, and
+:func:`run_experiment` a campaign's strategies at one fraction, each in one
+scan while the rows times cases stay within the bound; :func:`simulate` is
+its one-row case.  :meth:`ReplayData.of`
+keeps each :class:`CaseTable`'s columns while the table lives, so a table
+tuned at many fractions has its order checked once; a table is taken not to
+change after it has been replayed.
 """
 
 from __future__ import annotations
 
 import operator
+import weakref
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
@@ -34,6 +45,7 @@ __all__ = [
     "budget_fraction",
     "make_budget",
     "simulate",
+    "simulate_each",
     "StrategyEntry",
     "CampaignRun",
     "ExperimentTables",
@@ -75,12 +87,28 @@ class ReplayData:
 
     @classmethod
     def of(cls, cases) -> "ReplayData":
-        """``cases`` itself if it is a ReplayData, else its columns."""
-        return cases if isinstance(cases, cls) else cls.from_cases(cases)
+        """``cases`` itself if it is a ReplayData, else its columns.
+
+        A :class:`CaseTable`'s columns are built once while the table lives,
+        so a table must not change once it has been replayed; a case list's
+        are built on each call.
+        """
+        if isinstance(cases, cls):
+            return cases
+        if not isinstance(cases, CaseTable):
+            return cls.from_cases(cases)
+        data = _TABLE_COLUMNS.get(cases)
+        if data is None:
+            data = _TABLE_COLUMNS[cases] = cls.from_cases(cases)
+        return data
 
     @property
     def total_cost_milli(self) -> int:
         return int(self.paying.sum())
+
+
+# Each table's ReplayData, made once while the table lives.
+_TABLE_COLUMNS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
 def budget_fraction(value) -> Fraction:
@@ -141,31 +169,49 @@ def simulate(
     ``cases`` is a time-sorted :class:`CaseTable` or case list, or a
     prebuilt :class:`ReplayData`.  Strategies that price on pCTR need a
     ``pctr`` array aligned with the cases; without one they raise
-    :class:`bidding.MissingPctr`.
+    :class:`bidding.MissingPctr`.  This is the one-row case of
+    :func:`simulate_each`.
     """
-    campaign = campaign or CampaignSpec(advertiser_id=0, n_weight=0)
     data = ReplayData.of(cases)
     bids = bidding.bid_vector(strategy, len(data), pctr=pctr)
-    win_u8, spent, exhausted = kernels.win_scan(bids, data.paying, data.floor, np.int64(budget))
-    win = win_u8.astype(bool)
+    return _replay_block(data, bids[None], budget, campaign, keep_trace)[0]
 
-    wins = int(win.sum())
-    clicks = int((win & data.clicked).sum())
-    convs = int((win & data.converted).sum())
-    exhausted_at = None if exhausted < 0 else int(exhausted)
-    trace = None
-    if keep_trace:
-        pay_won = np.where(win, data.paying, 0)
-        trace = ReplayTrace(bids=bids, win=win, spent_after=np.cumsum(pay_won))
-    return ReplayResult(
-        wins=wins,
-        clicks=clicks,
-        convs=convs,
-        cost_milli=int(spent),
-        score=clicks + campaign.n_weight * convs,
-        exhausted_at=exhausted_at,
-        trace=trace,
-    )
+
+def simulate_each(cases, items: Sequence, bids_of: Callable[[Sequence], np.ndarray], budget: int,
+                  campaign: CampaignSpec | None = None) -> list[ReplayResult]:
+    """:func:`simulate`'s result for each of ``items``, all under ``budget``.
+
+    ``bids_of(items[lo:hi])`` gives those items' bids as a block of shape
+    ``(hi - lo, len(cases))``, a row per item.  It is asked for blocks of at
+    most ``kernels.SCAN_CELLS`` cells (one row at least), in order, and each
+    block is one ``kernels.win_scan``.
+    """
+    data = ReplayData.of(cases)
+    step = max(1, kernels.SCAN_CELLS // max(1, len(data)))
+    results: list[ReplayResult] = []
+    for lo in range(0, len(items), step):
+        results += _replay_block(data, bids_of(items[lo:lo + step]), budget, campaign)
+    return results
+
+
+def _replay_block(data: ReplayData, bids: np.ndarray, budget: int,
+                  campaign: CampaignSpec | None, keep_trace: bool = False) -> list[ReplayResult]:
+    n_weight = campaign.n_weight if campaign else 0
+    win_u8, spent, exhausted = kernels.win_scan(bids, data.paying, data.floor, np.int64(budget))
+    win = win_u8.view(bool)
+    won_clicks = win[:, np.flatnonzero(data.clicked)]
+    won_convs = win[:, np.flatnonzero(data.converted)]
+    results = []
+    for r, (s, e) in enumerate(zip(spent.tolist(), exhausted.tolist())):
+        clicks, convs = int(np.count_nonzero(won_clicks[r])), int(np.count_nonzero(won_convs[r]))
+        trace = None
+        if keep_trace:
+            trace = ReplayTrace(bids=bids[r], win=win[r],
+                                spent_after=np.cumsum(np.where(win[r], data.paying, 0)))
+        results.append(ReplayResult(wins=int(np.count_nonzero(win[r])), clicks=clicks, convs=convs,
+                                    cost_milli=s, score=clicks + n_weight * convs,
+                                    exhausted_at=None if e < 0 else e, trace=trace))
+    return results
 
 
 # ---------------------------------------------------------------------------
@@ -241,7 +287,8 @@ def run_experiment(
     runs: Sequence[CampaignRun],
     fractions: Sequence = STANDARD_FRACTIONS,
 ) -> ExperimentTables:
-    """Simulate every (campaign, strategy, fraction) cell independently.
+    """Simulate every (campaign, strategy, fraction) cell independently;
+    a campaign's strategies at one fraction are one :func:`simulate_each`.
 
     Emits one table per metric per fraction with one row per campaign,
     per-season subtotal rows for seasons present, and a grand-total row
@@ -258,12 +305,15 @@ def run_experiment(
     seasons = sorted({run.campaign.season for run in runs} - {None})
     tables: dict[tuple[str, Fraction], Table] = {}
     for frac in fractions:
-        # One ReplayResult per (campaign, entry), simulated in that order.
+        # One ReplayResult per (campaign, entry): a campaign's entries are
+        # resolved and replayed in order, in one scan.
         results = []
         for run in runs:
-            budget = make_budget(run.test, frac)
-            results.append([simulate(run.test, entry.resolve(frac), budget, run.campaign,
-                                     pctr=entry.pctr) for entry in run.entries])
+            def bids_of(entries, frac=frac, n=len(run.test)):
+                return np.stack([bidding.bid_vector(e.resolve(frac), n, pctr=e.pctr) for e in entries])
+
+            results.append(simulate_each(run.test, run.entries, bids_of, make_budget(run.test, frac),
+                                         run.campaign))
         for m in ("clicks", "convs", "score"):
             grid = [[getattr(r, m) for r in row] for row in results]
             rows = [(str(run.campaign.advertiser_id), values) for run, values in zip(runs, grid)]

@@ -361,7 +361,7 @@ def write_dataset(cases: CaseTable | list[AuctionCase], directory) -> dict[str, 
     ``cases`` is a :class:`CaseTable` or a case list.  Each line is the
     case's :func:`serialize_record` line, with log type 2 in the click log
     and 3 in the conversion log, as :func:`as_event` sets it; each coded
-    column's distinct values are written once.  A case that leaves a column
+    column's values that some row holds are written once each.  A case that leaves a column
     absent that is not optional text raises :class:`MissingValue`.
     """
     table = CaseTable.of(cases)
@@ -371,8 +371,10 @@ def write_dataset(cases: CaseTable | list[AuctionCase], directory) -> dict[str, 
         if name in table.lists:
             texts.append(list(map(write, table.lists[name])))
         else:
-            written = list(map(write, table.values[name]))
-            texts.append(list(map(written.__getitem__, table.codes[name].tolist())))
+            codes, values = table.codes[name], table.values[name]
+            held = np.bincount(codes, minlength=len(values)).tolist()
+            written = [write(value) if count else None for value, count in zip(values, held)]
+            texts.append(list(map(written.__getitem__, codes.tolist())))
     # Each line around its log type column, which the event logs differ in.
     heads = list(map("\t".join, zip(*texts[:_LOG_TYPE_AT])))
     tails = list(map("\t".join, zip(*texts[_LOG_TYPE_AT + 1:])))

@@ -6,11 +6,13 @@ from datetime import datetime, timedelta
 import numpy as np
 import pytest
 
-from rtbsim import bidding, kvfile, replay
+from rtbsim import bidding, kernels, kvfile, replay
 from rtbsim.bidding import (
     DEFAULT_GRID,
+    BidOverflow,
     CampaignSpec,
     ConstBid,
+    GridRow,
     IPINYOU_CAMPAIGNS,
     LinBid,
     McpcBid,
@@ -23,6 +25,7 @@ from rtbsim.bidding import (
     tune,
     write_grid_csv,
 )
+from rtbsim.logdata import CaseTable
 from rtbsim.models import EvalReport, GbrtHyper, LrHyper
 
 from conftest import make_case
@@ -228,6 +231,102 @@ class TestTune:
         best_weighted, _ = tune("lin", cases, budget_fraction, (20, 300), CampaignSpec(1, 50), pctr=pctr)
         assert best_plain.parameter == 20   # two cheap clicks beat one
         assert best_weighted.parameter == 300  # one click + weighted conversion wins
+
+
+def _tune_point_by_point(family, train, fraction, grid, campaign, pctr=None, seed=0):
+    """``tune`` as one ``simulate`` per grid point, in grid order, keeping
+    the first point of the best score."""
+    data = replay.ReplayData.from_cases(train)
+    budget = replay.make_budget(data, fraction)
+    avg_ctr = int(data.clicked.sum()) / len(data)
+    rows, best = [], None
+    for param in sorted(grid):
+        strategy = {"const": lambda: ConstBid(param),
+                    "rand": lambda: RandBid(upper=param, seed=seed),
+                    "lin": lambda: LinBid(param, avg_ctr=avg_ctr)}[family]()
+        r = replay.simulate(data, strategy, budget, campaign, pctr=pctr)
+        rows.append(GridRow(param, r.wins, r.clicks, r.convs, r.cost_fen, r.score))
+        if best is None or r.score > best[1]:
+            best = (strategy, r.score)
+    return best[0], rows
+
+
+# Const 300, 10**4 and 2 * 10**4 outbid every case of small_synth until the
+# budget runs out, so their scores tie at the top; 300 is listed twice.
+TIED_GRID = (20_000, 1, 2, 5, 20, 300, 300, 10_000)
+
+
+class TestTuneOneScan:
+    @pytest.fixture(scope="class")
+    def train(self, small_synth):
+        train, _, truth = small_synth
+        return CaseTable.of(train), truth.train_p
+
+    @pytest.mark.parametrize("cells", [None, 10_000])
+    @pytest.mark.parametrize("n_weight", [0, 4])
+    @pytest.mark.parametrize("family", ["const", "rand", "lin"])
+    def test_equals_one_simulate_per_point(self, train, family, n_weight, cells, monkeypatch):
+        # With 10,000 cells to a block the 4,000 training cases are scanned
+        # two grid points at a time.
+        if cells:
+            monkeypatch.setattr(kernels, "SCAN_CELLS", cells)
+        table, train_p = train
+        pctr = train_p if family == "lin" else None
+        campaign = CampaignSpec(1, n_weight)
+        for fraction in ("1/32", "1/2"):
+            want = _tune_point_by_point(family, table, fraction, TIED_GRID, campaign, pctr, seed=3)
+            got = tune(family, table, fraction, TIED_GRID, campaign, pctr=pctr, seed=3)
+            assert got == want
+            if family == "const":
+                scores = [r.score for r in got[1]]
+                assert scores.count(max(scores)) == 4 and got[0].parameter == 300
+
+    @pytest.mark.parametrize("family", ["const", "rand", "lin"])
+    def test_each_row_is_the_points_bid_vector(self, train, family, monkeypatch):
+        # The rows that reach the kernel, in order, are bid_vector's bids
+        # for each grid point.
+        table, train_p = train
+        pctr = train_p if family == "lin" else None
+        scanned = []
+        scan = kernels.win_scan
+
+        def spy(bids, *args):
+            scanned.append(np.array(bids))
+            return scan(bids, *args)
+
+        monkeypatch.setattr(kernels, "win_scan", spy)
+        best, rows = tune(family, table, "1/8", TIED_GRID, CampaignSpec(1, 0), pctr=pctr, seed=3)
+        avg_ctr = float(table.clicked.sum()) / len(table)
+        make = {"const": ConstBid, "rand": lambda b: RandBid(upper=b, seed=3),
+                "lin": lambda b: LinBid(b, avg_ctr=avg_ctr)}[family]
+        want = [bid_vector(make(r.parameter), len(table), pctr=pctr) for r in rows]
+        assert len(scanned) == 1 and np.array_equal(scanned[0], np.array(want))
+
+    @pytest.mark.parametrize("cells", [None, 1])
+    def test_lin_overflow_at_the_same_point(self, train, cells, monkeypatch):
+        # The two greatest base bids both pass 2**63 on the greatest pCTR;
+        # the error names the smaller one's bid, as one simulate per point.
+        if cells:
+            monkeypatch.setattr(kernels, "SCAN_CELLS", cells)
+        table, train_p = train
+        avg_ctr = float(table.clicked.sum()) / len(table)
+        over = int(2.0 ** 63 * avg_ctr / train_p.max()) * 2
+        grid = (10, 50, over, 2 * over)
+        with pytest.raises(BidOverflow, match=r"not below 2\*\*63") as want:
+            _tune_point_by_point("lin", table, "1/8", grid, CampaignSpec(1, 0), train_p)
+        with pytest.raises(BidOverflow) as got:
+            tune("lin", table, "1/8", grid, CampaignSpec(1, 0), pctr=train_p)
+        assert str(got.value) == str(want.value)
+        with pytest.raises(BidOverflow) as last:
+            tune("lin", table, "1/8", grid[-1:], CampaignSpec(1, 0), pctr=train_p)
+        assert str(last.value) != str(got.value)
+
+    def test_bad_pctr_named_before_any_overflow(self, train):
+        table, train_p = train
+        pctr = train_p.copy()
+        pctr[7] = 1.5
+        with pytest.raises(ValueError, match=r"pctr must be in \(0, 1\), got 1.5"):
+            tune("lin", table, "1/8", (10, 2**70), CampaignSpec(1, 0), pctr=pctr)
 
 
 class TestScalingInvariance:

@@ -72,6 +72,62 @@ class TestWinScan:
             assert np.array_equal(out1[0], out2[0]) and out1[1:] == out2[1:]
 
 
+    @staticmethod
+    def _rand_block(rng, n, rows):
+        """n cases and a (rows, n) block of RandBid rows, row r a RandBid of
+        seed r.  Prices, floors and bids lie in 0..6, so bids equal to a
+        paying or a floor price are common."""
+        paying = rng.integers(0, 7, size=n).astype(np.int64)
+        floor = rng.integers(0, 7, size=n).astype(np.int64)
+        clicked = rng.random(n) < 0.3
+        converted = clicked & (rng.random(n) < 0.5)
+        cases = [make_case(paying=int(p), floor=int(f), clicked=bool(c), converted=bool(v))
+                 for p, f, c, v in zip(paying, floor, clicked, converted)]
+        strategies = [RandBid(upper=int(rng.integers(0, 8)), seed=r) for r in range(rows)]
+        bids = np.zeros((rows, n), dtype=np.int64)
+        for row, strategy in zip(bids, strategies):
+            stream = strategy.stream()
+            row[:] = [compute_bid(strategy, rng=stream) for _ in range(n)]
+        return cases, strategies, bids, paying, floor, clicked, converted
+
+    @pytest.mark.parametrize("n", [0, 1, 60])
+    def test_each_row_of_a_block_is_its_own_scan(self, n):
+        # Each row of a 2-D block equals the 1-D scan of that row and the
+        # straight-line oracle, in both forms.
+        rows = 7
+        rng = np.random.default_rng(300 + n)
+        cases, strategies, bids, paying, floor, clicked, converted = self._rand_block(rng, n, rows)
+        if n == 60:
+            assert ((bids == paying) & (paying >= floor)).any()
+            assert ((bids == floor) & (floor > paying)).any()
+        total = int(paying.sum())
+        for budget in (0, 1, total, total + 1):
+            for scan in (kernels.win_scan_loop, kernels.win_scan_numpy):
+                win, spent, exhausted = scan(bids, paying, floor, np.int64(budget))
+                assert win.shape == (rows, n) and win.dtype == np.uint8
+                assert spent.shape == exhausted.shape == (rows,)
+                for r, strategy in enumerate(strategies):
+                    one = kernels.win_scan_loop(bids[r], paying, floor, np.int64(budget))
+                    assert np.array_equal(win[r], one[0]) and (spent[r], exhausted[r]) == one[1:]
+                    won = win[r].astype(bool)
+                    got = (int(won.sum()), int((won & clicked).sum()), int((won & converted).sum()),
+                           int(spent[r]))
+                    assert got == reference_simulate(cases, strategy, budget), (scan, budget, r)
+
+
+    def test_a_broadcast_column_of_bids(self):
+        # tune's Const block: a column of prices broadcast over the cases
+        # (read-only, stride 0) scans as the same block written out.
+        rng = np.random.default_rng(5)
+        _, paying, floor = random_auction_arrays(rng, 300)
+        prices = np.array([0, 20, 90, 150, 400], dtype=np.int64)
+        column = np.broadcast_to(prices[:, None], (5, 300))
+        budget = np.int64(paying.sum() // 4)
+        for scan in (kernels.win_scan_loop, kernels.win_scan_numpy):
+            got, want = scan(column, paying, floor, budget), scan(column.copy(), paying, floor, budget)
+            assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+
 def lists(*arrays):
     """The plain-list copies that the numpy backend's kernels read."""
     return [a.tolist() for a in arrays]

@@ -1,12 +1,16 @@
 from __future__ import annotations
 
+import gc
+import weakref
 from datetime import datetime, timedelta
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from rtbsim.bidding import CampaignSpec, ConstBid, LinBid, McpcBid, MissingPctr, RandBid
+from rtbsim import kernels
+from rtbsim.bidding import CampaignSpec, ConstBid, LinBid, McpcBid, MissingPctr, RandBid, bid_vector
+from rtbsim.logdata import CaseTable
 from rtbsim.replay import (
     CampaignRun,
     FractionOutOfRange,
@@ -17,6 +21,7 @@ from rtbsim.replay import (
     make_budget,
     run_experiment,
     simulate,
+    simulate_each,
 )
 
 from conftest import make_case
@@ -278,3 +283,101 @@ class TestRunExperiment:
         assert csv[0] == "campaign,Const"
         md = (tmp_path / "table_clicks_1_32.md").read_text()
         assert "| campaign | Const |" in md
+
+    @pytest.mark.parametrize("cells", [None, 2000])
+    def test_tables_equal_one_simulate_per_cell(self, small_synth, cells, monkeypatch):
+        # Two campaigns of one season and one of another, N of 0 and 3, every
+        # family, Lin re-chosen per fraction; with 2,000 cells to a block a
+        # campaign's 500 test cases are scanned four strategies at a time.
+        if cells:
+            monkeypatch.setattr(kernels, "SCAN_CELLS", cells)
+        _, test, truth = small_synth
+        runs = []
+        for k, (n_weight, season) in enumerate([(0, 2), (3, 3), (3, 2)]):
+            at = slice(500 * k, 500 * (k + 1))
+            pctr = truth.test_p[at]
+            entries = [StrategyEntry("Const", ConstBid(70)),
+                       StrategyEntry("Rand", RandBid(upper=140, seed=k)),
+                       StrategyEntry("Mcpc", McpcBid(55.0), pctr=pctr),
+                       StrategyEntry("Lin", lambda f: LinBid(int(400 * f), avg_ctr=0.05), pctr=pctr),
+                       StrategyEntry("Zero", ConstBid(0))]
+            runs.append(CampaignRun(CampaignSpec(k + 1, n_weight, season),
+                                    ReplayData.from_cases(test[at]), entries))
+        fractions = [Fraction(1, 32), Fraction(1, 8), Fraction(1, 2)]
+        tables = run_experiment(runs, fractions)
+        for frac in fractions:
+            for run in runs:
+                budget = make_budget(run.test, frac)
+                cells_of = [simulate(run.test, e.resolve(frac), budget, run.campaign, pctr=e.pctr)
+                            for e in run.entries]
+                for metric in ("clicks", "convs", "score"):
+                    row = dict(tables.get(metric, frac).rows)[str(run.campaign.advertiser_id)]
+                    assert row == [getattr(r, metric) for r in cells_of], (frac, metric)
+
+
+class TestSimulateEach:
+    @pytest.mark.parametrize("n", [0, 1, 60])
+    def test_blocks_split_at_the_cell_bound(self, n, monkeypatch):
+        # With the bound at three rows of n cases, seven strategies are asked
+        # for and scanned in blocks of 3, 3 and 1 rows, and each result is
+        # its own simulate.
+        monkeypatch.setattr(kernels, "SCAN_CELLS", 3 * max(n, 1))
+        rng = np.random.default_rng(40 + n)
+        cases = timed_cases([dict(paying=int(p), floor=int(f), clicked=bool(c))
+                             for p, f, c in zip(rng.integers(0, 7, n), rng.integers(0, 7, n),
+                                                rng.random(n) < 0.3)])
+        strategies = [RandBid(upper=int(rng.integers(0, 8)), seed=r) for r in range(7)]
+        asked, scanned = [], []
+        scan = kernels.win_scan
+
+        def spy(bids, *args):
+            scanned.append(bids.shape)
+            return scan(bids, *args)
+
+        def bids_of(points):
+            asked.append(len(points))
+            return np.stack([bid_vector(s, n) for s in points])
+
+        monkeypatch.setattr(kernels, "win_scan", spy)
+        data = ReplayData.of(cases)
+        for budget in (0, 1, data.total_cost_milli, data.total_cost_milli + 1):
+            asked.clear()
+            scanned.clear()
+            got = simulate_each(data, strategies, bids_of, budget, CampaignSpec(1, 2))
+            assert asked == [3, 3, 1] and scanned == [(3, n), (3, n), (1, n)]
+            assert got == [simulate(data, s, budget, CampaignSpec(1, 2)) for s in strategies]
+
+
+class TestReplayDataOf:
+    def test_a_tables_columns_are_built_once(self, small_synth, monkeypatch):
+        _, test, _ = small_synth
+        table = CaseTable.of(test[:50])
+        built = []
+        from_cases = ReplayData.from_cases.__func__
+        monkeypatch.setattr(ReplayData, "from_cases",
+                            classmethod(lambda cls, cases: built.append(cases) or from_cases(cls, cases)))
+        data = ReplayData.of(table)
+        assert ReplayData.of(table) is data and built == [table]
+        assert make_budget(table, 1) == data.total_cost_milli and len(built) == 1
+
+    def test_a_case_list_is_rebuilt_on_each_call(self, small_synth):
+        _, test, _ = small_synth
+        cases = test[:50]
+        first, second = ReplayData.of(cases), ReplayData.of(cases)
+        assert first is not second and np.array_equal(first.paying, second.paying)
+
+    def test_an_unsorted_table_fails_on_every_call(self):
+        table = CaseTable.of(timed_cases([dict(paying=1), dict(paying=2)])[::-1])
+        for _ in range(2):
+            with pytest.raises(UnsortedInput):
+                ReplayData.of(table)
+            with pytest.raises(UnsortedInput):
+                simulate(table, ConstBid(5), BIG)
+
+    def test_the_memo_does_not_keep_a_table(self):
+        table = CaseTable.of(timed_cases([dict(paying=1), dict(paying=2)]))
+        ReplayData.of(table)
+        ref = weakref.ref(table)
+        del table
+        gc.collect()
+        assert ref() is None

@@ -199,6 +199,16 @@ def test_write_dataset_ignores_an_absent_value_no_row_holds(tmp_path):
     assert [c.bid_id for c in CaseTable.read(tmp_path, strict=True)] == ["a", "c"]
 
 
+def test_write_dataset_writes_only_the_values_a_row_holds(tmp_path):
+    # The row taken shares the table's log types, which still hold the
+    # absent log type of the row left out: no writer may see that value.
+    absent = AuctionCase(replace(make_case(bid_id="b").record, log_type=None), False, False)
+    table = CaseTable.of([make_case(bid_id="a"), absent]).take(np.array([0]))
+    assert None in table.values["log_type"]
+    write_dataset(table, tmp_path)
+    assert [c.bid_id for c in CaseTable.read(tmp_path, strict=True)] == ["a"]
+
+
 def test_different_seeds_differ():
     t1, _, _ = generate(SynthConfig(seed=1, n_train=200, n_test=50))
     t2, _, _ = generate(SynthConfig(seed=2, n_train=200, n_test=50))
