@@ -331,7 +331,15 @@ def tune(
         strategies = [RandBid(upper=param, seed=seed) for param in params]
 
         def block(points):
-            return np.stack([bid_vector(s, n) for s in points])
+            # One generator, its seeded state restored for each point: the
+            # point's own stream, without building a generator per point.
+            rng = points[0].stream()
+            seeded = rng.bit_generator.state
+            bids = np.empty((len(points), n), np.int64)
+            for row, s in zip(bids, points):
+                rng.bit_generator.state = seeded
+                row[:] = bid_vector(s, n, rng=rng)
+            return bids
     else:
         clicks = int(data.clicked.sum())
         if clicks == 0:

@@ -225,7 +225,7 @@ def field_columns(cases) -> FieldColumns:
 
 def _field_columns(table: CaseTable) -> FieldColumns:
     sources = dict(table.codes)
-    sources["hour key"], _ = _code([ts.toordinal() * 24 + ts.hour for ts in table.lists["timestamp"]])
+    sources["hour key"], _ = _code((table.timestamp_ms // 3_600_000).tolist())
     firsts = {source: np.unique(sources[source], return_index=True)
               for source in dict.fromkeys(source for _, source in _DERIVED.values())}
     rows = sorted(set().union(*(first.tolist() for _, first in firsts.values())))

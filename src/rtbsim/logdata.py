@@ -22,15 +22,15 @@ The commands read a split into a :class:`CaseTable`, its joined cases as
 columns, without making a record per line.  :func:`read_columns` reads a
 log in blocks of whole lines.  A block whose every line holds 24 columns is
 split at tabs once and parsed column by column, each column's distinct
-texts once by that column's parser (the near-distinct timestamps row by
-row).  A block with another column count on some line, or with a text its
-column's parser rejects, goes line by line through :func:`parse_record`,
-as :func:`load_log` reads a file, so the per-line parser is the one
-definition of a bad line: strict mode raises the first, lenient mode skips
-each.  The table and :func:`join_events` share one join, and a table read
-from text and one made from cases share one column builder.
-:meth:`CaseTable.cases` builds the records back, equal to the per-line
-path's.
+texts once by that column's parser, and the near-distinct timestamps as
+one array by :func:`_parse_timestamps`.  A block with another column count
+on some line, or with a text its column's parser rejects, goes line by line
+through :func:`parse_record`, as :func:`load_log` reads a file, so the
+per-line parser is the one definition of a bad line: strict mode raises
+the first, lenient mode skips each.  The table and :func:`join_events`
+share one join, and a table read from text and one made from cases share
+one column builder.  :meth:`CaseTable.cases` builds the records back, equal
+to the per-line path's, their timestamps as datetimes.
 
 All price columns are integers under the CPM convention: the logged value
 is the price of one thousand impressions expressed in Chinese fen, so the
@@ -44,7 +44,7 @@ import enum
 import gzip
 import io
 from dataclasses import dataclass
-from datetime import datetime
+from datetime import datetime, timedelta
 from itertools import chain, repeat
 from operator import attrgetter
 from pathlib import Path
@@ -66,6 +66,7 @@ __all__ = [
     "ColumnCountMismatch",
     "FieldParseError",
     "TimestampFormatError",
+    "TimestampPrecisionError",
     "SchemaMismatch",
     "MissingValue",
     "JoinIssue",
@@ -79,6 +80,11 @@ __all__ = [
 
 NULL_SENTINELS = {"", "null"}
 TIMESTAMP_DIGITS = 17
+# A table's timestamps are int64 milliseconds since this instant, on the
+# logs' own naive clock.
+_EPOCH = datetime(1970, 1, 1)
+_MILLISECOND = timedelta(milliseconds=1)
+_DIGIT_PLACES = 10 ** np.arange(TIMESTAMP_DIGITS - 1, -1, -1, dtype=np.int64)
 
 # Non-negative integer price in the CPM log convention: fen per thousand
 # impressions. Divide a sum of these by 1000 to get fen.
@@ -124,6 +130,10 @@ class TimestampFormatError(FieldParseError):
         self.raw = raw
 
 
+class TimestampPrecisionError(ValueError):
+    """A timestamp finer than the millisecond a log line holds."""
+
+
 class SchemaMismatch(ValueError):
     """Record sets an event-only field that a bid-log line has no column for."""
 
@@ -152,6 +162,64 @@ def format_timestamp(ts: datetime) -> str:
         f"{ts.hour:02d}{ts.minute:02d}{ts.second:02d}"
         f"{ts.microsecond // 1000:03d}"
     )
+
+
+def _parse_timestamps(texts: list[str]) -> np.ndarray:
+    """The texts as :func:`_parse_timestamp` reads them, as int64
+    milliseconds since 1970-01-01.  Raises ValueError if any text is not 17
+    ASCII digits of a valid instant; :func:`_parse_timestamp` then names it,
+    or reads the other Unicode digits it accepts."""
+    # Each text and a tab, as a row of bytes.  No text holds a tab, so when
+    # every row's first 17 bytes are digits, each row is one whole text.
+    rows = np.frombuffer("\t".join(texts + [""]).encode("ascii"), np.uint8).reshape(len(texts), -1)
+    digits = rows[:, :TIMESTAMP_DIGITS] - np.uint8(ord("0"))  # a byte below "0" wraps above 9
+    if rows.shape[1] != TIMESTAMP_DIGITS + 1 or (digits > 9).any():
+        raise ValueError("a timestamp is not 17 ASCII digits")
+    stamp, millisecond = np.divmod(digits @ _DIGIT_PLACES, 1000)
+    stamp, second = np.divmod(stamp, 100)
+    stamp, minute = np.divmod(stamp, 100)
+    stamp, hour = np.divmod(stamp, 100)
+    year_month, day = np.divmod(stamp, 100)
+    year, month = np.divmod(year_month, 100)
+    months = ((year - 1970) * 12 + month - 1).astype("M8[M]")
+    first_day = months.astype("M8[D]").view(np.int64)
+    month_days = (months + 1).astype("M8[D]").view(np.int64) - first_day
+    if not ((year >= 1) & (month >= 1) & (month <= 12) & (day >= 1) & (day <= month_days)
+            & (hour < 24) & (minute < 60) & (second < 60)).all():
+        raise ValueError("a timestamp is not a valid instant")
+    return (((first_day + day - 1) * 24 + hour) * 60 + minute) * 60_000 + second * 1000 + millisecond
+
+
+def format_timestamps(ms: np.ndarray) -> list[str]:
+    """:func:`format_timestamp` of each of ``ms``, int64 milliseconds since
+    1970-01-01."""
+    days, of_day = np.divmod(ms, 86_400_000)
+    months = days.astype("M8[D]").astype("M8[M]")
+    year, month = np.divmod(months.view(np.int64), 12)
+    day = days - months.astype("M8[D]").view(np.int64)
+    hour, of_hour = np.divmod(of_day, 3_600_000)
+    minute, of_minute = np.divmod(of_hour, 60_000)
+    date = ((year + 1970) * 100 + month + 1) * 100 + day + 1
+    stamps = (date * 100 + hour) * 10**7 + minute * 10**5 + of_minute
+    return list(map("{:017d}".format, stamps.tolist()))
+
+
+def _milliseconds(stamps) -> np.ndarray:
+    """The int64 milliseconds since 1970-01-01 of naive datetimes; one with
+    a sub-millisecond part raises :class:`TimestampPrecisionError`, and an
+    absent one (None) :class:`MissingValue`."""
+    if None in stamps:
+        raise MissingValue("a record has no timestamp, and only optional text may be absent")
+    finer = next((ts for ts in stamps if ts.microsecond % 1000), None)
+    if finer is not None:
+        raise TimestampPrecisionError(f"timestamp {finer} is finer than the millisecond "
+                                      f"of a yyyyMMddHHmmssSSS log line")
+    return np.array([(ts - _EPOCH) // _MILLISECOND for ts in stamps], np.int64)
+
+
+def _datetimes(ms: np.ndarray) -> list[datetime]:
+    """The naive datetimes of int64 milliseconds since 1970-01-01."""
+    return ms.astype("M8[ms]").tolist()
 
 
 def _parse_price(raw: str) -> MoneyMilli:
@@ -510,9 +578,10 @@ def as_event(record: LogRecord, log_type: LogType) -> LogRecord:
 # Column tables
 # ---------------------------------------------------------------------------
 
-# The columns a CaseTable holds as plain lists, one value per row: nearly
-# every row holds its own value, so codes would save nothing.
-LIST_COLUMNS = ("bid_id", "timestamp", "ipinyou_id", "ip")
+# The text columns a CaseTable holds as plain lists, one value per row:
+# nearly every row holds its own value, so codes would save nothing.  The
+# timestamps, as near-distinct, are one int64 array (CaseTable.timestamp_ms).
+LIST_COLUMNS = ("bid_id", "ipinyou_id", "ip")
 
 def _code(items) -> tuple[np.ndarray, list]:
     """Each item's int64 code into the list of the distinct items, in the
@@ -536,13 +605,16 @@ def _find_logs(directory: Path, stems: tuple[str, ...]) -> list[Path]:
 
 def _columns(columns, parse: bool) -> list:
     """Event-log columns as a :class:`CaseTable` holds them: a list column
-    as a list, any other as (codes, distinct values).  With ``parse`` the
-    columns hold texts, each coded column's distinct ones parsed once, and a
+    as a list, the timestamps as int64 milliseconds, any other as (codes,
+    distinct values).  With ``parse`` the columns hold texts, the timestamps
+    parsed as one array and each coded column's distinct ones once, and a
     rejected text raises ValueError or KeyError; without, they hold values."""
     pieces = []
     for name, parser, column in zip(EVENT_COLUMNS, EVENT_LOG.parsers, columns):
         if name in LIST_COLUMNS:
-            pieces.append(list(map(parser, column)) if parse and parser is not str.__str__ else column)
+            pieces.append(column)
+        elif name == "timestamp":
+            pieces.append(_parse_timestamps(column) if parse else _milliseconds(column))
         else:
             codes, distinct = _code(column)
             pieces.append((codes, list(map(parser, distinct)) if parse else distinct))
@@ -558,13 +630,15 @@ def _table(blocks: list, clicked: np.ndarray, converted: np.ndarray) -> CaseTabl
     for name, pieces in zip(EVENT_COLUMNS, zip(*blocks) if blocks else [()] * len(EVENT_COLUMNS)):
         if name in LIST_COLUMNS:
             lists[name] = list(chain.from_iterable(pieces))
+        elif name == "timestamp":
+            timestamp_ms = np.concatenate([np.empty(0, np.int64), *pieces])
         else:
             index: dict = {}
             codes[name] = np.concatenate([np.empty(0, np.int64)] + [
                 np.array([index.setdefault(v, len(index)) for v in distinct], np.int64)[c]
                 for c, distinct in pieces])
             values[name] = list(index)
-    return CaseTable(codes, values, lists, clicked, converted)
+    return CaseTable(codes, values, lists, timestamp_ms, clicked, converted)
 
 
 def _value_columns(records: Iterable[LogRecord]) -> list:
@@ -624,21 +698,24 @@ class CaseTable:
     """A split's joined, time-sorted cases, as columns.
 
     Each of :data:`LIST_COLUMNS` is ``lists[name]``, a list with one value
-    per row; every other column is ``codes[name]``, an int64 code per row
-    into ``values[name]``, the list of the column's distinct values.
-    Values are those :func:`parse_record` gives.  ``clicked`` and
-    ``converted`` are bool arrays.
+    per row; the timestamps are ``timestamp_ms``, int64 milliseconds since
+    1970-01-01; every other column is ``codes[name]``, an int64 code per
+    row into ``values[name]``, the list of the column's distinct values.
+    Values are those :func:`parse_record` gives, and :meth:`column`
+    gives the timestamps as its datetimes.  ``clicked`` and ``converted``
+    are bool arrays.
 
     :meth:`read` builds a table from the log text, :meth:`of` from cases,
     and :meth:`cases` builds the cases back, each record by
     ``_make_record``.
     """
 
-    def __init__(self, codes: dict[str, np.ndarray], values: dict[str, list],
-                 lists: dict[str, list], clicked: np.ndarray, converted: np.ndarray):
+    def __init__(self, codes: dict[str, np.ndarray], values: dict[str, list], lists: dict[str, list],
+                 timestamp_ms: np.ndarray, clicked: np.ndarray, converted: np.ndarray):
         self.codes = codes
         self.values = values
         self.lists = lists
+        self.timestamp_ms = timestamp_ms
         self.clicked = clicked
         self.converted = converted
 
@@ -664,7 +741,7 @@ class CaseTable:
         imps, clicks, conversions = (read_columns(_find_logs(directory, stems), strict, error_sink)
                                      for stems in (("imp",), ("clk",), ("cnv", "conv")))
         rows, clicked, converted = _join(
-            imps.lists["bid_id"], imps.lists["timestamp"], imps.column("bid_price"),
+            imps.lists["bid_id"], imps.timestamp_ms.tolist(), imps.column("bid_price"),
             imps.column("paying_price"), clicks.lists["bid_id"], conversions.lists["bid_id"],
             issue_sink)
         table = imps.take(np.array(rows, dtype=np.int64))
@@ -677,7 +754,8 @@ class CaseTable:
     @classmethod
     def of(cls, cases: Iterable[AuctionCase]) -> "CaseTable":
         """``cases`` itself if it is a CaseTable, else the table of the
-        cases, in their order."""
+        cases, in their order.  A timestamp finer than a millisecond raises
+        :class:`TimestampPrecisionError`: a log line cannot hold it."""
         if isinstance(cases, cls):
             return cases
         cases = list(cases)
@@ -691,12 +769,14 @@ class CaseTable:
         at = range(len(self))[rows] if isinstance(rows, slice) else rows.tolist()
         return CaseTable({name: c[rows] for name, c in self.codes.items()}, self.values,
                          {name: list(map(items.__getitem__, at)) for name, items in self.lists.items()},
-                         self.clicked[rows], self.converted[rows])
+                         self.timestamp_ms[rows], self.clicked[rows], self.converted[rows])
 
     def column(self, name: str) -> list:
         """Each row's value of column ``name``."""
         if name in self.lists:
             return self.lists[name]
+        if name == "timestamp":
+            return _datetimes(self.timestamp_ms)
         return list(map(self.values[name].__getitem__, self.codes[name].tolist()))
 
     def ints(self, name: str) -> np.ndarray:
@@ -719,6 +799,7 @@ class CaseTable:
     def record(self, row: int) -> LogRecord:
         """Row ``row``'s record."""
         return _make_record([self.lists[name][row] if name in self.lists
+                             else _datetimes(self.timestamp_ms[[row]])[0] if name == "timestamp"
                              else self.values[name][self.codes[name][row]] for name in EVENT_COLUMNS])
 
     def cases(self) -> list[AuctionCase]:

@@ -22,7 +22,6 @@ change after it has been replayed.
 
 from __future__ import annotations
 
-import operator
 import weakref
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -79,8 +78,8 @@ class ReplayData:
     def from_cases(cls, cases: CaseTable | Sequence[AuctionCase]) -> "ReplayData":
         """The columns of a :class:`CaseTable`, or of a case list's table."""
         table = CaseTable.of(cases)
-        ts = table.lists["timestamp"]
-        if not all(map(operator.le, ts, ts[1:])):
+        ts = table.timestamp_ms
+        if (ts[1:] < ts[:-1]).any():
             raise UnsortedInput("cases must be sorted by ascending timestamp")
         return cls(table.ints("paying_price"), table.ints("slot_floor_price"), table.clicked,
                    table.converted)

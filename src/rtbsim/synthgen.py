@@ -10,11 +10,14 @@ Each block draws its random columns with numpy, in a fixed order from its
 own seeded generator, and is returned as a :class:`~rtbsim.logdata.CaseTable`
 built straight from those draws: each coded column is coded with numpy, in
 the order its values first appear, so the table equals ``CaseTable.of`` of
-the block's cases; only the per-row ids, IPs and timestamps are lists.  No
-record is made per case.  A column is coded from integer ranks among its
-distinct values, a tag row's one tag column at a time, so no key reaches
-rows times distinct values; the codes number the ranks in the order of
-their first rows.
+the block's cases; the timestamps are the start's milliseconds plus the
+cumulated gaps, and only the per-row ids and IPs are lists.  No record is
+made per case.  A column is coded from integer ranks among its distinct
+values, a tag row's one tag column at a time, so no key reaches rows times
+distinct values; the codes number the ranks in the order of their first
+rows.  Keys that span at most :data:`_DENSE_SPAN` times the rows are ranked
+by marking each held key in an array of the span and counting the marks,
+with no sort; a wider span is ranked by ``np.unique``.
 """
 
 from __future__ import annotations
@@ -36,7 +39,9 @@ from .logdata import (
     CaseTable,
     LogType,
     _LOG_TYPE_AT,
+    _milliseconds,
     _parse_timestamp,
+    format_timestamps,
     serialize_record,
 )
 
@@ -45,7 +50,8 @@ __all__ = ["SynthConfig", "GroundTruth", "DegenerateConfig", "generate", "write_
 ZIPF_EXPONENT = 1.1
 
 MAX_GAP_MS = 399  # cases in a block are 1 to MAX_GAP_MS ms apart
-BLOCK_GAP = timedelta(seconds=60)  # from the last training case to the first test case
+BLOCK_GAP_MS = 60_000  # from the last training case to the first test case
+_DENSE_SPAN = 4  # _rank counts keys that span at most this many times the rows
 
 # Pool of user-agent strings with a spread of OS/browser classes.
 USER_AGENTS = (
@@ -146,9 +152,8 @@ class SynthConfig:
                 )
             object.__setattr__(self, "true_weights", w)
         start = _parse_timestamp(self.start_time)  # validates the format
-        ms = timedelta(milliseconds=1)
-        span_ms = MAX_GAP_MS * (self.n_train + self.n_test) + BLOCK_GAP // ms
-        if (datetime.max - start) // ms < span_ms:
+        span_ms = MAX_GAP_MS * (self.n_train + self.n_test) + BLOCK_GAP_MS
+        if (datetime.max - start) // timedelta(milliseconds=1) < span_ms:
             raise ValueError(f"start_time {self.start_time} is too late: the last case may fall "
                              f"up to {span_ms} ms after it, past {datetime.max}")
 
@@ -211,8 +216,8 @@ def _sample_block(
     weights: np.ndarray,
     n: int,
     phase: int,
-    start: datetime,
-) -> tuple[CaseTable, np.ndarray, datetime]:
+    start_ms: int,
+) -> tuple[CaseTable, np.ndarray, int]:
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((config.seed, phase))))
     layout = config.weight_layout()
 
@@ -264,11 +269,9 @@ def _sample_block(
     offsets = np.cumsum(gaps)
 
     prefix = f"{config.seed & 0xFFFFFFFF:08x}{phase}"
-    # datetime64 converts to datetime up to year 9999, as SynthConfig ensures
-    stamps = (np.datetime64(start, "ms") + offsets.astype("timedelta64[ms]")).tolist()
+    stamps = start_ms + offsets  # up to year 9999, as SynthConfig ensures
     lists = {
         "bid_id": _numbered(prefix, 11, n),
-        "timestamp": stamps,
         "ipinyou_id": _numbered(f"u{phase}", 12, n),
         "ip": list(map(".".join, zip(_OCTETS[ip_a], _OCTETS[ip_b], _OCTETS[np.arange(n) >> 8 & 255] + ".*"))),
     }
@@ -297,8 +300,9 @@ def _sample_block(
         "user_tags": _coded(tag_cols + 1),  # tag ids are 1-based
     }
     table = CaseTable({name: codes for name, (codes, _) in coded.items()},
-                      {name: values for name, (_, values) in coded.items()}, lists, clicked, converted)
-    return table, p, stamps[-1]
+                      {name: values for name, (_, values) in coded.items()}, lists, stamps,
+                      clicked, converted)
+    return table, p, int(stamps[-1])
 
 
 def _numbered(head: str, width: int, n: int) -> list[str]:
@@ -313,17 +317,33 @@ def _coded(keys: np.ndarray, pool=None) -> tuple[np.ndarray, list]:
     ``i`` holds ``keys[i]`` (as a tuple, when ``keys`` is 2-D), or
     ``pool[keys[i]]`` when a pool of distinct values is given."""
     columns = keys.reshape(len(keys), -1).T
-    rank = np.unique(columns[0], return_inverse=True)[1]
+    rank, count = _rank(columns[0])
     for column in columns[1:]:  # the rows' ranks so far, re-ranked with this column's
-        distinct, ranks = np.unique(column, return_inverse=True)
-        rank = np.unique(rank * len(distinct) + ranks, return_inverse=True)[1]
-    first = np.full(rank.max() + 1, len(keys))
+        ranks, distinct = _rank(column)
+        rank, count = _rank(rank * distinct + ranks)
+    first = np.full(count, len(keys))
     np.minimum.at(first, rank, np.arange(len(keys)))
     order = np.argsort(first)
+    code = np.empty(count, np.int64)
+    code[order] = np.arange(count)
     held = keys[first[order]].tolist()
     if keys.ndim == 2:
         held = list(map(tuple, held))
-    return np.argsort(order)[rank], held if pool is None else [pool[k] for k in held]
+    return code[rank], held if pool is None else [pool[k] for k in held]
+
+
+def _rank(keys: np.ndarray) -> tuple[np.ndarray, int]:
+    """Each key's int64 rank among the distinct keys, and their count."""
+    low = int(keys.min())
+    span = int(keys.max()) - low + 1
+    if span > _DENSE_SPAN * len(keys):
+        distinct, rank = np.unique(keys, return_inverse=True)
+        return rank, len(distinct)
+    held = np.zeros(span, bool)
+    offset = keys - low
+    held[offset] = True
+    ranks = np.cumsum(held) - 1
+    return ranks[offset], int(ranks[-1]) + 1
 
 
 def _constant(n: int, value) -> tuple[np.ndarray, list]:
@@ -334,9 +354,9 @@ def _constant(n: int, value) -> tuple[np.ndarray, list]:
 def generate(config: SynthConfig) -> tuple[CaseTable, CaseTable, GroundTruth]:
     """Sample (train, test, ground truth) deterministically from the config."""
     weights = _resolve_weights(config)
-    start = _parse_timestamp(config.start_time)
+    start = int(_milliseconds([_parse_timestamp(config.start_time)])[0])
     train, train_p, train_end = _sample_block(config, weights, config.n_train, 0, start)
-    test, test_p, _ = _sample_block(config, weights, config.n_test, 1, train_end + BLOCK_GAP)
+    test, test_p, _ = _sample_block(config, weights, config.n_test, 1, train_end + BLOCK_GAP_MS)
 
     eps = 1e-9
     all_p = np.concatenate([train_p, test_p])
@@ -370,6 +390,8 @@ def write_dataset(cases: CaseTable | list[AuctionCase], directory) -> dict[str, 
     for name, write in zip(EVENT_COLUMNS, EVENT_LOG.writers):
         if name in table.lists:
             texts.append(list(map(write, table.lists[name])))
+        elif name == "timestamp":
+            texts.append(format_timestamps(table.timestamp_ms))
         else:
             codes, values = table.codes[name], table.values[name]
             held = np.bincount(codes, minlength=len(values)).tolist()
@@ -399,9 +421,10 @@ def write_dataset(cases: CaseTable | list[AuctionCase], directory) -> dict[str, 
 def _check_required(table: CaseTable) -> None:
     """Raise :func:`serialize_record`'s :class:`MissingValue` for the first
     row that leaves a column absent that is not optional text (not for a
-    coded column's absent value that no row holds, as a taken table's)."""
-    first = [table.column(name).index(None) for name, kind in COLUMN_KINDS.items() if kind != "optional text"
-             and (None in table.lists[name] if name in table.lists
+    coded column's absent value that no row holds, as a taken table's).
+    A table's timestamps are never absent."""
+    first = [table.column(name).index(None) for name, kind in COLUMN_KINDS.items()
+             if kind not in ("optional text", "timestamp") and (None in table.lists[name] if name in table.lists
                   else None in (values := table.values[name]) and values.index(None) in table.codes[name])]
     if first:
         serialize_record(table.record(min(first)), EVENT_LOG)

@@ -281,6 +281,24 @@ class TestTuneOneScan:
                 scores = [r.score for r in got[1]]
                 assert scores.count(max(scores)) == 4 and got[0].parameter == 300
 
+    @pytest.mark.parametrize("seed", [0, 3, 2**40])
+    @pytest.mark.parametrize("cells", [None, 3 * 4000], ids=["one-block", "blocks-of-3"])
+    def test_rand_rows_equal_each_points_fresh_stream(self, train, seed, cells, monkeypatch):
+        # tune draws every point's bids from one generator, its seeded state
+        # restored per point; each row must be the point's own stream.
+        if cells:
+            monkeypatch.setattr(kernels, "SCAN_CELLS", cells)
+        table, _ = train
+        grid = (2, 3, 255, 256, 1000, 2**20, 2**31, 2**40)
+        campaign = CampaignSpec(1, 2)
+        budget = replay.make_budget(replay.ReplayData.of(table), "1/4")
+        want = []
+        for upper in grid:  # simulate draws from RandBid.stream(), a fresh generator
+            r = replay.simulate(table, RandBid(upper=upper, seed=seed), budget, campaign)
+            want.append(GridRow(upper, r.wins, r.clicks, r.convs, r.cost_fen, r.score))
+        assert len({row.score for row in want}) > 2
+        assert tune("rand", table, "1/4", grid, campaign, seed=seed)[1] == want
+
     @pytest.mark.parametrize("family", ["const", "rand", "lin"])
     def test_each_row_is_the_points_bid_vector(self, train, family, monkeypatch):
         # The rows that reach the kernel, in order, are bid_vector's bids

@@ -8,10 +8,11 @@ copy of the per-record loop it replaced, kept here as the reference.
 from __future__ import annotations
 
 import bz2
+import calendar
 import gzip
 from collections import Counter
 from dataclasses import replace
-from datetime import datetime
+from datetime import datetime, timedelta
 from functools import partial
 from itertools import chain
 
@@ -42,9 +43,11 @@ from rtbsim.logdata import (
     LogParseError,
     LogType,
     _find_logs,
+    _parse_timestamp,
     as_event,
     join_events,
     load_log,
+    parse_record,
     serialize_record,
 )
 from rtbsim.stats import _breakdown, campaign_summary, feature_breakdowns, FEATURE_KEYS, METRICS
@@ -220,6 +223,105 @@ def test_per_line_parser_reads_only_a_block_with_a_bad_line(tmp_path, monkeypatc
     assert len(block) > 1
     assert calls == (block if bad else [])
     assert [e.line_no for e in skipped] == ([8] if bad else [])
+
+
+# ---------------------------------------------------------------------------
+# Timestamps at the edges of the calendar
+# ---------------------------------------------------------------------------
+
+# A yyyyMMddHHmmssSSS text at each validity edge: the first and last day of
+# every month, 29 February in leap years (2000, 2012) and 28 February in
+# years that are not (1900, 2013), the last millisecond of a day, and the
+# first and last years a timestamp can hold.
+EDGE_TIMESTAMPS = [
+    *[f"2013{month:02d}01000000000" for month in range(1, 13)],
+    *[f"2013{month:02d}{calendar.monthrange(2013, month)[1]:02d}235959999" for month in range(1, 13)],
+    "20000229120000000", "20120229235959999", "19000228000000000", "20130228000000001",
+    "00010101000000000", "00011231235959999", "09990615083000500", "99991231235959999",
+]
+
+# Texts the column reader must send to the per-line parser, which rejects
+# each: year 0, 30 February, 29 February of 1900 and of 2013, hour 24,
+# minute 60, second 60, month 0 and 13, day 0, 16 and 18 digits, one
+# digit that is no digit, and a text of 16 digits next to one of 18, whose
+# lengths add up as two of 17 do.
+REJECTED_TIMESTAMPS = [
+    ["00000101000000000"], ["20130230000000000"], ["19000229000000000"], ["20130229000000000"],
+    ["20130606240000000"], ["20130606126000000"], ["20130606120060000"], ["20130006120000000"],
+    ["20131306120000000"], ["20130600120000000"], ["2013060612000000"], ["201306061200000000"],
+    ["2013060612000000\u00b2"], ["2013060612000000", "201306061200000000"],
+]
+
+
+def _with_timestamps(stamps):
+    """The split of one impression per text of ``stamps``, in that order."""
+    imp, clk, cnv = _split(len(stamps))
+    return [_with(line, "timestamp", stamp) for line, stamp in zip(imp, stamps)], clk, cnv
+
+
+def test_timestamps_at_each_validity_edge(tmp_path, capsys, monkeypatch):
+    calls = []
+    monkeypatch.setattr(logdata, "parse_record", lambda *args: calls.append(args) or parse_record(*args))
+    table = CaseTable.read(_write(tmp_path, *_with_timestamps(EDGE_TIMESTAMPS)), strict=True)
+    assert calls == []  # every text was parsed as one array
+    want = sorted(map(_parse_timestamp, EDGE_TIMESTAMPS))
+    assert table.column("timestamp") == want
+    epoch, ms = datetime(1970, 1, 1), timedelta(milliseconds=1)
+    assert table.timestamp_ms.tolist() == [(ts - epoch) // ms for ts in want]
+    assert sorted(map(logdata.format_timestamp, want)) == sorted(EDGE_TIMESTAMPS)
+    monkeypatch.undo()
+    assert_reads_as_per_line(tmp_path, capsys)
+
+
+@pytest.mark.parametrize("bad", REJECTED_TIMESTAMPS, ids="+".join)
+def test_rejected_timestamps_are_named_by_the_per_line_parser(tmp_path, capsys, bad):
+    stamps = EDGE_TIMESTAMPS[:5] + bad + EDGE_TIMESTAMPS[5:9]
+    directory = _write(tmp_path, *_with_timestamps(stamps))
+    with pytest.raises(logdata.TimestampFormatError) as err:
+        CaseTable.read(directory, strict=True)
+    assert (err.value.line_no, err.value.raw) == (6, bad[0])
+    skipped, _ = assert_reads_as_per_line(directory, capsys)
+    assert [e.line_no for e in skipped] == list(range(6, 6 + len(bad)))
+    assert len(CaseTable.read(directory)) == len(stamps) - len(bad)
+
+
+def test_other_unicode_digits_read_as_the_per_line_parser_reads_them(tmp_path, capsys):
+    # str.isdigit and int accept the Arabic-Indic digits, so the per-line
+    # parser reads such a timestamp; the column reader sends it there.
+    arabic = "20130606120000500".translate(str.maketrans("0123456789", "\u0660\u0661\u0662\u0663\u0664"
+                                                                       "\u0665\u0666\u0667\u0668\u0669"))
+    stamps = EDGE_TIMESTAMPS[:3] + [arabic]
+    directory = _write(tmp_path, *_with_timestamps(stamps))
+    table = CaseTable.read(directory, strict=True)
+    assert table.column("timestamp") == sorted(map(_parse_timestamp, stamps))
+    assert datetime(2013, 6, 6, 12, 0, 0, 500000) in table.column("timestamp")
+    assert_reads_as_per_line(directory, capsys)
+
+
+def test_format_timestamps_equals_format_timestamp():
+    stamps = list(map(_parse_timestamp, EDGE_TIMESTAMPS))
+    epoch, ms = datetime(1970, 1, 1), timedelta(milliseconds=1)
+    got = logdata.format_timestamps(np.array([(ts - epoch) // ms for ts in stamps], np.int64))
+    assert got == list(map(logdata.format_timestamp, stamps)) == EDGE_TIMESTAMPS
+    assert logdata.format_timestamps(np.empty(0, np.int64)) == []
+
+
+def make_case_at(ts):
+    return AuctionCase(make_record(bid_id=str(ts), timestamp=ts), False, False)
+
+
+def test_a_sub_millisecond_timestamp_fails_by_name():
+    finer = datetime(2013, 6, 6, 12, 0, 0, 1)
+    with pytest.raises(logdata.TimestampPrecisionError,
+                       match=r"^timestamp 2013-06-06 12:00:00.000001 is finer than the millisecond"):
+        CaseTable.of([make_case_at(datetime(2013, 6, 6)), make_case_at(finer)])
+    assert CaseTable.of([make_case_at(finer.replace(microsecond=1000))]).timestamp_ms.tolist() == [
+        1370520000001]
+
+
+def test_an_absent_timestamp_fails_by_name():
+    with pytest.raises(logdata.MissingValue, match="^a record has no timestamp"):
+        CaseTable.of([make_case_at(None)])
 
 
 # ---------------------------------------------------------------------------

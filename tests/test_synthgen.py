@@ -10,7 +10,16 @@ import pytest
 
 from conftest import make_case
 from rtbsim.logdata import EVENT_LOG, AuctionCase, CaseTable, MissingValue, join_events, load_log
-from rtbsim.synthgen import DegenerateConfig, SynthConfig, _coded, _numbered, generate, write_dataset
+from rtbsim.synthgen import (
+    _DENSE_SPAN,
+    DegenerateConfig,
+    SynthConfig,
+    _coded,
+    _numbered,
+    _rank,
+    generate,
+    write_dataset,
+)
 
 
 @pytest.fixture(scope="module")
@@ -77,7 +86,7 @@ SYNTH_PINS = [
 @pytest.mark.parametrize("kwargs, digests", SYNTH_PINS, ids=["one-case", "all-tags"])
 def test_dataset_bytes_pinned(tmp_path, kwargs, digests):
     train, test, _ = generate(SynthConfig(**kwargs))
-    assert all(type(ts) is datetime for ts in train.lists["timestamp"] + test.lists["timestamp"])
+    assert all(type(ts) is datetime for ts in train.column("timestamp") + test.column("timestamp"))
     for name, cases in (("train", train), ("test", test)):
         write_dataset(cases, tmp_path / name)
     found = {rel: hashlib.sha256((tmp_path / rel).read_bytes()).hexdigest() for rel in digests}
@@ -91,8 +100,8 @@ def test_latest_start_time():
     # Two cases may take up to 399 ms each, plus the minute before the test
     # block: 60.798 s before datetime.max is the last start allowed.
     train, test, _ = generate(SynthConfig(**LATEST_START))
-    assert all(type(ts) is datetime for ts in train.lists["timestamp"] + test.lists["timestamp"])
-    assert test.lists["timestamp"][0].year == 9999
+    assert all(type(ts) is datetime for ts in train.column("timestamp") + test.column("timestamp"))
+    assert test.column("timestamp")[0].year == 9999
     with pytest.raises(ValueError, match="^start_time 99991231235859202 is too late"):
         SynthConfig(seed=1, n_train=1, n_test=1, start_time="99991231235859202")
     with pytest.raises(ValueError, match="^start_time 99991231235959000 is too late"):
@@ -101,8 +110,8 @@ def test_latest_start_time():
 
 def assert_same_table(got: CaseTable, want: CaseTable) -> None:
     """Equal codes, values in the same order and of the same types, lists
-    and flags; ``repr`` tells an int from a numpy integer and a tuple from a
-    list."""
+    timestamps and flags; ``repr`` tells an int from a numpy integer and a
+    tuple from a list."""
     assert list(got.codes) == list(want.codes) == list(got.values) == list(want.values)
     for name, codes in want.codes.items():
         assert got.codes[name].dtype == codes.dtype == np.int64, name
@@ -111,6 +120,8 @@ def assert_same_table(got: CaseTable, want: CaseTable) -> None:
     assert list(got.lists) == list(want.lists)
     for name, items in want.lists.items():
         assert type(got.lists[name]) is list and repr(got.lists[name]) == repr(items), name
+    assert got.timestamp_ms.dtype == want.timestamp_ms.dtype == np.int64
+    assert np.array_equal(got.timestamp_ms, want.timestamp_ms)
     for got_flags, want_flags in ((got.clicked, want.clicked), (got.converted, want.converted)):
         assert got_flags.dtype == want_flags.dtype == bool
         assert np.array_equal(got_flags, want_flags)
@@ -145,6 +156,15 @@ def first_seen(keys: np.ndarray, pool=None) -> tuple[list, list]:
 
 
 _rng = np.random.default_rng(12)
+
+
+def _spanning(span: int, n: int) -> np.ndarray:
+    """``n`` keys from 5 to ``5 + span - 1``, both ends held."""
+    keys = _rng.integers(5, 5 + span, n)
+    keys[[3, n - 2]] = 5, 5 + span - 1
+    return keys
+
+
 CODED_KEYS = {
     "one-row": np.array([7]),
     "one-row-tags": np.array([[2, 5, 9]]),
@@ -158,6 +178,16 @@ CODED_KEYS = {
     "tag-rows": np.sort(np.argsort(_rng.random((2000, 12)), axis=1)[:, :3], axis=1) + 1,
     "every-tag": np.tile(np.arange(1, 41), (30, 1)),
     "half-the-tags": np.sort(np.argsort(_rng.random((300, 40)), axis=1)[:, :20], axis=1) + 1,
+    # either side of the counting coder's span bound (_DENSE_SPAN rows' worth)
+    "span-at-the-bound": _spanning(_DENSE_SPAN * 300, 300),
+    "span-past-the-bound": _spanning(_DENSE_SPAN * 300 + 1, 300),
+    "near-2**62-wide": _rng.integers(2**62 - 10**6, 2**62, 500),
+    "int64-extremes": np.array([2**63 - 1, -2**63, 0, 2**63 - 1, -1, -2**63]),
+    "negative": _rng.integers(-50, 50, 300),
+    "one-row-wide-tags": np.array([[1, 2**40, 2**62]]),
+    # a first tag column counted, its re-ranks past the bound and sorted
+    "few-rows-many-tags": np.sort(np.argsort(_rng.random((20, 40)), axis=1)[:, :3], axis=1) + 1,
+    "wide-tag-rows": np.sort(_rng.integers(0, 10**9, (400, 3)), axis=1),
 }
 
 
@@ -167,6 +197,19 @@ def test_coded_codes_in_first_seen_order(keys):
     want_codes, want_values = first_seen(keys)
     assert codes.dtype == np.int64 and codes.tolist() == want_codes
     assert repr(values) == repr(want_values)  # ints and tuples, not numpy scalars or lists
+
+
+@pytest.mark.parametrize("span, sorts", [(_DENSE_SPAN * 300, 0), (_DENSE_SPAN * 300 + 1, 1)],
+                         ids=["at-the-bound", "past-the-bound"])
+def test_rank_sorts_only_past_the_dense_span(monkeypatch, span, sorts):
+    unique, calls = np.unique, []
+    monkeypatch.setattr(np, "unique", lambda *args, **kwargs: calls.append(args) or unique(*args, **kwargs))
+    keys = _spanning(span, 300)
+    rank, count = _rank(keys)
+    assert len(calls) == sorts
+    monkeypatch.undo()
+    distinct, want = np.unique(keys, return_inverse=True)
+    assert rank.dtype == np.int64 and rank.tolist() == want.tolist() and count == len(distinct)
 
 
 def test_coded_with_a_pool():
