@@ -198,7 +198,7 @@ def _grid(text: str | None) -> tuple[int, ...]:
     if text is None:
         return bidding.DEFAULT_GRID
     parts = [part.strip() for part in text.split(",")]
-    if not all(part.isdecimal() for part in parts):
+    if not all(part.isascii() and part.isdecimal() for part in parts):
         raise ValueError(f"--grid {text!r} is not a comma-separated list of integers >= 0")
     grid = tuple(_once("--grid", parts, int))
     for value in grid:

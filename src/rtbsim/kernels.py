@@ -1,48 +1,37 @@
-"""Hot numeric kernels with two interchangeable backends.
-
-Every kernel here has a loop form, which numba's ``@njit`` compiles, and
-the backend is whether numba imports (``HAVE_NUMBA``): with it the loop
-forms run, without it the numpy forms (plain Python where numpy does not
-pay, as for the SGD epoch and one forest row).  The two backends are
-bit-identical for every kernel: integer arithmetic is exact, and the float
-accumulations are arranged so both sides add in the same order
-(``np.cumsum``, ``np.add.accumulate`` and ``np.bincount`` add in sequence,
-matching the scalar loops).  The test suite asserts this equality, and
-``benchmarks/bench_kernels.py`` compares their speed.
+"""Hot numeric kernels, one form each: numpy where whole-array operations
+pay, plain Python where numpy's per-call overhead costs more than the work.
 
 The kernels: ``win_scan`` (budget-constrained auction replay),
 ``sgd_epoch`` (one logistic-regression epoch), ``grow_tree`` (one
 regression tree), ``apply_forest``, which scores a whole GBRT ensemble on a
-batch in one call, and ``forest_row_scorer``, which makes the function that
-scores one impression.  The forest kernels take the trees packed into flat
-node arrays with global child indices (see ``models.PackedForest``), and
-``apply_forest``'s loop form is ``apply_forest_row`` on each row.
+batch in one call, and ``compile_forest_row``, which makes the function
+that scores one impression.  The forest kernels take the trees packed into
+flat node arrays with global child indices (see ``models.PackedForest``).
 ``grow_tree`` also returns the leaf it put each row in, so boosting adds a
 new tree's leaves without walking the rows through it again;
-``apply_tree`` is that gather, not a kernel.
+``apply_tree`` is that gather, not a kernel.  The float sums add in a fixed
+order (``np.cumsum``, ``np.add.accumulate`` and ``np.bincount`` add in
+sequence), so each result is defined bit for bit; ``tests/oracles.py``
+restates each rule in straight-line Python, and the tests hold the kernels
+to it.
 
 ``win_scan`` replays one row of bids, or each row of a (rows, n) block of
 bids (a tuning grid, or a campaign's strategies at one budget), all under
 the same budget, and returns each row's win flags, spend and exhaustion
-index.  Its loop form runs the sequential scan once per row; its numpy form
-scans all the rows side by side, with a few int64 and bool arrays of the
-block's size.  ``SCAN_CELLS`` is the most cells (rows times cases) a caller
-hands one call: ``replay.simulate_each`` splits its rows into blocks of
-that size, so a long grid on a long log holds a bounded working set.
+index.  It scans all the rows side by side, with a few int64 and bool
+arrays of the block's size.  ``SCAN_CELLS`` is the most cells (rows times
+cases) a caller hands one call: ``replay.simulate_each`` splits its rows
+into blocks of that size, so a long grid on a long log holds a bounded
+working set.
 
-Two jobs have no numpy form, because numpy's per-call overhead costs more
-than the work: ``sgd_epoch``, whose updates each depend on the last, and
-scoring one row.  ``sgd_epoch`` has one loop body that numba compiles over
-the arrays and that otherwise runs as plain Python over list copies of
-them, whose items the interpreter reads several times faster than numpy's
-scalars; ``train_lr`` makes those copies once per fit with
-``row_operand``.  One row is scored under numba by ``apply_forest_row``,
-the compiled walk over the node arrays, and otherwise by a function that
+Two jobs run as plain Python.  ``sgd_epoch``'s updates each depend on the
+last, so it loops over list copies of its arrays, whose items the
+interpreter reads several times faster than numpy's scalars; ``train_lr``
+makes those copies once per fit.  One row is scored by the function that
 ``compile_forest_row`` generates once per forest: each tree one nested
-conditional expression of Python source, which reads no array at all.
-Both forms make the same float operations in the same order, so the SGD
-weights are the same bit for bit, and a row's forest score equals its
-batch row.
+conditional expression of Python source, which reads no array at all and
+makes ``apply_forest``'s float operations for that row in the same order,
+so a row's score equals its batch row.
 
 ``grow_tree`` searches each level's splits from histograms with one bin
 per distinct value of a column, which ``bin_columns`` assigns once per
@@ -52,8 +41,7 @@ smaller child of each split (fewer rows, the left one on equal rows), its
 residuals in row order, and takes the sibling's histograms as the parent's
 minus the smaller child's, cell by cell (counts exactly; 0.0 for a cell
 without rows).  A level whose histograms and its parents' do not fit in
-``n * nfeat`` cells is filled directly, in chunks (see
-``grow_tree_numpy``).
+``n * nfeat`` cells is filled directly, in chunks (see ``grow_tree``).
 """
 
 from __future__ import annotations
@@ -62,64 +50,15 @@ import math
 
 import numpy as np
 
-try:
-    import numba
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - numba is a declared dependency
-    numba = None
-    HAVE_NUMBA = False
-
-# The same fact under a second name: perfbench/run.py records both.
-NUMBA_ENABLED = HAVE_NUMBA
-
-
-def _njit(fn):
-    """Compile with numba when available, otherwise return fn unchanged."""
-    if HAVE_NUMBA:
-        return numba.njit(cache=True)(fn)
-    return fn
+# No kernel is compiled.  perfbench/run.py records these two names in every
+# run's environment, so they stay, constant, only for that record.
+HAVE_NUMBA = False
+NUMBA_ENABLED = False
 
 
 # ---------------------------------------------------------------------------
 # Auction replay: sequential budget-constrained win scan.
 # ---------------------------------------------------------------------------
-
-def _win_scan_row_py(bids, paying, floor, budget, win):
-    # Strict second-price win rule: bid must beat both the logged market
-    # price and the floor.  Budget check is pre-bid; the final win may
-    # overshoot the budget by one paying price.  Marks the wins in ``win``.
-    n = bids.shape[0]
-    spent = np.int64(0)
-    exhausted = np.int64(-1)
-    for i in range(n):
-        if spent >= budget:
-            exhausted = i
-            break
-        b = bids[i]
-        if b > paying[i] and b > floor[i]:
-            win[i] = 1
-            spent += paying[i]
-    return spent, exhausted
-
-
-_win_scan_row = _njit(_win_scan_row_py)
-
-
-def _win_scan_rows_py(bids, paying, floor, budget):
-    rows, n = bids.shape
-    win = np.zeros((rows, n), dtype=np.uint8)
-    spent = np.zeros(rows, dtype=np.int64)
-    exhausted = np.zeros(rows, dtype=np.int64)
-    for r in range(rows):
-        s, e = _win_scan_row(bids[r], paying, floor, budget, win[r])
-        spent[r] = s
-        exhausted[r] = e
-    return win, spent, exhausted
-
-
-_win_scan_rows = _njit(_win_scan_rows_py)
-
 
 def _win_scan_block(bids, paying, floor, budget):
     # Because bids do not adapt mid-run, the winners are exactly the eligible
@@ -143,23 +82,18 @@ def _win_scan_block(bids, paying, floor, budget):
     return win.view(np.uint8), spent, exhausted
 
 
-def _scan_form(rows_scan):
-    """The scan of 1-D bids, or of each row of 2-D bids, by ``rows_scan``."""
+def win_scan(bids, paying, floor, budget):
+    """The replay of 1-D ``bids``, or of each row of 2-D ``bids``, under
+    ``budget``: (win flags as uint8, spend, exhaustion index or -1), each
+    with one entry per row of a 2-D block.  A bid wins when it beats both
+    the logged paying price and the floor; a case is bid on while the spend
+    before it is under budget, so the last win may pass the budget by one
+    paying price."""
+    if bids.ndim == 2:
+        return _win_scan_block(bids, paying, floor, budget)
+    win, spent, exhausted = _win_scan_block(bids[None], paying, floor, budget)
+    return win[0], spent[0], exhausted[0]
 
-    def scan(bids, paying, floor, budget):
-        if bids.ndim == 2:
-            return rows_scan(bids, paying, floor, budget)
-        win, spent, exhausted = rows_scan(bids[None], paying, floor, budget)
-        return win[0], spent[0], exhausted[0]
-
-    return scan
-
-
-win_scan_loop = _scan_form(_win_scan_rows)
-win_scan_numpy = _scan_form(_win_scan_block)
-
-
-win_scan = win_scan_loop if HAVE_NUMBA else win_scan_numpy
 
 # The most cells (rows x cases) of bids one win_scan call is handed, so a
 # long grid on a long log holds a bounded working set: Lin tuning at 2**20
@@ -175,14 +109,18 @@ SCAN_CELLS = 1 << 20
 # Logistic regression: one SGD epoch over CSR one-hot rows.
 # ---------------------------------------------------------------------------
 
-def _sgd_epoch_py(indptr, indices, labels, v, order, w0, s, t0, lr0, lam):
-    # Weights are kept in scaled form w[1:] = s * v so the L2 shrink
-    # (a proximal step, w /= 1 + lr*lam) costs O(1) per example.  Feature
-    # index 0 is the unregularized bias, stored separately in w0.  The
-    # operands are read only by len, iteration, slices and indexing, so the
-    # body runs over arrays (compiled) and over lists (plain Python) alike.
+def sgd_epoch(indptr, indices, labels, v, order, w0, s, t0, lr0, lam):
+    """One SGD epoch over the rows in ``order``, an int64 array; returns
+    (w0, s, t) and updates ``v`` in place.  ``indptr``, ``indices``,
+    ``labels`` and ``v`` are the list copies that ``train_lr`` makes once
+    per fit.
+
+    Weights are kept in scaled form w[1:] = s * v, so the L2 shrink (a
+    proximal step, w /= 1 + lr * lam) costs O(1) per example.  Feature
+    index 0 is the unregularized bias, held apart in w0.  The step is
+    lr0 / sqrt(t), t counting examples over all epochs from t0."""
     t = t0
-    for i in order:
+    for i in order.tolist():
         t += 1
         lr = lr0 / math.sqrt(t)
         m = w0
@@ -205,18 +143,6 @@ def _sgd_epoch_py(indptr, indices, labels, v, order, w0, s, t0, lr0, lam):
                 v[q] *= s
             s = 1.0
     return w0, s, t
-
-
-sgd_epoch_loop = _njit(_sgd_epoch_py)
-
-
-def sgd_epoch_python(indptr, indices, labels, v, order, w0, s, t0, lr0, lam):
-    """The loop body as plain Python over the ``row_operand`` lists of one fit
-    and a list of this epoch's ``order``; ``v`` is updated in place."""
-    return _sgd_epoch_py(indptr, indices, labels, v, order.tolist(), w0, s, t0, lr0, lam)
-
-
-sgd_epoch = sgd_epoch_loop if HAVE_NUMBA else sgd_epoch_python
 
 
 # ---------------------------------------------------------------------------
@@ -245,7 +171,7 @@ def bin_columns(x: np.ndarray) -> tuple[np.ndarray, ...]:
         [np.empty(0, dtype=np.int64), *rows]), np.array(column, dtype=np.int64)
 
 
-def _split_threshold_py(a, b):
+def _split_threshold(a, b):
     # A threshold between column values a < b that sends a left and b right:
     # their midpoint, or a where it overflows (beyond about 9e307) or rounds
     # to b (adjacent floats).  Python floats overflow without a RuntimeWarning.
@@ -253,146 +179,17 @@ def _split_threshold_py(a, b):
     return t if a <= t < b else a
 
 
-_split_threshold = _njit(_split_threshold_py)
-
-
-def _node_bound_py(n, min_leaf, max_depth):
+def _node_bound(n, min_leaf, max_depth):
     # The most nodes a tree can hold: a full tree of depth max_depth, or
     # 2 * leaves - 1 for the at most n // min_leaf leaves of n rows.
     return min(2 ** (max_depth + 1) - 1, max(1, 2 * (n // min_leaf) - 1))
 
 
-_node_bound = _njit(_node_bound_py)
-
-
-def _level_subtracts_py(n, nfeat, nbins, k):
+def _level_subtracts(n, nfeat, nbins, k):
     # Whether a level of k nodes fills only the smaller child of each split:
     # a level of children whose histograms and their parents' (k + k // 2
     # nodes of nbins cells) fit in n * nfeat cells.
     return k > 1 and (k + k // 2) * nbins <= n * nfeat
-
-
-_level_subtracts = _njit(_level_subtracts_py)
-
-
-def _grow_tree_py(x, bins, bin_start, bin_value, bin_rows, column, resid, min_leaf, max_depth):
-    # Level-wise growth over bin_columns' columns, by the rule that the
-    # module docstring states.  Per level, one pass over the rows counts each
-    # node's rows and residual sum in row order; a running sum over each
-    # column's bins in ascending value order scores the split after each bin
-    # that holds rows of the node, with its threshold between that bin's
-    # value and the node's next (_split_threshold).  p keeps the histograms
-    # of the nodes that split, for a next level that _level_subtracts.
-    n = x.shape[0]
-    nfeat = bins.shape[0]
-    nbins = bin_value.shape[0]
-    per_chunk = max(1, n * nfeat // max(1, nbins))
-    max_nodes = _node_bound(n, min_leaf, max_depth)
-    feat = np.full(max_nodes, -1, dtype=np.int64)
-    thr = np.zeros(max_nodes, dtype=np.float64)
-    left = np.full(max_nodes, -1, dtype=np.int64)
-    right = np.full(max_nodes, -1, dtype=np.int64)
-    value = np.zeros(max_nodes, dtype=np.float64)
-
-    node_of = np.zeros(n, dtype=np.int64)
-    cnt = np.zeros(max_nodes, dtype=np.int64)
-    ssum = np.zeros(max_nodes, dtype=np.float64)
-    h_cnt = np.zeros((per_chunk, nbins), dtype=np.int64)
-    h_sum = np.zeros((per_chunk, nbins), dtype=np.float64)
-    # A subtracting level has at most per_chunk // 3 parents.
-    p_cnt = np.zeros((per_chunk // 3, nbins), dtype=np.int64)
-    p_sum = np.zeros((per_chunk // 3, nbins), dtype=np.float64)
-
-    n_nodes = 1
-    level_lo = 0
-    level_hi = 1
-    for depth in range(max_depth + 1):
-        cnt[level_lo:level_hi] = 0
-        ssum[level_lo:level_hi] = 0.0
-        for i in range(n):
-            nd = node_of[i]
-            if level_lo <= nd < level_hi:
-                cnt[nd] += 1
-                ssum[nd] += resid[i]
-
-        subtract = _level_subtracts(n, nfeat, nbins, level_hi - level_lo)
-        step = level_hi - level_lo if subtract else per_chunk
-        n_split = 0
-        for lo in range(level_lo, level_hi if depth < max_depth and nfeat > 0 else level_lo, step):
-            hi = min(lo + step, level_hi)
-            h_cnt[:hi - lo] = 0
-            h_sum[:hi - lo] = 0.0
-            if depth == 0:
-                h_cnt[0, :] = bin_rows
-            for i in range(n):
-                r = node_of[i] - lo
-                # Under subtraction, only the smaller child: the left one
-                # (r even) on equal rows.
-                if 0 <= r < hi - lo and (not subtract or cnt[lo + r] + (r & 1) <= cnt[lo + (r ^ 1)]):
-                    for f in range(nfeat):
-                        if depth > 0:
-                            h_cnt[r, bins[f, i]] += 1
-                        h_sum[r, bins[f, i]] += resid[i]
-            if subtract:
-                for r in range(0, hi - lo, 2):
-                    small = r if cnt[lo + r] <= cnt[lo + r + 1] else r + 1
-                    big = small ^ 1
-                    for b in range(nbins):
-                        c = p_cnt[r // 2, b] - h_cnt[small, b]
-                        h_cnt[big, b] = c
-                        h_sum[big, b] = p_sum[r // 2, b] - h_sum[small, b] if c > 0 else 0.0
-            for nd in range(lo, hi):
-                r = nd - lo
-                best_score = -np.inf
-                best_feat = -1
-                best_bin = -1
-                for f in range(nfeat):
-                    nl = 0
-                    sl = 0.0
-                    for b in range(bin_start[f], bin_start[f + 1]):
-                        nl += h_cnt[r, b]
-                        sl += h_sum[r, b]
-                        nr = cnt[nd] - nl
-                        if h_cnt[r, b] > 0 and nl >= min_leaf and nr >= min_leaf:
-                            sr = ssum[nd] - sl
-                            sc = sl * sl / nl + sr * sr / nr
-                            if sc > best_score:
-                                best_score = sc
-                                best_feat = f
-                                best_bin = b
-                if best_bin >= 0 and best_score > ssum[nd] * ssum[nd] / cnt[nd]:
-                    nxt = best_bin + 1
-                    while h_cnt[r, nxt] == 0:
-                        nxt += 1
-                    feat[nd] = column[best_feat]
-                    thr[nd] = _split_threshold(bin_value[best_bin], bin_value[nxt])
-                    left[nd] = n_nodes
-                    right[nd] = n_nodes + 1
-                    n_nodes += 2
-                    if _level_subtracts(n, nfeat, nbins, 2 * n_split + 2):
-                        p_cnt[n_split, :] = h_cnt[r, :]
-                        p_sum[n_split, :] = h_sum[r, :]
-                    n_split += 1
-
-        for nd in range(level_lo, level_hi):
-            if left[nd] < 0:
-                value[nd] = ssum[nd] / cnt[nd]
-        if n_split > 0:
-            for i in range(n):
-                nd = node_of[i]
-                if level_lo <= nd < level_hi and left[nd] >= 0:
-                    if x[i, feat[nd]] <= thr[nd]:
-                        node_of[i] = left[nd]
-                    else:
-                        node_of[i] = right[nd]
-        level_lo = level_hi
-        level_hi = n_nodes
-        if n_split == 0:
-            break
-    return feat[:n_nodes], thr[:n_nodes], left[:n_nodes], right[:n_nodes], value[:n_nodes], node_of
-
-
-grow_tree_loop = _njit(_grow_tree_py)
 
 
 def _fill(bins, weights, rows, slot, k, nbins, counts=True):
@@ -456,7 +253,7 @@ def _chunk_splits(lo, hi, h_cnt, h_sum, cnt, ssum, bin_start, bin_value, min_lea
     sc /= nl
     sr *= sr
     sr /= m
-    sc += sr  # in place, the loop's sl * sl / nl + sr * sr / nr
+    sc += sr  # in place, sl * sl / nl + sr * sr / nr
     sl.fill(-np.inf)
     sl.put(at, sc)
     best = sl.argmax(axis=1)  # first maximum: lowest feature, then lowest bin
@@ -483,8 +280,11 @@ def _level_histograms(lo, hi, per_chunk, node_of, cnt, parents, bins, weights, b
             yield a, b, *_fill(bins, weights, rows, node_of[rows] - a, b - a, nbins)
 
 
-def grow_tree_numpy(x, bins, bin_start, bin_value, bin_rows, column, resid, min_leaf, max_depth):
-    """Vectorized twin of the loop kernel (same splits, bit for bit).
+def grow_tree(x, bins, bin_start, bin_value, bin_rows, column, resid, min_leaf, max_depth):
+    """One regression tree on the rows of ``x``, fitted to ``resid`` level
+    by level, at most ``max_depth`` deep with at least ``min_leaf`` rows a
+    leaf: its node arrays (feature, threshold, left, right, value) and each
+    row's leaf, ``node_of``.
 
     ``bins``, ``bin_start``, ``bin_value``, ``bin_rows`` and ``column`` are
     ``bin_columns(x)``, made once for all the trees grown on ``x``: only
@@ -498,14 +298,14 @@ def grow_tree_numpy(x, bins, bin_start, bin_value, bin_rows, column, resid, min_
     histogram minus the smaller child's, cell by cell: counts exactly, and
     0.0 for a cell that holds no row.  The keys go feature by feature, so
     each bin's residuals add in row order, and ``np.add.accumulate`` along
-    each column's bins then gives the loop's sums in the loop's order, so
-    the same scores, and the first maximum in (feature, bin) order is the
-    loop's tie-break.  A level's histograms, with its parents' that it
-    keeps, must fit in ``n * nfeat`` cells, the size of ``bins``: a level
-    that does not is filled directly from all its rows, its nodes in chunks
-    within that bound, and the next level may subtract from it
-    (``_level_subtracts``).  Nodes are allocated up to ``_node_bound``:
-    ``n // min_leaf`` leaves at most."""
+    each column's bins gives each candidate's left sum.  A candidate scores
+    ``sl * sl / nl + sr * sr / nr``, and the first maximum in (feature, bin)
+    order splits the node if it beats the node's own ``total**2 / n``.  A
+    level's histograms, with its parents' that it keeps, must fit in ``n *
+    nfeat`` cells, the size of ``bins``: a level that does not is filled
+    directly from all its rows, its nodes in chunks within that bound, and
+    the next level may subtract from it (``_level_subtracts``).  Nodes are
+    allocated up to ``_node_bound``: ``n // min_leaf`` leaves at most."""
     n, nfeat, nbins = x.shape[0], bins.shape[0], len(bin_value)
     per_chunk = max(1, n * nfeat // max(1, nbins))
     max_nodes = _node_bound(n, min_leaf, max_depth)
@@ -549,42 +349,10 @@ def grow_tree_numpy(x, bins, bin_start, bin_value, bin_rows, column, resid, min_
     return feat[:n_nodes], thr[:n_nodes], left[:n_nodes], right[:n_nodes], value[:n_nodes], node_of
 
 
-grow_tree = grow_tree_loop if HAVE_NUMBA else grow_tree_numpy
-
-
 # ---------------------------------------------------------------------------
 # Forest scoring: every tree of a packed ensemble in one call.
 # ---------------------------------------------------------------------------
 
-def _apply_forest_row_py(x, feat, thr, left, right, value, roots, base, shrinkage):
-    # One row through every tree, base first and then each leaf times
-    # shrinkage in tree order: the float operations apply_forest_numpy makes
-    # for that row, so the same result bit for bit.
-    s = base
-    for r in roots:
-        nd = r
-        while left[nd] >= 0:
-            if x[feat[nd]] <= thr[nd]:
-                nd = left[nd]
-            else:
-                nd = right[nd]
-        s += shrinkage * value[nd]
-    return s
-
-
-apply_forest_row = _njit(_apply_forest_row_py)
-
-
-def _apply_forest_py(x, feat, thr, left, right, value, roots, base, shrinkage):
-    # The row walk on each row, so a batch row's score is its row's.
-    n = x.shape[0]
-    out = np.empty(n, dtype=np.float64)
-    for i in range(n):
-        out[i] = apply_forest_row(x[i], feat, thr, left, right, value, roots, base, shrinkage)
-    return out
-
-
-apply_forest_loop = _njit(_apply_forest_py)
 
 # (tree, row) pairs walked per block; bounds the working set of a large batch.
 FOREST_BLOCK = 16384
@@ -610,7 +378,7 @@ def _forest_block(x, feat, thr, left, right, value, roots, base, shrinkage):
     return np.cumsum(terms, axis=0)[-1]
 
 
-def apply_forest_numpy(x, feat, thr, left, right, value, roots, base, shrinkage):
+def apply_forest(x, feat, thr, left, right, value, roots, base, shrinkage):
     """Walks all (tree, row) pairs in lockstep, one step per tree level."""
     n = x.shape[0]
     step = max(1, FOREST_BLOCK // max(1, roots.shape[0]))
@@ -619,9 +387,6 @@ def apply_forest_numpy(x, feat, thr, left, right, value, roots, base, shrinkage)
         out[lo:lo + step] = _forest_block(x[lo:lo + step], feat, thr, left, right,
                                           value, roots, base, shrinkage)
     return out
-
-
-apply_forest = apply_forest_loop if HAVE_NUMBA else apply_forest_numpy
 
 
 def _forest_source(feat, thr, left, right, value, roots, base, shrinkage) -> str:
@@ -660,7 +425,7 @@ def compile_forest_row(feat, thr, left, right, value, roots, base, shrinkage):
     base`` and adds one term per tree in tree order, ``s += (<left> if
     x<f> <= <threshold> else <right>)`` with the subtrees nested the same
     way down to ``shrinkage * leaf``: the float operations of
-    ``_apply_forest_row_py``, so the same score bit for bit.  Its source
+    ``apply_forest`` for that row, so the same score bit for bit.  Its source
     holds one line per tree; it is compiled once, in a namespace without
     builtins that binds only ``inf`` and ``nan``.  A tree deeper than 200
     levels does not compile: CPython nests at most 200 parentheses."""
@@ -670,15 +435,6 @@ def compile_forest_row(feat, thr, left, right, value, roots, base, shrinkage):
     return namespace["score"]
 
 
-def forest_row_scorer(feat, thr, left, right, value, roots, base, shrinkage):
-    """The function of one float64 row that returns its forest score: the
-    compiled walk over the node arrays with numba, ``compile_forest_row``'s
-    straight-line Python without it."""
-    if HAVE_NUMBA:
-        return lambda x: apply_forest_row(x, feat, thr, left, right, value, roots, base, shrinkage)
-    return compile_forest_row(feat, thr, left, right, value, roots, base, shrinkage)
-
-
 def apply_tree(node_of, value):
     """Each training row's leaf value: ``value`` gathered at the leaves that
     ``grow_tree`` put the rows in.  It is a name of its own only because
@@ -686,31 +442,3 @@ def apply_tree(node_of, value):
     and counts rows from ``args[0].shape[0]``, so ``node_of`` stays the first
     argument, an array.  It can go once rtbsim counts its own work."""
     return value[node_of]
-
-
-def row_operand(a: np.ndarray):
-    """``a`` in the form that ``sgd_epoch`` reads: the array itself for the
-    compiled body, a list for plain Python, whose items the interpreter
-    reads and writes several times faster than numpy's."""
-    return a if HAVE_NUMBA else a.tolist()
-
-
-def warmup() -> None:
-    """Trigger JIT compilation of every kernel on tiny inputs."""
-    bids = np.array([5, 5], dtype=np.int64)
-    pay = np.array([1, 2], dtype=np.int64)
-    flr = np.array([0, 0], dtype=np.int64)
-    win_scan(bids, pay, flr, np.int64(100))
-    win_scan(np.broadcast_to(bids, (2, 2)), pay, flr, np.int64(100))  # tune's Const block
-    indptr = np.array([0, 1, 2], dtype=np.int64)
-    indices = np.array([1, 2], dtype=np.int32)
-    labels = np.array([0.0, 1.0])
-    v = np.zeros(2)
-    order = np.array([0, 1], dtype=np.int64)
-    sgd_epoch(indptr, indices, labels, v, order, 0.0, 1.0, 0, 0.01, 1e-6)
-    x = np.array([[0.0], [1.0], [2.0], [3.0]])
-    r = np.array([0.0, 0.0, 1.0, 1.0])
-    *tree, _ = grow_tree(x, *bin_columns(x), r, 1, 2)
-    root = np.zeros(1, dtype=np.int64)
-    apply_forest(x, *tree, root, 0.0, 1.0)
-    apply_forest_row(x[0], *tree, root, 0.0, 1.0)

@@ -143,7 +143,7 @@ class MissingValue(ValueError):
 
 
 def _parse_timestamp(raw: str) -> datetime:
-    if len(raw) != TIMESTAMP_DIGITS or not raw.isdigit():
+    if len(raw) != TIMESTAMP_DIGITS or not (raw.isascii() and raw.isdigit()):
         raise TimestampFormatError(raw)
     try:  # the digits as one int, then each field's digits from its low end
         stamp, millisecond = divmod(int(raw), 1000)
@@ -167,8 +167,7 @@ def format_timestamp(ts: datetime) -> str:
 def _parse_timestamps(texts: list[str]) -> np.ndarray:
     """The texts as :func:`_parse_timestamp` reads them, as int64
     milliseconds since 1970-01-01.  Raises ValueError if any text is not 17
-    ASCII digits of a valid instant; :func:`_parse_timestamp` then names it,
-    or reads the other Unicode digits it accepts."""
+    ASCII digits of a valid instant; :func:`_parse_timestamp` then names it."""
     # Each text and a tab, as a row of bytes.  No text holds a tab, so when
     # every row's first 17 bytes are digits, each row is one whole text.
     rows = np.frombuffer("\t".join(texts + [""]).encode("ascii"), np.uint8).reshape(len(texts), -1)

@@ -150,15 +150,17 @@ def train_lr(batch: SparseBatch, hyper: LrHyper | None = None) -> LrModel:
     The L2 term is applied as a proximal shrink (w /= 1 + lr*l2) after each
     gradient step, which stays stable for arbitrarily large l2: in the
     l2 -> inf limit the non-bias weights go to zero instead of diverging.
-    Deterministic given the seed; non-finite weights abort.
+    Each epoch is one :func:`kernels.sgd_epoch` over list copies of the
+    batch, made once per fit.  Deterministic given the seed; non-finite
+    weights abort.
     """
     hyper = hyper or LrHyper()
     _check_labels(batch.labels)
     _check_indices(batch)
     rng = np.random.Generator(np.random.PCG64(hyper.seed))
     n = len(batch)
-    # The kernel's operands, copied once for every epoch; v is updated in place.
-    indptr, indices, labels, v = map(kernels.row_operand, (
+    # The kernel's list operands, copied once for every epoch; v is updated in place.
+    indptr, indices, labels, v = (a.tolist() for a in (
         batch.indptr, batch.indices, batch.labels, np.zeros(batch.dimension - 1)))
     w0, s, t = 0.0, 1.0, 0
     for _ in range(hyper.epochs):
@@ -287,7 +289,7 @@ class GbrtModel:
     forest: PackedForest
     hyper: GbrtHyper
     train_mse: list[float] = field(default_factory=list)  # after each round
-    # kernels.forest_row_scorer of this model, made by the first one-vector
+    # kernels.compile_forest_row of this model, made by the first one-vector
     # predict: building it costs about 20 ms, which a model that only
     # scores batches never spends.  Made once, it assumes that base,
     # forest and shrinkage stay as they are.
@@ -375,7 +377,7 @@ def predict(model, features):
         base, shrinkage = float(model.base), float(model.hyper.shrinkage)
         if arr.ndim == 1:
             if model.row_scorer is None:
-                model.row_scorer = kernels.forest_row_scorer(*f._arrays(), base, shrinkage)
+                model.row_scorer = kernels.compile_forest_row(*f._arrays(), base, shrinkage)
             s = model.row_scorer(arr)
             return min(max(s, GBRT_CLAMP), 1.0 - GBRT_CLAMP)
         total = kernels.apply_forest(np.ascontiguousarray(arr), *f._arrays(), base, shrinkage)

@@ -4,16 +4,9 @@ from datetime import datetime
 
 import pytest
 
-from rtbsim import kernels, synthgen
+from rtbsim import synthgen
 from rtbsim.logdata import AuctionCase, LogRecord, LogType
 from rtbsim.stats import feature_breakdowns
-
-
-@pytest.fixture(scope="session", autouse=True)
-def warm_kernels():
-    # Compile the njit kernels on tiny inputs once, so timed tests measure
-    # the algorithms rather than JIT latency.
-    kernels.warmup()
 
 
 def make_record(**overrides) -> LogRecord:

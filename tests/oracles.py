@@ -1,11 +1,12 @@
 """Independent reference implementations used as test oracles.
 
 Everything here is deliberately straight-line Python with no shared code
-paths into the package internals it checks: the replay reference walks
-case objects one by one, the AUC reference counts all positive/negative
-pairs, the gradient reference differentiates a locally re-stated loss
-by central finite differences, and the split reference scores every
-candidate split of a node.
+paths into the package internals it checks: the replay references walk
+case objects or bids one by one, the AUC reference counts all
+positive/negative pairs, the gradient reference differentiates a locally
+re-stated loss by central finite differences, the SGD reference runs one
+epoch's updates over arrays, the split reference scores every candidate
+split of a node, and the tree reference grows a whole tree from it.
 """
 
 from __future__ import annotations
@@ -35,6 +36,23 @@ def reference_simulate(cases, strategy, budget, pctr=None):
             if case.converted:
                 convs += 1
     return wins, clicks, convs, spent
+
+
+def reference_win_scan(bids, paying, floor, budget):
+    """Straight-line replay of one row of bids: (win flags, spent,
+    exhausted_at).  Each case is bid on while the spend so far is under
+    ``budget``; a bid wins when it beats both the paying price and the
+    floor, and pays the paying price.  ``exhausted_at`` is the first case
+    reached with the budget spent, or -1."""
+    win = [0] * len(bids)
+    spent = 0
+    for i, (b, p, f) in enumerate(zip(bids, paying, floor)):
+        if spent >= budget:
+            return win, spent, i
+        if b > p and b > f:
+            win[i] = 1
+            spent += p
+    return win, spent, -1
 
 
 def pairwise_auc(scores, labels) -> float:
@@ -79,6 +97,37 @@ def finite_difference_gradient(weights, l2, indptr, indices, labels, coords, h=1
             - reference_lr_loss(wm, l2, indptr, indices, labels)
         ) / (2.0 * h)
     return grad
+
+
+def reference_sgd_epoch(indptr, indices, labels, v, order, w0, s, t0, lr0, lam):
+    """One SGD epoch of L2-regularized logistic regression over the arrays,
+    in ``order``: returns (w0, s, t) and updates ``v`` in place.
+
+    The non-bias weights are held as w[1:] = s * v and the bias as w0.  Step
+    t (counted from t0 over all epochs) has rate lr = lr0 / sqrt(t): the
+    margin is w0 plus s * v[c - 1] over the row's indices c in order, p its
+    sigmoid (by exp(m) / (1 + exp(m)) for a negative margin), g = p - label;
+    w0 -= lr * g, each v[c - 1] -= lr * g / s, then s /= 1 + lr * lam, and
+    once s falls below 1e-130, v is multiplied by s and s reset to 1.
+    """
+    t = t0
+    for i in order:
+        t += 1
+        lr = lr0 / math.sqrt(t)
+        m = w0
+        row = indices[indptr[i]:indptr[i + 1]]
+        for c in row:
+            m += s * v[c - 1]
+        p = 1.0 / (1.0 + math.exp(-m)) if m >= 0.0 else math.exp(m) / (1.0 + math.exp(m))
+        g = p - labels[i]
+        w0 -= lr * g
+        for c in row:
+            v[c - 1] -= lr * g / s
+        s /= 1.0 + lr * lam
+        if s < 1e-130:
+            v *= s
+            s = 1.0
+    return w0, s, t
 
 
 def reference_tree_leaves(rows, feature, threshold, left, right, value, root=0):
@@ -172,42 +221,102 @@ def reference_value_sums(x, resid, feature, threshold, left, right):
     The rows reach the nodes by the tree's own splits: a row goes left when
     its split column is <= the threshold.
     """
-    rows_x = np.asarray(x).tolist()
-    n = len(resid)
-    held = [len(set(col)) for col in np.asarray(x).T.tolist()]
-    nfeat, nbins = sum(h > 1 for h in held), sum(h for h in held if h > 1)
-    resid = list(resid)
+    rows_x, resid, searched = np.asarray(x).tolist(), list(resid), _searched(x)
     out = {}
-    level = [(0, list(range(n)), None)]  # (node, rows, parent) in node order
+    level = [(0, list(range(len(resid))), None)]  # (node, rows, parent) in node order
     while level:
-        k = len(level)
-        subtracts = k > 1 and (k + k // 2) * nbins <= n * nfeat
-
-        def larger(at):
-            # Whether level[at] takes its parent's sums minus its sibling's.
-            if not subtracts:
-                return False
-            ours, theirs = len(level[at][1]), len(level[at ^ 1][1])
-            return ours > theirs or (ours == theirs and at % 2 == 1)
-
-        for at in sorted(range(k), key=larger):  # the smaller nodes first
-            nd, rows, parent = level[at]
-            columns = [[rows_x[i][f] for i in rows] for f in range(len(held))]
-            if larger(at):
-                small = out[level[at ^ 1][0]][1]
-                sums = [{v: out[parent][1][f][v] - small[f].get(v, 0.0) for v in col}
-                        for f, col in enumerate(columns)]
-            else:
-                sums = row_order_sums(columns, [resid[i] for i in rows])
-            out[nd] = rows, sums
+        _level_sums(level, out, rows_x, resid, *searched)
         nxt = []
         for nd, rows, _ in level:
             if left[nd] >= 0:
-                go = [rows_x[i][feature[nd]] <= threshold[nd] for i in rows]
-                nxt.append((left[nd], [i for i, g in zip(rows, go) if g], nd))
-                nxt.append((right[nd], [i for i, g in zip(rows, go) if not g], nd))
+                nxt += _children(rows_x, nd, rows, feature[nd], threshold[nd], left[nd], right[nd])
         level = nxt
     return out
+
+
+def _searched(x):
+    # (columns, their features, the distinct values they hold in all) of the
+    # columns of x that hold more than one value.
+    held = [len(set(col)) for col in np.asarray(x).T.tolist()]
+    return len(held), sum(h > 1 for h in held), sum(h for h in held if h > 1)
+
+
+def _children(rows_x, nd, rows, feature, threshold, left, right):
+    # The (node, rows, parent) of node nd's two children.
+    go = [rows_x[i][feature] <= threshold for i in rows]
+    return [(left, [i for i, g in zip(rows, go) if g], nd),
+            (right, [i for i, g in zip(rows, go) if not g], nd)]
+
+
+def _level_sums(level, out, rows_x, resid, d, nfeat, nbins):
+    # out[node] = (rows, per-feature value sums) for each (node, rows,
+    # parent) of a level, by reference_value_sums' sum rule.
+    k, n = len(level), len(resid)
+    subtracts = k > 1 and (k + k // 2) * nbins <= n * nfeat
+
+    def larger(at):
+        # Whether level[at] takes its parent's sums minus its sibling's.
+        if not subtracts:
+            return False
+        ours, theirs = len(level[at][1]), len(level[at ^ 1][1])
+        return ours > theirs or (ours == theirs and at % 2 == 1)
+
+    for at in sorted(range(k), key=larger):  # the smaller nodes first
+        nd, rows, parent = level[at]
+        columns = [[rows_x[i][f] for i in rows] for f in range(d)]
+        if larger(at):
+            small = out[level[at ^ 1][0]][1]
+            sums = [{v: out[parent][1][f][v] - small[f].get(v, 0.0) for v in col}
+                    for f, col in enumerate(columns)]
+        else:
+            sums = row_order_sums(columns, [resid[i] for i in rows])
+        out[nd] = rows, sums
+
+
+def reference_grow_tree(x, resid, min_leaf, max_depth):
+    """A regression tree grown one level at a time from the root, as the
+    arrays (feature, threshold, left, right, value, node_of).
+
+    The nodes of a level, in node order, each take ``reference_best_split``
+    of their rows, with the per-value sums of ``reference_value_sums``'
+    rule, except at depth ``max_depth``.  A node that splits gets the next
+    two node numbers, left then right, and its rows go left when their
+    split column is <= the threshold.  A leaf's value is its rows' residuals
+    summed in row order from 0.0, over their count; a split node's value,
+    and a leaf's threshold, are 0.0, and a leaf's feature and children -1.
+    ``node_of`` is each row's leaf.
+    """
+    rows_x, resid, searched = np.asarray(x).tolist(), [float(r) for r in resid], _searched(x)
+    feature, threshold, left, right, value = [-1], [0.0], [-1], [-1], [0.0]
+    node_of = [0] * len(resid)
+    sums = {}
+    level, depth = [(0, list(range(len(resid))), None)], 0
+    while level:
+        if depth < max_depth:
+            _level_sums(level, sums, rows_x, resid, *searched)
+        nxt = []
+        for nd, rows, _ in level:
+            own = [resid[i] for i in rows]
+            choice = None if depth == max_depth else reference_best_split(
+                [[rows_x[i][f] for i in rows] for f in range(searched[0])], own, min_leaf,
+                sums[nd][1])
+            if choice is None:
+                total = 0.0
+                for r in own:
+                    total += r
+                value[nd] = total / len(rows)
+                for i in rows:
+                    node_of[i] = nd
+                continue
+            feature[nd], threshold[nd] = choice
+            left[nd], right[nd] = len(feature), len(feature) + 1
+            for column, blank in ((feature, -1), (threshold, 0.0), (left, -1), (right, -1),
+                                  (value, 0.0)):
+                column += [blank, blank]
+            nxt += _children(rows_x, nd, rows, *choice, left[nd], right[nd])
+        level, depth = nxt, depth + 1
+    return (np.array(feature, dtype=np.int64), np.array(threshold), np.array(left, dtype=np.int64),
+            np.array(right, dtype=np.int64), np.array(value), np.array(node_of, dtype=np.int64))
 
 
 def reference_node_splits(x, resid, min_leaf, max_depth, feature, threshold, left, right):

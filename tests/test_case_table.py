@@ -240,16 +240,25 @@ EDGE_TIMESTAMPS = [
     "00010101000000000", "00011231235959999", "09990615083000500", "99991231235959999",
 ]
 
+def _in_digits(text, zero):
+    """``text``'s ASCII digits written as the ten digits from ``zero`` on."""
+    return text.translate({ord("0") + d: zero + d for d in range(10)})
+
+
 # Texts the column reader must send to the per-line parser, which rejects
 # each: year 0, 30 February, 29 February of 1900 and of 2013, hour 24,
 # minute 60, second 60, month 0 and 13, day 0, 16 and 18 digits, one
-# digit that is no digit, and a text of 16 digits next to one of 18, whose
-# lengths add up as two of 17 do.
+# digit that is no digit, a text of 16 digits next to one of 18, whose
+# lengths add up as two of 17 do, and 17 decimal digits that are not all
+# ASCII, which str.isdigit and int accept: Arabic-Indic, fullwidth and
+# Devanagari digits, and one Arabic-Indic digit among ASCII ones.
 REJECTED_TIMESTAMPS = [
     ["00000101000000000"], ["20130230000000000"], ["19000229000000000"], ["20130229000000000"],
     ["20130606240000000"], ["20130606126000000"], ["20130606120060000"], ["20130006120000000"],
     ["20131306120000000"], ["20130600120000000"], ["2013060612000000"], ["201306061200000000"],
     ["2013060612000000\u00b2"], ["2013060612000000", "201306061200000000"],
+    [_in_digits("20130606120000500", 0x0660)], [_in_digits("20130606120000500", 0xFF10)],
+    [_in_digits("20130606120000500", 0x0966)], ["2013060612000050" + _in_digits("0", 0x0660)],
 ]
 
 
@@ -283,19 +292,6 @@ def test_rejected_timestamps_are_named_by_the_per_line_parser(tmp_path, capsys, 
     skipped, _ = assert_reads_as_per_line(directory, capsys)
     assert [e.line_no for e in skipped] == list(range(6, 6 + len(bad)))
     assert len(CaseTable.read(directory)) == len(stamps) - len(bad)
-
-
-def test_other_unicode_digits_read_as_the_per_line_parser_reads_them(tmp_path, capsys):
-    # str.isdigit and int accept the Arabic-Indic digits, so the per-line
-    # parser reads such a timestamp; the column reader sends it there.
-    arabic = "20130606120000500".translate(str.maketrans("0123456789", "\u0660\u0661\u0662\u0663\u0664"
-                                                                       "\u0665\u0666\u0667\u0668\u0669"))
-    stamps = EDGE_TIMESTAMPS[:3] + [arabic]
-    directory = _write(tmp_path, *_with_timestamps(stamps))
-    table = CaseTable.read(directory, strict=True)
-    assert table.column("timestamp") == sorted(map(_parse_timestamp, stamps))
-    assert datetime(2013, 6, 6, 12, 0, 0, 500000) in table.column("timestamp")
-    assert_reads_as_per_line(directory, capsys)
 
 
 def test_format_timestamps_equals_format_timestamp():

@@ -281,6 +281,9 @@ class TestReplayTuning:
         (["--grid", "10,50,10"], "--grid lists 10 twice"),
         (["--strategy", "const", "--strategy", "const"], "--strategy lists const twice"),
         (["--budget-fraction", "1/8", "--budget-fraction", "0.125"], "--budget-fraction lists 1/8 twice"),
+        # Decimal digits, but not ASCII ones: Arabic-Indic three, fullwidth seven.
+        (["--grid", "\u0663,5"], "--grid '\u0663,5'"),
+        (["--grid", "10,\uff17"], "--grid '10,\uff17'"),
     ])
     def test_bad_tuning_flag_fails_before_input(self, tmp_path, capsys, flags, named):
         argv = ["replay", "--input", str(tmp_path / "nope"), "--out", str(tmp_path / "o"), *flags]

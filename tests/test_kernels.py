@@ -1,12 +1,13 @@
-"""Backend equivalence: the njit loop kernels and the numpy fallbacks must
-produce bit-identical results, since whether numba is installed must never
-change experiment outputs."""
+"""The kernels against the straight-line references of ``oracles.py``: the
+win scan, the SGD epoch, tree growth and forest scoring, bit for bit."""
 
 from __future__ import annotations
 
+import importlib.util
 import math
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,8 +16,9 @@ from rtbsim import features, kernels, models, synthgen
 from rtbsim.bidding import RandBid, compute_bid
 
 from conftest import make_case
-from oracles import (reference_node_splits, reference_simulate, reference_tree_leaves,
-                     reference_value_sums)
+from oracles import (reference_grow_tree, reference_node_splits, reference_sgd_epoch,
+                     reference_simulate, reference_tree_leaves, reference_value_sums,
+                     reference_win_scan)
 
 
 def random_auction_arrays(rng, n):
@@ -29,18 +31,19 @@ def random_auction_arrays(rng, n):
 class TestWinScan:
     @pytest.mark.parametrize("budget", [0, 1, 500, 10_000, 10 ** 12])
     def test_backends_agree(self, budget):
+        # The kernel and the straight-line scan agree on the wins, the spend
+        # and the exhaustion index.
         rng = np.random.default_rng(budget % 97)
         for n in (1, 7, 500):
             bids, paying, floor = random_auction_arrays(rng, n)
-            w1, s1, e1 = kernels.win_scan_loop(bids, paying, floor, np.int64(budget))
-            w2, s2, e2 = kernels.win_scan_numpy(bids, paying, floor, np.int64(budget))
-            assert np.array_equal(w1, w2)
-            assert s1 == s2 and e1 == e2
+            win, spent, exhausted = kernels.win_scan(bids, paying, floor, np.int64(budget))
+            assert (win.tolist(), spent, exhausted) == reference_win_scan(
+                *lists(bids, paying, floor), budget)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_forms_match_reference_simulate(self, seed):
-        # Random cases replayed by the straight-line oracle: both forms win
-        # the same cases (wins and clicks) and spend the same, from a zero
+        # Random cases replayed by the straight-line oracle: the kernel wins
+        # the same cases (wins and clicks) and spends the same, from a zero
         # budget to one above the total paying price.
         rng = np.random.default_rng(200 + seed)
         n = int(rng.integers(1, 150))
@@ -55,22 +58,20 @@ class TestWinScan:
         total = int(paying.sum())
         for budget in (0, 1, int(rng.integers(0, total + 1)), total, total + 1, 10 * total + 7):
             wins, clicks, _, spent = reference_simulate(cases, strategy, budget)
-            for scan in (kernels.win_scan_loop, kernels.win_scan_numpy):
-                win, got_spent, _ = scan(bids, paying, floor, np.int64(budget))
-                won = win.astype(bool)
-                assert (int(won.sum()), int((won & clicked).sum()), int(got_spent)) == \
-                    (wins, clicks, spent), (scan.__name__, budget)
+            win, got_spent, _ = kernels.win_scan(bids, paying, floor, np.int64(budget))
+            won = win.astype(bool)
+            assert (int(won.sum()), int((won & clicked).sum()), int(got_spent)) == \
+                (wins, clicks, spent), budget
 
     def test_many_seeds(self):
         rng = np.random.default_rng(0)
         for _ in range(100):
             n = int(rng.integers(1, 300))
             bids, paying, floor = random_auction_arrays(rng, n)
-            budget = np.int64(rng.integers(0, int(paying.sum()) + 2))
-            out1 = kernels.win_scan_loop(bids, paying, floor, budget)
-            out2 = kernels.win_scan_numpy(bids, paying, floor, budget)
-            assert np.array_equal(out1[0], out2[0]) and out1[1:] == out2[1:]
-
+            budget = int(rng.integers(0, int(paying.sum()) + 2))
+            win, spent, exhausted = kernels.win_scan(bids, paying, floor, np.int64(budget))
+            assert (win.tolist(), spent, exhausted) == reference_win_scan(
+                *lists(bids, paying, floor), budget)
 
     @staticmethod
     def _rand_block(rng, n, rows):
@@ -93,7 +94,7 @@ class TestWinScan:
     @pytest.mark.parametrize("n", [0, 1, 60])
     def test_each_row_of_a_block_is_its_own_scan(self, n):
         # Each row of a 2-D block equals the 1-D scan of that row and the
-        # straight-line oracle, in both forms.
+        # straight-line oracles.
         rows = 7
         rng = np.random.default_rng(300 + n)
         cases, strategies, bids, paying, floor, clicked, converted = self._rand_block(rng, n, rows)
@@ -102,18 +103,18 @@ class TestWinScan:
             assert ((bids == floor) & (floor > paying)).any()
         total = int(paying.sum())
         for budget in (0, 1, total, total + 1):
-            for scan in (kernels.win_scan_loop, kernels.win_scan_numpy):
-                win, spent, exhausted = scan(bids, paying, floor, np.int64(budget))
-                assert win.shape == (rows, n) and win.dtype == np.uint8
-                assert spent.shape == exhausted.shape == (rows,)
-                for r, strategy in enumerate(strategies):
-                    one = kernels.win_scan_loop(bids[r], paying, floor, np.int64(budget))
-                    assert np.array_equal(win[r], one[0]) and (spent[r], exhausted[r]) == one[1:]
-                    won = win[r].astype(bool)
-                    got = (int(won.sum()), int((won & clicked).sum()), int((won & converted).sum()),
-                           int(spent[r]))
-                    assert got == reference_simulate(cases, strategy, budget), (scan, budget, r)
-
+            win, spent, exhausted = kernels.win_scan(bids, paying, floor, np.int64(budget))
+            assert win.shape == (rows, n) and win.dtype == np.uint8
+            assert spent.shape == exhausted.shape == (rows,)
+            for r, strategy in enumerate(strategies):
+                one = kernels.win_scan(bids[r], paying, floor, np.int64(budget))
+                assert np.array_equal(win[r], one[0]) and (spent[r], exhausted[r]) == one[1:]
+                assert (win[r].tolist(), spent[r], exhausted[r]) == reference_win_scan(
+                    *lists(bids[r], paying, floor), budget)
+                won = win[r].astype(bool)
+                got = (int(won.sum()), int((won & clicked).sum()), int((won & converted).sum()),
+                       int(spent[r]))
+                assert got == reference_simulate(cases, strategy, budget), (budget, r)
 
     def test_a_broadcast_column_of_bids(self):
         # tune's Const block: a column of prices broadcast over the cases
@@ -123,42 +124,23 @@ class TestWinScan:
         prices = np.array([0, 20, 90, 150, 400], dtype=np.int64)
         column = np.broadcast_to(prices[:, None], (5, 300))
         budget = np.int64(paying.sum() // 4)
-        for scan in (kernels.win_scan_loop, kernels.win_scan_numpy):
-            got, want = scan(column, paying, floor, budget), scan(column.copy(), paying, floor, budget)
-            assert all(np.array_equal(a, b) for a, b in zip(got, want))
+        got = kernels.win_scan(column, paying, floor, budget)
+        want = kernels.win_scan(column.copy(), paying, floor, budget)
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
 
 
 def lists(*arrays):
-    """The plain-list copies that the numpy backend's kernels read."""
+    """The plain-list copies of arrays, as the SGD kernel and the
+    straight-line references read them."""
     return [a.tolist() for a in arrays]
 
 
 class TestSgdEpoch:
-    def test_jit_matches_python_source(self):
-        rng = np.random.default_rng(5)
-        n, dim = 400, 25
-        rows = [np.sort(rng.choice(np.arange(1, dim), size=6, replace=False)) for _ in range(n)]
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        indptr[1:] = np.cumsum([len(r) for r in rows])
-        indices = np.concatenate(rows).astype(np.int32)
-        labels = rng.integers(0, 2, size=n).astype(np.float64)
-        order = rng.permutation(n).astype(np.int64)
-
-        for lam in (0.0, 1e-6, 1e-2, 1e6):
-            v1 = np.zeros(dim - 1)
-            v2 = [0.0] * (dim - 1)
-            out1 = kernels.sgd_epoch_loop(indptr, indices, labels, v1, order, 0.0, 1.0, 0, 0.1, lam)
-            out2 = kernels.sgd_epoch_python(*lists(indptr, indices, labels), v2, order,
-                                            0.0, 1.0, 0, 0.1, lam)
-            assert out1 == out2
-            assert v1.tolist() == v2
-
     @pytest.mark.parametrize("lam", [0.0, 1e-6, 1e-2, 1e6])
     def test_list_form_matches_array_body_over_epochs(self, lam):
-        # The one loop body over list copies made once, as train_lr makes
-        # them, against the same body over the arrays and the compiled
-        # kernel, with (w0, s, t) and the weights carried from each epoch
-        # into the next.
+        # The kernel over list copies made once, as train_lr makes them,
+        # against the reference epoch over the arrays, with (w0, s, t) and
+        # the weights carried from each epoch into the next.
         rng = np.random.default_rng(6)
         n, dim, lr0 = 300, 20, 0.1
         rows = [np.sort(rng.choice(np.arange(1, dim), size=int(rng.integers(0, 7)), replace=False))
@@ -170,10 +152,7 @@ class TestSgdEpoch:
         assert (np.diff(indptr) == 0).any()  # empty rows touch only the bias
         operands = {"array": (indptr, indices, labels, np.zeros(dim - 1)),
                     "list": (*lists(indptr, indices, labels), [0.0] * (dim - 1))}
-        forms = {"array": kernels._sgd_epoch_py, "list": kernels.sgd_epoch_python}
-        if kernels.HAVE_NUMBA:
-            forms["compiled"] = kernels.sgd_epoch_loop
-            operands["compiled"] = (indptr, indices, labels, np.zeros(dim - 1))
+        forms = {"array": reference_sgd_epoch, "list": kernels.sgd_epoch}
         state = {name: (0.0, 1.0, 0) for name in forms}
         for _ in range(4):
             order = rng.permutation(n).astype(np.int64)
@@ -210,16 +189,15 @@ class TestGrowTree:
             x, binned, resid = self._random_problem(rng, n, nfeat, discrete)
             min_leaf = int(rng.integers(1, 5))
             depth = int(rng.integers(1, 5))
-            t1 = kernels.grow_tree_loop(x, *binned, resid, min_leaf, depth)
-            t2 = kernels.grow_tree_numpy(x, *binned, resid, min_leaf, depth)
-            for a, b in zip(t1, t2):
+            got = kernels.grow_tree(x, *binned, resid, min_leaf, depth)
+            for a, b in zip(got, reference_grow_tree(x, resid, min_leaf, depth)):
                 assert np.array_equal(a, b)
 
     def test_backends_agree_on_near_ties(self):
         # Columns 1 and 2 split the rows into the same two sets at every
         # value, so their scores tie in exact arithmetic and the last bits of
-        # the per-bin sums pick the winner: both forms must fill the same
-        # child of each pair and give each cell the same sum.
+        # the per-bin sums pick the winner: the kernel must fill the child of
+        # each pair that the sum rule names and give each cell its sum.
         for seed in range(40):
             rng = np.random.default_rng(seed)
             n = int(rng.integers(40, 240))
@@ -230,15 +208,13 @@ class TestGrowTree:
 
     @staticmethod
     def _same(x, resid, min_leaf, max_depth):
-        """Both forms grow the same tree bit for bit; returns it."""
+        """The kernel grows the reference tree bit for bit; returns it."""
         x = np.asarray(x, dtype=np.float64).reshape(len(resid), -1)
         resid = np.asarray(resid, dtype=np.float64)
-        binned = kernels.bin_columns(x)
-        t1 = kernels.grow_tree_loop(x, *binned, resid, min_leaf, max_depth)
-        t2 = kernels.grow_tree_numpy(x, *binned, resid, min_leaf, max_depth)
-        for a, b in zip(t1, t2):
+        got = kernels.grow_tree(x, *kernels.bin_columns(x), resid, min_leaf, max_depth)
+        for a, b in zip(got, reference_grow_tree(x, resid, min_leaf, max_depth)):
             assert a.dtype == b.dtype and np.array_equal(a, b)
-        return t2
+        return got
 
     @pytest.mark.parametrize("min_leaf", [1, 2, 5])
     def test_rows_exactly_twice_min_leaf(self, min_leaf):
@@ -290,19 +266,16 @@ class TestGrowTree:
         self._same(x, rng.normal(size=40), 1, 6)
 
     def test_node_of_is_each_rows_leaf(self):
-        # The leaves boosting adds: on both forms, each row's leaf, also for
-        # a tree that is only its root
+        # The leaves boosting adds: each row's leaf, also for a tree that is
+        # only its root
         rng = np.random.default_rng(6)
         x, binned, resid = self._random_problem(rng, 300, 4)
         for min_leaf in (2, 200):  # a deep tree, then a root-only one
-            node_ofs = []
-            for form in (kernels.grow_tree_loop, kernels.grow_tree_numpy):
-                *tree, node_of = form(x, *binned, resid, min_leaf, 4)
-                assert (len(tree[0]) > 1) == (min_leaf == 2)
-                leaves = reference_tree_leaves(x, *tree)
-                assert np.array_equal(kernels.apply_tree(node_of, tree[4]), leaves)
-                node_ofs.append(node_of)
-            assert np.array_equal(*node_ofs)
+            *tree, node_of = kernels.grow_tree(x, *binned, resid, min_leaf, 4)
+            assert (len(tree[0]) > 1) == (min_leaf == 2)
+            leaves = reference_tree_leaves(x, *tree)
+            assert np.array_equal(kernels.apply_tree(node_of, tree[4]), leaves)
+            assert np.array_equal(node_of, reference_grow_tree(x, resid, min_leaf, 4)[5])
 
     @pytest.mark.parametrize("a, b", [(1e308, 1.7e308), (-1.7e308, -1e308), (1 + 2**-52, 1 + 2**-51)],
                              ids=["overflow", "negative-overflow", "adjacent"])
@@ -355,7 +328,7 @@ class TestGrowTree:
         binned = kernels.bin_columns(x)
         tracemalloc.start()
         try:
-            kernels.grow_tree_numpy(x, *binned, resid, 3, 20)
+            kernels.grow_tree(x, *binned, resid, 3, 20)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -382,7 +355,7 @@ class TestGrowTree:
         monkeypatch.setattr(kernels, "_fill", spy)
         rng = np.random.default_rng(16)
         x, binned, resid = self._random_problem(rng, 500, 4, discrete=True)
-        feat, thr, left, right, *_ = kernels.grow_tree_numpy(x, *binned, resid, 5, 5)
+        feat, thr, left, right, *_ = kernels.grow_tree(x, *binned, resid, 5, 5)
         level, levels = {0: np.arange(500)}, []
         while level:  # each level's (left, right) children and their rows
             nxt = {}
@@ -403,7 +376,7 @@ class TestGrowTree:
         fills.clear()
         x = np.repeat(np.arange(8.0), 32).reshape(-1, 1)
         resid = 4.0 * (x[:, 0] >= 4) + 2.0 * (x[:, 0] % 4 >= 2) + (x[:, 0] % 2 >= 1)
-        thr = kernels.grow_tree_numpy(x, *kernels.bin_columns(x), resid, 1, 3)[1]
+        thr = kernels.grow_tree(x, *kernels.bin_columns(x), resid, 1, 3)[1]
         assert thr.tolist() == [3.5, 1.5, 5.5, 0.5, 2.5, 4.5, 6.5] + [0.0] * 8
         assert [r.tolist() for r, _ in fills[1:]] == [list(range(128)),
                                                       list(range(64)) + list(range(128, 192))]
@@ -425,7 +398,6 @@ class TestGrowTree:
 
         monkeypatch.setattr(kernels, "bin_columns", bin_spy)
         monkeypatch.setattr(kernels, "_fill", fill_spy)
-        monkeypatch.setattr(kernels, "grow_tree", kernels.grow_tree_numpy)
         rng = np.random.default_rng(17)
         x = rng.integers(0, 5, size=(300, 3)).astype(np.float64)
         y = (rng.random(300) < 0.3).astype(np.float64)
@@ -443,33 +415,44 @@ class TestGrowTree:
         binned = kernels.bin_columns(x)
         tracemalloc.start()
         try:
-            kernels.grow_tree_numpy(x, *binned, resid, 20, 5)
+            kernels.grow_tree(x, *binned, resid, 20, 5)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak <= 32 * 2**20
 
+    def test_continuous_columns_match_the_reference(self):
+        # Fifteen columns of distinct values: each level below the root
+        # outgrows n * nfeat cells, so it is filled directly, its nodes in
+        # chunks, and almost every position is a candidate threshold.
+        rng = np.random.default_rng(2)
+        x = rng.normal(size=(1500, 15))
+        resid = np.sin(3 * x[:, 0]) + x[:, 4] * x[:, 7] + rng.normal(size=1500)
+        feat = self._same(x, resid, 20, 5)[0]
+        assert (feat >= 0).sum() > 15
+
 
 class TestSplitOracle:
-    """Both grower forms take the brute-force oracle's split at every node:
-    the same feature and threshold where they split, and no split where the
-    oracle finds none above the node's own score, short of the depth limit."""
+    """The grower takes the brute-force oracle's split at every node: the
+    same feature and threshold where it splits, and no split where the
+    oracle finds none above the node's own score, short of the depth limit;
+    so it grows the reference tree."""
 
     @staticmethod
     def _agree(x, resid, min_leaf, max_depth):
         splits = 0
-        trees = [form(x, *kernels.bin_columns(x), resid, min_leaf, max_depth)
-                 for form in (kernels.grow_tree_loop, kernels.grow_tree_numpy)]
-        assert all(np.array_equal(a, b) for a, b in zip(*trees))
-        for form, (feat, thr, left, right, _, _) in zip(("loop", "numpy"), trees):
-            want = reference_node_splits(x, resid, min_leaf, max_depth, feat, thr, left, right)
-            assert sorted(want) == list(range(len(feat)))
-            for nd, choice in want.items():
-                if left[nd] < 0:
-                    assert choice is None, (form, nd)
-                    continue
-                assert choice == (feat[nd], thr[nd]), (form, nd)
-                splits += 1
+        tree = kernels.grow_tree(x, *kernels.bin_columns(x), resid, min_leaf, max_depth)
+        assert all(np.array_equal(a, b) for a, b in zip(
+            tree, reference_grow_tree(x, resid, min_leaf, max_depth)))
+        feat, thr, left, right, _, _ = tree
+        want = reference_node_splits(x, resid, min_leaf, max_depth, feat, thr, left, right)
+        assert sorted(want) == list(range(len(feat)))
+        for nd, choice in want.items():
+            if left[nd] < 0:
+                assert choice is None, nd
+                continue
+            assert choice == (feat[nd], thr[nd]), nd
+            splits += 1
         return splits
 
     @pytest.mark.parametrize("seed", range(4))
@@ -487,7 +470,7 @@ class TestSplitOracle:
                              ids=["overflow", "adjacent", "midpoint"])
     def test_threshold_rule(self, a, b):
         x = np.r_[np.full(10, a), np.full(10, b)].reshape(-1, 1)
-        assert self._agree(x, np.r_[np.zeros(10), np.ones(10)] - 0.5, 2, 1) == 2
+        assert self._agree(x, np.r_[np.zeros(10), np.ones(10)] - 0.5, 2, 1) == 1
 
     def test_mirrored_columns(self):
         # Columns 1 and 2 split the rows into the same two sets at every
@@ -543,12 +526,12 @@ class TestSplitOracle:
         assert np.array_equal(bin_value[bins[1]], x[:, 3]) and bin_start.tolist() == [0, 6, 206, 210]
         resid = rng.normal(size=200) + x[:, 1] - x[:, 5]
         assert self._agree(x, resid, 4, 4) > 0
-        feat = kernels.grow_tree_numpy(x, *kernels.bin_columns(x), resid, 4, 4)[0]
+        feat = kernels.grow_tree(x, *kernels.bin_columns(x), resid, 4, 4)[0]
         assert {3, 5} <= set(feat[feat >= 0].tolist()) <= {1, 3, 5}
 
     @pytest.mark.parametrize("high_cardinality", [False, True])
     def test_histograms_follow_the_sum_rule(self, monkeypatch, high_cardinality):
-        # Each node's histograms, as grow_tree_numpy scores them, hold its
+        # Each node's histograms, as grow_tree scores them, hold its
         # rows per value, the oracle's per-value sums bit for bit, and 0.0
         # in every cell without rows, on subtracting and direct levels.
         rng = np.random.default_rng(47)
@@ -566,7 +549,7 @@ class TestSplitOracle:
         monkeypatch.setattr(kernels, "_chunk_splits", spy)
         binned = kernels.bin_columns(x)
         _, bin_start, bin_value, _, column = binned
-        feat, thr, left, right, *_ = kernels.grow_tree_numpy(x, *binned, resid, 3, 6)
+        feat, thr, left, right, *_ = kernels.grow_tree(x, *binned, resid, 3, 6)
         want = reference_value_sums(x, resid, feat, thr, left, right)
         assert len(seen) > 30
         for nd, (h_cnt, h_sum) in seen.items():
@@ -590,7 +573,8 @@ class TestSplitOracle:
 
 
 class TestApplyForest:
-    """The packed-forest kernel against its twin and the per-tree sum."""
+    """The packed-forest kernel and the one-row scorer against the per-tree
+    sum of the reference tree walk."""
 
     @staticmethod
     def _leaf(v):
@@ -605,7 +589,7 @@ class TestApplyForest:
                 continue
             resid = rng.normal(size=x.shape[0])
             depth = int(rng.integers(1, 6))
-            trees.append(kernels.grow_tree_numpy(x, *binned, resid, 2, depth)[:5])
+            trees.append(kernels.grow_tree(x, *binned, resid, 2, depth)[:5])
         return trees
 
     @staticmethod
@@ -616,12 +600,13 @@ class TestApplyForest:
         return total
 
     @staticmethod
-    def _both(x, forest, base, shrinkage):
-        args = (x, forest.feature, forest.threshold, forest.left, forest.right,
-                forest.value, forest.roots, base, shrinkage)
-        return kernels.apply_forest_loop(*args), kernels.apply_forest_numpy(*args)
+    def _score(x, forest, base, shrinkage):
+        return kernels.apply_forest(x, forest.feature, forest.threshold, forest.left, forest.right,
+                                    forest.value, forest.roots, base, shrinkage)
 
     def test_backends_agree_on_random_forests(self):
+        # The batch kernel, on many rows and on one, and the one-row scorer
+        # equal the per-tree reference sum.
         rng = np.random.default_rng(8)
         for _ in range(15):
             nfeat = int(rng.integers(1, 6))
@@ -630,10 +615,11 @@ class TestApplyForest:
             forest = models.PackedForest.of(trees)
             base, shrinkage = float(rng.random()), float(rng.random())
             xq = rng.normal(size=(int(rng.integers(1, 60)), nfeat))
-            for rows in (xq, xq[:1]):
-                loop, vec = self._both(rows, forest, base, shrinkage)
-                assert np.array_equal(loop, vec)
-                assert np.array_equal(vec, self._per_tree_sum(rows, trees, base, shrinkage))
+            want = self._per_tree_sum(xq, trees, base, shrinkage)
+            assert np.array_equal(self._score(xq, forest, base, shrinkage), want)
+            assert np.array_equal(self._score(xq[:1], forest, base, shrinkage), want[:1])
+            score = kernels.compile_forest_row(*forest._arrays(), base, shrinkage)
+            assert [score(row) for row in xq] == want.tolist()
 
     def test_root_only_forest_reads_no_column(self):
         # no split reads x, so an input without columns is fine
@@ -641,32 +627,24 @@ class TestApplyForest:
         forest = models.PackedForest.of(trees)
         assert forest.max_feature == -1
         x = np.empty((3, 0))
-        loop, vec = self._both(x, forest, 0.1, 0.3)
-        assert np.array_equal(loop, vec)
-        assert np.array_equal(vec, np.full(3, ((0.1 + 0.3 * 0.5) + 0.3 * -0.25) + 0.3 * 0.125))
+        assert np.array_equal(self._score(x, forest, 0.1, 0.3),
+                              np.full(3, ((0.1 + 0.3 * 0.5) + 0.3 * -0.25) + 0.3 * 0.125))
 
     def test_no_trees_is_base(self):
         forest = models.PackedForest.of([])
         assert forest.roots.shape == (0,) and forest.max_feature == -1
-        loop, vec = self._both(np.zeros((2, 3)), forest, 0.2, 0.5)
-        assert np.array_equal(loop, [0.2, 0.2]) and np.array_equal(vec, [0.2, 0.2])
+        assert np.array_equal(self._score(np.zeros((2, 3)), forest, 0.2, 0.5), [0.2, 0.2])
 
     def _row_forms_agree(self, trees, xq, base, shrinkage):
-        """Each row of xq scores the same, bit for bit, by the plain-Python
-        walk, the compiled straight-line scorer, the installed backend's
-        scorer, both batch forms and the per-tree reference sum."""
+        """Each row of xq scores the same, bit for bit, by the compiled
+        straight-line scorer, the batch kernel and the per-tree reference
+        sum."""
         forest = models.PackedForest.of(trees)
-        nodes = (forest.feature, forest.threshold, forest.left, forest.right,
-                 forest.value, forest.roots)
-        loop, vec = self._both(xq, forest, base, shrinkage)
+        batch = self._score(xq, forest, base, shrinkage)
         reference = self._per_tree_sum(xq, trees, base, shrinkage)
-        compiled = kernels.compile_forest_row(*nodes, base, shrinkage)
-        installed = kernels.forest_row_scorer(*nodes, base, shrinkage)
+        compiled = kernels.compile_forest_row(*forest._arrays(), base, shrinkage)
         for i, row in enumerate(xq):
-            plain = kernels._apply_forest_row_py(*lists(row, *nodes), base, shrinkage)
-            assert compiled(row) == plain == installed(row) == loop[i] == vec[i] == reference[i]
-            if kernels.HAVE_NUMBA:
-                assert kernels.apply_forest_row(row, *nodes, base, shrinkage) == plain
+            assert compiled(row) == batch[i] == reference[i]
 
     def test_row_walk_equals_batch_forms(self):
         rng = np.random.default_rng(11)
@@ -711,9 +689,9 @@ class TestApplyForest:
         x = rng.normal(size=(300, 4))
         trees = self._random_forest(rng, x, 10)
         forest = models.PackedForest.of(trees)
-        whole = self._both(x, forest, 0.3, 0.05)[1]
+        whole = self._score(x, forest, 0.3, 0.05)
         monkeypatch.setattr(kernels, "FOREST_BLOCK", 70)  # 7 rows per block
-        assert np.array_equal(self._both(x, forest, 0.3, 0.05)[1], whole)
+        assert np.array_equal(self._score(x, forest, 0.3, 0.05), whole)
 
     def test_max_feature_is_the_largest_split_slot(self):
         rng = np.random.default_rng(10)
@@ -721,6 +699,28 @@ class TestApplyForest:
         trees = self._random_forest(rng, x, 8)
         forest = models.PackedForest.of(trees)
         assert forest.max_feature == max(int(t[0].max()) for t in trees)
+
+    def test_fifty_tree_model_scores_a_row_as_its_batch_row(self):
+        # A 50-tree, depth-5 model on continuous columns: each of 1,000 rows
+        # scores the same by the one-row scorer, the batch kernel and the
+        # per-tree reference sum, and models.predict of each vector, whose
+        # first call builds the scorer, equals its batch row.
+        rng = np.random.default_rng(3)
+        x = rng.normal(size=(3000, 15))
+        y = (rng.random(2000) < 1.0 / (1.0 + np.exp(-x[:2000, :3].sum(axis=1)))).astype(np.float64)
+        model = models.train_gbrt(x[:2000], y, models.GbrtHyper(rounds=50))
+        f, rows = model.forest, x[2000:]
+        assert len(f.roots) == 50 and (f.left[f.roots] >= 0).all()
+        args = (*f._arrays(), model.base, model.hyper.shrinkage)
+        batch = kernels.apply_forest(rows, *args)
+        score = kernels.compile_forest_row(*args)
+        assert [score(row) for row in rows] == batch.tolist()
+        want = np.full(len(rows), model.base)
+        for root in f.roots.tolist():
+            want += model.hyper.shrinkage * reference_tree_leaves(rows, *f._arrays()[:5], root)
+        assert np.array_equal(batch, want)
+        assert model.row_scorer is None
+        assert [models.predict(model, row) for row in rows] == models.predict(model, rows).tolist()
 
 
 def test_compiled_scorer_is_straight_line_python():
@@ -750,19 +750,35 @@ def test_compiled_scorer_is_straight_line_python():
     assert score.__globals__["__builtins__"] == {}
 
 
-def test_backend_is_whether_numba_imports():
-    # With numba the loop forms run over the arrays; without it the numpy
-    # forms, the SGD body over list copies and the straight-line scorer.
-    assert kernels.NUMBA_ENABLED == kernels.HAVE_NUMBA
-    loop = kernels.HAVE_NUMBA
-    assert kernels.win_scan is (kernels.win_scan_loop if loop else kernels.win_scan_numpy)
-    assert kernels.sgd_epoch is (kernels.sgd_epoch_loop if loop else kernels.sgd_epoch_python)
-    assert kernels.grow_tree is (kernels.grow_tree_loop if loop else kernels.grow_tree_numpy)
-    assert kernels.apply_forest is (kernels.apply_forest_loop if loop else kernels.apply_forest_numpy)
-    assert (kernels.apply_forest_row is kernels._apply_forest_row_py) == (not loop)
-    assert type(kernels.row_operand(np.zeros(2))) is (np.ndarray if loop else list)
-    f = models.PackedForest.of([])
-    score = kernels.forest_row_scorer(f.feature, f.threshold, f.left, f.right, f.value, f.roots,
-                                      0.5, 1.0)
-    assert (score.__code__.co_filename == "<forest>") == (not loop)
-    assert score(np.zeros(3)) == 0.5
+def test_perfbench_tracer_finds_every_name_it_wraps():
+    # perfbench/spans.py wraps rtbsim's functions by name, the kernels in
+    # KERNELS and the methods in METHODS among them, and its install raises
+    # AttributeError on a name that is gone.  Its counts read the kernels'
+    # arguments by position: sgd_epoch's ndarray order (args[4]) and
+    # apply_tree's node_of (args[0]).  perfbench/run.py records
+    # kernels.HAVE_NUMBA and NUMBA_ENABLED in every run's environment.
+    import rtbsim
+    import rtbsim.cli  # noqa: F401 - the command layer, as the benchmark loads it
+
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    originals = {name: getattr(kernels, name) for name in spans.KERNELS}
+    rng = np.random.default_rng(20)
+    indptr = np.arange(0, 121, 2, dtype=np.int64)
+    batch = features.SparseBatch(indptr, rng.integers(1, 9, size=120).astype(np.int32),
+                                 (rng.random(60) < 0.5).astype(np.float64), 9)
+    x, y = rng.integers(0, 4, size=(60, 3)).astype(np.float64), batch.labels
+    tracer = spans.Tracer()
+    try:
+        tracer.install(rtbsim)
+        assert all(getattr(kernels, n).__wrapped__ is fn for n, fn in originals.items())
+        models.train_lr(batch, models.LrHyper(epochs=3))
+        models.train_gbrt(x, y, models.GbrtHyper(rounds=2, min_leaf=5))
+    finally:
+        tracer.uninstall()
+    assert all(getattr(kernels, n) is fn for n, fn in originals.items())
+    assert tracer.calls["kernels.sgd_epoch"] == 3 and tracer.counts["models.sgd_updates"] == 180
+    assert tracer.counts["models.trees_grown"] == 2 and tracer.counts["kernels.apply_tree.rows"] == 120
+    assert (kernels.HAVE_NUMBA, kernels.NUMBA_ENABLED) == (False, False)

@@ -47,6 +47,7 @@ from rtbsim.models import (
 from oracles import (
     finite_difference_gradient,
     pairwise_auc,
+    reference_grow_tree,
     reference_lr_loss,
     reference_tree_leaves,
 )
@@ -209,18 +210,25 @@ class TestTrainGbrt:
         m2 = train_gbrt(x, y, GbrtHyper(rounds=5, min_leaf=5))
         assert m1.forest == m2.forest and m1.train_mse == m2.train_mse
 
-    def test_kernel_forms_grow_equal_ensembles(self, monkeypatch):
+    def test_every_round_grows_the_reference_tree(self, monkeypatch):
+        # Each round's tree, grown on that round's residuals, is the
+        # straight-line reference grower's, bit for bit.
         train, _, _ = synthgen.generate(synthgen.SynthConfig(seed=5, n_train=400, n_test=10,
                                                              base_ctr=0.1))
         x, y = densify_cases(train, build_encodings(encoding_split(train)))
         hyper = GbrtHyper(rounds=5, min_leaf=5)
-        fits = []
-        for form in ("loop", "numpy"):
-            monkeypatch.setattr(kernels, "grow_tree", getattr(kernels, f"grow_tree_{form}"))
-            fits.append(train_gbrt(x, y, hyper))
-        loop, numpy_ = fits
-        assert len(loop.forest.feature) > len(loop.forest.roots)  # some tree splits
-        assert loop.forest == numpy_.forest and loop.train_mse == numpy_.train_mse
+        grow, rounds = kernels.grow_tree, []
+
+        def checked(x, bins, bin_start, bin_value, bin_rows, column, resid, min_leaf, max_depth):
+            tree = grow(x, bins, bin_start, bin_value, bin_rows, column, resid, min_leaf, max_depth)
+            rounds.append(all(np.array_equal(a, b) for a, b in zip(
+                tree, reference_grow_tree(x, resid, min_leaf, max_depth))))
+            return tree
+
+        monkeypatch.setattr(kernels, "grow_tree", checked)
+        model = train_gbrt(x, y, hyper)
+        assert len(model.forest.feature) > len(model.forest.roots)  # some tree splits
+        assert rounds == [True] * 5
 
 
 class TestPredict:
