@@ -180,8 +180,9 @@ class FieldColumns:
     For each field of field_values (``tag`` too), ``keys[name]`` holds the
     distinct values the rows hold, each as a record holds it (the value
     :func:`binarize` and :func:`densify` look up, with ``weekday()`` for the
-    weekday), and ``codes[name]`` the code of each row's value into it.  A
-    row's distinct tags, in the order it first lists them, are
+    weekday), and ``codes[name]`` the int64 code of each row's value into
+    it, gathered from the table's narrow codes.  A row's distinct tags, in
+    the order it first lists them, are
     ``codes["tag"][tag_ptr[i]:tag_ptr[i + 1]]`` for row i.
     """
 

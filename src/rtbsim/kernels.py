@@ -192,23 +192,24 @@ def _level_subtracts(n, nfeat, nbins, k):
     return k > 1 and (k + k // 2) * nbins <= n * nfeat
 
 
-def _fill(bins, weights, rows, slot, k, nbins, counts=True):
+def _fill(bins, resid, rows, slot, k, nbins, counts=True):
     # The (k, nbins) per-bin row counts (None unless counts) and residual
     # sums of the given rows (all rows for None), the i-th of them in node
-    # slot[i] of the k.  The keys go feature by feature, so each cell's
-    # residuals add in row order.
+    # slot[i] of the k.  The keys go feature by feature, each feature's rows
+    # in row order, and so do the tiled residuals: each cell's residuals add
+    # in row order.
     if rows is not None and len(rows) < bins.shape[1]:
-        bins, weights = bins.take(rows, axis=1), weights.take(rows, axis=1)
+        bins, resid = bins.take(rows, axis=1), resid.take(rows)
     if k > 1:  # the keys of one node are its bins
         bins = bins + slot * nbins
     keys = bins.ravel()
-    h_sum = np.bincount(keys, weights=weights.ravel(), minlength=k * nbins).reshape(k, nbins)
+    h_sum = np.bincount(keys, weights=np.tile(resid, len(bins)), minlength=k * nbins).reshape(k, nbins)
     if not counts:
         return None, h_sum
     return np.bincount(keys, minlength=k * nbins).reshape(k, nbins), h_sum
 
 
-def _subtract(lo, hi, node_of, cnt, parents, bins, weights, nbins):
+def _subtract(lo, hi, node_of, cnt, parents, bins, resid, nbins):
     # The histograms of nodes lo..hi-1, the children of the split nodes
     # whose histograms are parents, in (left, right) pairs: the smaller child
     # of each pair (the left one on equal rows) filled from its rows, which a
@@ -220,7 +221,7 @@ def _subtract(lo, hi, node_of, cnt, parents, bins, weights, nbins):
     fill = np.zeros(hi, dtype=bool)
     fill[small] = True
     rows = np.flatnonzero(fill[node_of])
-    s_cnt, s_sum = _fill(bins, weights, rows, (node_of[rows] - lo) >> 1, k // 2, nbins)
+    s_cnt, s_sum = _fill(bins, resid, rows, (node_of[rows] - lo) >> 1, k // 2, nbins)
     b_cnt, b_sum = parents
     b_cnt -= s_cnt
     b_sum -= s_sum
@@ -264,20 +265,20 @@ def _chunk_splits(lo, hi, h_cnt, h_sum, cnt, ssum, bin_start, bin_value, min_lea
         _split_threshold(u, v) for u, v in zip(bin_value[b].tolist(), bin_value[nxt].tolist())]
 
 
-def _level_histograms(lo, hi, per_chunk, node_of, cnt, parents, bins, weights, bin_rows):
+def _level_histograms(lo, hi, per_chunk, node_of, cnt, parents, bins, resid, bin_rows):
     # The histograms of a level's nodes lo..hi-1, as (lo, hi, counts, sums)
     # per chunk: the root's counts are bin_rows, a level with parents
     # subtracts in one chunk, and any other is filled chunk by chunk.
     nbins = len(bin_rows)
     if hi == 1:
-        yield 0, 1, bin_rows[None].copy(), _fill(bins, weights, None, None, 1, nbins, False)[1]
+        yield 0, 1, bin_rows[None].copy(), _fill(bins, resid, None, None, 1, nbins, False)[1]
     elif parents is not None:
-        yield lo, hi, *_subtract(lo, hi, node_of, cnt, parents, bins, weights, nbins)
+        yield lo, hi, *_subtract(lo, hi, node_of, cnt, parents, bins, resid, nbins)
     else:
         for a in range(lo, hi, per_chunk):
             b = min(a + per_chunk, hi)
             rows = np.flatnonzero((node_of >= a) & (node_of < b))
-            yield a, b, *_fill(bins, weights, rows, node_of[rows] - a, b - a, nbins)
+            yield a, b, *_fill(bins, resid, rows, node_of[rows] - a, b - a, nbins)
 
 
 def grow_tree(x, bins, bin_start, bin_value, bin_rows, column, resid, min_leaf, max_depth):
@@ -312,7 +313,6 @@ def grow_tree(x, bins, bin_start, bin_value, bin_rows, column, resid, min_leaf, 
     feat, left, right = (np.full(max_nodes, -1, dtype=np.int64) for _ in range(3))
     thr, value = np.zeros(max_nodes), np.zeros(max_nodes)
     node_of = np.zeros(n, dtype=np.int64)
-    weights = np.tile(resid, (nfeat, 1))  # the residual of each key
     parents = None  # the last level's split nodes' histograms, when this level subtracts
     n_nodes, level_lo, level_hi = 1, 0, 1
     for depth in range(max_depth + 1):
@@ -320,7 +320,7 @@ def grow_tree(x, bins, bin_start, bin_value, bin_rows, column, resid, min_leaf, 
         ssum = np.bincount(node_of, weights=resid, minlength=n_nodes)
         kept, n_split = [], 0
         for lo, hi, h_cnt, h_sum in (_level_histograms(
-                level_lo, level_hi, per_chunk, node_of, cnt, parents, bins, weights, bin_rows)
+                level_lo, level_hi, per_chunk, node_of, cnt, parents, bins, resid, bin_rows)
                 if depth < max_depth and nfeat else ()):
             # _chunk_splits overwrites the histograms, and the next level may
             # subtract from those of the nodes that split.

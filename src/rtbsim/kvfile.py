@@ -79,9 +79,9 @@ def read_labeled(f, *labels: str) -> list[str]:
 def read_dimension(f) -> int:
     """The ``dimension`` of a vocabulary or LR model file, from the next line
     of the open file ``f``, its line 2: an integer of 1 or more, since index 0
-    is the bias."""
+    is the bias, in ASCII digits."""
     text = read_labeled(f, "dimension")[0]
-    if not (text.isdecimal() and int(text) >= 1):
+    if not (text.isascii() and text.isdecimal() and int(text) >= 1):
         line = f"dimension\t{text}"
         raise ValueError(f"line 2: expected 'dimension\\t<integer >= 1>', found {line!r}")
     return int(text)

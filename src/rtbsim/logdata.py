@@ -71,6 +71,7 @@ __all__ = [
     "MissingValue",
     "JoinIssue",
     "CaseTable",
+    "code_dtype",
     "parse_record",
     "serialize_record",
     "load_log",
@@ -582,6 +583,16 @@ def as_event(record: LogRecord, log_type: LogType) -> LogRecord:
 # timestamps, as near-distinct, are one int64 array (CaseTable.timestamp_ms).
 LIST_COLUMNS = ("bid_id", "ipinyou_id", "ip")
 
+
+def code_dtype(count: int) -> np.dtype:
+    """The dtype of a table's codes into ``count`` distinct values: the
+    narrowest of uint8, uint16 and uint32 that holds ``count`` itself, so
+    255 values take uint8 and 256 uint16 (int64 past uint32).  A gather,
+    ``bincount``, ``unique``, ``isin`` or ``tolist`` of such codes is exact
+    at any of these widths; arithmetic on them widens to int64 first."""
+    return np.dtype(next((d for d in (np.uint8, np.uint16, np.uint32) if count <= np.iinfo(d).max), np.int64))
+
+
 def _code(items) -> tuple[np.ndarray, list]:
     """Each item's int64 code into the list of the distinct items, in the
     order each first appears."""
@@ -624,7 +635,9 @@ def _table(blocks: list, clicked: np.ndarray, converted: np.ndarray) -> CaseTabl
     """The table of the rows of ``blocks``, each :func:`_columns` of some
     rows, in order.  A coded column's codes are mapped into the distinct
     values of all the blocks, so texts that parse to one value (``Null`` and
-    ``null``, ``7`` and ``07``) share a code."""
+    ``null``, ``7`` and ``07``) share a code.  The codes are int64 here;
+    :class:`CaseTable` narrows them to :func:`code_dtype` of the count of
+    those values."""
     codes, values, lists = {}, {}, {}
     for name, pieces in zip(EVENT_COLUMNS, zip(*blocks) if blocks else [()] * len(EVENT_COLUMNS)):
         if name in LIST_COLUMNS:
@@ -698,11 +711,17 @@ class CaseTable:
 
     Each of :data:`LIST_COLUMNS` is ``lists[name]``, a list with one value
     per row; the timestamps are ``timestamp_ms``, int64 milliseconds since
-    1970-01-01; every other column is ``codes[name]``, an int64 code per
-    row into ``values[name]``, the list of the column's distinct values.
-    Values are those :func:`parse_record` gives, and :meth:`column`
-    gives the timestamps as its datetimes.  ``clicked`` and ``converted``
-    are bool arrays.
+    1970-01-01; every other column is ``codes[name]``, a code per row into
+    ``values[name]``, the list of the column's distinct values.  The codes
+    are unsigned, of :func:`code_dtype` of ``len(values[name])``: a column
+    of at most 255 values takes one byte a row.  The table narrows any
+    integer codes it is given to that dtype, so every way of making one
+    (:meth:`read`, :meth:`of`, :meth:`take` and the synthetic generator)
+    ends narrow.  Arithmetic on codes widens them to int64 first:
+    :func:`rtbsim.features.field_columns` gathers them into int64 codes,
+    and ``stats`` computes its slot-size keys from those.  Values are those
+    :func:`parse_record` gives, and :meth:`column` gives the timestamps as
+    its datetimes.  ``clicked`` and ``converted`` are bool arrays.
 
     :meth:`read` builds a table from the log text, :meth:`of` from cases,
     and :meth:`cases` builds the cases back, each record by
@@ -711,7 +730,8 @@ class CaseTable:
 
     def __init__(self, codes: dict[str, np.ndarray], values: dict[str, list], lists: dict[str, list],
                  timestamp_ms: np.ndarray, clicked: np.ndarray, converted: np.ndarray):
-        self.codes = codes
+        self.codes = {name: column.astype(code_dtype(len(values[name])), copy=False)
+                      for name, column in codes.items()}
         self.values = values
         self.lists = lists
         self.timestamp_ms = timestamp_ms

@@ -595,7 +595,7 @@ def load_gbrt(path) -> GbrtModel:
     while pos < len(lines):
         t = len(roots)
         head, _, size = lines[pos].partition("\t")
-        if head != "tree" or not size.isdigit():
+        if head != "tree" or not (size.isascii() and size.isdecimal()):
             raise ValueError(f"tree {t}: line {pos + _BODY_LINE}: expected 'tree\\t<nodes>', "
                              f"found {lines[pos]!r}")
         roots.append(len(nodes))

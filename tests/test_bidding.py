@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 import re
 from datetime import datetime, timedelta
 
@@ -67,6 +68,14 @@ class TestComputeBid:
 
     def test_half_up_rounding(self):
         assert compute_bid(LinBid(5, avg_ctr=0.1), pctr=0.05) == 3  # 2.5 rounds up
+
+    def test_lin_multiplies_before_it_divides(self):
+        # 3 * 0.35 / 0.3 is one ulp below 3.5, and 3 * (0.35 / 0.3) is 3.5:
+        # Lin's order of operations decides the rounding.
+        assert 3 * 0.35 / 0.3 == math.nextafter(3.5, 0) and 3 * (0.35 / 0.3) == 3.5
+        strategy = LinBid(3, avg_ctr=0.3)
+        assert compute_bid(strategy, pctr=0.35) == 3
+        assert bid_vector(strategy, 2, pctr=np.array([0.35, 0.35])).tolist() == [3, 3]
 
     def test_missing_pctr(self):
         with pytest.raises(MissingPctr):

@@ -421,3 +421,93 @@ def test_prices_beyond_int64_sum_exactly():
     table = CaseTable.of(cases)
     assert feature_breakdowns(table) == reference_breakdowns(cases)
     assert campaign_summary(0, table).cost_fen == sum(c.paying_price for c in cases) / 1000.0
+
+
+# ---------------------------------------------------------------------------
+# Code dtypes at their limits
+# ---------------------------------------------------------------------------
+
+def _wide_split(count):
+    """The imp, clk and cnv lines of ``count`` impressions, in a shuffled
+    order, whose bid and paying prices each hold ``count`` distinct values.
+    Impressions 2k and 2k + 1 share a timestamp, 37 ms after the last pair's,
+    so that their bid ids break the tie."""
+    head = ("1\tu1\tMozilla/5.0 (Windows NT 6.1) Chrome/31.0\t118.81.189.*", "16",
+            "d1\tu2\tNull\ts1\t300\t250\tFirstView\tFixed")
+    imp, clk, cnv = [], [], []
+    for i in np.random.default_rng(count).permutation(count).tolist():
+        second, ms = divmod(37 * (i // 2), 1000)
+        minute, second = divmod(second, 60)
+        stamp = f"20130606{12 + minute // 60:02d}{minute % 60:02d}{second:02d}{ms:03d}"
+        line = (f"b{i:06d}\t{stamp}\t{head[0]}\t{i % 7}\t{head[1]}\t{1 + i % 3}\t{head[2]}\t{i % 40 * 3}\tc1"
+                f"\t{2 * i + 1000}\t{2 * i + 1}\tNull\t1458\t{'10006,10063' if i % 2 else 'null'}")
+        imp.append(line)
+        if i % 11 == 0:
+            clk.append(_with(line, "log_type", "2"))
+        if i % 33 == 0:
+            cnv.append(_with(line, "log_type", "3"))
+    return imp, clk, cnv
+
+
+@pytest.mark.parametrize("count, dtype", [(255, np.uint8), (256, np.uint16), (65_535, np.uint16),
+                                          (65_536, np.uint32)])
+def test_codes_at_each_dtype_limit_read_and_write_as_the_text(tmp_path, count, dtype):
+    imp, clk, cnv = _wide_split(count)
+    table = CaseTable.read(_write(tmp_path / "in", imp, clk, cnv), strict=True)
+    assert logdata.code_dtype(count) == dtype
+    for name in ("bid_price", "paying_price"):
+        assert table.codes[name].dtype == dtype, name
+    for name in ("region", "slot_floor_price", "user_tags"):
+        assert table.codes[name].dtype == np.uint8, name
+
+    # The reference: the lines in (timestamp, bid id) order, and their texts.
+    lines = sorted(imp, key=lambda line: line.split("\t")[1::-1])
+    cells = [line.split("\t") for line in lines]
+    at = EVENT_LOG.columns.index
+    paying = [int(c[at("paying_price")]) for c in cells]
+    clicks, conversions = ({_with(line, "log_type", "1") for line in events} for events in (clk, cnv))
+    clicked = [line in clicks for line in lines]
+    assert table.lists["bid_id"] == [c[0] for c in cells]
+    assert table.column("paying_price") == paying
+    ints = table.ints("paying_price")
+    assert ints.dtype == np.int64 and ints.tolist() == paying
+    assert table.total("paying_price") == sum(paying)
+    in_file = [int(line.split("\t")[at("paying_price")]) for line in imp]
+    assert table.distinct("paying_price") == in_file
+    last = paying.index(in_file[-1])  # the row that holds the greatest code
+    for row in (0, last, count - 1):
+        assert table.record(row).paying_price == paying[row]
+        assert serialize_record(table.record(row), EVENT_LOG) == lines[row]
+
+    rows = np.arange(count - 1, -1, -3)
+    part = table.take(rows)
+    assert part.codes["paying_price"].dtype == dtype
+    assert part.column("paying_price") == [paying[r] for r in rows.tolist()]
+    held = set(part.column("paying_price"))
+    assert part.distinct("paying_price") == [v for v in in_file if v in held]
+    assert part.total("paying_price") == sum(paying[r] for r in rows.tolist())
+
+    groups = {"region": {}, "exchange": {}}
+    for c, click, price in zip(cells, clicked, paying):
+        for key, label in (("region", c[at("region")]), ("exchange", c[at("ad_exchange")])):
+            tally = groups[key].setdefault(label, [0, 0, 0, 0])
+            for j, add in enumerate((1, click, price, price * price)):
+                tally[j] += add
+    got = {(bd.feature_key, bd.metric): bd for bd in feature_breakdowns(table)}
+    for key, tallies in groups.items():
+        for metric in METRICS:
+            assert got[key, metric] == _breakdown(key, metric, tallies)
+
+    paths = synthgen.write_dataset(table, tmp_path / "out")
+    flagged = {"clk": clicked, "cnv": [line in conversions for line in lines]}
+    assert paths["imp"].read_text(encoding="utf-8") == "".join(line + "\n" for line in lines)
+    for key, log_type in (("clk", "2"), ("cnv", "3")):
+        want = [_with(line, "log_type", log_type) + "\n" for line, f in zip(lines, flagged[key]) if f]
+        assert paths[key].read_text(encoding="utf-8") == "".join(want)
+
+
+def test_a_generated_grid_table_holds_at_most_24_code_bytes_a_case():
+    # The nine benchmark grid campaigns' shape; int64 codes took 160 bytes.
+    train = synthgen.generate(synthgen.SynthConfig(seed=1, n_train=4000, n_test=10, base_ctr=0.004,
+                                                   advertiser_id=1458))[0]
+    assert sum(c.nbytes for c in train.codes.values()) / len(train) <= 24

@@ -122,9 +122,10 @@ class TestVocabulary:
          _bad_vocab_entry(5, 3, 20, "'3\\tweekday\\tThu'")),
         *((lambda ls, d=d: ls.__setitem__(1, f"dimension\t{d}"),
            f"line 2: expected 'dimension\\t<integer >= 1>', found 'dimension\\t{d}'")
-          for d in ("x", "-1", "0")),
+          for d in ("x", "-1", "0", "\u0662\u0660", "\uff12\uff10")),
     ], ids=["garbage line", "entry deleted", "last entry deleted", "dimension too small",
-            "pair repeated", "dimension not a number", "dimension negative", "dimension zero"])
+            "pair repeated", "dimension not a number", "dimension negative", "dimension zero",
+            "dimension in arabic-indic digits", "dimension in fullwidth digits"])
     def test_bad_body_named(self, tmp_path, edit, error):
         cases = [make_case(bid_id="a", city=1, user_tags=(7,)),
                  make_case(bid_id="b", city=2, user_tags=(8, 9))]

@@ -594,7 +594,10 @@ class TestSerialization:
 
     LR_FILE_WEIGHTS = np.array([0.5, -1.0, 0.0, 2.0])  # lines 4-6 of its file
 
-    @pytest.mark.parametrize("dimension", ["x", "-1", "0"])
+    # The file's own dimension, 4, in decimal digits that are not ASCII:
+    # Arabic-Indic and fullwidth, which str.isdecimal and int accept.
+    @pytest.mark.parametrize("dimension", ["x", "-1", "0", "\u0664", "\uff14"],
+                             ids=["x", "-1", "0", "arabic-indic-4", "fullwidth-4"])
     def test_lr_bad_dimension_named(self, tmp_path, dimension):
         # 0 would load a model without its bias weight
         path = tmp_path / "lr.txt"
@@ -643,6 +646,20 @@ class TestSerialization:
         n = int(lines[3].split("\t")[1])
         lines[3] = f"tree\t{n + 2}"
         with pytest.raises(ValueError, match=f"^tree 0: its header says {n + 2} nodes, but it lists {n}$"):
+            self._load_gbrt_lines(tmp_path, lines)
+
+    # The tree's own node count in digits that are not ASCII: Arabic-Indic
+    # and fullwidth, which str.isdigit and int accept, and superscript, which
+    # str.isdigit accepts and int does not.
+    @pytest.mark.parametrize("digits", ["\u0660\u0661\u0662\u0663\u0664\u0665\u0666\u0667\u0668\u0669",
+                                        "\uff10\uff11\uff12\uff13\uff14\uff15\uff16\uff17\uff18\uff19",
+                                        "\u2070\u00b9\u00b2\u00b3\u2074\u2075\u2076\u2077\u2078\u2079"],
+                             ids=["arabic-indic", "fullwidth", "superscript"])
+    def test_gbrt_tree_count_in_other_digits_named(self, tmp_path, digits):
+        lines = self._gbrt_lines(tmp_path)
+        lines[3] = lines[3].translate(str.maketrans("0123456789", digits))
+        expected = rf"tree 0: line 4: expected 'tree\\t<nodes>', found {re.escape(repr(lines[3]))}"
+        with pytest.raises(ValueError, match=f"^{expected}$"):
             self._load_gbrt_lines(tmp_path, lines)
 
     @pytest.mark.parametrize("text", ["nan", "inf", "-inf"])

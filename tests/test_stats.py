@@ -153,6 +153,20 @@ class TestFeatureBreakdown:
         z = (row.mean - global_ctr) / row.se
         assert z > 3.0
 
+    def test_slot_sizes_past_what_a_byte_holds(self):
+        # 17 widths by 17 heights: 289 sizes, each held twice.  A table
+        # holds each side's codes in one byte; the size keys pass 255.
+        size = {k: (100 + k % 17, 50 + k // 17) for k in range(289)}
+        cases = [make_case(paying=i + 1, clicked=i < 289 and i % 4 == 0, bid_id=f"b{i}",
+                           slot_width=size[i % 289][0], slot_height=size[i % 289][1]) for i in range(578)]
+        order = sorted(size, key=size.get)
+        rows = {metric: breakdown(cases, "slot_size", metric).rows for metric in METRICS}
+        for metric in METRICS:
+            assert [r.label for r in rows[metric]] == [f"{w}×{h}" for w, h in map(size.get, order)]
+            assert [r.n for r in rows[metric]] == [2] * 289
+        assert [r.mean for r in rows["ctr"]] == [0.5 if k % 4 == 0 else 0.0 for k in order]
+        assert [r.mean for r in rows["market_price"]] == [(2 * k + 291) / 2 for k in order]
+
     def test_repeated_tag_counts_once(self):
         cases = [make_case(user_tags=(5, 5, 7), bid_id="a")]
         bd = breakdown(cases, "user_tag", "ctr")

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from conftest import make_case
-from rtbsim.logdata import EVENT_LOG, AuctionCase, CaseTable, MissingValue, join_events, load_log
+from rtbsim.logdata import EVENT_LOG, AuctionCase, CaseTable, MissingValue, code_dtype, join_events, load_log
 from rtbsim.synthgen import (
     _DENSE_SPAN,
     DegenerateConfig,
@@ -109,12 +109,13 @@ def test_latest_start_time():
 
 
 def assert_same_table(got: CaseTable, want: CaseTable) -> None:
-    """Equal codes, values in the same order and of the same types, lists
+    """Equal codes, each of the narrowest dtype that holds its column's
+    count of values, values in the same order and of the same types, lists
     timestamps and flags; ``repr`` tells an int from a numpy integer and a
     tuple from a list."""
     assert list(got.codes) == list(want.codes) == list(got.values) == list(want.values)
     for name, codes in want.codes.items():
-        assert got.codes[name].dtype == codes.dtype == np.int64, name
+        assert got.codes[name].dtype == codes.dtype == code_dtype(len(want.values[name])), name
         assert np.array_equal(got.codes[name], codes), name
         assert repr(got.values[name]) == repr(want.values[name]), name
     assert list(got.lists) == list(want.lists)
