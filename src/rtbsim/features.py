@@ -406,22 +406,25 @@ class SparseBatch:
 def binarize_cases(cases: Sequence[AuctionCase] | CaseTable, vocab: Vocabulary) -> SparseBatch:
     """Each case's :func:`binarize` vector, and its click label, as one
     batch: each field's distinct values are looked up once in
-    ``vocab.tables``."""
+    ``vocab.tables``.  The rows' indices are put in order by one sort of
+    the int64 key ``row * dimension + index``, which holds while rows times
+    dimension is below 2**63."""
     table = CaseTable.of(cases)
     columns = field_columns(table)
     n = len(table)
-    found, rows = [], []
+    keys = []
     for name, lookup in zip((*_FIELDS, "tag"), vocab.tables):
         index = np.array([lookup.get(key, 0) for key in columns.keys[name]], dtype=np.int64)
-        found.append(index[columns.codes[name]])  # 0 for a miss; indices start at 1
-        rows.append(columns.tag_rows() if name == "tag" else np.arange(n))
-    found, rows = np.concatenate(found), np.concatenate(rows)
-    hit = found > 0
-    found, rows = found[hit], rows[hit]
-    order = np.lexsort((found, rows))
+        found = index[columns.codes[name]]  # 0 for a miss; indices start at 1
+        rows = columns.tag_rows() if name == "tag" else np.arange(n)
+        hit = found > 0
+        keys.append(rows[hit] * vocab.dimension + found[hit])
+    key = np.concatenate(keys)
+    key.sort()
+    rows, found = np.divmod(key, vocab.dimension)
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
-    return SparseBatch(indptr, found[order].astype(np.int32), table.clicked.astype(np.float64),
+    return SparseBatch(indptr, found.astype(np.int32), table.clicked.astype(np.float64),
                        vocab.dimension)
 
 
@@ -470,13 +473,20 @@ class CategoryEncodings:
         (field, value) twice."""
         with open(path, encoding="utf-8") as f:
             kvfile.check_header(f, "#rtbsim-encodings v1")
-            prior, alpha, beta = map(float, kvfile.read_labeled(f, "prior", "alpha", "beta"))
+            texts = kvfile.read_labeled(f, "prior", "alpha", "beta")
+            try:
+                prior, alpha, beta = map(kvfile.finite_float, texts)
+            except ValueError:
+                line = "prior\t{}\talpha\t{}\tbeta\t{}".format(*texts)
+                raise ValueError("line 2: expected 'prior\\t<float>\\talpha\\t<float>\\tbeta\\t<float>', "
+                                 f"found {line!r}") from None
             table: dict[tuple[str, str], tuple[int, float]] = {}
             for line_no, line in enumerate(f, 3):
                 text = line.rstrip("\n")
                 parts = text.split("\t")
                 try:
-                    field, value, n, c = parts[0], parts[1], int(parts[2]), float(parts[3])
+                    field, value = parts[0], parts[1]
+                    n, c = kvfile.ascii_int(parts[2]), kvfile.finite_float(parts[3])
                 except (IndexError, ValueError):
                     n = c = -1  # fails the check below
                 if (len(parts) != 4 or n < 0 or (n and field == "tag") or not 0.0 <= c <= 1.0

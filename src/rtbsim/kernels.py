@@ -24,6 +24,19 @@ cases) a caller hands one call: ``replay.simulate_each`` splits its rows
 into blocks of that size, so a long grid on a long log holds a bounded
 working set.
 
+``apply_forest`` walks every (tree, row) pair of a block of rows one
+level at a time, as whole-array steps without a branch or a mask: once per
+call it finds each tree's depth, orders the trees deepest first, and
+interleaves each node's children (``child[2i]`` left, ``child[2i + 1]``
+right).  A leaf's children are itself and its threshold is NaN, so a pair
+at a leaf steps to itself.  A block holds its pairs deepest tree first, so
+the pairs of the trees deeper than level k, the only ones still walking,
+are a prefix of the block, and level k steps that prefix and nothing
+else, ``nd = child[2 nd + not (x <= threshold)]`` (a NaN goes right).  A
+tree's pairs therefore cost its rows times its depth: a row that reaches a
+shallow leaf of a deep tree steps in place for the tree's remaining levels.
+The leaves go back to tree order before the sum.
+
 Two jobs run as plain Python.  ``sgd_epoch``'s updates each depend on the
 last, so it loops over list copies of its arrays, whose items the
 interpreter reads several times faster than numpy's scalars; ``train_lr``
@@ -358,34 +371,67 @@ def grow_tree(x, bins, bin_start, bin_value, bin_rows, column, resid, min_leaf, 
 FOREST_BLOCK = 16384
 
 
-def _forest_block(x, feat, thr, left, right, value, roots, base, shrinkage):
-    n, d = x.shape
+def _forest_operands(feat, thr, left, right, roots):
+    # The walk's operands, made once per call from the packed arrays: the
+    # interleaved children, and the split columns and thresholds, with a
+    # leaf stepping to itself on column 0 against NaN; the roots deepest
+    # tree first, and the place of each tree in that order; and how many
+    # trees are deeper than each level.  A tree's depth comes from a level
+    # walk over its nodes.
     t = roots.shape[0]
+    depth = np.zeros(t, dtype=np.int64)
+    nodes, trees, level = roots, np.arange(t), 0
+    while True:
+        inner = left.take(nodes) >= 0
+        nodes, trees = nodes[inner], trees[inner]
+        if not nodes.size:
+            break
+        level += 1
+        depth[trees] = level
+        nodes = np.concatenate((left.take(nodes), right.take(nodes)))
+        trees = np.concatenate((trees, trees))
+    leaf = left < 0
+    itself = np.arange(len(left))
+    child = np.empty(2 * len(left), dtype=np.int64)
+    child[0::2] = np.where(leaf, itself, left)
+    child[1::2] = np.where(leaf, itself, right)
+    order = np.argsort(-depth, kind="stable")
+    live = [int(np.count_nonzero(depth > k)) for k in range(level)]
+    return (child, np.where(leaf, 0, feat), np.where(leaf, np.nan, thr), roots.take(order),
+            np.argsort(order), live)
+
+
+def _forest_block(x, value, child, feat, thr, start, back, live, base, shrinkage):
+    # Pair j * n + i walks the j-th deepest tree on row i, so the pairs
+    # still walking at level k are a prefix, the first live[k] * n.
+    n, d = x.shape
+    t = start.shape[0]
     flat = x.reshape(-1)
-    nd = np.repeat(roots, n)  # tree-major: pair t*n + i is tree t on row i
+    nd = np.repeat(start, n)
     offset = np.tile(np.arange(n) * d, t)
-    live = np.flatnonzero(left[nd] >= 0)  # only internal nodes gather a column
-    while live.size:
-        at = nd[live]
-        go_left = flat.take(offset[live] + feat[at]) <= thr[at]
-        nxt = np.where(go_left, left[at], right[at])
-        nd[live] = nxt
-        live = live[left[nxt] >= 0]
+    for trees in live:
+        at = nd[:trees * n]
+        right = ~(flat.take(offset[:trees * n] + feat.take(at)) <= thr.take(at))  # NaN goes right
+        nd[:trees * n] = child.take(2 * at + right)
     terms = np.empty((t + 1, n), dtype=np.float64)
     terms[0] = base
-    np.multiply(shrinkage, value[nd].reshape(t, n), out=terms[1:])
-    # cumsum adds down the tree axis in order, unlike the pairwise np.sum.
+    # The leaves go back to tree order, and cumsum adds down the tree axis
+    # in that order, unlike the pairwise np.sum.
+    np.multiply(shrinkage, value.take(nd.reshape(t, n).take(back, axis=0)), out=terms[1:])
     return np.cumsum(terms, axis=0)[-1]
 
 
 def apply_forest(x, feat, thr, left, right, value, roots, base, shrinkage):
-    """Walks all (tree, row) pairs in lockstep, one step per tree level."""
+    """Each row's forest score: ``base``, then ``shrinkage`` times each
+    tree's leaf added in tree order.  The (tree, row) pairs are walked in
+    blocks of at most ``FOREST_BLOCK``, deepest tree first (see the module
+    docstring)."""
     n = x.shape[0]
+    operands = _forest_operands(feat, thr, left, right, roots)
     step = max(1, FOREST_BLOCK // max(1, roots.shape[0]))
     out = np.empty(n, dtype=np.float64)
     for lo in range(0, n, step):
-        out[lo:lo + step] = _forest_block(x[lo:lo + step], feat, thr, left, right,
-                                          value, roots, base, shrinkage)
+        out[lo:lo + step] = _forest_block(x[lo:lo + step], value, *operands, base, shrinkage)
     return out
 
 

@@ -1,14 +1,17 @@
 """The ``name=value`` form of a dataclass's ``int``, ``float`` and ``str``
 fields (``| None`` allowed, ``init=False`` left out) for every file that
-records one, the version header check and the labelled lines after it.
-Bad input fails by name."""
+records one, the version header check and the labelled lines after it, and
+the numbers of the model and encodings files as their writers write them
+(:func:`ascii_int`, :func:`finite_float`).  Bad input fails by name."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import fields
 from typing import Iterable, get_type_hints
 
-__all__ = ["dump", "parse", "load", "check_header", "read_labeled", "read_dimension", "read_fields"]
+__all__ = ["dump", "parse", "load", "check_header", "read_labeled", "read_dimension", "read_fields",
+           "ascii_int", "finite_float"]
 
 _KINDS = {hint: kind for kind in (int, float, str) for hint in (kind, kind | None)}
 
@@ -58,6 +61,28 @@ def load(cls, pairs: Iterable[str]):
     if missing:
         raise ValueError(f"{cls.__name__} is missing {', '.join(map(repr, missing))}")
     return cls(**values)
+
+
+def ascii_int(text: str) -> int:
+    """``int(text)`` of ASCII decimal digits only, as the writers write
+    ``str(int)``: ValueError for a sign, whitespace, ``_`` or digits of
+    another script, all of which ``int`` reads."""
+    if not (text.isascii() and text.isdecimal()):
+        raise ValueError(f"{text!r} is not ASCII decimal digits")
+    return int(text)
+
+
+def finite_float(text: str) -> float:
+    """``float(text)`` of ASCII text without ``_`` or whitespace, as the
+    writers write ``repr(float)``, and finite: ValueError for inf or nan,
+    and for the text that ``float`` reads only by skipping ``_`` or
+    whitespace or by reading digits of another script."""
+    if not text.isascii() or "_" in text or text.strip() != text:
+        raise ValueError(f"{text!r} is not an ASCII float")
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"{text!r} is not finite")
+    return value
 
 
 def check_header(f, header: str) -> None:

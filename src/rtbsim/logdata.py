@@ -584,20 +584,27 @@ def as_event(record: LogRecord, log_type: LogType) -> LogRecord:
 LIST_COLUMNS = ("bid_id", "ipinyou_id", "ip")
 
 
+# code_dtype's choices, each with the largest value it holds; a read asks
+# for one per column of each block.
+_CODE_DTYPES = tuple((np.dtype(d), np.iinfo(d).max) for d in (np.uint8, np.uint16, np.uint32))
+
+
 def code_dtype(count: int) -> np.dtype:
     """The dtype of a table's codes into ``count`` distinct values: the
     narrowest of uint8, uint16 and uint32 that holds ``count`` itself, so
     255 values take uint8 and 256 uint16 (int64 past uint32).  A gather,
     ``bincount``, ``unique``, ``isin`` or ``tolist`` of such codes is exact
     at any of these widths; arithmetic on them widens to int64 first."""
-    return np.dtype(next((d for d in (np.uint8, np.uint16, np.uint32) if count <= np.iinfo(d).max), np.int64))
+    return next((d for d, top in _CODE_DTYPES if count <= top), np.dtype(np.int64))
 
 
-def _code(items) -> tuple[np.ndarray, list]:
-    """Each item's int64 code into the list of the distinct items, in the
-    order each first appears."""
+def _code(items, narrow: bool = False) -> tuple[np.ndarray, list]:
+    """Each item's code into the list of the distinct items, in the order
+    each first appears: int64, or with ``narrow`` of :func:`code_dtype` of
+    their count."""
     index = {item: code for code, item in enumerate(dict.fromkeys(items))}
-    return np.fromiter(map(index.__getitem__, items), np.int64, len(items)), list(index)
+    dtype = code_dtype(len(index)) if narrow else np.int64
+    return np.fromiter(map(index.__getitem__, items), dtype, len(items)), list(index)
 
 
 def _find_logs(directory: Path, stems: tuple[str, ...]) -> list[Path]:
@@ -616,9 +623,10 @@ def _find_logs(directory: Path, stems: tuple[str, ...]) -> list[Path]:
 def _columns(columns, parse: bool) -> list:
     """Event-log columns as a :class:`CaseTable` holds them: a list column
     as a list, the timestamps as int64 milliseconds, any other as (codes,
-    distinct values).  With ``parse`` the columns hold texts, the timestamps
-    parsed as one array and each coded column's distinct ones once, and a
-    rejected text raises ValueError or KeyError; without, they hold values."""
+    distinct values), the codes of :func:`code_dtype` of their count.  With
+    ``parse`` the columns hold texts, the timestamps parsed as one array and
+    each coded column's distinct ones once, and a rejected text raises
+    ValueError or KeyError; without, they hold values."""
     pieces = []
     for name, parser, column in zip(EVENT_COLUMNS, EVENT_LOG.parsers, columns):
         if name in LIST_COLUMNS:
@@ -626,7 +634,7 @@ def _columns(columns, parse: bool) -> list:
         elif name == "timestamp":
             pieces.append(_parse_timestamps(column) if parse else _milliseconds(column))
         else:
-            codes, distinct = _code(column)
+            codes, distinct = _code(column, narrow=True)
             pieces.append((codes, list(map(parser, distinct)) if parse else distinct))
     return pieces
 
@@ -635,9 +643,8 @@ def _table(blocks: list, clicked: np.ndarray, converted: np.ndarray) -> CaseTabl
     """The table of the rows of ``blocks``, each :func:`_columns` of some
     rows, in order.  A coded column's codes are mapped into the distinct
     values of all the blocks, so texts that parse to one value (``Null`` and
-    ``null``, ``7`` and ``07``) share a code.  The codes are int64 here;
-    :class:`CaseTable` narrows them to :func:`code_dtype` of the count of
-    those values."""
+    ``null``, ``7`` and ``07``) share a code, of :func:`code_dtype` of the
+    count of those values."""
     codes, values, lists = {}, {}, {}
     for name, pieces in zip(EVENT_COLUMNS, zip(*blocks) if blocks else [()] * len(EVENT_COLUMNS)):
         if name in LIST_COLUMNS:
@@ -646,9 +653,13 @@ def _table(blocks: list, clicked: np.ndarray, converted: np.ndarray) -> CaseTabl
             timestamp_ms = np.concatenate([np.empty(0, np.int64), *pieces])
         else:
             index: dict = {}
-            codes[name] = np.concatenate([np.empty(0, np.int64)] + [
-                np.array([index.setdefault(v, len(index)) for v in distinct], np.int64)[c]
-                for c, distinct in pieces])
+            remaps = [[index.setdefault(v, len(index)) for v in distinct] for _, distinct in pieces]
+            dtype = code_dtype(len(index))
+            # A block whose values take the codes they hold (the first block,
+            # unless two of its texts parse to one value) needs no gather.
+            codes[name] = np.concatenate([np.empty(0, dtype)] + [
+                c if remap == list(range(len(remap))) else np.array(remap, dtype)[c]
+                for remap, (c, _) in zip(remaps, pieces)], dtype=dtype)
             values[name] = list(index)
     return CaseTable(codes, values, lists, timestamp_ms, clicked, converted)
 

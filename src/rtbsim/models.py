@@ -472,15 +472,9 @@ class CtrScorer:
 
 
 _BODY_LINE = 4  # a model file's first line after its header, first and hyper lines
-
-
-def _finite(text: str) -> float:
-    """``float(text)``, which must be finite: a model file holds no inf or
-    nan, so every score it gives lies inside (0, 1)."""
-    value = float(text)
-    if not math.isfinite(value):
-        raise ValueError(f"{text!r} is not finite")
-    return value
+# A model file's numbers are read as the writers write them, ASCII only
+# (kvfile.ascii_int, kvfile.finite_float).  Every float is finite, so every
+# score a loaded model gives lies inside (0, 1).
 
 
 def save_lr(model: LrModel, path) -> None:
@@ -505,7 +499,7 @@ def load_lr(path) -> LrModel:
             text = line.rstrip("\n")
             idx, _, weight = text.partition("\t")
             try:
-                i, wv = int(idx), _finite(weight)
+                i, wv = kvfile.ascii_int(idx), kvfile.finite_float(weight)
             except ValueError:
                 i = -1  # fails the range check below
             if not 0 <= i < dim:
@@ -529,31 +523,27 @@ def _write_tree_preorder(f, forest: PackedForest, root: int) -> None:
             stack += [int(forest.right[node]), int(forest.left[node])]
 
 
-def _read_node(line: str, line_no: int) -> tuple[int, float, float]:
-    """(feature, threshold, value) of a node line; feature -1 is a leaf."""
-    parts = line.split("\t")
-    try:
-        if parts[0] == "leaf" and len(parts) == 2:
-            return -1, 0.0, _finite(parts[1])
-        if parts[0] == "split" and len(parts) == 3 and int(parts[1]) >= 0:
-            return int(parts[1]), _finite(parts[2]), 0.0
-    except ValueError:
-        pass
-    raise ValueError(f"line {line_no}: expected 'leaf\\t<value>' or "
-                     f"'split\\t<feature >= 0>\\t<threshold>', found {line!r}")
-
-
 def _read_tree_preorder(lines: list[str], pos: int, nodes: list, max_depth: int) -> int:
     """Appends the tree listed from ``lines[pos]`` on to ``nodes``, each node
     numbered by its place in that list, and returns the position after the
-    tree.  A split at depth ``max_depth`` or deeper fails: grow_tree makes
-    none."""
+    tree.  A node line reads ``leaf<TAB><value>`` or
+    ``split<TAB><feature><TAB><threshold>``; a split at depth ``max_depth``
+    or deeper fails: grow_tree makes none."""
     stack = [(0, -1)]  # nodes still to read: (depth, the split it is the right child of)
-    while stack:
-        if pos == len(lines):
-            raise ValueError("the file ends inside the tree")
+    feature_of, number = kvfile.ascii_int, kvfile.finite_float
+    for pos in range(pos, len(lines)):
         depth, parent = stack.pop()
-        feature, threshold, value = _read_node(lines[pos], pos + _BODY_LINE)
+        parts = lines[pos].split("\t")
+        try:
+            if parts[0] == "leaf" and len(parts) == 2:
+                feature, threshold, value = -1, 0.0, number(parts[1])
+            elif parts[0] == "split" and len(parts) == 3:
+                feature, threshold, value = feature_of(parts[1]), number(parts[2]), 0.0
+            else:
+                raise ValueError
+        except ValueError:
+            raise ValueError(f"line {pos + _BODY_LINE}: expected 'leaf\\t<value>' or 'split\\t"
+                             f"<feature >= 0>\\t<threshold>', found {lines[pos]!r}") from None
         my_id = len(nodes)
         if parent >= 0:
             nodes[parent][3] = my_id
@@ -563,8 +553,9 @@ def _read_tree_preorder(lines: list[str], pos: int, nodes: list, max_depth: int)
                                  f"but max_depth is {max_depth}")
             stack += [(depth + 1, my_id), (depth + 1, -1)]
         nodes.append([feature, threshold, my_id + 1 if feature >= 0 else -1, -1, value])
-        pos += 1
-    return pos
+        if not stack:
+            return pos + 1
+    raise ValueError("the file ends inside the tree")
 
 
 def save_gbrt(model: GbrtModel, path) -> None:
@@ -583,12 +574,14 @@ def load_gbrt(path) -> GbrtModel:
         kvfile.check_header(f, "#rtbsim-gbrt v1")
         text = kvfile.read_labeled(f, "base")[0]
         try:
-            base = _finite(text)
+            base = kvfile.finite_float(text)
         except ValueError:
             line = f"base\t{text}"
             raise ValueError(f"line 2: expected 'base\\t<finite float>', found {line!r}") from None
         hyper = kvfile.read_fields(f, "hyper", GbrtHyper)
-        lines = [ln.rstrip("\n") for ln in f]
+        lines = f.read().split("\n")
+    if lines[-1] == "":  # the newline that ends the last line
+        lines.pop()
     nodes: list[list] = []
     roots: list[int] = []
     pos = 0

@@ -236,11 +236,16 @@ class TestEncodings:
         assert loaded.prior == enc.prior
         assert loaded.table == enc.table
 
+    # The rows from "arabic-indic count" on are numbers that int and float
+    # read but the writer never writes.
     @pytest.mark.parametrize("line", [
         "city\t3\t12", "city\t3\t12\tx", "city\t3\t-1\t0.5", "city\t3\t12\t1.5",
         "city\t3\t12\tnan", "city\t3\t12\t0.5\t0.5", "tag\t5\t3\t0.5",
+        "city\t3\t\u0663\t0.5", "city\t3\t 4\t0.5", "city\t3\t+4\t0.5", "city\t3\t1_2\t0.5",
+        "city\t3\t12\t\u0660.\u0663", "city\t3\t12\t0.2_5", "city\t3\t12\t0.5 ",
     ], ids=["three columns", "ctr not a number", "negative count", "ctr above 1", "ctr nan",
-            "five columns", "tag with a count"])
+            "five columns", "tag with a count", "arabic-indic count", "spaced count", "signed count",
+            "underscored count", "arabic-indic ctr", "underscored ctr", "spaced ctr"])
     def test_bad_body_line_named(self, tmp_path, line):
         path = tmp_path / "enc.txt"
         build_encodings([make_case(bid_id="a", clicked=True), make_case(bid_id="b")]).save(path)
@@ -248,6 +253,18 @@ class TestEncodings:
         with open(path, "a", encoding="utf-8") as f:
             f.write(line + "\n")
         with pytest.raises(ValueError, match=_bad_encodings_line(n, line)):
+            CategoryEncodings.load(path)
+
+    @pytest.mark.parametrize("prior", ["\u0660.5", "0.5_0", " 0.5", "nan"])
+    def test_bad_prior_line_named(self, tmp_path, prior):
+        path = tmp_path / "enc.txt"
+        build_encodings([make_case(bid_id="a", clicked=True), make_case(bid_id="b")]).save(path)
+        lines = path.read_text(encoding="utf-8").split("\n")
+        lines[1] = "\t".join(["prior", prior, *lines[1].split("\t")[2:]])
+        path.write_text("\n".join(lines), encoding="utf-8")
+        expected = ("line 2: expected 'prior\\t<float>\\talpha\\t<float>\\tbeta\\t<float>', "
+                    f"found {lines[1]!r}")
+        with pytest.raises(ValueError, match="^" + re.escape(expected) + "$"):
             CategoryEncodings.load(path)
 
     def test_repeated_key_named(self, tmp_path):

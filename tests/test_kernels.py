@@ -693,6 +693,78 @@ class TestApplyForest:
         monkeypatch.setattr(kernels, "FOREST_BLOCK", 70)  # 7 rows per block
         assert np.array_equal(self._score(x, forest, 0.3, 0.05), whole)
 
+    @staticmethod
+    def _chain(depth, feature, thresholds):
+        """Split i sends x <= thresholds[i] to the leaf i + 1 and the rest
+        on to split i + 1; the last right child is the leaf depth + 1."""
+        feat, thr, left, right, value = [], [], [], [], []
+        for i in range(depth):
+            feat += [feature, -1]
+            thr += [thresholds[i], 0.0]
+            left += [2 * i + 1, -1]
+            right += [2 * i + 2, -1]
+            value += [0.0, float(i + 1)]
+        return tuple(np.array(c) for c in (feat + [-1], thr + [0.0], left + [-1], right + [-1],
+                                           value + [float(depth + 1)]))
+
+    @staticmethod
+    def _full_tree(rng, depth, nfeat, thresholds):
+        """A complete tree of the given depth: node k splits into 2k + 1 and
+        2k + 2, on random columns at thresholds drawn from ``thresholds``."""
+        splits, nodes = 2 ** depth - 1, 2 ** (depth + 1) - 1
+        k = np.arange(nodes)
+        inner = k < splits
+        return (np.where(inner, rng.integers(0, nfeat, nodes), -1),
+                np.where(inner, rng.choice(thresholds, nodes), 0.0),
+                np.where(inner, 2 * k + 1, -1), np.where(inner, 2 * k + 2, -1),
+                np.where(inner, 0.0, rng.normal(size=nodes)))
+
+    def test_trees_of_mixed_depth_in_any_order(self, monkeypatch):
+        # A root-only tree, stumps, a depth-20 chain and a full depth-5 tree,
+        # shuffled so that the deepest-first walk order is not the tree order.
+        rng = np.random.default_rng(12)
+        edges = np.array([-np.inf, -1e308, -0.75, -0.0, 0.0, 5e-324, 2.2250738585072014e-308,
+                          0.75, 1e308, np.inf])
+        thresholds = np.concatenate([edges, rng.normal(size=20)])
+        stump = (np.array([1, -1, -1]), np.array([-0.0, 0.0, 0.0]), np.array([1, -1, -1]),
+                 np.array([2, -1, -1]), np.array([0.0, -0.5, 0.25]))
+        stump_at_subnormal = (np.array([2, -1, -1]), np.array([5e-324, 0.0, 0.0]),
+                              np.array([1, -1, -1]), np.array([2, -1, -1]), np.array([0.0, 1.5, -2.0]))
+        trees = [self._leaf(0.125), stump, stump_at_subnormal,
+                 self._chain(20, 0, np.sort(rng.choice(thresholds, 20))),
+                 self._full_tree(rng, 5, 3, thresholds), self._leaf(-0.0)]
+        depths = np.array([0, 1, 1, 20, 5, 0])
+        order = rng.permutation(len(trees))
+        trees = [trees[i] for i in order]
+        assert not np.array_equal(np.argsort(-depths[order], kind="stable"), np.arange(len(trees)))
+        forest = models.PackedForest.of(trees)
+        # each column holds NaN, the edges and the thresholds themselves
+        pool = np.concatenate([edges, thresholds, [np.nan, -5e-324, 1e-323]])
+        x = rng.choice(pool, size=(400, 3))
+        want = self._per_tree_sum(x, trees, 0.3, 0.05)
+        assert np.array_equal(self._score(x, forest, 0.3, 0.05), want)
+        monkeypatch.setattr(kernels, "FOREST_BLOCK", 70)  # 11 rows per block
+        assert np.array_equal(self._score(x, forest, 0.3, 0.05), want)
+
+    def test_a_chain_deeper_than_the_row_scorer_compiles(self):
+        # 250 levels nest more parentheses than CPython compiles; the batch
+        # walk has no such bound.
+        trees = [self._leaf(0.5), self._chain(250, 0, np.arange(250) + 0.5)]
+        forest = models.PackedForest.of(trees)
+        with pytest.raises(SyntaxError):
+            kernels.compile_forest_row(*forest._arrays(), 0.0, 1.0)
+        x = np.arange(-1.0, 252.0, 0.25)[:, None]
+        want = self._per_tree_sum(x, trees, 0.0, 1.0)
+        assert np.array_equal(self._score(x, forest, 0.0, 1.0), want)
+        assert want[0] == 0.5 + 1.0 and want[-1] == 0.5 + 251.0
+
+    def test_no_rows_is_an_empty_float64_array(self):
+        rng = np.random.default_rng(13)
+        x = rng.normal(size=(50, 3))
+        forest = models.PackedForest.of(self._random_forest(rng, x, 5))
+        out = self._score(np.empty((0, 3)), forest, 0.2, 0.5)
+        assert out.dtype == np.float64 and out.shape == (0,)
+
     def test_max_feature_is_the_largest_split_slot(self):
         rng = np.random.default_rng(10)
         x = rng.normal(size=(200, 3))

@@ -609,9 +609,15 @@ class TestSerialization:
         with pytest.raises(ValueError, match=f"^{expected}$"):
             load_lr(path)
 
-    @pytest.mark.parametrize("line", ["-1\t0.25", "7\t0.25", "2 0.25", "2\tnan", "2\tinf", "2\t-inf"],
+    # The rows from "arabic-indic index" on are numbers that int and float
+    # read but the writers never write.
+    @pytest.mark.parametrize("line", ["-1\t0.25", "7\t0.25", "2 0.25", "2\tnan", "2\tinf", "2\t-inf",
+                                      "\u0662\t0.5", "+2\t0.5", " 2\t0.5", "0_2\t0.5",
+                                      "2\t1_0.5", "2\t 0.5", "2\t0.5 ", "2\t\u0660.\u0665"],
                              ids=["negative index", "index past dimension", "no tab", "nan weight",
-                                  "inf weight", "-inf weight"])
+                                  "inf weight", "-inf weight", "arabic-indic index", "signed index",
+                                  "spaced index", "underscored index", "underscored weight",
+                                  "leading space weight", "trailing space weight", "arabic-indic weight"])
     def test_lr_bad_weight_line_named(self, tmp_path, line):
         path = tmp_path / "lr.txt"
         save_lr(LrModel(self.LR_FILE_WEIGHTS, LrHyper()), path)
@@ -671,6 +677,28 @@ class TestSerialization:
               "leaf": next(i for i, ln in enumerate(lines) if ln.startswith("leaf\t"))}[kind]
         lines[at] = lines[at].rpartition("\t")[0] + "\t" + text
         expected = (rf"line 2: expected 'base\\t<finite float>', found 'base\\t{text}'"
+                    if kind == "base" else rf"tree 0: line {at + 1}: expected .* found "
+                    + re.escape(repr(lines[at])))
+        with pytest.raises(ValueError, match=f"^{expected}$"):
+            self._load_gbrt_lines(tmp_path, lines)
+
+    # Numbers that int and float read but the writers never write: digits
+    # of another script, a sign on a feature, whitespace and underscores.
+    @pytest.mark.parametrize("kind, text", [
+        ("feature", "\u0660"), ("feature", "\uff10"), ("feature", "+0"), ("feature", " 0"),
+        ("feature", "0 "), ("feature", "0_0"),
+        ("threshold", "\u0661\u0669.\u0665"), ("threshold", "1_9.5"), ("threshold", " 19.5"),
+        ("leaf", "0.2_5"), ("leaf", "0.25 "), ("leaf", "\u0660.\u0662\u0665"),
+        ("base", "0.5_0"), ("base", " 0.5"), ("base", "\u0660.\u0665"),
+    ])
+    def test_gbrt_number_not_as_written_named(self, tmp_path, kind, text):
+        lines = self._gbrt_lines(tmp_path)
+        at = {"base": 1, "feature": 4, "threshold": 4,
+              "leaf": next(i for i, ln in enumerate(lines) if ln.startswith("leaf\t"))}[kind]
+        parts = lines[at].split("\t")
+        parts[1 if kind == "feature" else -1] = text
+        lines[at] = "\t".join(parts)
+        expected = (re.escape(f"line 2: expected 'base\\t<finite float>', found {lines[at]!r}")
                     if kind == "base" else rf"tree 0: line {at + 1}: expected .* found "
                     + re.escape(repr(lines[at])))
         with pytest.raises(ValueError, match=f"^{expected}$"):
