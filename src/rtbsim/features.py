@@ -15,10 +15,10 @@ reference that the tests compare the batch keys against.
 
 One record is encoded from its own values: the vocabulary and the encodings
 split their tables once into one dict per field, keyed by the value a record
-holds (an int column or tag, ``weekday()`` and ``hour``, a label, a string),
-which :func:`binarize` and :func:`densify` look up.  Each dict is the exact
-inverse of ``_spell``, so a loaded entry that no record is spelled as
-(``hour 07``, ``region +5``) matches nothing.
+holds (an int column or tag, the weekday and hour of ``_weekday_hour``, a
+label, a string), which :func:`binarize` and :func:`densify` look up.  Each
+dict is the exact inverse of ``_spell``, so a loaded entry that no record is
+spelled as (``hour 07``, ``region +5``) matches nothing.
 
 A batch is encoded from the columns of a :class:`~rtbsim.logdata.CaseTable`
 (a case list is made into one): :func:`field_columns` codes each row's value
@@ -142,10 +142,18 @@ def floor_price_bucket(price: int) -> str:
     return FLOOR_BUCKETS[bisect_left(_FLOOR_BUCKET_TOPS, price)]
 
 
+def _weekday_hour(ms: int) -> tuple[int, int]:
+    """The weekday (Monday 0) and hour of day of a timestamp, int
+    milliseconds since 1970-01-01, a Thursday.  Floor division counts an
+    instant before 1970 in the day and hour it falls in."""
+    hours = ms // 3_600_000
+    return (hours // 24 + 3) % 7, hours % 24
+
+
 def derive_fields(record: LogRecord) -> tuple[str, int, str, str, str]:
     """A record's ``(weekday, hour, os, browser, floor_bucket)``."""
-    ts = record.timestamp
-    return (WEEKDAYS[ts.weekday()], ts.hour, *classify_user_agent(record.user_agent),
+    weekday, hour = _weekday_hour(record.timestamp)
+    return (WEEKDAYS[weekday], hour, *classify_user_agent(record.user_agent),
             floor_price_bucket(record.slot_floor_price))
 
 
@@ -168,8 +176,9 @@ def field_values(record: LogRecord) -> list[tuple[str, str]]:
 
 def _spell(name: str, key):
     """How :func:`field_values` spells field ``name``'s value ``key``, the
-    value a record holds: an int with ``str``, ``weekday()`` by its name,
-    and a label or string as itself.  :func:`_by_field` is its inverse."""
+    value a record holds: an int with ``str``, the weekday (Monday 0) by
+    its name, and a label or string as itself.  :func:`_by_field` is its
+    inverse."""
     return WEEKDAYS[key] if name == "weekday" else str(key) if name in _INT_FIELDS else key
 
 
@@ -179,9 +188,9 @@ class FieldColumns:
 
     For each field of field_values (``tag`` too), ``keys[name]`` holds the
     distinct values the rows hold, each as a record holds it (the value
-    :func:`binarize` and :func:`densify` look up, with ``weekday()`` for the
-    weekday), and ``codes[name]`` the int64 code of each row's value into
-    it, gathered from the table's narrow codes.  A row's distinct tags, in
+    :func:`binarize` and :func:`densify` look up, the weekday Monday 0),
+    and ``codes[name]`` the int64 code of each row's value into it,
+    gathered from the table's narrow codes.  A row's distinct tags, in
     the order it first lists them, are
     ``codes["tag"][tag_ptr[i]:tag_ptr[i + 1]]`` for row i.
     """
@@ -356,9 +365,9 @@ def binarize(record: LogRecord, vocab: Vocabulary) -> np.ndarray:
     """
     (weekday, hour, os_label, browser, region, city, ad_exchange, domain, slot_id, width, height,
      visibility, slot_format, floor_bucket, creative_id, tag) = vocab.tables
-    ts = record.timestamp
+    day, hour_of_day = _weekday_hour(record.timestamp)
     os_key, browser_key = classify_user_agent(record.user_agent)
-    found = {weekday.get(ts.weekday()), hour.get(ts.hour), os_label.get(os_key), browser.get(browser_key),
+    found = {weekday.get(day), hour.get(hour_of_day), os_label.get(os_key), browser.get(browser_key),
              region.get(record.region), city.get(record.city), ad_exchange.get(record.ad_exchange),
              domain.get(record.domain), slot_id.get(record.slot_id), width.get(record.slot_width),
              height.get(record.slot_height), visibility.get(record.slot_visibility),
@@ -538,15 +547,15 @@ def densify(record: LogRecord, encodings: CategoryEncodings) -> np.ndarray:
     (weekday, os_label, browser, region, city, ad_exchange, domain, slot_id, visibility,
      slot_format, creative_id) = encodings.by_field
     prior = encodings.prior
-    unseen, ts = (0, prior), record.timestamp
+    unseen, (day, hour) = (0, prior), _weekday_hour(record.timestamp)
     os_key, browser_key = classify_user_agent(record.user_agent)
-    row = (*weekday.get(ts.weekday(), unseen), *os_label.get(os_key, unseen), *browser.get(browser_key, unseen),
+    row = (*weekday.get(day, unseen), *os_label.get(os_key, unseen), *browser.get(browser_key, unseen),
            *region.get(record.region, unseen), *city.get(record.city, unseen),
            *ad_exchange.get(record.ad_exchange, unseen), *domain.get(record.domain, unseen),
            *slot_id.get(record.slot_id, unseen), *visibility.get(record.slot_visibility, unseen),
            *slot_format.get(record.slot_format, unseen), *creative_id.get(record.creative_id, unseen),
            _tag_mean(record.user_tags, encodings.tag_ctr, prior), record.slot_width, record.slot_height,
-           record.slot_floor_price, ts.hour)
+           record.slot_floor_price, hour)
     return np.fromiter(row, np.float64, len(row))
 
 

@@ -1,8 +1,9 @@
 """The ``name=value`` form of a dataclass's ``int``, ``float`` and ``str``
 fields (``| None`` allowed, ``init=False`` left out) for every file that
 records one, the version header check and the labelled lines after it, and
-the numbers of the model and encodings files as their writers write them
-(:func:`ascii_int`, :func:`finite_float`).  Bad input fails by name."""
+the numbers of the model and encodings files (``hyper`` lines too) as their
+writers write them (:func:`ascii_int`, :func:`finite_float`).  Bad input
+fails by name."""
 
 from __future__ import annotations
 
@@ -30,12 +31,14 @@ def dump(obj) -> list[str]:
             if (value := getattr(obj, name)) is not None]
 
 
-def parse(cls, pairs: Iterable[str]) -> dict:
+def parse(cls, pairs: Iterable[str], as_written: bool = False) -> dict:
     """The typed values of ``name=value`` pairs for fields of ``cls``, each
-    field set at most once."""
+    field set at most once, stripped and read by ``int`` and ``float``; or,
+    ``as_written``, unstripped and read as :func:`dump` writes them."""
     kinds, values, errors, seen = _kinds(cls), {}, [], set()
+    readers = {int: _written_int, float: finite_float} if as_written else {}
     for pair in pairs:
-        name, eq, text = (part.strip() for part in pair.partition("="))
+        name, eq, text = pair.partition("=") if as_written else (part.strip() for part in pair.partition("="))
         if not eq:
             errors.append(f"line {pair!r} is not name=value")
         elif name not in kinds:
@@ -45,7 +48,7 @@ def parse(cls, pairs: Iterable[str]) -> dict:
         else:
             seen.add(name)
             try:
-                values[name] = kinds[name](text)
+                values[name] = readers.get(kinds[name], kinds[name])(text)
             except ValueError:
                 errors.append(f"{name}={text!r} is not a valid {kinds[name].__name__}")
     if errors:
@@ -55,12 +58,16 @@ def parse(cls, pairs: Iterable[str]) -> dict:
 
 def load(cls, pairs: Iterable[str]):
     """``cls`` from the pairs, which set each field whose default is not None."""
-    values, kinds = parse(cls, pairs), _kinds(cls)
+    return cls(**_required(cls, parse(cls, pairs)))
+
+
+def _required(cls, values: dict) -> dict:
+    """``values``, which must set each field of ``cls`` whose default is not None."""
     missing = [f.name for f in fields(cls)
-               if f.default is not None and f.name in kinds.keys() - values.keys()]
+               if f.default is not None and f.name in _kinds(cls).keys() - values.keys()]
     if missing:
         raise ValueError(f"{cls.__name__} is missing {', '.join(map(repr, missing))}")
-    return cls(**values)
+    return values
 
 
 def ascii_int(text: str) -> int:
@@ -70,6 +77,11 @@ def ascii_int(text: str) -> int:
     if not (text.isascii() and text.isdecimal()):
         raise ValueError(f"{text!r} is not ASCII decimal digits")
     return int(text)
+
+
+def _written_int(text: str) -> int:
+    """:func:`ascii_int` after the ``-`` that ``str`` writes for a negative int."""
+    return -ascii_int(text[1:]) if text.startswith("-") else ascii_int(text)
 
 
 def finite_float(text: str) -> float:
@@ -112,11 +124,16 @@ def read_dimension(f) -> int:
     return int(text)
 
 
-def read_fields(f, label: str, cls):
-    """``cls`` from the next line of the open file ``f``, which must read
-    ``label<TAB>name=value<TAB>name=value...`` (see :func:`load`)."""
+def read_fields(f, line_no: int, label: str, cls):
+    """``cls`` from the next line of the open file ``f``, its line
+    ``line_no``, which must read ``label<TAB>name=value<TAB>name=value...``
+    as :func:`dump` writes it (see :func:`load`); an error in it names the line."""
     found = f.readline().rstrip("\n")
     parts = found.split("\t")
-    if parts[0] != label:
-        raise ValueError(f"expected a {label!r} line, found {found!r}")
-    return load(cls, parts[1:])
+    try:
+        if parts[0] != label:
+            raise ValueError(f"expected a {label!r} line, found {found!r}")
+        values = _required(cls, parse(cls, parts[1:], as_written=True))
+    except ValueError as e:
+        raise ValueError(f"line {line_no}: {e}") from None
+    return cls(**values)

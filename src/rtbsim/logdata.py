@@ -30,7 +30,8 @@ per-line parser is the one definition of a bad line: strict mode raises
 the first, lenient mode skips each.  The table and :func:`join_events`
 share one join, and a table read from text and one made from cases share
 one column builder.  :meth:`CaseTable.cases` builds the records back, equal
-to the per-line path's, their timestamps as datetimes.
+to the per-line path's.  A timestamp, in a record as in a table, is int
+milliseconds since 1970-01-01 on the logs' own naive clock.
 
 All price columns are integers under the CPM convention: the logged value
 is the price of one thousand impressions expressed in Chinese fen, so the
@@ -44,9 +45,9 @@ import enum
 import gzip
 import io
 from dataclasses import dataclass
-from datetime import datetime, timedelta
+from datetime import date
 from itertools import chain, repeat
-from operator import attrgetter
+from operator import attrgetter, index
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -66,7 +67,6 @@ __all__ = [
     "ColumnCountMismatch",
     "FieldParseError",
     "TimestampFormatError",
-    "TimestampPrecisionError",
     "SchemaMismatch",
     "MissingValue",
     "JoinIssue",
@@ -81,10 +81,7 @@ __all__ = [
 
 NULL_SENTINELS = {"", "null"}
 TIMESTAMP_DIGITS = 17
-# A table's timestamps are int64 milliseconds since this instant, on the
-# logs' own naive clock.
-_EPOCH = datetime(1970, 1, 1)
-_MILLISECOND = timedelta(milliseconds=1)
+_EPOCH_ORDINAL = date(1970, 1, 1).toordinal()  # day 0 of a timestamp
 _DIGIT_PLACES = 10 ** np.arange(TIMESTAMP_DIGITS - 1, -1, -1, dtype=np.int64)
 
 # Non-negative integer price in the CPM log convention: fen per thousand
@@ -131,10 +128,6 @@ class TimestampFormatError(FieldParseError):
         self.raw = raw
 
 
-class TimestampPrecisionError(ValueError):
-    """A timestamp finer than the millisecond a log line holds."""
-
-
 class SchemaMismatch(ValueError):
     """Record sets an event-only field that a bid-log line has no column for."""
 
@@ -143,26 +136,37 @@ class MissingValue(ValueError):
     """Record leaves a column absent (None) that is not optional text."""
 
 
-def _parse_timestamp(raw: str) -> datetime:
+def _parse_timestamp(raw: str) -> int:
+    """The int milliseconds since 1970-01-01 of a yyyyMMddHHmmssSSS text."""
     if len(raw) != TIMESTAMP_DIGITS or not (raw.isascii() and raw.isdigit()):
         raise TimestampFormatError(raw)
-    try:  # the digits as one int, then each field's digits from its low end
-        stamp, millisecond = divmod(int(raw), 1000)
-        stamp, second = divmod(stamp, 100)
-        stamp, minute = divmod(stamp, 100)
-        stamp, hour = divmod(stamp, 100)
-        year_month, day = divmod(stamp, 100)
-        return datetime(*divmod(year_month, 100), day, hour, minute, second, millisecond * 1000)
+    # The digits as one int, then each field's digits from its low end.
+    stamp, millisecond = divmod(int(raw), 1000)
+    stamp, second = divmod(stamp, 100)
+    stamp, minute = divmod(stamp, 100)
+    stamp, hour = divmod(stamp, 100)
+    year_month, day = divmod(stamp, 100)
+    try:
+        days = date(*divmod(year_month, 100), day).toordinal() - _EPOCH_ORDINAL
     except ValueError:
         raise TimestampFormatError(raw) from None
+    if hour > 23 or minute > 59 or second > 59:
+        raise TimestampFormatError(raw)
+    return ((days * 24 + hour) * 60 + minute) * 60_000 + second * 1000 + millisecond
 
 
-def format_timestamp(ts: datetime) -> str:
-    return (
-        f"{ts.year:04d}{ts.month:02d}{ts.day:02d}"
-        f"{ts.hour:02d}{ts.minute:02d}{ts.second:02d}"
-        f"{ts.microsecond // 1000:03d}"
-    )
+# The first and last instants a yyyyMMddHHmmssSSS text holds.
+_FIRST_MS = _parse_timestamp("00010101000000000")
+_LAST_MS = _parse_timestamp("99991231235959999")
+
+
+def format_timestamp(ms: int) -> str:
+    """The yyyyMMddHHmmssSSS text of int milliseconds since 1970-01-01."""
+    days, of_day = divmod(ms, 86_400_000)
+    day = date.fromordinal(days + _EPOCH_ORDINAL)
+    hour, of_hour = divmod(of_day, 3_600_000)
+    minute, of_minute = divmod(of_hour, 60_000)
+    return f"{day.year:04d}{day.month:02d}{day.day:02d}{hour:02d}{minute:02d}{of_minute:05d}"
 
 
 def _parse_timestamps(texts: list[str]) -> np.ndarray:
@@ -199,27 +203,26 @@ def format_timestamps(ms: np.ndarray) -> list[str]:
     day = days - months.astype("M8[D]").view(np.int64)
     hour, of_hour = np.divmod(of_day, 3_600_000)
     minute, of_minute = np.divmod(of_hour, 60_000)
-    date = ((year + 1970) * 100 + month + 1) * 100 + day + 1
-    stamps = (date * 100 + hour) * 10**7 + minute * 10**5 + of_minute
+    yyyymmdd = ((year + 1970) * 100 + month + 1) * 100 + day + 1
+    stamps = (yyyymmdd * 100 + hour) * 10**7 + minute * 10**5 + of_minute
     return list(map("{:017d}".format, stamps.tolist()))
 
 
 def _milliseconds(stamps) -> np.ndarray:
-    """The int64 milliseconds since 1970-01-01 of naive datetimes; one with
-    a sub-millisecond part raises :class:`TimestampPrecisionError`, and an
-    absent one (None) :class:`MissingValue`."""
+    """Records' timestamps as one int64 array.  An absent one (None) raises
+    :class:`MissingValue`, and one that is not an integer (a float is not
+    truncated) or is outside the instants of a log line ValueError."""
     if None in stamps:
         raise MissingValue("a record has no timestamp, and only optional text may be absent")
-    finer = next((ts for ts in stamps if ts.microsecond % 1000), None)
-    if finer is not None:
-        raise TimestampPrecisionError(f"timestamp {finer} is finer than the millisecond "
-                                      f"of a yyyyMMddHHmmssSSS log line")
-    return np.array([(ts - _EPOCH) // _MILLISECOND for ts in stamps], np.int64)
-
-
-def _datetimes(ms: np.ndarray) -> list[datetime]:
-    """The naive datetimes of int64 milliseconds since 1970-01-01."""
-    return ms.astype("M8[ms]").tolist()
+    try:
+        ms = list(map(index, stamps))
+        bad = next((ts for ts in ms if not _FIRST_MS <= ts <= _LAST_MS), None)
+    except TypeError:
+        bad = next(ts for ts in stamps if not hasattr(type(ts), "__index__"))
+    if bad is not None:
+        raise ValueError(f"timestamp {bad!r} is not an int from {_FIRST_MS} to {_LAST_MS}, the "
+                         f"milliseconds since 1970-01-01 of a yyyyMMddHHmmssSSS log line")
+    return np.array(ms, np.int64)
 
 
 def _parse_price(raw: str) -> MoneyMilli:
@@ -320,10 +323,11 @@ BID_LOG = LogSchema(BID_COLUMNS)
 
 @dataclass(frozen=True, slots=True)
 class LogRecord:
-    """One parsed log row.  Prices are :data:`MoneyMilli` integers."""
+    """One parsed log row.  The timestamp is int milliseconds since
+    1970-01-01 and prices are :data:`MoneyMilli` integers."""
 
     bid_id: str
-    timestamp: datetime
+    timestamp: int
     log_type: LogType | None
     ipinyou_id: str
     user_agent: str
@@ -367,7 +371,8 @@ def _make_record(values) -> LogRecord:
 
 @dataclass(frozen=True, slots=True)
 class AuctionCase:
-    """An impression joined with its deduplicated click/conversion outcome."""
+    """An impression joined with its deduplicated click/conversion outcome.
+    Its ``timestamp`` is the record's, int milliseconds since 1970-01-01."""
 
     record: LogRecord
     clicked: bool
@@ -378,7 +383,7 @@ class AuctionCase:
         return self.record.bid_id
 
     @property
-    def timestamp(self) -> datetime:
+    def timestamp(self) -> int:
         return self.record.timestamp
 
     @property
@@ -732,7 +737,7 @@ class CaseTable:
     :func:`rtbsim.features.field_columns` gathers them into int64 codes,
     and ``stats`` computes its slot-size keys from those.  Values are those
     :func:`parse_record` gives, and :meth:`column` gives the timestamps as
-    its datetimes.  ``clicked`` and ``converted`` are bool arrays.
+    ints.  ``clicked`` and ``converted`` are bool arrays.
 
     :meth:`read` builds a table from the log text, :meth:`of` from cases,
     and :meth:`cases` builds the cases back, each record by
@@ -784,8 +789,8 @@ class CaseTable:
     @classmethod
     def of(cls, cases: Iterable[AuctionCase]) -> "CaseTable":
         """``cases`` itself if it is a CaseTable, else the table of the
-        cases, in their order.  A timestamp finer than a millisecond raises
-        :class:`TimestampPrecisionError`: a log line cannot hold it."""
+        cases, in their order.  A timestamp that is no int, or that no log
+        line holds, fails by name (see ``_milliseconds``)."""
         if isinstance(cases, cls):
             return cases
         cases = list(cases)
@@ -806,7 +811,7 @@ class CaseTable:
         if name in self.lists:
             return self.lists[name]
         if name == "timestamp":
-            return _datetimes(self.timestamp_ms)
+            return self.timestamp_ms.tolist()
         return list(map(self.values[name].__getitem__, self.codes[name].tolist()))
 
     def ints(self, name: str) -> np.ndarray:
@@ -829,7 +834,7 @@ class CaseTable:
     def record(self, row: int) -> LogRecord:
         """Row ``row``'s record."""
         return _make_record([self.lists[name][row] if name in self.lists
-                             else _datetimes(self.timestamp_ms[[row]])[0] if name == "timestamp"
+                             else self.timestamp_ms[row].item() if name == "timestamp"
                              else self.values[name][self.codes[name][row]] for name in EVENT_COLUMNS])
 
     def cases(self) -> list[AuctionCase]:

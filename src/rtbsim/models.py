@@ -492,7 +492,7 @@ def load_lr(path) -> LrModel:
     with open(path, encoding="utf-8") as f:
         kvfile.check_header(f, "#rtbsim-lr v1")
         dim = kvfile.read_dimension(f)
-        hyper = kvfile.read_fields(f, "hyper", LrHyper)
+        hyper = kvfile.read_fields(f, 3, "hyper", LrHyper)
         w = np.zeros(dim, dtype=np.float64)
         seen: set[int] = set()
         for line_no, line in enumerate(f, _BODY_LINE):
@@ -578,7 +578,7 @@ def load_gbrt(path) -> GbrtModel:
         except ValueError:
             line = f"base\t{text}"
             raise ValueError(f"line 2: expected 'base\\t<finite float>', found {line!r}") from None
-        hyper = kvfile.read_fields(f, "hyper", GbrtHyper)
+        hyper = kvfile.read_fields(f, 3, "hyper", GbrtHyper)
         lines = f.read().split("\n")
     if lines[-1] == "":  # the newline that ends the last line
         lines.pop()

@@ -25,7 +25,6 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass
-from datetime import datetime, timedelta
 from itertools import islice, product
 from pathlib import Path
 
@@ -38,8 +37,8 @@ from .logdata import (
     AuctionCase,
     CaseTable,
     LogType,
+    _LAST_MS,
     _LOG_TYPE_AT,
-    _milliseconds,
     _parse_timestamp,
     format_timestamps,
     serialize_record,
@@ -153,9 +152,9 @@ class SynthConfig:
             object.__setattr__(self, "true_weights", w)
         start = _parse_timestamp(self.start_time)  # validates the format
         span_ms = MAX_GAP_MS * (self.n_train + self.n_test) + BLOCK_GAP_MS
-        if (datetime.max - start) // timedelta(milliseconds=1) < span_ms:
+        if _LAST_MS - start < span_ms:
             raise ValueError(f"start_time {self.start_time} is too late: the last case may fall "
-                             f"up to {span_ms} ms after it, past {datetime.max}")
+                             f"up to {span_ms} ms after it, past 99991231235959999")
 
     @property
     def weight_dim(self) -> int:
@@ -354,7 +353,7 @@ def _constant(n: int, value) -> tuple[np.ndarray, list]:
 def generate(config: SynthConfig) -> tuple[CaseTable, CaseTable, GroundTruth]:
     """Sample (train, test, ground truth) deterministically from the config."""
     weights = _resolve_weights(config)
-    start = int(_milliseconds([_parse_timestamp(config.start_time)])[0])
+    start = _parse_timestamp(config.start_time)
     train, train_p, train_end = _sample_block(config, weights, config.n_train, 0, start)
     test, test_p, _ = _sample_block(config, weights, config.n_test, 1, train_end + BLOCK_GAP_MS)
 

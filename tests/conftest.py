@@ -1,6 +1,6 @@
 from __future__ import annotations
 
-from datetime import datetime
+from datetime import datetime, timedelta
 
 import pytest
 
@@ -9,10 +9,16 @@ from rtbsim.logdata import AuctionCase, LogRecord, LogType
 from rtbsim.stats import feature_breakdowns
 
 
+def epoch_ms(ts: datetime) -> int:
+    """A naive datetime as a record's timestamp: int milliseconds since
+    1970-01-01, computed with datetime arithmetic, apart from rtbsim."""
+    return (ts - datetime(1970, 1, 1)) // timedelta(milliseconds=1)
+
+
 def make_record(**overrides) -> LogRecord:
     base = dict(
         bid_id="bid000000000001",
-        timestamp=datetime(2013, 6, 6, 12, 30, 15, 123000),
+        timestamp=epoch_ms(datetime(2013, 6, 6, 12, 30, 15, 123000)),
         log_type=LogType.IMPRESSION,
         ipinyou_id="u001",
         user_agent="Mozilla/5.0 (Windows NT 6.1) AppleWebKit/537.36 Chrome/31.0 Safari/537.36",

@@ -29,7 +29,7 @@ from rtbsim.bidding import (
 from rtbsim.logdata import CaseTable
 from rtbsim.models import EvalReport, GbrtHyper, LrHyper
 
-from conftest import make_case
+from conftest import epoch_ms, make_case
 
 
 def test_campaign_spec_rejects_a_negative_conversion_weight():
@@ -169,7 +169,7 @@ def _tune_fixture():
         hot = i % 4 == 0
         cases.append(make_case(
             paying=30, floor=0, clicked=hot,
-            ts=t0 + timedelta(seconds=i), bid_id=f"b{i:04d}",
+            ts=epoch_ms(t0 + timedelta(seconds=i)), bid_id=f"b{i:04d}",
         ))
         pctr.append(0.5 if hot else 0.1)
     return cases, np.array(pctr)
@@ -199,7 +199,7 @@ class TestTune:
     def test_tie_breaks_to_smaller_parameter(self):
         # both constants clear every price, so scores tie
         cases = [make_case(paying=5, clicked=(i % 2 == 0),
-                           ts=datetime(2013, 6, 6) + timedelta(seconds=i), bid_id=f"t{i}")
+                           ts=epoch_ms(datetime(2013, 6, 6) + timedelta(seconds=i)), bid_id=f"t{i}")
                  for i in range(10)]
         best, rows = tune("const", cases, 1, (20, 10), CampaignSpec(1, 0))
         assert rows[0].score == rows[1].score
@@ -227,11 +227,11 @@ class TestTune:
         # worth exhausting the whole budget on it
         t0 = datetime(2013, 6, 6)
         cases = [
-            make_case(paying=100, clicked=True, converted=True, ts=t0, bid_id="a"),
-            make_case(paying=10, clicked=True, ts=t0 + timedelta(seconds=1), bid_id="b"),
-            make_case(paying=10, clicked=True, ts=t0 + timedelta(seconds=2), bid_id="c"),
+            make_case(paying=100, clicked=True, converted=True, ts=epoch_ms(t0), bid_id="a"),
+            make_case(paying=10, clicked=True, ts=epoch_ms(t0 + timedelta(seconds=1)), bid_id="b"),
+            make_case(paying=10, clicked=True, ts=epoch_ms(t0 + timedelta(seconds=2)), bid_id="c"),
         ] + [
-            make_case(paying=1, ts=t0 + timedelta(seconds=3 + i), bid_id=f"f{i}")
+            make_case(paying=1, ts=epoch_ms(t0 + timedelta(seconds=3 + i)), bid_id=f"f{i}")
             for i in range(7)
         ]
         pctr = np.array([0.5, 0.3, 0.3] + [0.0001] * 7)  # avg_ctr = 3/10

@@ -10,6 +10,7 @@ from __future__ import annotations
 import bz2
 import calendar
 import gzip
+import re
 from collections import Counter
 from dataclasses import replace
 from datetime import datetime, timedelta
@@ -44,6 +45,7 @@ from rtbsim.logdata import (
     LogType,
     _find_logs,
     _parse_timestamp,
+    _parse_timestamps,
     as_event,
     join_events,
     load_log,
@@ -52,7 +54,7 @@ from rtbsim.logdata import (
 )
 from rtbsim.stats import _breakdown, campaign_summary, feature_breakdowns, FEATURE_KEYS, METRICS
 
-from conftest import make_record
+from conftest import epoch_ms, make_record
 from test_logdata import MALFORMED
 
 STEMS = (("imp",), ("clk",), ("cnv", "conv"))
@@ -100,7 +102,7 @@ def _lines(records):
 
 def _split(n=6):
     """Impressions b0..b5 a second apart, clicks on b1 and b3, a conversion on b3."""
-    imps = [make_record(bid_id=f"b{i}", timestamp=datetime(2013, 6, 6, 12, 0, i), region=i % 3,
+    imps = [make_record(bid_id=f"b{i}", timestamp=epoch_ms(datetime(2013, 6, 6, 12, 0, i)), region=i % 3,
                         user_tags=((5, 5, 7), (), (9,))[i % 3]) for i in range(n)]
     clks = [as_event(imps[i], LogType.CLICK) for i in (1, 3)]
     cnvs = [as_event(imps[3], LogType.CONVERSION)]
@@ -275,8 +277,7 @@ def test_timestamps_at_each_validity_edge(tmp_path, capsys, monkeypatch):
     assert calls == []  # every text was parsed as one array
     want = sorted(map(_parse_timestamp, EDGE_TIMESTAMPS))
     assert table.column("timestamp") == want
-    epoch, ms = datetime(1970, 1, 1), timedelta(milliseconds=1)
-    assert table.timestamp_ms.tolist() == [(ts - epoch) // ms for ts in want]
+    assert table.timestamp_ms.tolist() == want
     assert sorted(map(logdata.format_timestamp, want)) == sorted(EDGE_TIMESTAMPS)
     monkeypatch.undo()
     assert_reads_as_per_line(tmp_path, capsys)
@@ -296,8 +297,7 @@ def test_rejected_timestamps_are_named_by_the_per_line_parser(tmp_path, capsys, 
 
 def test_format_timestamps_equals_format_timestamp():
     stamps = list(map(_parse_timestamp, EDGE_TIMESTAMPS))
-    epoch, ms = datetime(1970, 1, 1), timedelta(milliseconds=1)
-    got = logdata.format_timestamps(np.array([(ts - epoch) // ms for ts in stamps], np.int64))
+    got = logdata.format_timestamps(np.array(stamps, np.int64))
     assert got == list(map(logdata.format_timestamp, stamps)) == EDGE_TIMESTAMPS
     assert logdata.format_timestamps(np.empty(0, np.int64)) == []
 
@@ -306,13 +306,49 @@ def make_case_at(ts):
     return AuctionCase(make_record(bid_id=str(ts), timestamp=ts), False, False)
 
 
-def test_a_sub_millisecond_timestamp_fails_by_name():
-    finer = datetime(2013, 6, 6, 12, 0, 0, 1)
-    with pytest.raises(logdata.TimestampPrecisionError,
-                       match=r"^timestamp 2013-06-06 12:00:00.000001 is finer than the millisecond"):
-        CaseTable.of([make_case_at(datetime(2013, 6, 6)), make_case_at(finer)])
-    assert CaseTable.of([make_case_at(finer.replace(microsecond=1000))]).timestamp_ms.tolist() == [
-        1370520000001]
+def _random_instants(n, seed):
+    """``n`` naive datetimes of whole milliseconds, uniform over years 1 to
+    9999, so about a fifth of them fall before 1970."""
+    rng = np.random.default_rng(seed)
+    days = rng.integers(1, datetime(9999, 12, 31).toordinal() + 1, n).tolist()
+    ms = rng.integers(0, 86_400_000, n).tolist()
+    return [datetime.fromordinal(day) + timedelta(milliseconds=m) for day, m in zip(days, ms)]
+
+
+def test_both_parsers_and_formatters_agree_with_datetime_arithmetic():
+    # The texts at each edge, the last millisecond before 1970 and the first
+    # of it, and 2,000 random instants, each with its milliseconds and its
+    # text computed here by datetime arithmetic.
+    instants = [datetime(int(t[:4]), int(t[4:6]), int(t[6:8]), int(t[8:10]), int(t[10:12]),
+                         int(t[12:14]), int(t[14:]) * 1000) for t in EDGE_TIMESTAMPS]
+    instants += [datetime(1969, 12, 31, 23, 59, 59, 999000), datetime(1970, 1, 1)]
+    instants += _random_instants(2000, seed=35)
+    assert sum(ts.year < 1970 for ts in instants) > 300
+    texts = [f"{ts.year:04d}{ts:%m%d%H%M%S}{ts.microsecond // 1000:03d}" for ts in instants]
+    ms = list(map(epoch_ms, instants))
+    assert _parse_timestamps(texts).tolist() == [_parse_timestamp(t) for t in texts] == ms
+    assert all(type(m) is int for m in map(_parse_timestamp, texts))
+    assert logdata.format_timestamps(np.array(ms, np.int64)) == texts
+    assert list(map(logdata.format_timestamp, ms)) == texts
+
+
+FIRST_MS = epoch_ms(datetime(1, 1, 1))
+LAST_MS = epoch_ms(datetime(9999, 12, 31, 23, 59, 59, 999000))
+
+
+def test_the_first_and_last_instant_of_a_log_line_make_a_table():
+    table = CaseTable.of([make_case_at(FIRST_MS), make_case_at(LAST_MS)])
+    assert table.timestamp_ms.tolist() == [FIRST_MS, LAST_MS]
+    assert logdata.format_timestamps(table.timestamp_ms) == ["00010101000000000", "99991231235959999"]
+
+
+@pytest.mark.parametrize("bad", [1370520000000.0, datetime(2013, 6, 6), FIRST_MS - 1, LAST_MS + 1],
+                         ids=["float", "datetime", "before-year-1", "after-year-9999"])
+def test_a_timestamp_no_log_line_holds_fails_by_name(bad):
+    named = (f"timestamp {bad!r} is not an int from {FIRST_MS} to {LAST_MS}, the milliseconds "
+             f"since 1970-01-01 of a yyyyMMddHHmmssSSS log line")
+    with pytest.raises(ValueError, match=f"^{re.escape(named)}$"):
+        CaseTable.of([make_case_at(epoch_ms(datetime(2013, 6, 6))), make_case_at(bad)])
 
 
 def test_an_absent_timestamp_fails_by_name():

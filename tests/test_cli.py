@@ -45,6 +45,15 @@ class TestSynth:
         echoed = (tmp_path / "d" / "synth_config.txt").read_text()
         assert "seed=4" in echoed and "n_train=500" in echoed
 
+    def test_config_file_is_read_as_written_by_hand(self, tmp_path):
+        # A config file is user input: unlike a model file's hyper line, each
+        # name and value is stripped and read by int or float.
+        cfg = tmp_path / "synth.cfg"
+        cfg.write_text("n_train = 5_00\nn_test=+100\n base_ctr= 0.05 \n")
+        assert main(["synth", "--out", str(tmp_path / "d"), "--config", str(cfg)]) == 0
+        echoed = (tmp_path / "d" / "synth_config.txt").read_text().split("\n")
+        assert {"n_train=500", "n_test=100", "base_ctr=0.05"} <= set(echoed)
+
     def test_echoed_config_reproduces_dataset(self, dataset, tmp_path):
         rc = main(["synth", "--out", str(tmp_path), "--config", str(dataset / "synth_config.txt")])
         assert rc == 0

@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import random
 import re
-from datetime import datetime
+from datetime import datetime, timedelta
 
 import numpy as np
 import pytest
@@ -30,9 +30,14 @@ from rtbsim.features import (
     field_values,
     floor_price_bucket,
 )
-from conftest import breakdown, make_case, make_record
+from conftest import breakdown, epoch_ms, make_case, make_record
 
 MSIE_UA = "Mozilla/5.0 (compatible; MSIE 9.0; Windows NT 6.1; WOW64; Trident/5.0)"
+
+
+def _hour(ms: int) -> int:
+    """The hour of day of a record's timestamp, by datetime arithmetic."""
+    return (datetime(1970, 1, 1) + timedelta(milliseconds=ms)).hour
 
 
 class TestDerivedFields:
@@ -61,11 +66,37 @@ class TestDerivedFields:
 
     def test_weekday_and_hour(self):
         # 2013-02-18 00:12 is a Monday.
-        rec = make_record(timestamp=datetime(2013, 2, 18, 0, 12, 3, 638000), user_agent=MSIE_UA)
+        rec = make_record(timestamp=epoch_ms(datetime(2013, 2, 18, 0, 12, 3, 638000)), user_agent=MSIE_UA)
         weekday, hour, os_label, browser, floor_bucket = derive_fields(rec)
         assert weekday == "Mon" and hour == 0
         assert os_label == "windows" and browser == "ie"
         assert floor_bucket == floor_price_bucket(rec.slot_floor_price)
+
+    # The last millisecond before 1970 and the first of it, the first and
+    # last day a log line holds, and a leap day.
+    INSTANTS = [datetime(1969, 12, 31, 23, 59, 59, 999000), datetime(1970, 1, 1),
+                datetime(1, 1, 1), datetime(9999, 12, 31, 23, 59, 59, 999000),
+                datetime(2012, 2, 29, 13, 5)]
+
+    def test_weekday_and_hour_at_calendar_edges_match_datetime(self):
+        """derive_fields, binarize, densify and their batch rows give each
+        instant the weekday and hour that datetime gives it."""
+        records = [make_record(bid_id=f"b{i}", timestamp=epoch_ms(ts)) for i, ts in enumerate(self.INSTANTS)]
+        vocab = Vocabulary({**{("weekday", day): i for i, day in enumerate(WEEKDAYS, 1)},
+                            **{("hour", str(h)): 8 + h for h in range(24)}})
+        # Each weekday's count is its place in the week plus 1, its CTR 0.5.
+        enc = CategoryEncodings({("weekday", day): (i, 0.5) for i, day in enumerate(WEEKDAYS, 1)},
+                                0.1, 2.0, 18.0)
+        cases = [AuctionCase(r, False, False) for r in records]
+        batch, (x, _) = binarize_cases(cases, vocab), densify_cases(cases, enc)
+        freq, hour_at = DEFAULT_MANIFEST.index("weekday_freq"), DEFAULT_MANIFEST.index("hour")
+        for i, (ts, rec) in enumerate(zip(self.INSTANTS, records)):
+            assert derive_fields(rec)[:2] == (WEEKDAYS[ts.weekday()], ts.hour), ts
+            want = [1 + ts.weekday(), 8 + ts.hour]
+            assert binarize(rec, vocab).tolist() == want, ts
+            assert batch.indices[batch.indptr[i]:batch.indptr[i + 1]].tolist() == want, ts
+            for row in (densify(rec, enc), x[i]):
+                assert (row[freq], row[hour_at]) == (1 + ts.weekday(), ts.hour), ts
 
 
 def _bad_vocab_entry(line_no, index, dim, found):
@@ -151,7 +182,7 @@ class TestBinarize:
         train, _, _ = small_synth
         vocab = build_vocabulary(train[:100])
         alien = make_record(
-            timestamp=datetime(2001, 1, 7, 23),  # unseen weekday/hour
+            timestamp=epoch_ms(datetime(2001, 1, 7, 23)),  # unseen weekday/hour
             user_agent="weird bot/1.0" if all(
                 classify_user_agent(c.record.user_agent) != ("other", "other")
                 for c in train[:100]) else "zzz",
@@ -283,7 +314,7 @@ class TestDensify:
         alien = make_record(region=999, city=999, ad_exchange=999, domain="x",
                             slot_id="x", slot_visibility="x", slot_format="x",
                             creative_id="x", user_agent="weird bot", user_tags=(),
-                            timestamp=datetime(2001, 1, 7, 23))
+                            timestamp=epoch_ms(datetime(2001, 1, 7, 23)))
         vec = densify(alien, enc)
         names = feature_manifest()
         for i, name in enumerate(names):
@@ -327,7 +358,7 @@ class TestDensify:
             "slot_format": rec.slot_format, "creative_id": rec.creative_id,
         }
         raw = {"slot_width": rec.slot_width, "slot_height": rec.slot_height,
-               "slot_floor_price": rec.slot_floor_price, "hour": rec.timestamp.hour}
+               "slot_floor_price": rec.slot_floor_price, "hour": _hour(rec.timestamp)}
         tag_ctrs = [enc.lookup("tag", str(t))[1] for t in rec.user_tags]
         vec = densify(rec, enc)
         assert len(vec) == len(DEFAULT_MANIFEST)
@@ -413,7 +444,7 @@ def reference_densify(record, enc):
     for ctr in tag_ctrs:
         total += ctr
     row += [total / len(tag_ctrs) if tag_ctrs else enc.prior, record.slot_width,
-            record.slot_height, record.slot_floor_price, record.timestamp.hour]
+            record.slot_height, record.slot_floor_price, _hour(record.timestamp)]
     return np.array(row, dtype=np.float64)
 
 
@@ -443,10 +474,10 @@ class TestEncodersAgainstReference:
         seen = [make_case(bid_id="a", region=-5, city=-7, user_tags=(5, 7), clicked=True),
                 make_case(bid_id="b", region=0, city=-1, user_tags=()),
                 make_case(bid_id="c", region=15, city=16, user_tags=(7, 7, 9),
-                          timestamp=datetime(2013, 6, 9, 0, 1))]
+                          timestamp=epoch_ms(datetime(2013, 6, 9, 0, 1)))]
         vocab, enc = build_vocabulary(seen), build_encodings(seen)
         unseen = make_record(
-            timestamp=datetime(2001, 1, 3, 23), user_agent="weird bot/1.0", region=-6, city=-8,
+            timestamp=epoch_ms(datetime(2001, 1, 3, 23)), user_agent="weird bot/1.0", region=-6, city=-8,
             ad_exchange=77, domain="none", slot_id="none", slot_width=1, slot_height=2,
             slot_visibility="EleventhView", slot_format="Hologram", slot_floor_price=500,
             creative_id="none", user_tags=(4, 4, 6))
@@ -460,7 +491,7 @@ class TestEncodersAgainstReference:
         """A loaded entry that field_values spells no record value as (an
         int with a sign, padding or leading zeros, a weekday in another
         case) matches no record, whether or not the canonical one is there."""
-        rec = make_record(timestamp=datetime(2013, 6, 6, 7), region=5, city=-3, slot_width=300,
+        rec = make_record(timestamp=epoch_ms(datetime(2013, 6, 6, 7)), region=5, city=-3, slot_width=300,
                           user_tags=(7, 12))
         odd = [("hour", "07"), ("region", "+5"), ("region", " 5"), ("region", "5.0"),
                ("city", "-03"), ("slot_width", "0300"), ("slot_height", "2_50"), ("tag", "007"),

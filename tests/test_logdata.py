@@ -31,7 +31,7 @@ from rtbsim.logdata import (
     serialize_record,
 )
 
-from conftest import make_record
+from conftest import epoch_ms, make_record
 
 # (column, text that is not of its kind, error): one or two per column kind
 MALFORMED = [
@@ -81,7 +81,7 @@ EXAMPLE_EVENT_LINE = "\t".join([
 class TestParseRecord:
     def test_example_line_fields(self):
         rec = parse_record(EXAMPLE_EVENT_LINE, EVENT_LOG)
-        assert rec.timestamp == datetime(2013, 2, 18, 0, 12, 3, 638000)
+        assert rec.timestamp == epoch_ms(datetime(2013, 2, 18, 0, 12, 3, 638000))
         assert rec.log_type is LogType.IMPRESSION
         assert rec.region == 15 and rec.city == 16 and rec.ad_exchange == 2
         assert (rec.slot_width, rec.slot_height) == (300, 250)
@@ -188,9 +188,9 @@ class TestSerializeRecord:
                 list(LogType) * 4, (False, True), (False, True), (False, True), (False, True))):
             rec = make_record(
                 bid_id=f"b{i}",
-                timestamp=datetime(2013, rng.randrange(1, 13), rng.randrange(1, 29),
-                                   rng.randrange(24), rng.randrange(60), rng.randrange(60),
-                                   rng.randrange(1000) * 1000),
+                timestamp=epoch_ms(datetime(2013, rng.randrange(1, 13), rng.randrange(1, 29),
+                                            rng.randrange(24), rng.randrange(60), rng.randrange(60),
+                                            rng.randrange(1000) * 1000)),
                 log_type=log_type,
                 region=rng.randrange(400),
                 slot_floor_price=0 if zero else rng.randrange(1, 300),
@@ -356,7 +356,7 @@ class TestJoinEvents:
         rng = random.Random(3)
         recs = [
             make_record(bid_id=f"b{i:03d}",
-                        timestamp=datetime(2013, 6, 6, rng.randrange(24), rng.randrange(60)))
+                        timestamp=epoch_ms(datetime(2013, 6, 6, rng.randrange(24), rng.randrange(60))))
             for i in range(100)
         ]
         rng.shuffle(recs)

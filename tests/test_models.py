@@ -627,6 +627,33 @@ class TestSerialization:
         with pytest.raises(ValueError, match=f"^{expected}$"):
             load_lr(path)
 
+    # A hyper pair as int and float read it, stripped, but as the writers
+    # never write it: digits of another script, a sign, underscores and
+    # whitespace around the name or the value.
+    @pytest.mark.parametrize("kind, written, edited", [
+        ("lr", "epochs=5", "epochs=\u0663"), ("lr", "seed=0", "seed=+7"), ("lr", "seed=0", "seed=0_0"),
+        ("lr", "l2=1e-06", "l2=1_0.5"), ("lr", "learning_rate=0.05", "learning_rate= 0.5"),
+        ("lr", "l2=1e-06", " l2=1e-6"), ("lr", "epochs=5", "epochs=5 "),
+        ("gbrt", "rounds=50", "rounds=+5"), ("gbrt", "shrinkage=0.05", "shrinkage=0.0_5"),
+        ("gbrt", "shrinkage=0.05", "shrinkage=\u0660.\u0665"), ("gbrt", "max_depth=5", "max_depth=\uff15"),
+        ("gbrt", "min_leaf=20", "min_leaf=20\u00a0"), ("gbrt", "min_leaf=20", " min_leaf=20"),
+    ], ids=["arabic-indic epochs", "signed seed", "underscored seed", "underscored l2", "spaced learning_rate",
+            "spaced l2 name", "trailing space epochs", "signed rounds", "underscored shrinkage",
+            "arabic-indic shrinkage", "fullwidth max_depth", "no-break space min_leaf", "spaced min_leaf name"])
+    def test_hyper_pair_not_as_written_named(self, tmp_path, kind, written, edited):
+        save, load, model = {"lr": (save_lr, load_lr, LrModel(self.LR_FILE_WEIGHTS, LrHyper())),
+                             "gbrt": (save_gbrt, load_gbrt, GbrtModel(0.25, PackedForest.of([]), GbrtHyper()))}[kind]
+        save(model, tmp_path / "m.txt")
+        lines = (tmp_path / "m.txt").read_text(encoding="utf-8").split("\n")
+        assert written in lines[2].split("\t")
+        lines[2] = lines[2].replace(written, edited)
+        (tmp_path / "m.txt").write_text("\n".join(lines), encoding="utf-8")
+        name, _, text = edited.partition("=")
+        named = (f"has no scalar field {name!r}" if name != name.strip()
+                 else f"{name}={text!r} is not a valid ")
+        with pytest.raises(ValueError, match=f"^line 3: .*{re.escape(named)}"):
+            load(tmp_path / "m.txt")
+
     @staticmethod
     def _gbrt_lines(tmp_path) -> list[str]:
         """A two-tree model file whose trees both split, as lines."""

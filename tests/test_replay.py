@@ -24,7 +24,7 @@ from rtbsim.replay import (
     simulate_each,
 )
 
-from conftest import make_case
+from conftest import epoch_ms, make_case
 from oracles import reference_simulate
 
 BIG = 10 ** 15
@@ -34,7 +34,7 @@ T0 = datetime(2013, 6, 6)
 def timed_cases(case_kwargs):
     """case_kwargs: iterable of dicts for make_case; timestamps auto-increment."""
     return [
-        make_case(ts=T0 + timedelta(seconds=i), bid_id=f"r{i:05d}", **kw)
+        make_case(ts=epoch_ms(T0 + timedelta(seconds=i)), bid_id=f"r{i:05d}", **kw)
         for i, kw in enumerate(case_kwargs)
     ]
 
@@ -114,7 +114,7 @@ class TestSimulate:
         _, test, _ = small_synth
         t0 = test[-1].timestamp
         cases = list(test) + [make_case(paying_price=None, floor=9, clicked=True, ts=t0),
-                              make_case(paying=7, converted=True, ts=t0 + timedelta(seconds=1))]
+                              make_case(paying=7, converted=True, ts=t0 + 1000)]
         data = ReplayData.from_cases(cases)
         want = {"paying": ([c.paying_price for c in cases], np.int64),
                 "floor": ([c.floor_price for c in cases], np.int64),

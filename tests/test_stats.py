@@ -19,7 +19,7 @@ from rtbsim.stats import (
     write_summary_markdown,
 )
 
-from conftest import breakdown, make_case
+from conftest import breakdown, epoch_ms, make_case
 
 
 class TestCampaignSummary:
@@ -75,7 +75,7 @@ class TestCampaignSummary:
 
 class TestFeatureBreakdown:
     def test_weekday_hand_case(self):
-        ts = datetime(2013, 2, 18, 10)  # a Monday
+        ts = epoch_ms(datetime(2013, 2, 18, 10))  # a Monday
         cases = [make_case(ts=ts, clicked=True, bid_id="a"),
                  make_case(ts=ts, clicked=False, bid_id="b")]
         bd = breakdown(cases, "weekday", "ctr")
